@@ -568,69 +568,78 @@ def _violation_key(v: ValidationResult) -> tuple:
     return (term_text(v.focus_node), v.path.value if v.path else "", v.constraint)
 
 
+def _touches(triple: Triple, evidence: Conflict | ValidationResult) -> bool:
+    """A candidate is named by a conflict it takes part in, or by a violation
+    on a node it mentions as subject or object."""
+    if isinstance(evidence, Conflict):
+        return triple in evidence.detail
+    return evidence.focus_node in (triple.subject, triple.object)
+
+
+def _fresh_evidence(trusted: Graph, remaining: list[Candidate], shapes: list[NodeShape],
+                    base_conflicts: set[tuple], base_violations: set[tuple]) -> list:
+    """What trusted plus remaining shows beyond the trusted baseline, from one
+    closure: fresh conflicts if there are any, otherwise fresh violations."""
+    trial = trusted.copy()
+    for cand in remaining:
+        trial.insert(cand.triple)
+    closure = materialize(trial)
+    conflicts = [c for c in check_consistency(closure) if _conflict_key(c) not in base_conflicts]
+    if conflicts:
+        return conflicts
+    return [v for v in validate(closure, shapes).results if _violation_key(v) not in base_violations]
+
+
 def validate_gate(candidates: list[Candidate], trusted: Graph,
                   shapes: list[NodeShape]) -> GateResult:
     """Admit candidates that keep the materialized trusted graph consistent
     and shape-conforming; quarantine the rest with their evidence.
 
-    Blame within a jointly bad batch: candidates directly participating in a
-    conflict or sharing a focus node with a fresh violation go first; if the
+    Each round materializes the trusted graph plus the remaining candidates
+    once. Fresh consistency conflicts are blamed first; only a round without
+    them looks at fresh shape violations. Candidates directly participating in
+    a conflict or sharing a focus node with a fresh violation go first; if the
     evidence names no candidate (purely inferred clash), the lowest-confidence
-    candidate is removed and the check repeats.
+    candidate is removed and the check repeats. A candidate whose triple is
+    already trusted is never blamed: it stays accepted and the commit merges
+    its provenance.
     """
     remaining = list(candidates)
     quarantined: list[QuarantinedCandidate] = []
 
-    base_conflicts = {_conflict_key(c) for c in check_consistency(materialize(trusted))}
+    base = materialize(trusted)
+    base_conflicts = {_conflict_key(c) for c in check_consistency(base)}
+    base_violations = {_violation_key(v) for v in validate(base, shapes).results}
+    del base  # only one closure is held at a time
 
-    # Logical consistency first.
+    # Conflicts only grow with the asserted set, so a round that removes
+    # candidates cannot create a fresh one: every conflict round comes before
+    # every shape round.
     while remaining:
-        trial = trusted.copy()
-        for cand in remaining:
-            trial.insert(cand.triple)
-        conflicts = [c for c in check_consistency(materialize(trial))
-                     if _conflict_key(c) not in base_conflicts]
-        if not conflicts:
+        evidence = _fresh_evidence(trusted, remaining, shapes, base_conflicts, base_violations)
+        if not evidence:
             break
-        blamed: dict[int, list[Conflict]] = {}
-        for conflict in conflicts:
-            detail = set(conflict.detail)
-            for i, cand in enumerate(remaining):
-                if cand.triple in detail:
-                    blamed.setdefault(i, []).append(conflict)
+
+        # Only duplicates of trusted triples would leave the trial equal to
+        # `trusted`, which shows nothing fresh; so `suspects` is never empty.
+        suspects = [i for i, cand in enumerate(remaining) if cand.triple not in trusted]
+        blamed: dict[int, list] = {}
+        for i in suspects:
+            hits = [e for e in evidence if _touches(remaining[i].triple, e)]
+            if hits:
+                blamed[i] = hits
         if not blamed:
-            weakest = min(range(len(remaining)),
+            weakest = min(suspects,
                           key=lambda i: (remaining[i].confidence(), triple_key(remaining[i].triple)))
-            blamed = {weakest: conflicts}
+            blamed = {weakest: evidence}
         for i in sorted(blamed, reverse=True):
             cand = remaining.pop(i)
-            quarantined.append(QuarantinedCandidate(cand, "consistency conflict", conflicts=blamed[i]))
-
-    # Structural shapes second; only violations the batch introduced count.
-    base_report = validate(materialize(trusted), shapes)
-    base_violations = {_violation_key(v) for v in base_report.results}
-    while remaining:
-        trial = trusted.copy()
-        for cand in remaining:
-            trial.insert(cand.triple)
-        report = validate(materialize(trial), shapes)
-        fresh = [v for v in report.results if _violation_key(v) not in base_violations]
-        if not fresh:
-            break
-        focus_nodes = {v.focus_node for v in fresh}
-        blamed_v: dict[int, list[ValidationResult]] = {}
-        for i, cand in enumerate(remaining):
-            touching = [v for v in fresh
-                        if cand.triple.subject == v.focus_node or cand.triple.object == v.focus_node]
-            if touching:
-                blamed_v[i] = touching
-        if not blamed_v:
-            weakest = min(range(len(remaining)),
-                          key=lambda i: (remaining[i].confidence(), triple_key(remaining[i].triple)))
-            blamed_v = {weakest: fresh}
-        for i in sorted(blamed_v, reverse=True):
-            cand = remaining.pop(i)
-            quarantined.append(QuarantinedCandidate(cand, "shape violation", violations=blamed_v[i]))
+            if isinstance(evidence[0], Conflict):
+                quarantined.append(QuarantinedCandidate(cand, "consistency conflict",
+                                                        conflicts=blamed[i]))
+            else:
+                quarantined.append(QuarantinedCandidate(cand, "shape violation",
+                                                        violations=blamed[i]))
 
     quarantined.sort(key=lambda q: triple_key(q.candidate.triple))
     return GateResult(accepted=remaining, quarantined=quarantined)
@@ -705,15 +714,9 @@ class OntologyStore:
 
         self.version += 1
         for cand in new:
-            first = True
+            self.trusted.insert(cand.triple)
             for prov in cand.provenance:
-                if first:
-                    self.trusted.insert(cand.triple, prov)
-                    first = False
-                else:
-                    self.trusted.add_provenance(cand.triple, prov)
-            if first:  # no provenance supplied
-                self.trusted.insert(cand.triple)
+                self.trusted.add_provenance(cand.triple, prov)
         return OntologyDelta(self.version, new, gate.quarantined, self.version - 1,
                              quarantined_relations)
 

@@ -8,6 +8,7 @@ CONTRADICTED verdict, inconsistent logic check), 2 usage or I/O error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -100,13 +101,8 @@ def cmd_build(args) -> int:
         handle = load_store(args.store)
         handle.store.shapes = shapes
         if patterns["predicates"]:
-            from .builder import BuilderConfig
-            cfg = handle.store.config
-            handle.store.config = BuilderConfig(
-                instance_ns=cfg.instance_ns, schema_ns=cfg.schema_ns,
-                property_ns=cfg.property_ns,
-                predicate_table=tuple(sorted(patterns["predicates"].items())),
-                max_chunk_chars=cfg.max_chunk_chars)
+            handle.store.config = dataclasses.replace(
+                handle.store.config, predicate_table=tuple(sorted(patterns["predicates"].items())))
 
         extra = []
         if args.schema:

@@ -344,11 +344,10 @@ class Graph:
         return h.hexdigest()
 
 
-def graph_from_triples(triples, prov: Provenance | None = None) -> Graph:
-    g = Graph()
-    for t in triples:
-        g.insert(t, prov)
-    return g
+def single_object(graph: Graph, subject: Term, predicate: str) -> Term | None:
+    """Object of the first (subject, predicate, ?) triple in canonical order."""
+    hits = graph.match(subject, Iri(predicate), None)
+    return hits[0].object if hits else None
 
 
 def diff(before: Graph, after: Graph) -> tuple[frozenset[Triple], frozenset[Triple]]:

@@ -39,6 +39,7 @@ from .rdf_core import (
     REASONER_SOURCE,
     Term,
     Triple,
+    single_object,
     term_key,
     term_text,
     triple_key,
@@ -60,23 +61,6 @@ class RuleId(Enum):
     SYMMETRIC = "SYMMETRIC"
     TRANSITIVE_PROP = "TRANSITIVE_PROP"
 
-
-@dataclass(frozen=True)
-class InferenceRule:
-    rule_id: RuleId
-    description: str
-
-
-RULES: tuple[InferenceRule, ...] = (
-    InferenceRule(RuleId.SUBCLASS_TRANS, "subClassOf is transitive"),
-    InferenceRule(RuleId.SUBPROP_TRANS, "subPropertyOf is transitive"),
-    InferenceRule(RuleId.TYPE_VIA_SUBCLASS, "instances inherit types up subclass chains"),
-    InferenceRule(RuleId.DOMAIN_TYPING, "property domain types the subject"),
-    InferenceRule(RuleId.RANGE_TYPING, "property range types the object"),
-    InferenceRule(RuleId.INVERSE_OF, "inverse properties complete each other"),
-    InferenceRule(RuleId.SYMMETRIC, "symmetric properties hold both ways"),
-    InferenceRule(RuleId.TRANSITIVE_PROP, "transitive properties chain"),
-)
 
 DEFAULT_APPLICATION_CEILING = 1_000_000
 
@@ -162,7 +146,8 @@ def _as_iri(term: Term) -> Iri | None:
 
 
 class _WorkIndex:
-    """Predicate-keyed views over the working triple set, rebuilt per round."""
+    """Predicate-keyed views over the working triple set, rebuilt after each
+    rule that fires."""
 
     def __init__(self, triples: set[Triple]):
         self._by_p: dict[Iri, list[Triple]] = {}
@@ -195,27 +180,26 @@ def materialize(graph: Graph, ceiling: int = DEFAULT_APPLICATION_CEILING,
     working = set(graph.triple_set())
     derivations: dict[Triple, Derivation] = {}
     applications = 0
+    index = _WorkIndex(working)
     changed = True
     while changed:
         changed = False
-        index = _WorkIndex(working)
-        for rule in RULES:
-            conclusions = _rule_conclusions(rule.rule_id, working, index)
+        for rule in RuleId:
+            conclusions = _rule_conclusions(rule, working, index)
             if not conclusions:
                 continue
             applications += len(conclusions)
             if applications > ceiling:
                 raise DivergenceError(f"rule applications exceeded ceiling {ceiling}")
-            for conclusion, premises in sorted(conclusions.items(), key=lambda kv: triple_key(kv[0])):
-                working.add(conclusion)
-                if conclusion not in derivations:
-                    derivations[conclusion] = Derivation(rule.rule_id, premises)
+            working.update(conclusions)
+            for conclusion, premises in conclusions.items():
+                derivations[conclusion] = Derivation(rule, premises)
             changed = True
             index = _WorkIndex(working)
 
     result = graph.copy()
     inferred_prov = Provenance(source_id=REASONER_SOURCE, origin=Origin.TOOL_RESULT)
-    for t in sorted(working - graph.triple_set(), key=triple_key):
+    for t in working - graph.triple_set():
         result.insert(t, inferred_prov)
     if want_derivations:
         return result, derivations
@@ -283,9 +267,9 @@ def check_consistency(graph: Graph) -> list[Conflict]:
     true_lit = Literal("true", XSD_BOOLEAN)
     for neg in graph.match(None, Iri(SYS_NOT), true_lit):
         stmt = neg.subject
-        s = _reified(graph, stmt, RDF_SUBJECT)
-        p = _reified(graph, stmt, RDF_PREDICATE)
-        o = _reified(graph, stmt, RDF_OBJECT)
+        s = single_object(graph, stmt, RDF_SUBJECT)
+        p = single_object(graph, stmt, RDF_PREDICATE)
+        o = single_object(graph, stmt, RDF_OBJECT)
         if s is None or not isinstance(p, Iri) or o is None:
             continue
         positive = Triple(s, p, o)
@@ -307,7 +291,3 @@ def check_consistency(graph: Graph) -> list[Conflict]:
         deduped.setdefault(key, c)
     return list(deduped.values())
 
-
-def _reified(graph: Graph, stmt: Term, predicate: str) -> Term | None:
-    hits = graph.match(stmt, Iri(predicate), None)
-    return hits[0].object if hits else None

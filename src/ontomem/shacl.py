@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass, field
 
 from .namespaces import RDF_FIRST, RDF_NIL, RDF_REST, RDF_TYPE, SH_NS, XSD_BOOLEAN, XSD_INTEGER
-from .rdf_core import Graph, Iri, Literal, Term, Triple, term_key, term_text
+from .rdf_core import Graph, Iri, Literal, Term, Triple, single_object, term_key, term_text
 
 SH_NODESHAPE = SH_NS + "NodeShape"
 SH_TARGETCLASS = SH_NS + "targetClass"
@@ -99,7 +99,7 @@ def parse_shapes(graph: Graph) -> tuple[list[NodeShape], list[str]]:
     for node in sorted(shape_nodes, key=term_key):
         if not isinstance(node, Iri):
             raise ShapeError(f"node shape must be an IRI: {term_text(node)}")
-        target = _single_object(graph, node, SH_TARGETCLASS)
+        target = single_object(graph, node, SH_TARGETCLASS)
         if target is not None and not isinstance(target, Iri):
             raise ShapeError(f"sh:targetClass of {node.value} must be an IRI")
         closed = _bool_object(graph, node, SH_CLOSED)
@@ -113,18 +113,18 @@ def parse_shapes(graph: Graph) -> tuple[list[NodeShape], list[str]]:
 
 
 def _parse_property(graph: Graph, shape: Iri, node: Term, warnings: list[str]) -> PropertyShape:
-    path = _single_object(graph, node, SH_PATH)
+    path = single_object(graph, node, SH_PATH)
     if path is None:
         raise ShapeError(f"property shape of {shape.value} is missing sh:path")
     if not isinstance(path, Iri):
         raise ShapeError(f"sh:path of {shape.value} must be a single predicate IRI")
     value_in = None
-    in_head = _single_object(graph, node, SH_IN)
+    in_head = single_object(graph, node, SH_IN)
     if in_head is not None:
         value_in = tuple(_walk_list(graph, in_head))
-    pattern_term = _single_object(graph, node, SH_PATTERN)
-    datatype = _single_object(graph, node, SH_DATATYPE)
-    value_class = _single_object(graph, node, SH_CLASS)
+    pattern_term = single_object(graph, node, SH_PATTERN)
+    datatype = single_object(graph, node, SH_DATATYPE)
+    value_class = single_object(graph, node, SH_CLASS)
     _warn_unknown(graph, node, _KNOWN_PROPERTY_TERMS, warnings)
     return PropertyShape(
         path=path,
@@ -145,8 +145,8 @@ def _walk_list(graph: Graph, head: Term) -> list[Term]:
         if node in seen:
             raise ShapeError("cyclic rdf list in sh:in")
         seen.add(node)
-        first = _single_object(graph, node, RDF_FIRST)
-        rest = _single_object(graph, node, RDF_REST)
+        first = single_object(graph, node, RDF_FIRST)
+        rest = single_object(graph, node, RDF_REST)
         if first is None or rest is None:
             raise ShapeError("malformed rdf list in sh:in")
         items.append(first)
@@ -154,13 +154,8 @@ def _walk_list(graph: Graph, head: Term) -> list[Term]:
     return items
 
 
-def _single_object(graph: Graph, subject: Term, predicate: str) -> Term | None:
-    hits = graph.match(subject, Iri(predicate), None)
-    return hits[0].object if hits else None
-
-
 def _int_object(graph: Graph, subject: Term, predicate: str) -> int | None:
-    obj = _single_object(graph, subject, predicate)
+    obj = single_object(graph, subject, predicate)
     if obj is None:
         return None
     if not isinstance(obj, Literal) or obj.datatype != XSD_INTEGER:
@@ -169,7 +164,7 @@ def _int_object(graph: Graph, subject: Term, predicate: str) -> int | None:
 
 
 def _bool_object(graph: Graph, subject: Term, predicate: str) -> bool:
-    obj = _single_object(graph, subject, predicate)
+    obj = single_object(graph, subject, predicate)
     return isinstance(obj, Literal) and obj.datatype == XSD_BOOLEAN and obj.lexical == "true"
 
 

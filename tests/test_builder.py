@@ -31,7 +31,7 @@ from ontomem.builder import (
 from ontomem.factcheck import Claim
 from ontomem.namespaces import OWL_FUNCTIONAL, RDF_TYPE, XSD_DATE
 from ontomem.rdf_core import Graph, Iri, Literal, Origin, Provenance, Triple
-from ontomem.reasoner import check_consistency, materialize
+from ontomem.reasoner import ConflictKind, check_consistency, materialize
 from ontomem.shacl import NodeShape, PropertyShape, validate
 from ontomem.turtle_io import parse_turtle
 
@@ -311,6 +311,80 @@ class TestValidateGate:
             assert check_consistency(m) == []
             assert validate(m, shapes).conforms
         assert total >= 400
+
+    def test_resubmitted_trusted_axiom_not_blamed_for_conflict(self):
+        functional = Triple(iri("p"), Iri(RDF_TYPE), Iri(OWL_FUNCTIONAL))
+        old_value = Triple(iri("s"), iri("p"), iri("o1"))
+        trusted = Graph()
+        trusted.insert(functional)
+        trusted.insert(old_value)
+        resubmitted = Candidate(functional, [Provenance(source_id="schema.ttl")])
+        gate = validate_gate([resubmitted, cand("s", "p", "o2")], trusted, [])
+        assert [c.triple for c in gate.accepted] == [functional]
+        assert [q.candidate.triple for q in gate.quarantined] == [
+            Triple(iri("s"), iri("p"), iri("o2"))]
+        store = OntologyStore()
+        store.trusted = trusted
+        delta = store.commit(gate, 0)
+        assert not delta.accepted
+        assert len(store.trusted.provenance(functional)) == 1
+        assert [e["triple"] for e in store.quarantine_log] == [
+            f"<{EX}s> <{EX}p> <{EX}o2> ."]
+
+    def test_resubmitted_trusted_fact_not_blamed_for_violation(self):
+        disk = Triple(iri("d9"), Iri(RDF_TYPE), Iri(SCHEMA + "Disk"))
+        on_peg1 = Triple(iri("d9"), Iri(PROP + "is-on"), iri("peg1"))
+        on_peg2 = Triple(iri("d9"), Iri(PROP + "is-on"), iri("peg2"))
+        trusted = Graph()
+        trusted.insert(disk)
+        trusted.insert(on_peg1)
+        batch = [Candidate(on_peg1, [Provenance(source_id="t")]),
+                 Candidate(on_peg2, [Provenance(source_id="t")])]
+        gate = validate_gate(batch, trusted, [shape_disk_on_peg()])
+        assert [c.triple for c in gate.accepted] == [on_peg1]
+        assert len(gate.quarantined) == 1
+        q = gate.quarantined[0]
+        assert q.candidate.triple == on_peg2 and q.reason == "shape violation"
+        assert [v.constraint for v in q.violations] == ["maxCount"]
+
+    def test_mixed_batch_one_closure_per_round(self, monkeypatch):
+        import ontomem.builder as builder_module
+
+        calls = []
+
+        def counting_materialize(graph, *args, **kwargs):
+            calls.append(len(graph))
+            return materialize(graph, *args, **kwargs)
+
+        monkeypatch.setattr(builder_module, "materialize", counting_materialize)
+        functional = Triple(iri("p"), Iri(RDF_TYPE), Iri(OWL_FUNCTIONAL))
+        old_value = Triple(iri("s"), iri("p"), iri("o1"))
+        trusted = Graph()
+        trusted.insert(functional)
+        trusted.insert(old_value)
+        clash = cand("s", "p", "o2")
+        bare_disk = Candidate(Triple(iri("d9"), Iri(RDF_TYPE), Iri(SCHEMA + "Disk")),
+                              [Provenance(source_id="t")])
+        clean = cand("x", "q", "y")
+        gate = validate_gate([clash, bare_disk, clean], trusted, [shape_disk_on_peg()])
+
+        # one base closure, then trials of 3, 2 and 1 candidates
+        assert calls == [2, 5, 4, 3]
+        assert gate.accepted == [clean]
+        shape_q, conflict_q = gate.quarantined
+        assert shape_q.candidate is bare_disk
+        assert shape_q.reason == "shape violation"
+        assert shape_q.conflicts == []
+        assert [(v.focus_node, v.path, v.constraint) for v in shape_q.violations] == [
+            (iri("d9"), Iri(PROP + "is-on"), "minCount")]
+        assert conflict_q.candidate is clash
+        assert conflict_q.reason == "consistency conflict"
+        assert conflict_q.violations == []
+        assert len(conflict_q.conflicts) == 1
+        conflict = conflict_q.conflicts[0]
+        assert conflict.kind is ConflictKind.FUNCTIONAL_PROPERTY
+        assert conflict.subject == iri("s")
+        assert conflict.detail == (old_value, clash.triple, functional)
 
 
 class TestCommit:
