@@ -28,7 +28,7 @@ from .rdf_core import (
     triple_key,
     triple_text,
 )
-from .reasoner import Conflict, check_consistency, materialize
+from .reasoner import Conflict, check_consistency, extend, materialize
 from .shacl import NodeShape, ValidationResult, validate
 from .factcheck import Claim, Polarity, negation_overlay
 
@@ -576,33 +576,19 @@ def _touches(triple: Triple, evidence: Conflict | ValidationResult) -> bool:
     return evidence.focus_node in (triple.subject, triple.object)
 
 
-def _fresh_evidence(trusted: Graph, remaining: list[Candidate], shapes: list[NodeShape],
-                    base_conflicts: set[tuple], base_violations: set[tuple]) -> list:
-    """What trusted plus remaining shows beyond the trusted baseline, from one
-    closure: fresh conflicts if there are any, otherwise fresh violations."""
-    trial = trusted.copy()
-    for cand in remaining:
-        trial.insert(cand.triple)
-    closure = materialize(trial)
-    conflicts = [c for c in check_consistency(closure) if _conflict_key(c) not in base_conflicts]
-    if conflicts:
-        return conflicts
-    return [v for v in validate(closure, shapes).results if _violation_key(v) not in base_violations]
-
-
 def validate_gate(candidates: list[Candidate], trusted: Graph,
                   shapes: list[NodeShape]) -> GateResult:
     """Admit candidates that keep the materialized trusted graph consistent
     and shape-conforming; quarantine the rest with their evidence.
 
-    Each round materializes the trusted graph plus the remaining candidates
-    once. Fresh consistency conflicts are blamed first; only a round without
-    them looks at fresh shape violations. Candidates directly participating in
-    a conflict or sharing a focus node with a fresh violation go first; if the
-    evidence names no candidate (purely inferred clash), the lowest-confidence
-    candidate is removed and the check repeats. A candidate whose triple is
-    already trusted is never blamed: it stays accepted and the commit merges
-    its provenance.
+    The trusted graph is materialized once; each round extends that closure
+    with the remaining candidates. Fresh consistency conflicts are blamed
+    first; only a round without them looks at fresh shape violations.
+    Candidates directly participating in a conflict or sharing a focus node
+    with a fresh violation go first; if the evidence names no candidate
+    (purely inferred clash), the lowest-confidence candidate is removed and
+    the check repeats. A candidate whose triple is already trusted is never
+    blamed: it stays accepted and the commit merges its provenance.
     """
     remaining = list(candidates)
     quarantined: list[QuarantinedCandidate] = []
@@ -610,13 +596,17 @@ def validate_gate(candidates: list[Candidate], trusted: Graph,
     base = materialize(trusted)
     base_conflicts = {_conflict_key(c) for c in check_consistency(base)}
     base_violations = {_violation_key(v) for v in validate(base, shapes).results}
-    del base  # only one closure is held at a time
 
     # Conflicts only grow with the asserted set, so a round that removes
     # candidates cannot create a fresh one: every conflict round comes before
     # every shape round.
     while remaining:
-        evidence = _fresh_evidence(trusted, remaining, shapes, base_conflicts, base_violations)
+        closure = extend(base, [cand.triple for cand in remaining])
+        evidence = [c for c in check_consistency(closure) if _conflict_key(c) not in base_conflicts]
+        if not evidence:
+            evidence = [v for v in validate(closure, shapes).results
+                        if _violation_key(v) not in base_violations]
+        del closure  # hold the base and at most one trial closure
         if not evidence:
             break
 

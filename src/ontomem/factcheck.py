@@ -34,7 +34,7 @@ from .rdf_core import (
     parse_term_text,
     triple_text,
 )
-from .reasoner import Conflict, check_consistency, materialize
+from .reasoner import Conflict, check_consistency, extend, materialize
 
 
 class ClaimInputError(ValueError):
@@ -168,10 +168,7 @@ def _check_asserted(statement: Triple, m: Graph, derivations, condition_steps):
         trace = condition_steps + _support_trace(statement, m, derivations)
         return (VerdictStatus.SUPPORTED, trace)
 
-    with_claim = m.copy()
-    with_claim.insert(statement, _HYPOTHESIS_PROV)
-    rematerialized = materialize(with_claim)
-    conflicts = check_consistency(rematerialized)
+    conflicts = check_consistency(extend(m, [statement]))
     if conflicts:
         steps = condition_steps + tuple(
             TraceStep(TraceKind.CONFLICT, c.detail, detail=c.kind.value) for c in conflicts

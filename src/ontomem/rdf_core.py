@@ -278,31 +278,20 @@ class Graph:
     def match(self, subject: Term | None = None, predicate: Term | None = None,
               object: Term | None = None) -> list[Triple]:
         """All triples matching the bound positions (None = wildcard), in canonical order."""
-        candidates = self._candidates(subject, predicate, object)
-        out = [
-            t for t in candidates
-            if (subject is None or t.subject == subject)
-            and (predicate is None or t.predicate == predicate)
-            and (object is None or t.object == object)
-        ]
-        out.sort(key=triple_key)
-        return out
+        return sorted(self.find(subject, predicate, object), key=triple_key)
 
-    def _candidates(self, s: Term | None, p: Term | None, o: Term | None):
-        # Pick the most selective available index; fall back to full scan.
-        pools = []
-        if s is not None:
-            pools.append(self._by_s.get(s, set()))
-        if o is not None:
-            pools.append(self._by_o.get(o, set()))
-        if p is not None:
-            pools.append(self._by_p.get(p, set()))
+    def find(self, subject: Term | None = None, predicate: Term | None = None,
+             object: Term | None = None) -> list[Triple]:
+        """All triples matching the bound positions (None = wildcard), unordered."""
+        pools = [index.get(term, ()) for index, term in
+                 ((self._by_s, subject), (self._by_o, object), (self._by_p, predicate)) if term is not None]
         if not pools:
-            return self._triples
-        return min(pools, key=len)
-
-    def subjects(self) -> list[Term]:
-        return sorted(self._by_s, key=term_key)
+            return list(self._triples)
+        pool = min(pools, key=len)  # the most selective index fixes its own position
+        if len(pools) == 1:
+            return list(pool)
+        return [t for t in pool if (subject is None or t.subject == subject)
+                and (predicate is None or t.predicate == predicate) and (object is None or t.object == object)]
 
     def terms(self) -> list[Term]:
         """Every distinct term appearing anywhere in the graph, sorted."""

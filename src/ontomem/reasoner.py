@@ -2,6 +2,10 @@
 plus consistency checking (disjointness, functional properties, explicit
 negation overlay).
 
+The rules are one table that a single semi-naive loop evaluates: `materialize`
+closes a copy of a graph from scratch, and `extend` closes a materialized graph
+plus added triples, each rule joining only the triples it has not yet seen.
+
 The rule set is deliberately small enough that termination is structural:
 every rule's conclusions stay inside the vocabulary closure of its premises,
 so the fixpoint is reached in finitely many rounds. A rule-application
@@ -82,92 +86,110 @@ class Derivation:
     premises: tuple[Triple, ...]
 
 
-def _rule_conclusions(rule: RuleId, triples: set[Triple], index) -> dict[Triple, tuple[Triple, ...]]:
-    """New conclusions for one rule against the current triple set."""
-    out: dict[Triple, tuple[Triple, ...]] = {}
+# One row per rule body: (rule, body atoms, head, atoms the Derivation records).
+# Strings are variables. Each body lists its atoms in the order the reference
+# nested loops (tests/oracles.py, oracle_derivations) walk them over
+# triple_key-sorted lists, so the derivation kept for a conclusion is the least
+# (atom 0, row within the rule, atom 1, ...) in triple_key order.
+_RULES = (
+    (RuleId.SUBCLASS_TRANS, (("a", _SUBCLASS, "b"), ("b", _SUBCLASS, "c")), ("a", _SUBCLASS, "c"), (0, 1)),
+    (RuleId.SUBPROP_TRANS, (("a", _SUBPROP, "b"), ("b", _SUBPROP, "c")), ("a", _SUBPROP, "c"), (0, 1)),
+    (RuleId.TYPE_VIA_SUBCLASS, (("c", _SUBCLASS, "d"), ("x", _TYPE, "c")), ("x", _TYPE, "d"), (1, 0)),
+    (RuleId.DOMAIN_TYPING, (("p", _DOMAIN, "c"), ("x", "p", "y")), ("x", _TYPE, "c"), (1, 0)),
+    (RuleId.RANGE_TYPING, (("p", _RANGE, "c"), ("x", "p", "y")), ("y", _TYPE, "c"), (1, 0)),
+    (RuleId.INVERSE_OF, (("p", _INVERSE, "q"), ("x", "p", "y")), ("y", "q", "x"), (1, 0)),
+    (RuleId.INVERSE_OF, (("p", _INVERSE, "q"), ("x", "q", "y")), ("y", "p", "x"), (1, 0)),
+    (RuleId.SYMMETRIC, (("p", _TYPE, _SYMMETRIC_CLS), ("x", "p", "y")), ("y", "p", "x"), (1, 0)),
+    (RuleId.TRANSITIVE_PROP, (("p", _TYPE, _TRANSITIVE_CLS), ("x", "p", "y"), ("y", "p", "z")),
+     ("x", "p", "z"), (1, 2)),
+)
 
-    def emit(conclusion: Triple, *premises: Triple) -> None:
-        if conclusion not in triples and conclusion not in out:
-            out[conclusion] = premises
 
-    if rule is RuleId.SUBCLASS_TRANS:
-        for a in index.by_pred(_SUBCLASS):
-            for b in index.by_pred_subj(_SUBCLASS, a.object):
-                emit(Triple(a.subject, _SUBCLASS, b.object), a, b)
-    elif rule is RuleId.SUBPROP_TRANS:
-        for a in index.by_pred(_SUBPROP):
-            for b in index.by_pred_subj(_SUBPROP, a.object):
-                emit(Triple(a.subject, _SUBPROP, b.object), a, b)
-    elif rule is RuleId.TYPE_VIA_SUBCLASS:
-        for sub in index.by_pred(_SUBCLASS):
-            for typed in index.by_pred_obj(_TYPE, sub.subject):
-                emit(Triple(typed.subject, _TYPE, sub.object), typed, sub)
-    elif rule is RuleId.DOMAIN_TYPING:
-        for decl in index.by_pred(_DOMAIN):
-            for use in index.by_pred(_as_iri(decl.subject)):
-                emit(Triple(use.subject, _TYPE, decl.object), use, decl)
-    elif rule is RuleId.RANGE_TYPING:
-        for decl in index.by_pred(_RANGE):
-            for use in index.by_pred(_as_iri(decl.subject)):
-                if not isinstance(use.object, Literal):
-                    emit(Triple(use.object, _TYPE, decl.object), use, decl)
-    elif rule is RuleId.INVERSE_OF:
-        for decl in index.by_pred(_INVERSE):
-            p, q = _as_iri(decl.subject), _as_iri(decl.object)
-            if p is None or q is None:
+def _pattern(atom, binding: dict) -> tuple:
+    """`atom` with its variables replaced by their bindings, None where unbound."""
+    return tuple(binding.get(x) if isinstance(x, str) else x for x in atom)
+
+
+def _join(body, order: list[int], graph: Graph, triples, binding: dict, chosen: tuple):
+    """Matches of `body` that extend `binding`, whose atoms order[:k] matched
+    as `chosen`: atom order[k] is drawn from `triples` and later ones from
+    `graph`. Yields the bindings and each atom's triple, in body order."""
+    k = len(body) - chosen.count(None)
+    i = order[k]
+    for t in triples:
+        bound = dict(binding)
+        for x, term in zip(body[i], (t.subject, t.predicate, t.object)):
+            if isinstance(x, str):
+                bound[x] = term
+        now = chosen[:i] + (t,) + chosen[i + 1:]
+        if k + 1 == len(body):
+            yield bound, now
+        else:
+            yield from _join(body, order, graph, graph.find(*_pattern(body[order[k + 1]], bound)), bound, now)
+
+
+def _fire(graph: Graph, rows, fresh: list[Triple]) -> dict[Triple, tuple[int, tuple[Triple, ...]]]:
+    """Conclusions of one rule that `graph` lacks, each with the row and body
+    match of its least derivation. Every match takes at least one atom from
+    `fresh`, the triples added since the rule last fired; when those are the
+    whole graph, every match is visited once."""
+    found: dict[Triple, tuple[int, tuple[Triple, ...]]] = {}
+
+    def order_key(row: int, chosen: tuple[Triple, ...]) -> tuple:
+        return (triple_key(chosen[0]), row) + tuple(triple_key(t) for t in chosen[1:])
+
+    whole = len(fresh) == len(graph)
+    for row, (_, body, head, _) in enumerate(rows):
+        for first in range(1 if whole else len(body)):
+            s, p, o = _pattern(body[first], {})
+            matches = graph.find(s, p, o) if whole else [
+                t for t in fresh if (s is None or t.subject == s)
+                and (p is None or t.predicate == p) and (o is None or t.object == o)]
+            order = [first] + [i for i in range(len(body)) if i != first]
+            for binding, chosen in _join(body, order, graph, matches, {}, (None,) * len(body)):
+                s, p, o = _pattern(head, binding)
+                if isinstance(s, Literal) or not isinstance(p, Iri):
+                    continue
+                conclusion = Triple(s, p, o)
+                if conclusion in graph:
+                    continue
+                best = found.get(conclusion)
+                if best is None or order_key(row, chosen) < order_key(*best):
+                    found[conclusion] = (row, chosen)
+    return found
+
+
+_BY_RULE = {rule: [row for row in _RULES if row[0] is rule] for rule in RuleId}
+
+
+def _saturate(graph: Graph, new, ceiling: int) -> dict[Triple, Derivation]:
+    """Close `graph` in place under the rules, given that it was closed before
+    the triples in `new` were added; returns each inferred triple's derivation.
+
+    Rules fire in RuleId order, round after round, and each one joins only the
+    triples added since it last fired (semi-naive evaluation): a conclusion
+    whose premises are all older was drawn by that earlier firing.
+    """
+    log = list(new)
+    fired_upto = dict.fromkeys(RuleId, 0)
+    derivations: dict[Triple, Derivation] = {}
+    inferred_prov = Provenance(source_id=REASONER_SOURCE, origin=Origin.TOOL_RESULT)
+    applications = 0
+    while any(upto < len(log) for upto in fired_upto.values()):
+        for rule, rows in _BY_RULE.items():
+            fresh = log[fired_upto[rule]:]
+            fired_upto[rule] = len(log)
+            conclusions = _fire(graph, rows, fresh)
+            if not conclusions:
                 continue
-            for use in index.by_pred(p):
-                if not isinstance(use.object, Literal):
-                    emit(Triple(use.object, q, use.subject), use, decl)
-            for use in index.by_pred(q):
-                if not isinstance(use.object, Literal):
-                    emit(Triple(use.object, p, use.subject), use, decl)
-    elif rule is RuleId.SYMMETRIC:
-        for decl in index.by_pred_obj(_TYPE, _SYMMETRIC_CLS):
-            p = _as_iri(decl.subject)
-            if p is None:
-                continue
-            for use in index.by_pred(p):
-                if not isinstance(use.object, Literal):
-                    emit(Triple(use.object, p, use.subject), use, decl)
-    elif rule is RuleId.TRANSITIVE_PROP:
-        for decl in index.by_pred_obj(_TYPE, _TRANSITIVE_CLS):
-            p = _as_iri(decl.subject)
-            if p is None:
-                continue
-            for a in index.by_pred(p):
-                for b in index.by_pred_subj(p, a.object):
-                    emit(Triple(a.subject, p, b.object), a, b)
-    return out
-
-
-def _as_iri(term: Term) -> Iri | None:
-    return term if isinstance(term, Iri) else None
-
-
-class _WorkIndex:
-    """Predicate-keyed views over the working triple set, rebuilt after each
-    rule that fires."""
-
-    def __init__(self, triples: set[Triple]):
-        self._by_p: dict[Iri, list[Triple]] = {}
-        self._by_ps: dict[tuple[Iri, Term], list[Triple]] = {}
-        self._by_po: dict[tuple[Iri, Term], list[Triple]] = {}
-        for t in sorted(triples, key=triple_key):
-            self._by_p.setdefault(t.predicate, []).append(t)
-            self._by_ps.setdefault((t.predicate, t.subject), []).append(t)
-            self._by_po.setdefault((t.predicate, t.object), []).append(t)
-
-    def by_pred(self, p: Iri | None) -> list[Triple]:
-        if p is None:
-            return []
-        return self._by_p.get(p, [])
-
-    def by_pred_subj(self, p: Iri, s: Term) -> list[Triple]:
-        return self._by_ps.get((p, s), [])
-
-    def by_pred_obj(self, p: Iri, o: Term) -> list[Triple]:
-        return self._by_po.get((p, o), [])
+            applications += len(conclusions)
+            if applications > ceiling:
+                raise DivergenceError(f"rule applications exceeded ceiling {ceiling}")
+            for conclusion, (row, chosen) in conclusions.items():
+                graph.insert(conclusion, inferred_prov)
+                derivations[conclusion] = Derivation(rule, tuple(chosen[i] for i in rows[row][3]))
+            log.extend(conclusions)
+    return derivations
 
 
 def materialize(graph: Graph, ceiling: int = DEFAULT_APPLICATION_CEILING,
@@ -177,32 +199,19 @@ def materialize(graph: Graph, ceiling: int = DEFAULT_APPLICATION_CEILING,
     Inferred triples carry Provenance(source_id="reasoner", origin=TOOL_RESULT).
     Returns the new graph, or (graph, derivations) when want_derivations is set.
     """
-    working = set(graph.triple_set())
-    derivations: dict[Triple, Derivation] = {}
-    applications = 0
-    index = _WorkIndex(working)
-    changed = True
-    while changed:
-        changed = False
-        for rule in RuleId:
-            conclusions = _rule_conclusions(rule, working, index)
-            if not conclusions:
-                continue
-            applications += len(conclusions)
-            if applications > ceiling:
-                raise DivergenceError(f"rule applications exceeded ceiling {ceiling}")
-            working.update(conclusions)
-            for conclusion, premises in conclusions.items():
-                derivations[conclusion] = Derivation(rule, premises)
-            changed = True
-            index = _WorkIndex(working)
-
     result = graph.copy()
-    inferred_prov = Provenance(source_id=REASONER_SOURCE, origin=Origin.TOOL_RESULT)
-    for t in working - graph.triple_set():
-        result.insert(t, inferred_prov)
+    derivations = _saturate(result, result.find(), ceiling)
     if want_derivations:
         return result, derivations
+    return result
+
+
+def extend(closure: Graph, added) -> Graph:
+    """materialize(closure + added) for a `closure` that materialize returned,
+    at the cost of what `added` brings; `closure` is not mutated. Triples of
+    `added` are inserted without provenance."""
+    result = closure.copy()
+    _saturate(result, [t for t in added if result.insert(t)], DEFAULT_APPLICATION_CEILING)
     return result
 
 

@@ -226,20 +226,18 @@ def _require(params: dict, key: str, kind: type) -> Any:
     return value
 
 
+def _optional(params: dict, key: str, kind: type, default: Any) -> Any:
+    return _require(params, key, kind) if key in params else default
+
+
 class ToolBus:
     def __init__(self, handle: StoreHandle):
         self.handle = handle
-        self._methods: dict[str, Callable[[dict], Any]] = {
-            "tools.list": lambda params: {"tools": TOOL_CATALOG},
-            "graph.query": self._graph_query,
-            "graph.validate": self._graph_validate,
-            "graph.diff": self._graph_diff,
-            "fact.check": self._fact_check,
-            "memory.retrieve": self._memory_retrieve,
-            "bench.hanoi.run": self._bench,
-        }
 
     # -- method handlers ------------------------------------------------------
+
+    def _tools_list(self, params: dict) -> dict:
+        return {"tools": TOOL_CATALOG}
 
     def _graph_query(self, params: dict) -> dict:
         text = _require(params, "query", str)
@@ -257,7 +255,7 @@ class ToolBus:
     def _graph_diff(self, params: dict) -> dict:
         v1 = _require(params, "from_version", int)
         v2 = _require(params, "to_version", int)
-        return svc_diff(self.handle, v1, v2, bool(params.get("include_inferred", False)))
+        return svc_diff(self.handle, v1, v2, _optional(params, "include_inferred", bool, False))
 
     def _fact_check(self, params: dict) -> dict:
         diagnostics: list[str] = []
@@ -285,9 +283,9 @@ class ToolBus:
         try:
             return svc_retrieve(
                 self.handle, query, seeds,
-                radius=int(params.get("radius", 1)),
-                k=int(params.get("k", 5)),
-                budget=int(params.get("budget", 10)),
+                radius=_optional(params, "radius", int, 1),
+                k=_optional(params, "k", int, 5),
+                budget=_optional(params, "budget", int, 10),
                 session=params.get("session"),
             )
         except FusionConfigError as e:
@@ -298,6 +296,19 @@ class ToolBus:
             return svc_bench(params)
         except (ValueError, TypeError) as e:
             raise ParamError(str(e)) from e
+
+    # Plain functions, called as handler(self, params): bound methods stored
+    # on the instance would make every bus a reference cycle that keeps its
+    # store alive until a full garbage collection.
+    _METHODS: dict[str, Callable[[ToolBus, dict], Any]] = {
+        "tools.list": _tools_list,
+        "graph.query": _graph_query,
+        "graph.validate": _graph_validate,
+        "graph.diff": _graph_diff,
+        "fact.check": _fact_check,
+        "memory.retrieve": _memory_retrieve,
+        "bench.hanoi.run": _bench,
+    }
 
     # -- JSON-RPC plumbing -----------------------------------------------------
 
@@ -322,12 +333,12 @@ class ToolBus:
             return None if is_notification else _error_response(
                 req_id, INVALID_PARAMS, "params must be an object")
 
-        handler = self._methods.get(method)
+        handler = self._METHODS.get(method)
         if handler is None:
             return None if is_notification else _error_response(
                 req_id, METHOD_NOT_FOUND, f"method not found: {method}")
         try:
-            result = handler(params)
+            result = handler(self, params)
         except ParamError as e:
             return None if is_notification else _error_response(req_id, INVALID_PARAMS, str(e))
         except ConditionInconsistencyError as e:

@@ -22,7 +22,8 @@ from ontomem.namespaces import (
     RDFS_SUBCLASSOF,
     RDFS_SUBPROPERTYOF,
 )
-from ontomem.rdf_core import Graph, Iri, Literal, StructuralError, Triple, term_text
+from ontomem.rdf_core import Graph, Iri, Literal, StructuralError, Triple, term_text, triple_key
+from ontomem.reasoner import Derivation, RuleId
 from ontomem.sparql import IsIriTest, PathPlus, Query, QueryForm, RegexMatch
 
 # ---------------------------------------------------------------------------
@@ -256,6 +257,76 @@ def oracle_materialize(graph: Graph, seed: int) -> frozenset:
                 triples |= new
                 changed = True
     return frozenset(triples)
+
+
+def oracle_derivations(graph: Graph) -> dict:
+    """Derivation of every inferred triple by the reference nested-loop engine:
+    rounds in RuleId order, each rule scanning the whole triple set in
+    triple_key order against a snapshot, the first emission of a conclusion
+    kept. This fixes the derivation the engine must report per triple."""
+    triples = set(graph.triple_set())
+    derivations = {}
+    changed = True
+    while changed:
+        changed = False
+        for rule in RuleId:
+            by_pred = {}
+            for t in sorted(triples, key=triple_key):
+                by_pred.setdefault(t.predicate, []).append(t)
+            out = {}
+
+            def emit(conclusion, *premises):
+                if conclusion not in triples and conclusion not in out:
+                    out[conclusion] = Derivation(rule, premises)
+
+            def by(p=None, s=None, o=None):
+                return [t for t in by_pred.get(p, [])
+                        if (s is None or t.subject == s) and (o is None or t.object == o)]
+
+            if rule in (RuleId.SUBCLASS_TRANS, RuleId.SUBPROP_TRANS):
+                pred = _SC if rule is RuleId.SUBCLASS_TRANS else _SP
+                for a in by(pred):
+                    for b in by(pred, s=a.object):
+                        emit(Triple(a.subject, pred, b.object), a, b)
+            elif rule is RuleId.TYPE_VIA_SUBCLASS:
+                for sub in by(_SC):
+                    for typed in by(_T, o=sub.subject):
+                        emit(Triple(typed.subject, _T, sub.object), typed, sub)
+            elif rule in (RuleId.DOMAIN_TYPING, RuleId.RANGE_TYPING):
+                for decl in by(_DOM if rule is RuleId.DOMAIN_TYPING else _RAN):
+                    for use in by(decl.subject):
+                        if rule is RuleId.DOMAIN_TYPING:
+                            emit(Triple(use.subject, _T, decl.object), use, decl)
+                        elif not isinstance(use.object, Literal):
+                            emit(Triple(use.object, _T, decl.object), use, decl)
+            elif rule is RuleId.INVERSE_OF:
+                for decl in by(_INV):
+                    p, q = decl.subject, decl.object
+                    if not isinstance(p, Iri) or not isinstance(q, Iri):
+                        continue
+                    for use in by(p):
+                        if not isinstance(use.object, Literal):
+                            emit(Triple(use.object, q, use.subject), use, decl)
+                    for use in by(q):
+                        if not isinstance(use.object, Literal):
+                            emit(Triple(use.object, p, use.subject), use, decl)
+            elif rule is RuleId.SYMMETRIC:
+                for decl in by(_T, o=_SYM):
+                    p = decl.subject
+                    for use in by(p):
+                        if not isinstance(use.object, Literal):
+                            emit(Triple(use.object, p, use.subject), use, decl)
+            else:
+                for decl in by(_T, o=_TRA):
+                    p = decl.subject
+                    for a in by(p):
+                        for b in by(p, s=a.object):
+                            emit(Triple(a.subject, p, b.object), a, b)
+            if out:
+                triples |= set(out)
+                derivations.update(out)
+                changed = True
+    return derivations
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from ontomem.builder import (
 from ontomem.factcheck import Claim
 from ontomem.namespaces import OWL_FUNCTIONAL, RDF_TYPE, XSD_DATE
 from ontomem.rdf_core import Graph, Iri, Literal, Origin, Provenance, Triple
-from ontomem.reasoner import ConflictKind, check_consistency, materialize
+from ontomem.reasoner import ConflictKind, check_consistency, extend, materialize
 from ontomem.shacl import NodeShape, PropertyShape, validate
 from ontomem.turtle_io import parse_turtle
 
@@ -353,10 +353,15 @@ class TestValidateGate:
         calls = []
 
         def counting_materialize(graph, *args, **kwargs):
-            calls.append(len(graph))
+            calls.append(("materialize", len(graph)))
             return materialize(graph, *args, **kwargs)
 
+        def counting_extend(closure, added):
+            calls.append(("extend", len(added)))
+            return extend(closure, added)
+
         monkeypatch.setattr(builder_module, "materialize", counting_materialize)
+        monkeypatch.setattr(builder_module, "extend", counting_extend)
         functional = Triple(iri("p"), Iri(RDF_TYPE), Iri(OWL_FUNCTIONAL))
         old_value = Triple(iri("s"), iri("p"), iri("o1"))
         trusted = Graph()
@@ -369,7 +374,7 @@ class TestValidateGate:
         gate = validate_gate([clash, bare_disk, clean], trusted, [shape_disk_on_peg()])
 
         # one base closure, then trials of 3, 2 and 1 candidates
-        assert calls == [2, 5, 4, 3]
+        assert calls == [("materialize", 2), ("extend", 3), ("extend", 2), ("extend", 1)]
         assert gate.accepted == [clean]
         shape_q, conflict_q = gate.quarantined
         assert shape_q.candidate is bare_disk

@@ -20,9 +20,12 @@ from ontomem.reasoner import (
     ConflictKind,
     DivergenceError,
     check_consistency,
+    extend,
     materialize,
 )
-from oracles import oracle_materialize
+from ontomem.turtle_io import parse_turtle
+from conftest import DATA
+from oracles import oracle_derivations, oracle_materialize
 
 EX = "http://ex.org/"
 
@@ -243,3 +246,39 @@ def test_monotonicity_on_vocabulary_closure():
         m1 = materialize(g1).triple_set()
         m_union = materialize(union).triple_set()
         assert m1 <= m_union
+
+
+def test_derivations_match_nested_loop_reference():
+    rng = random.Random(2024)
+    graphs = [random_ontology_graph(rng, 60) for _ in range(120)]
+    regulatory, _ = parse_turtle((DATA / "regulatory.ttl").read_text(encoding="utf-8"))
+    for g in graphs + [regulatory]:
+        _, derivations = materialize(g, want_derivations=True)
+        assert derivations == oracle_derivations(g)
+
+
+def test_extend_equals_materialize_of_union():
+    rng = random.Random(5)
+    for _ in range(40):
+        g1 = random_ontology_graph(rng, 30)
+        g2 = random_ontology_graph(rng, 30)
+        closure = materialize(g1)
+        before = (closure.content_hash(), [closure.provenance(t) for t in closure])
+        extended = extend(closure, list(g2))
+        union = g1.copy()
+        for t in g2:
+            union.insert(t)
+        assert extended.triple_set() == materialize(union).triple_set()
+        assert (closure.content_hash(), [closure.provenance(t) for t in closure]) == before
+
+
+def test_extend_ceiling(monkeypatch):
+    import ontomem.reasoner as reasoner_module
+
+    g = Graph()
+    g.insert(tr("c0", RDFS_SUBCLASSOF, "c1"))
+    closure = materialize(g)
+    chain = [tr(f"c{i}", RDFS_SUBCLASSOF, f"c{i + 1}") for i in range(1, 20)]
+    monkeypatch.setattr(reasoner_module, "DEFAULT_APPLICATION_CEILING", 5)
+    with pytest.raises(DivergenceError):
+        extend(closure, chain)

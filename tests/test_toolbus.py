@@ -1,7 +1,9 @@
+import gc
 import io
 import json
 import socket
 import threading
+import weakref
 
 import pytest
 
@@ -67,6 +69,28 @@ class TestDispatch:
         assert call(bus, "graph.diff", {"from_version": "x", "to_version": 1})["error"]["code"] == \
             INVALID_PARAMS
         assert call(bus, "fact.check", {"claims": []})["error"]["code"] == INVALID_PARAMS
+
+    def test_optional_params_type_checked_32602(self, bus):
+        for method, params in [
+            ("graph.diff", {"from_version": 0, "to_version": 1, "include_inferred": "false"}),
+            ("memory.retrieve", {"query": "Alice Reyes", "radius": "abc"}),
+            ("memory.retrieve", {"query": "Alice Reyes", "k": 2.9}),
+            ("memory.retrieve", {"query": "Alice Reyes", "budget": True}),
+        ]:
+            assert call(bus, method, params)["error"]["code"] == INVALID_PARAMS
+
+    def test_bus_is_freed_without_cycle_collection(self, built_store):
+        handle = load_store(built_store)
+        bus = ToolBus(handle)
+        store = weakref.ref(handle.store)
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del bus, handle
+            assert store() is None
+        finally:
+            if was_enabled:
+                gc.enable()
 
     def test_id_echoed_exactly(self, bus):
         for req_id in (7, "alpha-9"):
