@@ -647,11 +647,13 @@ class OntologyDelta:
     quarantined: list[QuarantinedCandidate]
     base_version: int
     quarantined_relations: list[QuarantinedRelation] = field(default_factory=list)
+    chunks: list[Chunk] = field(default_factory=list)  # for logs.jsonl
 
 
 class OntologyStore:
-    """In-memory pipeline state: the trusted graph, its version, the entity
-    registry, and the append-only quarantine log."""
+    """In-memory pipeline state: the trusted graph (committed triples only),
+    its version and the entity registry. `commit` returns the delta that
+    `store.save_commit` persists, quarantine lines included."""
 
     def __init__(self, config: BuilderConfig | None = None,
                  shapes: list[NodeShape] | None = None):
@@ -660,7 +662,6 @@ class OntologyStore:
         self.trusted = Graph()
         self.version = 0
         self.registry = EntityRegistry(self.config.instance_ns)
-        self.quarantine_log: list[dict] = []
 
     def commit(self, gate: GateResult, base_version: int,
                quarantined_relations: list[QuarantinedRelation] | None = None) -> OntologyDelta:
@@ -680,24 +681,6 @@ class OntologyStore:
                 new.append(cand)
 
         quarantined_relations = quarantined_relations or []
-        version_at_rejection = self.version + (1 if new else 0)
-        for q in gate.quarantined:
-            self.quarantine_log.append({
-                "triple": triple_text(q.candidate.triple),
-                "reason": q.reason,
-                "conflicts": [c.to_json() for c in q.conflicts],
-                "violations": [v.to_json() for v in q.violations],
-                "provenance": [p.to_json() for p in q.candidate.provenance],
-                "version": version_at_rejection,
-            })
-        for qr in quarantined_relations:
-            self.quarantine_log.append({
-                "relation": qr.describe(),
-                "reason": qr.reason,
-                "provenance": [qr.provenance.to_json()],
-                "version": version_at_rejection,
-            })
-
         if not new:
             return OntologyDelta(self.version, [], gate.quarantined, self.version,
                                  quarantined_relations)
@@ -724,19 +707,21 @@ def graph_candidates(graph: Graph, source_id: str,
 def run_pipeline(store: OntologyStore, docs: list[SourceDocument], extractor: Extractor,
                  extra_candidates: list[Candidate] | None = None) -> OntologyDelta:
     """ingest -> extract -> normalize -> construct -> gate -> commit."""
-    records: list[ExtractionRecord] = []
+    chunks: list[Chunk] = []
     doc_meta: dict[str, tuple[Origin, int]] = {}
     for doc in sorted(docs, key=lambda d: d.id):
         doc_meta[doc.id] = (_KIND_ORIGIN[doc.kind], doc.received_at)
-        for chunk in ingest(doc, store.config.max_chunk_chars):
-            records.append(extractor.extract(chunk))
+        chunks += ingest(doc, store.config.max_chunk_chars)
+    records = [extractor.extract(chunk) for chunk in chunks]
 
     normalized = normalize(records, store.registry, store.config, doc_meta)
     candidates = construct_triples(normalized)
     if extra_candidates:
         candidates = list(extra_candidates) + candidates
     gate = validate_gate(candidates, store.trusted, store.shapes)
-    return store.commit(gate, store.version, normalized.quarantined)
+    delta = store.commit(gate, store.version, normalized.quarantined)
+    delta.chunks = chunks
+    return delta
 
 
 def feedback(store: OntologyStore, claims: list[Claim]) -> OntologyDelta:

@@ -19,7 +19,6 @@ from .builder import (
     SourceDocument,
     TranscriptExtractor,
     graph_candidates,
-    ingest,
     run_pipeline,
 )
 from .factcheck import ConditionInconsistencyError, parse_claims
@@ -125,7 +124,6 @@ def cmd_build(args) -> int:
         docs = _load_docs(args.sources)
         delta = run_pipeline(handle.store, docs, extractor, extra)
         delta_path = save_commit(handle, delta)
-        _append_logs(handle, docs)
 
     summary = {
         "version": delta.version_id,
@@ -138,23 +136,6 @@ def cmd_build(args) -> int:
        f"quarantined {summary['quarantined']}"
        + (f", wrote {summary['delta_file']}" if summary["delta_file"] else ", no delta written"))
     return 0
-
-
-def _append_logs(handle, docs: list[SourceDocument]) -> None:
-    """Vector-memory side: chunk payloads land in logs.jsonl for retrieval."""
-    path = handle.root / "logs.jsonl"
-    existing = set()
-    if path.exists():
-        for line in path.read_text(encoding="utf-8").splitlines():
-            if line.strip():
-                existing.add(json.loads(line)["id"])
-    with path.open("a", encoding="utf-8") as fh:
-        for doc in sorted(docs, key=lambda d: d.id):
-            for chunk in ingest(doc, handle.store.config.max_chunk_chars):
-                entry_id = f"{chunk.doc_id}#{chunk.index}"
-                if entry_id not in existing:
-                    fh.write(json.dumps({"id": entry_id, "text": chunk.text},
-                                        sort_keys=True, ensure_ascii=False) + "\n")
 
 
 def cmd_query(args) -> int:

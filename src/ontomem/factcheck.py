@@ -183,23 +183,24 @@ def _check_asserted(statement: Triple, m: Graph, derivations, condition_steps):
 def _support_trace(statement: Triple, m: Graph, derivations) -> tuple[TraceStep, ...]:
     """Derivation chain bottom-up: matched leaves first, then rule firings."""
     steps: list[TraceStep] = []
-    seen: set[Triple] = set()
-
-    def walk(t: Triple) -> None:
-        if t in seen:
-            return
-        seen.add(t)
-        derivation = derivations.get(t)
-        if derivation is None:
-            steps.append(TraceStep(TraceKind.MATCHED_FACT, (t,)))
-            return
-        for premise in derivation.premises:
-            walk(premise)
-        steps.append(TraceStep(TraceKind.INFERENCE_RULE, derivation.premises + (t,),
-                               rule_id=derivation.rule_id.value))
-
-    walk(statement)
+    _walk(statement, derivations, set(), steps)
     return tuple(steps)
+
+
+def _walk(t: Triple, derivations, seen: set[Triple], steps: list[TraceStep]) -> None:
+    # Module-level rather than nested: a self-recursive closure is a reference
+    # cycle that would keep `derivations` alive until a cyclic collection.
+    if t in seen:
+        return
+    seen.add(t)
+    derivation = derivations.get(t)
+    if derivation is None:
+        steps.append(TraceStep(TraceKind.MATCHED_FACT, (t,)))
+        return
+    for premise in derivation.premises:
+        _walk(premise, derivations, seen, steps)
+    steps.append(TraceStep(TraceKind.INFERENCE_RULE, derivation.premises + (t,),
+                           rule_id=derivation.rule_id.value))
 
 
 def _swap(result):

@@ -311,20 +311,6 @@ class Graph:
         g._by_o = {k: set(v) for k, v in self._by_o.items()}
         return g
 
-    def asserted_triples(self) -> list[Triple]:
-        """Triples backed by at least one non-reasoner provenance record.
-
-        Triples with no provenance at all count as asserted; only triples whose
-        every record came from materialization are considered inferred.
-        """
-        out = []
-        for t in self._triples:
-            records = self._prov.get(t)
-            if not records or any(p.source_id != REASONER_SOURCE for p in records):
-                out.append(t)
-        out.sort(key=triple_key)
-        return out
-
     def content_hash(self) -> str:
         h = hashlib.sha256()
         for t in self:

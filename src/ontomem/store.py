@@ -1,8 +1,12 @@
 """On-disk store layout: trusted.ttl, delta-N.ttl files, quarantine.jsonl,
-registry.ttl, provenance.jsonl, a version file, and a flat key=value config.
+registry.ttl, provenance.jsonl, logs.jsonl, a version file, and a flat
+key=value config.
 
-trusted.ttl always equals the union of the delta files in version order; the
-deltas are the canonical, diffable history.
+This is the only module that knows these file formats. `init_store` creates a
+store and `save_commit` is the only code that writes to an existing one: each
+commit writes the files named by its `OntologyDelta` and the `version` file
+last. trusted.ttl always equals the union of the delta files in version
+order; the deltas are the canonical, diffable history.
 """
 
 from __future__ import annotations
@@ -125,15 +129,13 @@ def load_store(root: str | Path, shapes: list[NodeShape] | None = None) -> Store
     store = OntologyStore(builder_config, shapes or [])
     store.version = int(version_path.read_text(encoding="utf-8").strip() or "0")
 
-    trusted_text = (root / "trusted.ttl").read_text(encoding="utf-8")
-    graph, prefixes = parse_turtle(trusted_text)
+    graph, prefixes = parse_turtle((root / "trusted.ttl").read_text(encoding="utf-8"))
     prov_by_triple = _load_provenance(root / "provenance.jsonl")
     fallback = Provenance(source_id="trusted.ttl", origin=Origin.SOURCE_DOCUMENT)
-    for t in graph:
-        records = prov_by_triple.get(triple_text(t))
-        store.trusted.insert(t, None)
-        for p in records or [fallback]:
-            store.trusted.add_provenance(t, p)
+    for t in graph.find():
+        for p in prov_by_triple.get(triple_text(t)) or [fallback]:
+            graph.add_provenance(t, p)
+    store.trusted = graph
 
     store.registry = _load_registry(root / "registry.ttl", builder_config.instance_ns)
     merged_prefixes = dict(DEFAULT_PREFIXES)
@@ -142,8 +144,12 @@ def load_store(root: str | Path, shapes: list[NodeShape] | None = None) -> Store
 
 
 def save_commit(handle: StoreHandle, delta: OntologyDelta) -> Path | None:
-    """Persist a commit: the delta file (when non-empty), rewritten trusted
-    graph, registry, provenance sidecar, version file, quarantine appends."""
+    """Persist a commit; the store's only writer after `init_store`.
+
+    A delta with accepted triples writes delta-N.ttl and rewrites trusted.ttl,
+    provenance.jsonl and registry.ttl. Every commit appends its quarantine
+    lines, stamped with `delta.version_id`, and the chunks whose ids
+    logs.jsonl does not hold yet. `version` is written last."""
     root = handle.root
     store = handle.store
 
@@ -154,31 +160,57 @@ def save_commit(handle: StoreHandle, delta: OntologyDelta) -> Path | None:
             delta_graph.insert(cand.triple)
         delta_path = root / f"delta-{delta.version_id}.ttl"
         delta_path.write_text(serialize_turtle(delta_graph, handle.prefixes), encoding="utf-8")
-        (root / "version").write_text(f"{store.version}\n", encoding="utf-8")
         (root / "trusted.ttl").write_text(
-            serialize_turtle(_asserted_only(store.trusted), handle.prefixes), encoding="utf-8")
+            serialize_turtle(store.trusted, handle.prefixes), encoding="utf-8")
         _save_provenance(root / "provenance.jsonl", store.trusted)
         (root / "registry.ttl").write_text(
             serialize_turtle(registry_to_graph(store.registry), handle.prefixes), encoding="utf-8")
 
-    if store.quarantine_log:
-        with (root / "quarantine.jsonl").open("a", encoding="utf-8") as fh:
-            for entry in store.quarantine_log:
-                fh.write(json.dumps(entry, sort_keys=True, ensure_ascii=False) + "\n")
-        store.quarantine_log.clear()
+    _append_jsonl(root / "quarantine.jsonl", [{
+        "triple": triple_text(q.candidate.triple),
+        "reason": q.reason,
+        "conflicts": [c.to_json() for c in q.conflicts],
+        "violations": [v.to_json() for v in q.violations],
+        "provenance": [p.to_json() for p in q.candidate.provenance],
+        "version": delta.version_id,
+    } for q in delta.quarantined] + [{
+        "relation": qr.describe(),
+        "reason": qr.reason,
+        "provenance": [qr.provenance.to_json()],
+        "version": delta.version_id,
+    } for qr in delta.quarantined_relations])
+
+    texts = {f"{chunk.doc_id}#{chunk.index}": chunk.text for chunk in delta.chunks}
+    for entry_id, _ in load_log_entries(root):
+        texts.pop(entry_id, None)
+    _append_jsonl(root / "logs.jsonl", [{"id": i, "text": text} for i, text in texts.items()])
+
+    if delta.accepted:  # the commit point, after every other write
+        (root / "version").write_text(f"{delta.version_id}\n", encoding="utf-8")
     return delta_path
 
 
-def _asserted_only(graph: Graph) -> Graph:
-    out = Graph()
-    for t in graph.asserted_triples():
-        out.insert(t)
-    return out
+def _append_jsonl(path: Path, objects: list[dict]) -> None:
+    with path.open("a", encoding="utf-8") as fh:
+        for obj in objects:
+            fh.write(json.dumps(obj, sort_keys=True, ensure_ascii=False) + "\n")
+
+
+def load_log_entries(root: str | Path) -> list[tuple[str, str]]:
+    """The (id, text) chunk payloads of logs.jsonl that back the vector memory."""
+    path = Path(root) / "logs.jsonl"
+    entries: list[tuple[str, str]] = []
+    if path.exists():
+        for line in path.read_text(encoding="utf-8").splitlines():
+            if line.strip():
+                obj = json.loads(line)
+                entries.append((obj["id"], obj["text"]))
+    return entries
 
 
 def _save_provenance(path: Path, graph: Graph) -> None:
     lines = []
-    for t in graph.asserted_triples():
+    for t in graph:
         records = [p.to_json() for p in graph.provenance(t)]
         lines.append(json.dumps({"triple": triple_text(t), "provenance": records},
                                 sort_keys=True, ensure_ascii=False))

@@ -29,11 +29,11 @@ from .fusion import (
 )
 from .builder import AmbiguousAlias
 from .hanoi import run_benchmark
-from .rdf_core import Iri, Origin, Term, Triple, parse_term_text, triple_text
+from .rdf_core import Iri, Origin, StructuralError, Term, Triple, parse_term_text, triple_text
 from .reasoner import check_consistency, materialize
 from .shacl import validate
 from .sparql import EvaluationLimitError, QueryParseError, evaluate, parse_query
-from .store import StoreHandle, graph_at_version, load_shapes_file
+from .store import StoreHandle, graph_at_version, load_log_entries, load_shapes_file
 
 PARSE_OR_REQUEST_ERROR = -32600
 METHOD_NOT_FOUND = -32601
@@ -104,7 +104,7 @@ def retrieve_bundle(handle: StoreHandle, query: str, seeds: list[str] | None,
     trusted = handle.store.trusted
 
     vstore = VectorStore(dimension=handle.dimension)
-    for entry_id, payload in _load_log_entries(handle):
+    for entry_id, payload in load_log_entries(handle.root):
         vstore.add(entry_id, payload)
     hits = vector_search(vstore, query, k) if len(vstore) else []
 
@@ -134,17 +134,6 @@ def _seed_terms(handle: StoreHandle, query: str, seeds: list[str] | None) -> lis
     return terms
 
 
-def _load_log_entries(handle: StoreHandle) -> list[tuple[str, str]]:
-    path = handle.root / "logs.jsonl"
-    entries: list[tuple[str, str]] = []
-    if path.exists():
-        for line in path.read_text(encoding="utf-8").splitlines():
-            if line.strip():
-                obj = json.loads(line)
-                entries.append((obj["id"], obj["text"]))
-    return entries
-
-
 def session_memory(handle: StoreHandle, session_id: str) -> list[Triple]:
     """Per-session user memory: trusted triples whose provenance is DIALOGUE
     under the session's source id."""
@@ -160,12 +149,12 @@ def session_memory(handle: StoreHandle, session_id: str) -> list[Triple]:
 
 def svc_bench(params: dict) -> dict:
     return run_benchmark(
-        disk_counts=[int(n) for n in params.get("disks", [3])],
-        proposer_specs=list(params.get("proposers", ["optimal"])),
-        episodes=int(params.get("episodes", 10)),
-        repair_budgets=[int(r) for r in params.get("repairs", [0])],
-        base_seed=int(params.get("seed", 0)),
-        move_level=bool(params.get("move_level", False)),
+        disk_counts=params.get("disks", [3]),
+        proposer_specs=params.get("proposers", ["optimal"]),
+        episodes=params.get("episodes", 10),
+        repair_budgets=params.get("repairs", [0]),
+        base_seed=params.get("seed", 0),
+        move_level=params.get("move_level", False),
     )
 
 
@@ -215,19 +204,23 @@ TOOL_CATALOG = [
 # ---------------------------------------------------------------------------
 
 
-def _require(params: dict, key: str, kind: type) -> Any:
+def _is(value: Any, kind: type) -> bool:
+    return isinstance(value, kind) and not (kind is int and isinstance(value, bool))
+
+
+def _require(params: dict, key: str, kind: type, item: type | None = None) -> Any:
+    """`params[key]` checked to be a `kind`; with `item`, a list of `item`s."""
     if key not in params:
         raise ParamError(f"missing required param {key!r}")
     value = params[key]
-    if kind is int and isinstance(value, bool):
-        raise ParamError(f"param {key!r} must be {kind.__name__}")
-    if not isinstance(value, kind):
-        raise ParamError(f"param {key!r} must be {kind.__name__}")
+    if not _is(value, kind) or (item is not None and not all(_is(v, item) for v in value)):
+        what = kind.__name__ if item is None else f"a list of {item.__name__}"
+        raise ParamError(f"param {key!r} must be {what}")
     return value
 
 
-def _optional(params: dict, key: str, kind: type, default: Any) -> Any:
-    return _require(params, key, kind) if key in params else default
+def _optional(params: dict, key: str, kind: type, default: Any, item: type | None = None) -> Any:
+    return _require(params, key, kind, item) if key in params else default
 
 
 class ToolBus:
@@ -277,21 +270,23 @@ class ToolBus:
 
     def _memory_retrieve(self, params: dict) -> dict:
         query = _require(params, "query", str)
-        seeds = params.get("seeds")
-        if seeds is not None and not isinstance(seeds, list):
-            raise ParamError("param 'seeds' must be a list of term texts")
+        seeds = _optional(params, "seeds", list, None, str)
         try:
             return svc_retrieve(
                 self.handle, query, seeds,
                 radius=_optional(params, "radius", int, 1),
                 k=_optional(params, "k", int, 5),
                 budget=_optional(params, "budget", int, 10),
-                session=params.get("session"),
+                session=_optional(params, "session", str, None),
             )
-        except FusionConfigError as e:
+        except (FusionConfigError, StructuralError) as e:
             raise ParamError(str(e)) from e
 
     def _bench(self, params: dict) -> dict:
+        for key, kind, item in (("disks", list, int), ("proposers", list, str),
+                                ("episodes", int, None), ("repairs", list, int),
+                                ("seed", int, None), ("move_level", bool, None)):
+            _optional(params, key, kind, None, item)
         try:
             return svc_bench(params)
         except (ValueError, TypeError) as e:

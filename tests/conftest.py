@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import re
 from contextlib import redirect_stderr, redirect_stdout
 from importlib.resources import files
@@ -10,6 +11,11 @@ import pytest
 from ontomem.cli import main as cli_main
 
 DATA = Path(str(files("ontomem") / "data"))
+
+# `python -m ontomem.cli` subprocesses import the package from this checkout
+# too, whether pytest found it through PYTHONPATH or through pyproject.toml.
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]))
 
 ACCEPTANCE_LINES: list[str] = []
 

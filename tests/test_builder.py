@@ -328,8 +328,8 @@ class TestValidateGate:
         delta = store.commit(gate, 0)
         assert not delta.accepted
         assert len(store.trusted.provenance(functional)) == 1
-        assert [e["triple"] for e in store.quarantine_log] == [
-            f"<{EX}s> <{EX}p> <{EX}o2> ."]
+        assert [q.candidate.triple for q in delta.quarantined] == [
+            Triple(iri("s"), iri("p"), iri("o2"))]
 
     def test_resubmitted_trusted_fact_not_blamed_for_violation(self):
         disk = Triple(iri("d9"), Iri(RDF_TYPE), Iri(SCHEMA + "Disk"))

@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 
 from ontomem.factcheck import (
@@ -194,6 +196,18 @@ class TestCheckAnswer:
     def test_empty_claims_rejected(self):
         with pytest.raises(ClaimInputError):
             check_answer([], Graph())
+
+    def test_check_leaves_no_cyclic_garbage(self, regulatory_graph):
+        claims = parse_claims((DATA / "regulatory_claims.jsonl").read_text(encoding="utf-8")).claims
+        gc.collect()
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            check_answer(claims, regulatory_graph)
+            assert gc.collect() == 0
+        finally:
+            if was_enabled:
+                gc.enable()
 
 
 class TestParseClaims:

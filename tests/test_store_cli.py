@@ -2,6 +2,7 @@ import json
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -308,3 +309,120 @@ class TestCliBasics:
         (store / "trusted.ttl").unlink()
         rebuilt = rebuild_trusted(store)
         assert isomorphic(rebuilt, before)
+
+
+class TestCommitPath:
+    """What one `build` writes, all of it through `save_commit`."""
+
+    PATTERNS = {"relations": {"located in": "located in"}}
+
+    def _build(self, store, sources, *extra):
+        patterns = sources.parent / "patterns.json"
+        patterns.write_text(json.dumps(self.PATTERNS), encoding="utf-8")
+        code, out, err = run_cli("--store", str(store), "--json", "build",
+                                 "--sources", str(sources), "--patterns", str(patterns), *extra)
+        assert code == 0, err
+        return json.loads(out)
+
+    def _logs(self, store):
+        return [json.loads(line) for line in
+                (store / "logs.jsonl").read_text(encoding="utf-8").splitlines()]
+
+    def _store_and_docs(self, tmp_path, docs):
+        store = tmp_path / "s"
+        run_cli("--store", str(store), "init")
+        sources = tmp_path / "docs"
+        sources.mkdir()
+        for name, text in docs.items():
+            (sources / name).write_text(text, encoding="utf-8")
+        return store, sources
+
+    def test_reasoner_named_schema_file_stays_trusted(self, tmp_path):
+        # A schema file named like the reasoner's provenance source: its triple
+        # is committed, so it belongs in trusted.ttl as well as in delta-1.ttl.
+        store, sources = self._store_and_docs(tmp_path, {})
+        schema = tmp_path / "reasoner"
+        schema.write_text("@prefix ex: <http://ex.org/> .\nex:a ex:p ex:b .\n", encoding="utf-8")
+        code, _, err = run_cli("--store", str(store), "build", "--sources", str(sources),
+                               "--schema", str(schema),
+                               "--extractor", "transcript", "--transcripts", str(sources))
+        assert code == 0, err
+        from ontomem.turtle_io import parse_turtle
+        trusted, _ = parse_turtle((store / "trusted.ttl").read_text(encoding="utf-8"))
+        assert trusted.triple_set() == rebuild_trusted(store).triple_set()
+        assert len(load_store(store).store.trusted) == 1
+
+    def test_build_logs_one_line_per_chunk_in_order(self, tmp_path):
+        store, sources = self._store_and_docs(tmp_path, {
+            "b.txt": "Pump1 located in SiteA.\n\nPump2 located in SiteB.\n",
+            "a.txt": "Pump3 located in SiteC.",
+        })
+        self._build(store, sources)
+        assert self._logs(store) == [
+            {"id": "a.txt#0", "text": "Pump3 located in SiteC."},
+            {"id": "b.txt#0", "text": "Pump1 located in SiteA.\n\n"},
+            {"id": "b.txt#1", "text": "Pump2 located in SiteB.\n"},
+        ]
+
+    def test_repeated_build_appends_nothing(self, tmp_path):
+        store, sources = self._store_and_docs(tmp_path, {"a.txt": "Pump3 located in SiteC."})
+        assert self._build(store, sources)["version"] == 1
+        before = {name: (store / name).read_bytes()
+                  for name in ("logs.jsonl", "version", "quarantine.jsonl")}
+        summary = self._build(store, sources)
+        assert summary["accepted"] == 0 and summary["version"] == 1
+        assert {name: (store / name).read_bytes() for name in before} == before
+
+    def test_all_quarantined_build_logs_chunks_at_unchanged_version(self, tmp_path):
+        store, sources = self._store_and_docs(tmp_path, {"a.txt": "Oven7 located in Plant7."})
+        schema = tmp_path / "schema.ttl"
+        schema.write_text(
+            "@prefix owl: <http://www.w3.org/2002/07/owl#> .\n"
+            "@prefix prop: <http://ontomem.dev/ns/prop#> .\n"
+            "prop:located-in a owl:FunctionalProperty .\n", encoding="utf-8")
+        assert self._build(store, sources, "--schema", str(schema))["version"] == 1
+        for name, text in {"b.txt": "Pump1 located in SiteA.",
+                           "c.txt": "Pump1 located in SiteB."}.items():
+            (sources / name).write_text(text, encoding="utf-8")
+        summary = self._build(store, sources)
+        assert summary == {"version": 1, "accepted": 0, "quarantined": 2, "delta_file": None}
+        assert (store / "version").read_text(encoding="utf-8") == "1\n"
+        assert [e["id"] for e in self._logs(store)] == ["a.txt#0", "b.txt#0", "c.txt#0"]
+        lines = [json.loads(line) for line in
+                 (store / "quarantine.jsonl").read_text(encoding="utf-8").splitlines()]
+        assert [(e["reason"], e["version"]) for e in lines] == [("consistency conflict", 1)] * 2
+
+    def test_new_chunk_is_its_own_top_vector_hit(self, tmp_path, built_store):
+        store = tmp_path / "s"
+        shutil.copytree(built_store, store)
+        sources = tmp_path / "docs"
+        sources.mkdir()
+        text = "Kiln4 located in QuarryWest, beside the old lime works."
+        (sources / "zz-new.txt").write_text(text, encoding="utf-8")
+        self._build(store, sources)
+        code, out, err = run_cli("--store", str(store), "--json", "retrieve", "--query", text)
+        assert code == 0, err
+        top = json.loads(out)["vector_hits"][0]
+        assert (top["id"], top["payload"]) == ("zz-new.txt#0", text)
+        assert top["score"] == pytest.approx(1.0)
+
+    def test_version_is_written_last(self, tmp_path, monkeypatch):
+        store, sources = self._store_and_docs(tmp_path, {"a.txt": "Pump3 located in SiteC."})
+        written = []
+        write_text, open_ = Path.write_text, Path.open
+
+        def record_write(path, *args, **kwargs):
+            written.append(path.name)
+            return write_text(path, *args, **kwargs)
+
+        def record_open(path, mode="r", *args, **kwargs):
+            if "r" not in mode:
+                written.append(path.name)
+            return open_(path, mode, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "write_text", record_write)
+        monkeypatch.setattr(Path, "open", record_open)
+        self._build(store, sources)
+        assert written[-1] == "version"
+        assert {"delta-1.ttl", "trusted.ttl", "provenance.jsonl", "registry.ttl",
+                "quarantine.jsonl", "logs.jsonl"} <= set(written[:-1])

@@ -79,6 +79,30 @@ class TestDispatch:
         ]:
             assert call(bus, method, params)["error"]["code"] == INVALID_PARAMS
 
+    def test_retrieve_and_bench_params_type_checked_32602(self, bus):
+        for method, params in [
+            ("memory.retrieve", {"query": "Alice Reyes", "seeds": ["not a term"]}),
+            ("memory.retrieve", {"query": "Alice Reyes", "seeds": [5]}),
+            ("memory.retrieve", {"query": "Alice Reyes", "seeds": "<http://ex.org/a>"}),
+            ("memory.retrieve", {"query": "Alice Reyes", "session": 7}),
+            ("bench.hanoi.run", {"disks": [2], "episodes": 1, "move_level": "false"}),
+            ("bench.hanoi.run", {"disks": [2], "episodes": 2.9}),
+            ("bench.hanoi.run", {"disks": [2], "episodes": 1, "seed": "1"}),
+            ("bench.hanoi.run", {"disks": ["2"], "episodes": 1}),
+            ("bench.hanoi.run", {"disks": 2, "episodes": 1}),
+            ("bench.hanoi.run", {"disks": [2], "episodes": 1, "repairs": [True]}),
+            ("bench.hanoi.run", {"disks": [2], "episodes": 1, "proposers": "optimal"}),
+            ("bench.hanoi.run", {"disks": [2], "episodes": 1, "proposers": [1]}),
+        ]:
+            assert call(bus, method, params)["error"]["code"] == INVALID_PARAMS, params
+        seeds = call(bus, "memory.retrieve", {"query": "x", "seeds": ["<http://ex.org/a>"],
+                                              "session": "s"})
+        assert "result" in seeds
+        report = call(bus, "bench.hanoi.run", {"disks": [2], "proposers": ["optimal"],
+                                               "episodes": 1, "repairs": [0], "seed": 3,
+                                               "move_level": True})
+        assert report["result"]["config"]["move_level"] is True
+
     def test_bus_is_freed_without_cycle_collection(self, built_store):
         handle = load_store(built_store)
         bus = ToolBus(handle)
