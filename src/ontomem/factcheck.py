@@ -3,7 +3,8 @@ is derivable, CONTRADICTED when asserting it creates a conflict (functional
 clash, disjointness, or a stored explicit negation), NOT_FOUND otherwise.
 
 Open-world: absence alone never contradicts. Claim conditions are assumed
-hypothetically on a copy; the trusted graph is never touched.
+hypothetically on a copy; neither the trusted graph nor a shared closure of it
+is ever touched.
 """
 
 from __future__ import annotations
@@ -27,14 +28,12 @@ from .rdf_core import (
     Graph,
     Iri,
     Literal,
-    Origin,
-    Provenance,
     StructuralError,
     Triple,
     parse_term_text,
     triple_text,
 )
-from .reasoner import Conflict, check_consistency, extend, materialize
+from .reasoner import Closure, Conflict, check_consistency, close, extend, materialize
 
 
 class ClaimInputError(ValueError):
@@ -139,16 +138,16 @@ def negation_overlay(statement: Triple) -> list[Triple]:
     ]
 
 
-_HYPOTHESIS_PROV = Provenance(source_id="hypothesis", origin=Origin.TOOL_RESULT)
+def check_claim(claim: Claim, trusted: Graph, closure: Closure | None = None) -> Verdict:
+    """Evaluate one claim over materialize(trusted + conditions).
 
-
-def check_claim(claim: Claim, trusted: Graph) -> Verdict:
-    """Evaluate one claim over materialize(trusted + conditions)."""
-    hypothetical = trusted.copy()
-    for condition in claim.conditions:
-        hypothetical.insert(condition, _HYPOTHESIS_PROV)
-    m, derivations = materialize(hypothetical, want_derivations=True)
-    base_conflicts = check_consistency(m)
+    `closure`, when given, must be `close(trusted)`: a claim without
+    conditions reads it instead of materializing `trusted` again."""
+    if claim.conditions or closure is None:
+        m, derivations = materialize(trusted, want_derivations=True, added=claim.conditions)
+        base_conflicts = check_consistency(m)
+    else:
+        m, derivations, base_conflicts = closure
     if base_conflicts:
         raise ConditionInconsistencyError(base_conflicts)
 
@@ -212,11 +211,16 @@ def _swap(result):
     return result
 
 
-def check_answer(claims: list[Claim], trusted: Graph) -> tuple[OverallStatus, list[Verdict]]:
-    """Strict aggregation: any contradiction sinks the answer."""
+def check_answer(claims: list[Claim], trusted: Graph,
+                 closure: Closure | None = None) -> tuple[OverallStatus, list[Verdict]]:
+    """Strict aggregation: any contradiction sinks the answer. The claims
+    without conditions share one `closure` of `trusted`, computed here when
+    the caller holds none."""
     if not claims:
         raise ClaimInputError("at least one claim is required")
-    verdicts = [check_claim(c, trusted) for c in claims]
+    if closure is None and any(not c.conditions for c in claims):
+        closure = close(trusted)
+    verdicts = [check_claim(c, trusted, closure) for c in claims]
     statuses = {v.status for v in verdicts}
     if VerdictStatus.CONTRADICTED in statuses:
         overall = OverallStatus.CONTRADICTED

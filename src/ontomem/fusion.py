@@ -12,6 +12,7 @@ import hashlib
 import json
 import math
 import re
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -62,11 +63,20 @@ def cosine(a: EmbeddingVector, b: EmbeddingVector) -> float:
 
 @dataclass
 class VectorStore:
+    """Exact-search vector memory: entry id -> (embedding, payload, provenance).
+
+    Each embedding is kept as an array of doubles, a quarter of the memory of
+    a tuple of boxed floats, holding the same values, so every score is the
+    same. `add` mutates `entries`; a store that other threads may be searching
+    is extended by copying it (`VectorStore(dimension, dict(entries))`),
+    adding to the copy and publishing that."""
+
     dimension: int = DEFAULT_DIMENSION
-    entries: dict[str, tuple[EmbeddingVector, str, Provenance | None]] = field(default_factory=dict)
+    entries: dict[str, tuple[array, str, Provenance | None]] = field(default_factory=dict)
 
     def add(self, entry_id: str, payload: str, prov: Provenance | None = None) -> None:
-        self.entries[entry_id] = (embed(payload, self.dimension), payload, prov)
+        vec = embed(payload, self.dimension).components
+        self.entries[entry_id] = (array("d", vec), payload, prov)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -83,9 +93,9 @@ def vector_search(store: VectorStore, query: str, k: int) -> list[VectorHit]:
     """Exact top-k by cosine similarity; ties broken by entry id."""
     if k < 1:
         raise FusionConfigError("k must be >= 1")
-    qvec = embed(query, store.dimension)
+    qvec = embed(query, store.dimension).components
     scored = [
-        VectorHit(entry_id, payload, cosine(qvec, vec))
+        VectorHit(entry_id, payload, sum(x * y for x, y in zip(qvec, vec)))
         for entry_id, (vec, payload, _prov) in store.entries.items()
     ]
     scored.sort(key=lambda h: (-h.score, h.entry_id))
@@ -94,31 +104,28 @@ def vector_search(store: VectorStore, query: str, k: int) -> list[VectorHit]:
 
 def graph_retrieve(graph: Graph, seeds: list[Term], radius: int) -> list[tuple[Triple, int]]:
     """Triples within `radius` hops of any seed, BFS over undirected
-    subject/object adjacency; each triple reported at its first-reached hop."""
+    subject/object adjacency; each triple reported at its first-reached hop.
+
+    Only the index buckets of the nodes within `radius` are read, and only the
+    result is sorted, so the cost follows the neighbourhood, not the graph."""
     if radius < 0 or radius > MAX_RADIUS:
         raise FusionConfigError(f"radius must be in [0, {MAX_RADIUS}]")
-    present = {s for s in seeds if graph.match(s, None, None) or graph.match(None, None, s)}
-    if not present:
-        return []
+    present = {s for s in seeds if graph.find(s, None, None) or graph.find(None, None, s)}
     hop: dict[Term, int] = {s: 0 for s in present}
+    reached: set[Triple] = set()
     frontier = list(present)
-    depth = 0
-    while frontier and depth <= radius:
-        nxt: set[Term] = set()
+    for depth in range(radius + 1):
+        nxt: list[Term] = []
         for node in frontier:
-            for t in graph.match(node, None, None) + graph.match(None, None, node):
+            for t in graph.find(node, None, None) + graph.find(None, None, node):
+                reached.add(t)
                 other = t.object if t.subject == node else t.subject
                 if other not in hop:
                     hop[other] = depth + 1
-                    nxt.add(other)
-        frontier = list(nxt)
-        depth += 1
+                    nxt.append(other)
+        frontier = nxt
 
-    out: list[tuple[Triple, int]] = []
-    for t in graph:
-        hops = [hop[x] for x in (t.subject, t.object) if x in hop]
-        if hops and min(hops) <= radius:
-            out.append((t, min(hops)))
+    out = [(t, min(hop[x] for x in (t.subject, t.object) if x in hop)) for t in reached]
     out.sort(key=lambda pair: (pair[1], triple_key(pair[0])))
     return out
 

@@ -32,7 +32,7 @@ class CapacityError(RuntimeError):
 _IRI_FORBIDDEN = set('<>"{}|^`\\')
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Iri:
     value: str
 
@@ -42,7 +42,7 @@ class Iri:
                 f"IRI must be non-empty, without whitespace or <>\"{{}}|^`\\: {self.value!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Blank:
     label: str
 
@@ -51,7 +51,7 @@ class Blank:
             raise StructuralError("blank node label must be non-empty")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Literal:
     lexical: str
     datatype: str = XSD_STRING
@@ -151,7 +151,7 @@ def _closing_quote(text: str) -> int | None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Triple:
     subject: Term
     predicate: Term
@@ -179,7 +179,7 @@ class Origin(Enum):
     TOOL_RESULT = "TOOL_RESULT"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Provenance:
     source_id: str
     chunk_id: str | None = None
@@ -252,6 +252,10 @@ class Graph:
                 if not bucket:
                     del index[key]
         return True
+
+    def clear_provenance(self) -> None:
+        """Drop every provenance record; the triples stay."""
+        self._prov = {}
 
     def add_provenance(self, triple: Triple, prov: Provenance) -> None:
         if triple not in self._triples:

@@ -14,11 +14,12 @@ from __future__ import annotations
 import json
 import os
 import re
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .builder import BuilderConfig, EntityRegistry, OntologyDelta, OntologyStore, RegistryEntry
-from .fusion import DEFAULT_DIMENSION, FusionWeights
+from .fusion import DEFAULT_DIMENSION, FusionWeights, VectorStore
 from .namespaces import (
     DEFAULT_PREFIXES,
     INST_NS,
@@ -32,6 +33,7 @@ from .namespaces import (
     SYS_REGISTRY,
 )
 from .rdf_core import Graph, Iri, Literal, Origin, Provenance, Triple, triple_text
+from .reasoner import Closure, close
 from .shacl import NodeShape, parse_shapes
 from .turtle_io import parse_turtle, serialize_turtle
 
@@ -78,10 +80,63 @@ def _read_config(path: Path) -> dict[str, str]:
 
 @dataclass
 class StoreHandle:
+    """An open store: its in-memory state plus a snapshot of state derived
+    from it, each part computed on first use and reused until it goes stale.
+
+    - `closure()`: `reasoner.close` of the trusted graph, recomputed when
+      `store.version` changes or `store.trusted` is replaced.
+    - `log_memory()`: a `VectorStore` over logs.jsonl. It follows the file,
+      not the version (a build whose candidates are all quarantined logs its
+      chunks at an unchanged version): each call embeds only the complete
+      lines appended since the last one, and rebuilds when the file shrank or
+      was replaced.
+
+    Neither is ever mutated once published, so threads share them without
+    locks; the lock only keeps two threads from computing the same part."""
+
     root: Path
     store: OntologyStore
     config: dict[str, str]
     prefixes: dict[str, str] = field(default_factory=lambda: dict(DEFAULT_PREFIXES))
+    # (version, trusted graph, closure) and (vector store, (device, inode), offset)
+    _closure: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _log: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _lock: threading.Lock = field(default_factory=threading.Lock, init=False, repr=False,
+                                  compare=False)
+
+    def closure(self) -> Closure:
+        with self._lock:
+            version, trusted = self.store.version, self.store.trusted
+            cached = self._closure
+            if cached is None or cached[0] != version or cached[1] is not trusted:
+                cached = self._closure = (version, trusted, close(trusted))
+            return cached[2]
+
+    def log_memory(self) -> VectorStore:
+        with self._lock:
+            memory, file_id, offset = self._log or (VectorStore(self.dimension), None, 0)
+            try:
+                st = (self.root / "logs.jsonl").stat()
+                now_id, size = (st.st_dev, st.st_ino), st.st_size
+            except FileNotFoundError:
+                now_id, size = None, 0
+            if now_id != file_id or size < offset:  # a new, shrunk or replaced log
+                memory, offset = VectorStore(self.dimension), 0
+            if size > offset:
+                entries, offset = load_log_entries(self.root, offset)
+                if entries:
+                    memory = VectorStore(self.dimension, dict(memory.entries))
+                    for entry_id, payload in entries:
+                        memory.add(entry_id, payload)
+            self._log = (memory, now_id, offset)
+            return memory
+
+    def reloaded(self) -> StoreHandle:
+        """A fresh handle on the committed store, with the same shapes; the log
+        memory carries over, since logs.jsonl only grows."""
+        handle = load_store(self.root, self.store.shapes)
+        handle._log = self._log
+        return handle
 
     @property
     def weights(self) -> FusionWeights:
@@ -127,7 +182,7 @@ def load_store(root: str | Path, shapes: list[NodeShape] | None = None) -> Store
         max_chunk_chars=int(config["chunk_size"]),
     )
     store = OntologyStore(builder_config, shapes or [])
-    store.version = int(version_path.read_text(encoding="utf-8").strip() or "0")
+    store.version = read_version(root)
 
     graph, prefixes = parse_turtle((root / "trusted.ttl").read_text(encoding="utf-8"))
     prov_by_triple = _load_provenance(root / "provenance.jsonl")
@@ -141,6 +196,11 @@ def load_store(root: str | Path, shapes: list[NodeShape] | None = None) -> Store
     merged_prefixes = dict(DEFAULT_PREFIXES)
     merged_prefixes.update(prefixes)
     return StoreHandle(root=root, store=store, config=config, prefixes=merged_prefixes)
+
+
+def read_version(root: str | Path) -> int:
+    """The committed version: the content of the `version` file."""
+    return int((Path(root) / "version").read_text(encoding="utf-8").strip() or "0")
 
 
 def save_commit(handle: StoreHandle, delta: OntologyDelta) -> Path | None:
@@ -181,7 +241,7 @@ def save_commit(handle: StoreHandle, delta: OntologyDelta) -> Path | None:
     } for qr in delta.quarantined_relations])
 
     texts = {f"{chunk.doc_id}#{chunk.index}": chunk.text for chunk in delta.chunks}
-    for entry_id, _ in load_log_entries(root):
+    for entry_id, _ in load_log_entries(root)[0]:
         texts.pop(entry_id, None)
     _append_jsonl(root / "logs.jsonl", [{"id": i, "text": text} for i, text in texts.items()])
 
@@ -196,16 +256,24 @@ def _append_jsonl(path: Path, objects: list[dict]) -> None:
             fh.write(json.dumps(obj, sort_keys=True, ensure_ascii=False) + "\n")
 
 
-def load_log_entries(root: str | Path) -> list[tuple[str, str]]:
-    """The (id, text) chunk payloads of logs.jsonl that back the vector memory."""
-    path = Path(root) / "logs.jsonl"
+def load_log_entries(root: str | Path, start: int = 0) -> tuple[list[tuple[str, str]], int]:
+    """The (id, text) chunk payloads of logs.jsonl that back the vector memory,
+    read from byte offset `start`, and the offset just past the last complete
+    line read. A last line without its newline is still being written: it is
+    left for a later call."""
+    try:
+        with (Path(root) / "logs.jsonl").open("rb") as fh:
+            fh.seek(start)
+            data = fh.read()
+    except FileNotFoundError:
+        return [], start
+    complete = data[:data.rfind(b"\n") + 1]
     entries: list[tuple[str, str]] = []
-    if path.exists():
-        for line in path.read_text(encoding="utf-8").splitlines():
-            if line.strip():
-                obj = json.loads(line)
-                entries.append((obj["id"], obj["text"]))
-    return entries
+    for line in complete.split(b"\n"):
+        if line.strip():
+            obj = json.loads(line)
+            entries.append((obj["id"], obj["text"]))
+    return entries, start + len(complete)
 
 
 def _save_provenance(path: Path, graph: Graph) -> None:
@@ -221,20 +289,22 @@ def _load_provenance(path: Path) -> dict[str, list[Provenance]]:
     out: dict[str, list[Provenance]] = {}
     if not path.exists():
         return out
+    records: dict[Provenance, Provenance] = {}  # one object per distinct record
     for line in path.read_text(encoding="utf-8").splitlines():
         if not line.strip():
             continue
         obj = json.loads(line)
-        out[obj["triple"]] = [
-            Provenance(
+        provs = []
+        for p in obj["provenance"]:
+            prov = Provenance(
                 source_id=p["source_id"],
                 chunk_id=p.get("chunk_id"),
                 extracted_at=p.get("extracted_at", 0),
                 confidence=p.get("confidence", 1.0),
                 origin=Origin(p.get("origin", "SOURCE_DOCUMENT")),
             )
-            for p in obj["provenance"]
-        ]
+            provs.append(records.setdefault(prov, prov))
+        out[obj["triple"]] = provs
     return out
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import socketserver
 import sys
+import threading
 from typing import Any, Callable
 
 from .factcheck import (
@@ -22,7 +23,6 @@ from .factcheck import (
 from .fusion import (
     ContextBundle,
     FusionConfigError,
-    VectorStore,
     fuse,
     graph_retrieve,
     vector_search,
@@ -30,15 +30,18 @@ from .fusion import (
 from .builder import AmbiguousAlias
 from .hanoi import run_benchmark
 from .rdf_core import Iri, Origin, StructuralError, Term, Triple, parse_term_text, triple_text
-from .reasoner import check_consistency, materialize
+from .reasoner import materialize
 from .shacl import validate
 from .sparql import EvaluationLimitError, QueryParseError, evaluate, parse_query
-from .store import StoreHandle, graph_at_version, load_log_entries, load_shapes_file
+from .store import StoreHandle, graph_at_version, load_shapes_file, read_version
 
 PARSE_OR_REQUEST_ERROR = -32600
 METHOD_NOT_FOUND = -32601
 INVALID_PARAMS = -32602
 INTERNAL_ERROR = -32000
+
+# Longest request line a TCP session may send, newline excluded.
+MAX_REQUEST_BYTES = 1 << 20
 
 
 class ParamError(ValueError):
@@ -58,12 +61,12 @@ def svc_query(handle: StoreHandle, query_text: str) -> dict:
 def svc_validate(handle: StoreHandle, shapes_file: str | None) -> dict:
     """Structural validation of the materialized trusted graph."""
     shapes = load_shapes_file(shapes_file) if shapes_file else handle.store.shapes
-    report = validate(materialize(handle.store.trusted), shapes)
+    report = validate(handle.closure().graph, shapes)
     return report.to_json()
 
 
 def svc_logic_check(handle: StoreHandle) -> dict:
-    conflicts = check_consistency(materialize(handle.store.trusted))
+    conflicts = handle.closure().conflicts
     return {"consistent": not conflicts, "conflicts": [c.to_json() for c in conflicts]}
 
 
@@ -84,7 +87,8 @@ def _diff_texts(g1, g2) -> tuple[list[str], list[str]]:
 
 
 def svc_check(handle: StoreHandle, claims: list[Claim], diagnostics: list[str] | None = None) -> dict:
-    overall, verdicts = check_answer(claims, handle.store.trusted)
+    closure = handle.closure() if any(not c.conditions for c in claims) else None
+    overall, verdicts = check_answer(claims, handle.store.trusted, closure)
     return {
         "overall": overall.value,
         "verdicts": [v.to_json() for v in verdicts],
@@ -101,15 +105,11 @@ def svc_retrieve(handle: StoreHandle, query: str, seeds: list[str] | None = None
 
 def retrieve_bundle(handle: StoreHandle, query: str, seeds: list[str] | None,
                     radius: int, k: int, budget: int, session: str | None) -> ContextBundle:
-    trusted = handle.store.trusted
-
-    vstore = VectorStore(dimension=handle.dimension)
-    for entry_id, payload in load_log_entries(handle.root):
-        vstore.add(entry_id, payload)
+    vstore = handle.log_memory()
     hits = vector_search(vstore, query, k) if len(vstore) else []
 
     seed_terms = _seed_terms(handle, query, seeds)
-    facts = graph_retrieve(trusted, seed_terms, radius)
+    facts = graph_retrieve(handle.store.trusted, seed_terms, radius)
 
     user_memory = session_memory(handle, session) if session else []
     return fuse(hits, facts, [], user_memory, handle.weights, budget)
@@ -223,87 +223,113 @@ def _optional(params: dict, key: str, kind: type, default: Any, item: type | Non
     return _require(params, key, kind, item) if key in params else default
 
 
+# Method handlers: each runs on the handle its request captured.
+
+
+def _tools_list(handle: StoreHandle, params: dict) -> dict:
+    return {"tools": TOOL_CATALOG}
+
+
+def _graph_query(handle: StoreHandle, params: dict) -> dict:
+    text = _require(params, "query", str)
+    try:
+        return svc_query(handle, text)
+    except (QueryParseError, EvaluationLimitError) as e:
+        raise ParamError(str(e)) from e
+
+
+def _graph_validate(handle: StoreHandle, params: dict) -> dict:
+    shapes_file = params.get("shapes_file")
+    if shapes_file is not None and not isinstance(shapes_file, str):
+        raise ParamError("param 'shapes_file' must be str")
+    return svc_validate(handle, shapes_file)
+
+
+def _graph_diff(handle: StoreHandle, params: dict) -> dict:
+    v1 = _require(params, "from_version", int)
+    v2 = _require(params, "to_version", int)
+    return svc_diff(handle, v1, v2, _optional(params, "include_inferred", bool, False))
+
+
+def _fact_check(handle: StoreHandle, params: dict) -> dict:
+    diagnostics: list[str] = []
+    if "claims_file" in params:
+        path = _require(params, "claims_file", str)
+        try:
+            with open(path, encoding="utf-8") as fh:
+                parsed = parse_claims(fh.read())
+        except OSError as e:
+            raise ParamError(f"cannot read claims file: {e}") from e
+        claims, diagnostics = parsed.claims, parsed.diagnostics
+    else:
+        raw = _require(params, "claims", list)
+        parsed = parse_claims("\n".join(json.dumps(obj) for obj in raw))
+        claims, diagnostics = parsed.claims, parsed.diagnostics
+    if not claims:
+        raise ParamError("no valid claims supplied")
+    return svc_check(handle, claims, diagnostics)
+
+
+def _memory_retrieve(handle: StoreHandle, params: dict) -> dict:
+    query = _require(params, "query", str)
+    seeds = _optional(params, "seeds", list, None, str)
+    try:
+        return svc_retrieve(
+            handle, query, seeds,
+            radius=_optional(params, "radius", int, 1),
+            k=_optional(params, "k", int, 5),
+            budget=_optional(params, "budget", int, 10),
+            session=_optional(params, "session", str, None),
+        )
+    except (FusionConfigError, StructuralError) as e:
+        raise ParamError(str(e)) from e
+
+
+def _bench(handle: StoreHandle, params: dict) -> dict:
+    for key, kind, item in (("disks", list, int), ("proposers", list, str),
+                            ("episodes", int, None), ("repairs", list, int),
+                            ("seed", int, None), ("move_level", bool, None)):
+        _optional(params, key, kind, None, item)
+    try:
+        return svc_bench(params)
+    except (ValueError, TypeError) as e:
+        raise ParamError(str(e)) from e
+
+
+_METHODS: dict[str, Callable[[StoreHandle, dict], Any]] = {
+    "tools.list": _tools_list,
+    "graph.query": _graph_query,
+    "graph.validate": _graph_validate,
+    "graph.diff": _graph_diff,
+    "fact.check": _fact_check,
+    "memory.retrieve": _memory_retrieve,
+    "bench.hanoi.run": _bench,
+}
+
+
 class ToolBus:
+    """Dispatches JSON-RPC requests to the handlers over one store.
+
+    Each request first reads the store's `version` file. When it differs from
+    the value this bus last saw, a `build` has committed since: the bus loads
+    the store again and swaps in the new handle, carrying the log memory over.
+    Every request runs on the handle it captured at its start, so one already
+    running finishes on the old snapshot. An in-memory commit that was never
+    saved leaves the file unchanged, so it is never reloaded away."""
+
     def __init__(self, handle: StoreHandle):
         self.handle = handle
+        self._seen_version = read_version(handle.root)
+        self._reload_lock = threading.Lock()
 
-    # -- method handlers ------------------------------------------------------
-
-    def _tools_list(self, params: dict) -> dict:
-        return {"tools": TOOL_CATALOG}
-
-    def _graph_query(self, params: dict) -> dict:
-        text = _require(params, "query", str)
-        try:
-            return svc_query(self.handle, text)
-        except (QueryParseError, EvaluationLimitError) as e:
-            raise ParamError(str(e)) from e
-
-    def _graph_validate(self, params: dict) -> dict:
-        shapes_file = params.get("shapes_file")
-        if shapes_file is not None and not isinstance(shapes_file, str):
-            raise ParamError("param 'shapes_file' must be str")
-        return svc_validate(self.handle, shapes_file)
-
-    def _graph_diff(self, params: dict) -> dict:
-        v1 = _require(params, "from_version", int)
-        v2 = _require(params, "to_version", int)
-        return svc_diff(self.handle, v1, v2, _optional(params, "include_inferred", bool, False))
-
-    def _fact_check(self, params: dict) -> dict:
-        diagnostics: list[str] = []
-        if "claims_file" in params:
-            path = _require(params, "claims_file", str)
-            try:
-                with open(path, encoding="utf-8") as fh:
-                    parsed = parse_claims(fh.read())
-            except OSError as e:
-                raise ParamError(f"cannot read claims file: {e}") from e
-            claims, diagnostics = parsed.claims, parsed.diagnostics
-        else:
-            raw = _require(params, "claims", list)
-            parsed = parse_claims("\n".join(json.dumps(obj) for obj in raw))
-            claims, diagnostics = parsed.claims, parsed.diagnostics
-        if not claims:
-            raise ParamError("no valid claims supplied")
-        return svc_check(self.handle, claims, diagnostics)
-
-    def _memory_retrieve(self, params: dict) -> dict:
-        query = _require(params, "query", str)
-        seeds = _optional(params, "seeds", list, None, str)
-        try:
-            return svc_retrieve(
-                self.handle, query, seeds,
-                radius=_optional(params, "radius", int, 1),
-                k=_optional(params, "k", int, 5),
-                budget=_optional(params, "budget", int, 10),
-                session=_optional(params, "session", str, None),
-            )
-        except (FusionConfigError, StructuralError) as e:
-            raise ParamError(str(e)) from e
-
-    def _bench(self, params: dict) -> dict:
-        for key, kind, item in (("disks", list, int), ("proposers", list, str),
-                                ("episodes", int, None), ("repairs", list, int),
-                                ("seed", int, None), ("move_level", bool, None)):
-            _optional(params, key, kind, None, item)
-        try:
-            return svc_bench(params)
-        except (ValueError, TypeError) as e:
-            raise ParamError(str(e)) from e
-
-    # Plain functions, called as handler(self, params): bound methods stored
-    # on the instance would make every bus a reference cycle that keeps its
-    # store alive until a full garbage collection.
-    _METHODS: dict[str, Callable[[ToolBus, dict], Any]] = {
-        "tools.list": _tools_list,
-        "graph.query": _graph_query,
-        "graph.validate": _graph_validate,
-        "graph.diff": _graph_diff,
-        "fact.check": _fact_check,
-        "memory.retrieve": _memory_retrieve,
-        "bench.hanoi.run": _bench,
-    }
+    def _current_handle(self) -> StoreHandle:
+        version = read_version(self.handle.root)
+        if version != self._seen_version:
+            with self._reload_lock:
+                if version != self._seen_version:
+                    handle = self.handle.reloaded()
+                    self.handle, self._seen_version = handle, handle.store.version
+        return self.handle
 
     # -- JSON-RPC plumbing -----------------------------------------------------
 
@@ -328,12 +354,12 @@ class ToolBus:
             return None if is_notification else _error_response(
                 req_id, INVALID_PARAMS, "params must be an object")
 
-        handler = self._METHODS.get(method)
+        handler = _METHODS.get(method)
         if handler is None:
             return None if is_notification else _error_response(
                 req_id, METHOD_NOT_FOUND, f"method not found: {method}")
         try:
-            result = handler(self, params)
+            result = handler(self._current_handle(), params)
         except ParamError as e:
             return None if is_notification else _error_response(req_id, INVALID_PARAMS, str(e))
         except ConditionInconsistencyError as e:
@@ -375,7 +401,12 @@ def serve_tcp(handle: StoreHandle, port: int, host: str = "127.0.0.1",
     class Handler(socketserver.StreamRequestHandler):
         def handle(self) -> None:
             try:
-                for raw in self.rfile:
+                while raw := self.rfile.readline(MAX_REQUEST_BYTES + 1):
+                    if len(raw) > MAX_REQUEST_BYTES and not raw.endswith(b"\n"):
+                        error = _error_response(None, PARSE_OR_REQUEST_ERROR,
+                                                f"request line exceeds {MAX_REQUEST_BYTES} bytes")
+                        self.wfile.write(json.dumps(error).encode("utf-8") + b"\n")
+                        return  # the rest of the line cannot be framed: end the session
                     line = raw.decode("utf-8").strip()
                     if not line:
                         continue

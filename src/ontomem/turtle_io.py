@@ -238,6 +238,8 @@ class _Parser:
         self.pos = 0
         self.prefixes: PrefixMap = {}
         self.graph = Graph()
+        # One object per distinct term, so a graph holds each IRI string once.
+        self.terms: dict[Term, Term] = {}
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -324,7 +326,7 @@ class _Parser:
             self.fail("literal in subject position", tok)
         if position == "predicate" and not isinstance(term, Iri):
             self.fail("predicate must be an IRI", tok)
-        return term
+        return self.terms.setdefault(term, term)
 
     def literal_tail(self, tok: _Token) -> Literal:
         nxt = self.peek()

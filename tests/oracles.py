@@ -330,6 +330,39 @@ def oracle_derivations(graph: Graph) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# Graph neighbourhood: BFS in canonical order, then a scan of the whole graph
+# ---------------------------------------------------------------------------
+
+
+def oracle_graph_retrieve(graph: Graph, seeds, radius: int) -> list:
+    """The (triple, hop) pairs within `radius` hops of a seed, found by a BFS
+    over sorted matches and a scan of every triple of the graph."""
+    present = {s for s in seeds if graph.match(s, None, None) or graph.match(None, None, s)}
+    if not present:
+        return []
+    hop = {s: 0 for s in present}
+    frontier = list(present)
+    depth = 0
+    while frontier and depth <= radius:
+        nxt = set()
+        for node in frontier:
+            for t in graph.match(node, None, None) + graph.match(None, None, node):
+                other = t.object if t.subject == node else t.subject
+                if other not in hop:
+                    hop[other] = depth + 1
+                    nxt.add(other)
+        frontier = list(nxt)
+        depth += 1
+    out = []
+    for t in graph:
+        hops = [hop[x] for x in (t.subject, t.object) if x in hop]
+        if hops and min(hops) <= radius:
+            out.append((t, min(hops)))
+    out.sort(key=lambda pair: (pair[1], triple_key(pair[0])))
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Hanoi: explicit stack reconstruction, exhaustive transition relation, BFS
 # ---------------------------------------------------------------------------
 

@@ -1,4 +1,6 @@
 import gc
+import json
+import random
 
 import pytest
 
@@ -15,16 +17,21 @@ from ontomem.factcheck import (
     negation_overlay,
     parse_claims,
 )
+from ontomem import reasoner
 from ontomem.namespaces import (
+    OWL_DISJOINTWITH,
     OWL_FUNCTIONAL,
     RDF_TYPE,
     RDFS_SUBCLASSOF,
     XSD_BOOLEAN,
 )
-from ontomem.rdf_core import Graph, Iri, Literal, Triple
-from ontomem.reasoner import check_consistency, materialize
+from ontomem.rdf_core import Graph, Iri, Literal, Triple, triple_key
+from ontomem.reasoner import check_consistency, close, materialize
+from ontomem.store import load_store
+from ontomem.toolbus import ToolBus, svc_logic_check, svc_validate
 from conftest import DATA
 from ontomem.turtle_io import parse_turtle
+from test_reasoner import random_ontology_graph
 
 EX = "http://ex.org/"
 REG = "http://ontomem.dev/ns/reg#"
@@ -256,3 +263,143 @@ def test_gate_verdict_coherence(regulatory_graph):
     store.commit(gate, store.version)
     verdict = check_claim(Claim(new_fact), store.trusted)
     assert verdict.status is VerdictStatus.SUPPORTED
+
+
+# ---------------------------------------------------------------------------
+# A shared closure of the trusted graph changes no verdict
+# ---------------------------------------------------------------------------
+
+
+def _fuzzed_graph(rng: random.Random) -> Graph:
+    """A random ontology, sometimes with functional properties, a disjoint
+    pair and an explicit negation, so that claims can be contradicted and the
+    graph itself can be inconsistent."""
+    g = random_ontology_graph(rng, 40)
+    if rng.random() < 0.25:
+        g.insert(tr(f"p{rng.randrange(4)}", RDF_TYPE, OWL_FUNCTIONAL))
+    if rng.random() < 0.3:
+        g.insert(tr(f"C{rng.randrange(5)}", OWL_DISJOINTWITH, f"C{rng.randrange(5)}"))
+    if rng.random() < 0.2:
+        for t in negation_overlay(rng.choice(sorted(g.triple_set(), key=triple_key))):
+            g.insert(t)
+    return g
+
+
+def _fuzzed_claims(rng: random.Random, g: Graph, count: int) -> list[Claim]:
+    """Statements and conditions drawn from the closure of `g` or made of its
+    terms and a fresh one."""
+    derived = sorted(materialize(g).triple_set(), key=triple_key)
+    terms = g.terms() + [iri("fresh")]
+    iris = [t for t in terms if isinstance(t, Iri)]
+
+    def triple() -> Triple:
+        if rng.random() < 0.4:
+            return rng.choice(derived)
+        return Triple(rng.choice(iris), rng.choice(iris), rng.choice(terms))
+
+    claims = []
+    for _ in range(count):
+        polarity = rng.choice([Polarity.ASSERTED, Polarity.NEGATED])
+        conditions = ()
+        if rng.random() < 0.35:
+            conditions = tuple(triple() for _ in range(rng.randint(1, 2)))
+        claims.append(Claim(triple(), polarity, conditions))
+    return claims
+
+
+def _outcome(claim: Claim, trusted: Graph, closure=None):
+    try:
+        return check_claim(claim, trusted, closure).to_json()
+    except ConditionInconsistencyError as e:
+        return ("inconsistent", [c.to_json() for c in e.conflicts])
+
+
+def test_shared_closure_matches_fresh_check_per_claim(regulatory_graph, regulatory_claims):
+    rng = random.Random(606)
+    cases = [(_fuzzed_graph(rng), None) for _ in range(120)]
+    bundled = parse_claims("\n".join(json.dumps(c) for c in regulatory_claims)).claims
+    cases.append((regulatory_graph, bundled))
+    inconsistent = 0
+    for g, extra in cases:
+        claims = _fuzzed_claims(rng, g, 5) + (extra or [])
+        before = g.content_hash()
+        shared = close(g)
+        shared_hash, shared_derivations = shared.graph.content_hash(), dict(shared.derivations)
+        fresh = [_outcome(c, g.copy()) for c in claims]
+        assert [_outcome(c, g, shared) for c in claims] == fresh
+        if any(isinstance(o, tuple) for o in fresh):
+            inconsistent += 1
+            with pytest.raises(ConditionInconsistencyError):
+                check_answer(claims, g, shared)
+        else:
+            _, verdicts = check_answer(claims, g, shared)
+            assert [v.to_json() for v in verdicts] == fresh
+            _, verdicts = check_answer(claims, g)
+            assert [v.to_json() for v in verdicts] == fresh
+        assert g.content_hash() == before
+        assert shared.graph.content_hash() == shared_hash
+        assert shared.derivations == shared_derivations
+    assert 0 < inconsistent < len(cases)
+
+
+def test_check_answer_materializes_once_for_condition_free_claims(monkeypatch):
+    calls = []
+    real = reasoner.materialize
+
+    def counting(graph, *args, **kwargs):
+        calls.append(len(graph))
+        return real(graph, *args, **kwargs)
+
+    monkeypatch.setattr(reasoner, "materialize", counting)
+    monkeypatch.setattr("ontomem.factcheck.materialize", counting)
+    g = TestCheckAnswer().build()
+    claims = [Claim(tr("a", "q", "b")), Claim(tr("s", "p", "o2")), Claim(tr("zz", "q", "yy")),
+              Claim(tr("a", "q", "b"), Polarity.NEGATED)]
+    check_answer(claims, g)
+    assert calls == [len(g)]
+    check_answer(claims + [Claim(tr("a", "q", "b"), conditions=(tr("c", "q", "d"),))], g)
+    assert calls == [len(g)] * 3  # the shared closure, then the claim with a condition
+
+
+def test_condition_free_claim_on_inconsistent_graph_raises():
+    g = TestCheckAnswer().build()
+    g.insert(tr("s", "p", "o2"))  # a second value of a functional property
+    claim = Claim(tr("a", "q", "b"))
+    with pytest.raises(ConditionInconsistencyError):
+        check_claim(claim, g)
+    with pytest.raises(ConditionInconsistencyError):
+        check_claim(claim, g, close(g))
+    with pytest.raises(ConditionInconsistencyError):
+        check_answer([claim], g)
+
+
+def test_cached_closure_unchanged_by_request_mix(regulatory_store, regulatory_claims):
+    handle = load_store(regulatory_store)
+    bus = ToolBus(handle)
+    closure = handle.closure()
+    graph_hash, derivations = closure.graph.content_hash(), dict(closure.derivations)
+    conflicts = list(closure.conflicts)
+
+    def claim(s, p, o, polarity="ASSERTED", conditions=()):
+        return {"subject": f"<{IND}{s}>", "predicate": f"<{REG}{p}>", "object": o,
+                "polarity": polarity, "conditions": list(conditions)}
+
+    hold = claim("IND-1", "clinicalHold", '"true"^^<http://www.w3.org/2001/XMLSchema#boolean>')
+    requests = [
+        [claim("sponsor-1", "mayProceed", f"<{IND}IND-1>")],
+        [claim("sponsor-1", "mayProceed", f"<{IND}IND-2>")],
+        [claim("sponsor-1", "mayProceed", f"<{IND}IND-1>", "NEGATED"), hold],
+        [claim("IND-9", "mayProceed", f"<{IND}IND-1>", "NEGATED")],
+        [claim("sponsor-1", "mayProceed", f"<{IND}IND-1>", conditions=[hold])],
+        regulatory_claims,
+    ]
+    for _ in range(2):
+        for claims in requests:
+            response = bus.dispatch({"jsonrpc": "2.0", "id": 1, "method": "fact.check",
+                                     "params": {"claims": claims}})
+            assert "result" in response, response
+        svc_validate(handle, str(DATA / "corpus_shapes.ttl"))
+        svc_logic_check(handle)
+    assert bus.handle is handle and handle.closure() is closure
+    assert closure.graph.content_hash() == graph_hash
+    assert closure.derivations == derivations and closure.conflicts == conflicts

@@ -17,6 +17,8 @@ from ontomem.fusion import (
     vector_search,
 )
 from ontomem.rdf_core import Graph, Iri, Triple, triple_text
+from oracles import oracle_graph_retrieve
+from test_reasoner import random_ontology_graph
 
 EX = "http://ex.org/"
 
@@ -85,6 +87,17 @@ class TestVectorSearch:
         for hit, (score, _) in zip(got, expected):
             assert hit.score == pytest.approx(score)
 
+    def test_scores_equal_tuple_cosine_exactly(self):
+        rng = random.Random(4)
+        words = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta", "theta"]
+        store = VectorStore(dimension=64)
+        texts = {f"e{i}": " ".join(rng.choices(words, k=rng.randint(1, 8))) for i in range(40)}
+        for eid, text in texts.items():
+            store.add(eid, text)
+        query = "beta gamma gamma theta"
+        for hit in vector_search(store, query, k=40):
+            assert hit.score == cosine(embed(query, 64), embed(texts[hit.entry_id], 64))
+
 
 class TestGraphRetrieve:
     def build_chain(self):
@@ -141,6 +154,16 @@ class TestGraphRetrieve:
                 if hops and min(hops) <= radius:
                     expected[t] = min(hops)
             assert dict(got) == expected
+
+    def test_matches_whole_graph_scan_reference(self):
+        rng = random.Random(2026)
+        for case in range(120):
+            g = random_ontology_graph(rng, 60)
+            nodes = [term for term in g.terms() if isinstance(term, Iri)]
+            seeds = rng.sample(nodes, min(len(nodes), rng.randint(0, 3)))
+            seeds += [iri(f"absent{case}")] * rng.randint(0, 1)
+            for radius in range(5):
+                assert graph_retrieve(g, seeds, radius) == oracle_graph_retrieve(g, seeds, radius)
 
 
 class TestFuse:

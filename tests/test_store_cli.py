@@ -392,6 +392,17 @@ class TestCommitPath:
                  (store / "quarantine.jsonl").read_text(encoding="utf-8").splitlines()]
         assert [(e["reason"], e["version"]) for e in lines] == [("consistency conflict", 1)] * 2
 
+    def test_line_separator_in_chunk_keeps_log_readable(self, tmp_path):
+        # U+2028 is a line break to str.splitlines but not to JSON Lines.
+        text = "Pump3 located in SiteC.\u2028Checked daily."
+        store, sources = self._store_and_docs(tmp_path, {"a.txt": text})
+        self._build(store, sources)
+        (sources / "b.txt").write_text("Pump4 located in SiteD.", encoding="utf-8")
+        assert self._build(store, sources)["version"] == 2
+        code, out, err = run_cli("--store", str(store), "--json", "retrieve", "--query", text)
+        assert code == 0, err
+        assert json.loads(out)["vector_hits"][0]["id"] == "a.txt#0"
+
     def test_new_chunk_is_its_own_top_vector_hit(self, tmp_path, built_store):
         store = tmp_path / "s"
         shutil.copytree(built_store, store)

@@ -1,22 +1,28 @@
 import gc
 import io
 import json
+import shutil
 import socket
+import sys
 import threading
+import time
 import weakref
 
 import pytest
 
+from ontomem.builder import GateResult, graph_candidates
 from ontomem.store import load_store
 from ontomem.toolbus import (
     INTERNAL_ERROR,
     INVALID_PARAMS,
+    MAX_REQUEST_BYTES,
     METHOD_NOT_FOUND,
     PARSE_OR_REQUEST_ERROR,
     ToolBus,
     serve_stdio,
     serve_tcp,
 )
+from ontomem.turtle_io import parse_turtle
 from conftest import DATA, run_cli
 
 
@@ -281,3 +287,172 @@ class TestTransports:
             assert len(response["result"]["tools"]) >= 6
         finally:
             holder["server"].shutdown()
+
+    def test_tcp_oversized_line_ends_only_its_session(self, built_store):
+        ready = threading.Event()
+        holder = {}
+
+        def on_ready(server):
+            holder["server"] = server
+            holder["port"] = server.server_address[1]
+            ready.set()
+
+        thread = threading.Thread(target=serve_tcp, args=(load_store(built_store), 0),
+                                  kwargs={"ready_callback": on_ready}, daemon=True)
+        thread.start()
+        assert ready.wait(5)
+        try:
+            with socket.create_connection(("127.0.0.1", holder["port"]), timeout=5) as sock:
+                sock.sendall(b"x" * (MAX_REQUEST_BYTES + 1))
+                data = b""
+                while chunk := sock.recv(4096):
+                    data += chunk
+            response = json.loads(data)  # one line, then the server closed the session
+            assert response["error"]["code"] == PARSE_OR_REQUEST_ERROR
+            assert response["id"] is None
+            with socket.create_connection(("127.0.0.1", holder["port"]), timeout=5) as sock:
+                sock.sendall(b'{"jsonrpc":"2.0","id":4,"method":"tools.list"}\n')
+                data = b""
+                while not data.endswith(b"\n"):
+                    data += sock.recv(4096)
+            assert json.loads(data)["id"] == 4
+        finally:
+            holder["server"].shutdown()
+
+
+EX_TTL = "@prefix ex: <http://ex.org/> .\n"
+
+
+class TestLiveStore:
+    """A warm bus follows the store it serves."""
+
+    PATTERNS = {"relations": {"located in": "located in"}}
+
+    def _commit_turtle(self, store, tmp_path, name, text):
+        empty = tmp_path / "empty"
+        empty.mkdir(exist_ok=True)
+        schema = tmp_path / name
+        schema.write_text(EX_TTL + text, encoding="utf-8")
+        code, _, err = run_cli("--store", str(store), "build", "--sources", str(empty),
+                               "--schema", str(schema),
+                               "--extractor", "transcript", "--transcripts", str(empty))
+        assert code == 0, err
+
+    def _build_docs(self, store, tmp_path, docs, *extra):
+        sources = tmp_path / "docs"
+        sources.mkdir(exist_ok=True)
+        for name, text in docs.items():
+            (sources / name).write_text(text, encoding="utf-8")
+        patterns = tmp_path / "patterns.json"
+        patterns.write_text(json.dumps(self.PATTERNS), encoding="utf-8")
+        code, out, err = run_cli("--store", str(store), "--json", "build", "--sources",
+                                 str(sources), "--patterns", str(patterns), *extra)
+        assert code == 0, err
+        return json.loads(out)
+
+    def test_build_committed_while_bus_runs_is_served(self, tmp_path):
+        store = tmp_path / "s"
+        run_cli("--store", str(store), "init")
+        self._commit_turtle(store, tmp_path, "one.ttl", "ex:a ex:p ex:b .\n")
+        bus = ToolBus(load_store(store))
+        ask = {"query": "ASK WHERE { <http://ex.org/c> <http://ex.org/p> <http://ex.org/d> }"}
+        claim = {"claims": [{"subject": "<http://ex.org/c>", "predicate": "<http://ex.org/p>",
+                             "object": "<http://ex.org/d>"}]}
+        assert call(bus, "graph.query", ask)["result"]["ask"] is False
+        assert call(bus, "fact.check", claim)["result"]["overall"] == "NOT_FOUND"
+
+        self._commit_turtle(store, tmp_path, "two.ttl", "ex:c ex:p ex:d .\n")
+        assert call(bus, "graph.query", ask)["result"]["ask"] is True
+        assert call(bus, "fact.check", claim)["result"]["overall"] == "SUPPORTED"
+        assert bus.handle.store.version == 2
+
+    def test_all_quarantined_build_reaches_log_memory(self, tmp_path):
+        store = tmp_path / "s"
+        run_cli("--store", str(store), "init")
+        schema = tmp_path / "schema.ttl"
+        schema.write_text(
+            "@prefix owl: <http://www.w3.org/2002/07/owl#> .\n"
+            "@prefix prop: <http://ontomem.dev/ns/prop#> .\n"
+            "prop:located-in a owl:FunctionalProperty .\n", encoding="utf-8")
+        summary = self._build_docs(store, tmp_path, {"a.txt": "Oven7 located in Plant7."},
+                                   "--schema", str(schema))
+        assert summary["version"] == 1
+        bus = ToolBus(load_store(store))
+        query = {"query": "Pump1 located in SiteB.", "k": 1}
+        assert call(bus, "memory.retrieve", query)["result"]["vector_hits"][0]["id"] == "a.txt#0"
+
+        summary = self._build_docs(store, tmp_path, {"b.txt": "Pump1 located in SiteA.",
+                                                     "c.txt": "Pump1 located in SiteB."})
+        assert summary == {"version": 1, "accepted": 0, "quarantined": 2, "delta_file": None}
+        top = call(bus, "memory.retrieve", query)["result"]["vector_hits"][0]
+        assert (top["id"], top["payload"]) == ("c.txt#0", "Pump1 located in SiteB.")
+
+    def test_unsaved_in_memory_commit_is_not_reloaded_away(self, tmp_path):
+        store = tmp_path / "s"
+        run_cli("--store", str(store), "init")
+        self._commit_turtle(store, tmp_path, "one.ttl", "ex:a ex:p ex:b .\n")
+        handle = load_store(store)
+        graph, _ = parse_turtle(EX_TTL + "ex:c ex:p ex:d .\n")
+        handle.store.commit(GateResult(graph_candidates(graph, "memory"), []), 1)
+        assert handle.store.version == 2  # in memory only: the version file still says 1
+        bus = ToolBus(handle)
+        ask = {"query": "ASK WHERE { <http://ex.org/c> <http://ex.org/p> <http://ex.org/d> }"}
+        for _ in range(2):
+            assert call(bus, "graph.query", ask)["result"]["ask"] is True
+        assert bus.handle is handle
+
+    def test_retrieve_while_log_grows(self, tmp_path, built_store):
+        store = tmp_path / "s"
+        shutil.copytree(built_store, store)
+        bus = ToolBus(load_store(store))
+        lines = [json.dumps({"id": f"grow.txt#{i}", "text": f"Turbine{i} spins near Dam{i}."})
+                 + "\n" for i in range(150)]
+        errors: list = []
+        done = threading.Event()
+
+        def append() -> None:
+            try:
+                with (store / "logs.jsonl").open("a", encoding="utf-8") as fh:
+                    for line in lines:  # each line in two writes: readers see torn lines
+                        half = len(line) // 2
+                        fh.write(line[:half])
+                        fh.flush()
+                        time.sleep(0.001)
+                        fh.write(line[half:])
+                        fh.flush()
+            except Exception as e:  # reported through the assertion below
+                errors.append(e)
+            finally:
+                done.set()
+
+        served = []
+
+        def retrieve() -> None:
+            try:
+                while not done.is_set():
+                    response = call(bus, "memory.retrieve", {"query": "Turbine spins", "k": 3})
+                    if "result" not in response:
+                        errors.append(response)
+                    served.append(len(bus.handle.log_memory()))
+            except Exception as e:
+                errors.append(e)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=retrieve) for _ in range(2)]
+            threads.append(threading.Thread(target=append))
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert len(set(served)) > 10  # the readers saw the log at many lengths
+        last = json.loads(lines[-1])
+        top = call(bus, "memory.retrieve", {"query": last["text"], "k": 1})["result"]
+        assert top["vector_hits"][0]["id"] == last["id"]
+        memory = bus.handle.log_memory()
+        assert {f"grow.txt#{i}" for i in range(150)} <= set(memory.entries)

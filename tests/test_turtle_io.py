@@ -109,6 +109,13 @@ class TestParse:
         with pytest.raises(TurtleParseError):
             parse_turtle("@prefix ex: <http://ex.org/> . ex:a ex:p (ex:b ex:c) .")
 
+    def test_one_object_per_distinct_term(self):
+        g, _ = parse_turtle('@prefix ex: <http://ex.org/> .\n'
+                            'ex:a a ex:C ; ex:p ex:b , "x" .\n'
+                            '<http://ex.org/b> a ex:C ; ex:p ex:a , "x" .\n')
+        objects = {id(term) for t in g.triple_set() for term in (t.subject, t.predicate, t.object)}
+        assert len(objects) == len(g.terms()) == 6
+
     def test_anonymous_blank_rejected(self):
         with pytest.raises(TurtleParseError):
             parse_turtle("@prefix ex: <http://ex.org/> . ex:a ex:p [ ex:q ex:b ] .")
