@@ -259,15 +259,12 @@ class OptimalProposer(Proposer):
 class RandomLegalProposer(Proposer):
     """Seeded random legal walk; legal moves only, goal only by luck."""
 
-    def __init__(self, move_cap: int | None = None):
-        self.move_cap = move_cap
-        self.proposer_id = "random_legal"
+    proposer_id = "random_legal"
 
     def propose(self, n, start, goal, feedback, rng):
-        cap = self.move_cap if self.move_cap is not None else 2 ** n * 2
         state = start
         plan: list[Move] = []
-        for _ in range(cap):
+        for _ in range(2 ** n * 2):
             if state == goal:
                 break
             options = legal_moves(state)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import re
 from dataclasses import dataclass
 from enum import Enum
 
@@ -29,7 +30,8 @@ class CapacityError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-_IRI_FORBIDDEN = set('<>"{}|^`\\')
+# In a str pattern `\s` is exactly the characters for which str.isspace holds.
+_IRI_FORBIDDEN = re.compile(r'[\s<>"{}|^`\\]').search
 
 
 @dataclass(frozen=True, slots=True)
@@ -37,7 +39,7 @@ class Iri:
     value: str
 
     def __post_init__(self) -> None:
-        if not self.value or any(c.isspace() or c in _IRI_FORBIDDEN for c in self.value):
+        if not self.value or _IRI_FORBIDDEN(self.value):
             raise StructuralError(
                 f"IRI must be non-empty, without whitespace or <>\"{{}}|^`\\: {self.value!r}")
 
@@ -65,6 +67,8 @@ class Literal:
 Term = Iri | Blank | Literal
 
 _ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+_UNESCAPES = {escaped[1]: c for c, escaped in _ESCAPES.items()}
+_ESCAPE_RE = re.compile(r'\\(?:u([0-9A-Fa-f]{4})|U([0-9A-Fa-f]{8})|([\\"nrt])|[uU])')
 
 
 def escape_literal(text: str) -> str:
@@ -72,20 +76,22 @@ def escape_literal(text: str) -> str:
 
 
 def unescape_literal(text: str) -> str:
-    out: list[str] = []
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c == "\\" and i + 1 < len(text):
-            n = text[i + 1]
-            mapped = {"\\": "\\", '"': '"', "n": "\n", "r": "\r", "t": "\t"}.get(n)
-            if mapped is not None:
-                out.append(mapped)
-                i += 2
-                continue
-        out.append(c)
-        i += 1
-    return "".join(out)
+    """Decode the escapes of a literal body: \\\\ \\" \\n \\r \\t, and \\uXXXX or
+    \\UXXXXXXXX naming a Unicode scalar value. Any other backslash pair stays as
+    written; a malformed \\u or \\U raises StructuralError."""
+    return _ESCAPE_RE.sub(_unescape, text) if "\\" in text else text
+
+
+def _unescape(m: re.Match) -> str:
+    if m.group(3):
+        return _UNESCAPES[m.group(3)]
+    code = m.group(1) or m.group(2)
+    if code is not None:
+        value = int(code, 16)
+        if value <= 0x10FFFF and not 0xD800 <= value <= 0xDFFF:
+            return chr(value)
+    raise StructuralError(f"malformed escape {m.group()}: \\u takes 4 and \\U 8 hex digits "
+                          "naming a Unicode scalar value")
 
 
 def term_text(term: Term) -> str:

@@ -1,9 +1,9 @@
 """SPARQL subset: SELECT/ASK over conjunctive patterns, filters, one-step
 transitive paths (`p+`), LIMIT.
 
-Join order is chosen per pattern by most-bound position, but semantics never
-depend on the plan: the test suite holds evaluation to a naive
-all-assignments oracle.
+Patterns are joined in the order written, each looked up with the positions
+that earlier patterns bound. Only the final sort fixes the order of the rows:
+the test suite holds evaluation to a naive all-assignments oracle.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from .namespaces import (
     XSD_DECIMAL,
     XSD_INTEGER,
 )
-from .rdf_core import Graph, Iri, Literal, Term, term_key, term_text, unescape_literal
+from .rdf_core import Graph, Iri, Literal, StructuralError, Term, term_text, unescape_literal
 from .turtle_io import ParseDiagnostic, PrefixMap
 
 
@@ -345,8 +345,11 @@ class _QueryParser:
         m = re.compile(r'"((?:[^"\\\n]|\\.)*)"').match(lex.text, lex.pos)
         if m is None:
             lex.error("unterminated string literal")
+        try:
+            lexical = unescape_literal(m.group(1))
+        except StructuralError as e:
+            lex.error(str(e))
         lex._advance(len(m.group()))
-        lexical = unescape_literal(m.group(1))
         if lex.try_literal("^^"):
             iriref = lex.try_regex(_IRIREF_RE)
             if iriref is not None:
@@ -491,7 +494,7 @@ def _passes(filters, binding: dict[str, Term]) -> bool:
 def transitive_pairs(graph: Graph, predicate: Iri) -> set[tuple[Term, Term]]:
     """All (x, y) with a >=1-step path over `predicate` edges."""
     edges: dict[Term, list[Term]] = {}
-    for t in graph.match(None, predicate, None):
+    for t in graph.find(None, predicate, None):
         edges.setdefault(t.subject, []).append(t.object)
     pairs: set[tuple[Term, Term]] = set()
     for start in edges:
@@ -509,46 +512,35 @@ def transitive_pairs(graph: Graph, predicate: Iri) -> set[tuple[Term, Term]]:
 
 def _pattern_solutions(graph: Graph, pattern: TriplePattern, binding: dict[str, Term],
                        closures: dict[Iri, set[tuple[Term, Term]]]):
+    """Extensions of `binding` that match `pattern`, in no particular order."""
     def resolve(slot):
-        if isinstance(slot, str):
-            return binding.get(slot)
-        return slot
+        return binding.get(slot) if isinstance(slot, str) else slot
 
+    s_val, o_val = resolve(pattern.subject), resolve(pattern.object)
     if isinstance(pattern.predicate, PathPlus):
         pred = pattern.predicate.iri
         if pred not in closures:
             closures[pred] = transitive_pairs(graph, pred)
-        s_val, o_val = resolve(pattern.subject), resolve(pattern.object)
-        for s, o in sorted(closures[pred], key=lambda p: (term_key(p[0]), term_key(p[1]))):
-            if s_val is not None and s != s_val:
-                continue
-            if o_val is not None and o != o_val:
-                continue
-            new = dict(binding)
-            ok = True
-            for slot, value in ((pattern.subject, s), (pattern.object, o)):
-                if isinstance(slot, str):
-                    if slot in new and new[slot] != value:
-                        ok = False
-                        break
-                    new[slot] = value
-            if ok:
-                yield new
-        return
-
-    s_val, p_val, o_val = resolve(pattern.subject), resolve(pattern.predicate), resolve(pattern.object)
-    for t in graph.match(s_val, p_val, o_val):
-        new = dict(binding)
-        ok = True
-        for slot, value in ((pattern.subject, t.subject), (pattern.predicate, t.predicate),
-                            (pattern.object, t.object)):
-            if isinstance(slot, str):
-                if slot in new and new[slot] != value:
-                    ok = False
-                    break
-                new[slot] = value
-        if ok:
+        slots = (pattern.subject, pattern.object)
+        rows = (pair for pair in closures[pred]
+                if (s_val is None or pair[0] == s_val) and (o_val is None or pair[1] == o_val))
+    else:
+        slots = (pattern.subject, pattern.predicate, pattern.object)
+        rows = ((t.subject, t.predicate, t.object)
+                for t in graph.find(s_val, resolve(pattern.predicate), o_val))
+    for values in rows:
+        new = _bind(binding, slots, values)
+        if new is not None:
             yield new
+
+
+def _bind(binding: dict[str, Term], slots, values) -> dict[str, Term] | None:
+    """`binding` plus each variable slot bound to its value; None on a clash."""
+    new = dict(binding)
+    for slot, value in zip(slots, values):
+        if isinstance(slot, str) and new.setdefault(slot, value) != value:
+            return None
+    return new
 
 
 DEFAULT_SOLUTION_CEILING = 1_000_000

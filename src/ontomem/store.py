@@ -152,15 +152,12 @@ class StoreHandle:
         return int(self.config["embedding_dimension"])
 
 
-def init_store(root: str | Path, config_overrides: dict[str, str] | None = None) -> StoreHandle:
+def init_store(root: str | Path) -> StoreHandle:
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
     if (root / "version").exists():
         raise StoreError(f"store already initialized at {root}")
-    config = dict(DEFAULT_CONFIG)
-    if config_overrides:
-        config.update(config_overrides)
-    _write_config(root / "config", config)
+    _write_config(root / "config", DEFAULT_CONFIG)
     (root / "version").write_text("0\n", encoding="utf-8")
     (root / "trusted.ttl").write_text(serialize_turtle(Graph(), DEFAULT_PREFIXES), encoding="utf-8")
     (root / "registry.ttl").write_text(serialize_turtle(Graph(), DEFAULT_PREFIXES), encoding="utf-8")
@@ -379,12 +376,14 @@ def delta_files(root: str | Path) -> list[tuple[int, Path]]:
     return out
 
 
-def graph_at_version(root: str | Path, version: int) -> Graph:
-    """Union of delta-1 .. delta-version; version 0 is the empty graph."""
+def graph_at_version(root: str | Path, version: int, since: int = 0) -> Graph:
+    """Union of delta-(since+1) .. delta-version; version 0 is the empty graph."""
     g = Graph()
     for v, path in delta_files(root):
         if v > version:
             break
+        if v <= since:
+            continue
         delta_graph, _ = parse_turtle(path.read_text(encoding="utf-8"))
         for t in delta_graph:
             g.insert(t, Provenance(source_id=path.name, origin=Origin.SOURCE_DOCUMENT))

@@ -29,8 +29,8 @@ from .fusion import (
 )
 from .builder import AmbiguousAlias
 from .hanoi import run_benchmark
-from .rdf_core import Iri, Origin, StructuralError, Term, Triple, parse_term_text, triple_text
-from .reasoner import materialize
+from .rdf_core import Iri, Origin, StructuralError, Term, Triple, diff, parse_term_text, triple_text
+from .reasoner import extend, materialize
 from .shacl import validate
 from .sparql import EvaluationLimitError, QueryParseError, evaluate, parse_query
 from .store import StoreHandle, graph_at_version, load_shapes_file, read_version
@@ -71,19 +71,21 @@ def svc_logic_check(handle: StoreHandle) -> dict:
 
 
 def svc_diff(handle: StoreHandle, v1: int, v2: int, include_inferred: bool = False) -> dict:
-    g1 = graph_at_version(handle.root, v1)
-    g2 = graph_at_version(handle.root, v2)
+    """Triples added and removed from version v1 to v2. The deltas only add, so
+    the lower version is read once and the deltas above it are added to it."""
+    lo, hi = sorted((v1, v2))
+    g_lo = graph_at_version(handle.root, lo)
+    new = graph_at_version(handle.root, hi, since=lo).find()
     if include_inferred:
-        g1, g2 = materialize(g1), materialize(g2)
-    added, removed = _diff_texts(g1, g2)
-    return {"from_version": v1, "to_version": v2, "added": added, "removed": removed,
-            "include_inferred": include_inferred}
-
-
-def _diff_texts(g1, g2) -> tuple[list[str], list[str]]:
-    from .rdf_core import diff
-    added, removed = diff(g1, g2)
-    return (sorted(triple_text(t) for t in added), sorted(triple_text(t) for t in removed))
+        g_lo = materialize(g_lo)
+        g_hi = extend(g_lo, new)
+    else:
+        g_hi = g_lo.copy()
+        for t in new:
+            g_hi.insert(t)
+    added, removed = diff(g_lo, g_hi) if v1 <= v2 else diff(g_hi, g_lo)
+    return {"from_version": v1, "to_version": v2, "added": sorted(map(triple_text, added)),
+            "removed": sorted(map(triple_text, removed)), "include_inferred": include_inferred}
 
 
 def svc_check(handle: StoreHandle, claims: list[Claim], diagnostics: list[str] | None = None) -> dict:

@@ -4,6 +4,8 @@ The accepted subset: @prefix directives, prefixed names, absolute IRIs in
 angle brackets, labeled blank nodes, string literals with ^^datatype or @lang,
 integer/decimal/boolean shorthand, `a`, `;` and `,` abbreviations, `#`
 comments. Collections `( ... )` and anonymous blanks `[ ... ]` are out.
+Every malformed input raises TurtleParseError at the line and column of the
+token at fault.
 
 Serialization is canonical: sorted prefixes, one fully-spelled triple per
 line in canonical term order, blank labels renumbered, trailing newline.
@@ -16,6 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .namespaces import RDF_LANGSTRING, RDF_TYPE, XSD_BOOLEAN, XSD_DECIMAL, XSD_INTEGER, XSD_STRING
 from .rdf_core import (
@@ -58,19 +61,33 @@ class TurtleParseError(ValueError):
 # Tokenizer
 # ---------------------------------------------------------------------------
 
-_PNAME_RE = re.compile(
-    r"(?:[A-Za-z_][A-Za-z0-9_.\-]*)?:"          # prefix label (optional) + colon
-    r"(?:[A-Za-z0-9_](?:[A-Za-z0-9_.\-]*[A-Za-z0-9_\-])?)?"  # local, no trailing dot
-)
-_BLANK_RE = re.compile(r"_:[A-Za-z0-9_][A-Za-z0-9_.\-]*")
-_DECIMAL_RE = re.compile(r"[+-]?[0-9]*\.[0-9]+")
-_INTEGER_RE = re.compile(r"[+-]?[0-9]+")
-_LANGTAG_RE = re.compile(r"@[A-Za-z]+(?:-[A-Za-z0-9]+)*")
-_KEYWORD_RE = re.compile(r"(a|true|false)(?![A-Za-z0-9_\-:])")
+# One alternative per token kind, tried in this order at each position. A
+# string or IRI never spans a line, so NL is the only token that ends one.
+_TOKEN_RE = re.compile(r"""
+    (?P<NL>\n)
+  | (?P<SKIP>[ \t\r]+ | \#[^\n]*)
+  | (?P<PREFIX_DIR>@prefix)
+  | (?P<LANGTAG>@[A-Za-z]+(?:-[A-Za-z0-9]+)*)
+  | (?P<IRIREF><[^>\n]*>)
+  | (?P<STRING>"[^"\\\n]*(?:\\[^\n][^"\\\n]*)*")
+  | (?P<HATHAT>\^\^)
+  | (?P<DOT>\.)
+  | (?P<SEMI>;)
+  | (?P<COMMA>,)
+  | (?P<BLANK>_:[A-Za-z0-9_](?:[A-Za-z0-9_.\-]*[A-Za-z0-9_\-])?)
+  | (?P<A>a(?![A-Za-z0-9_\-:]))
+  | (?P<BOOL>(?:true|false)(?![A-Za-z0-9_\-:]))
+  | (?P<DEC>[+-]?[0-9]*\.[0-9]+)
+  | (?P<INT>[+-]?[0-9]+)
+  | (?P<PNAME>(?:[A-Za-z_][A-Za-z0-9_.\-]*)?:(?:[A-Za-z0-9_](?:[A-Za-z0-9_.\-]*[A-Za-z0-9_\-])?)?)
+  | (?P<BAD>.)
+""", re.VERBOSE | re.DOTALL)
+
+# What a BAD character means: a lone '@', '<' or '"' opens a token that failed.
+_BAD_MESSAGES = {"@": "unsupported directive", "<": "unterminated IRI", '"': "unterminated literal"}
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # PREFIX_DIR IRIREF PNAME BLANK STRING LANGTAG HATHAT A BOOL INT DEC DOT SEMI COMMA EOF
     value: str
     line: int
@@ -79,151 +96,31 @@ class _Token:
 
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-
-    def err(message: str, at_line: int, at_col: int):
-        raise TurtleParseError([ParseDiagnostic(at_line, at_col, message)])
-
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
+    line, line_start = 1, 0
+    for m in _TOKEN_RE.finditer(text):
+        kind, value = m.lastgroup, m.group()
+        if kind == "NL":
+            line, line_start = line + 1, m.end()
             continue
-        if c in " \t\r":
-            i += 1
-            col += 1
+        if kind == "SKIP":
             continue
-        if c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_line, start_col = line, col
-
-        if c == "@":
-            if text.startswith("@prefix", i):
-                tokens.append(_Token("PREFIX_DIR", "@prefix", line, col))
-                i += 7
-                col += 7
-                continue
-            m = _LANGTAG_RE.match(text, i)
-            if m:
-                tokens.append(_Token("LANGTAG", m.group()[1:], line, col))
-                col += len(m.group())
-                i = m.end()
-                continue
-            err("unsupported directive", line, col)
-
-        if c == "<":
-            end = text.find(">", i + 1)
-            newline = text.find("\n", i + 1)
-            if end == -1 or (newline != -1 and newline < end):
-                err("unterminated IRI", start_line, start_col)
-            iri = text[i + 1:end]
-            tokens.append(_Token("IRIREF", iri, line, col))
-            col += end - i + 1
-            i = end + 1
-            continue
-
-        if c == '"':
-            j = i + 1
-            buf: list[str] = []
-            while True:
-                if j >= n or text[j] == "\n":
-                    err("unterminated literal", start_line, start_col)
-                ch = text[j]
-                if ch == "\\":
-                    if j + 1 >= n:
-                        err("unterminated literal", start_line, start_col)
-                    nxt = text[j + 1]
-                    if nxt == "u" and j + 5 < n:
-                        buf.append(chr(int(text[j + 2:j + 6], 16)))
-                        j += 6
-                        continue
-                    if nxt == "U" and j + 9 < n:
-                        buf.append(chr(int(text[j + 2:j + 10], 16)))
-                        j += 10
-                        continue
-                    buf.append(unescape_literal(text[j:j + 2]))
-                    j += 2
-                    continue
-                if ch == '"':
-                    break
-                buf.append(ch)
-                j += 1
-            tokens.append(_Token("STRING", "".join(buf), start_line, start_col))
-            col += j + 1 - i
-            i = j + 1
-            continue
-
-        if text.startswith("^^", i):
-            tokens.append(_Token("HATHAT", "^^", line, col))
-            i += 2
-            col += 2
-            continue
-
-        if c == ".":
-            tokens.append(_Token("DOT", ".", line, col))
-            i += 1
-            col += 1
-            continue
-        if c == ";":
-            tokens.append(_Token("SEMI", ";", line, col))
-            i += 1
-            col += 1
-            continue
-        if c == ",":
-            tokens.append(_Token("COMMA", ",", line, col))
-            i += 1
-            col += 1
-            continue
-
-        m = _BLANK_RE.match(text, i)
-        if m:
-            label = m.group()[2:]
-            if label.endswith("."):  # trailing dot is the statement terminator
-                label = label.rstrip(".")
-                m_len = 2 + len(label)
-            else:
-                m_len = len(m.group())
-            tokens.append(_Token("BLANK", label, line, col))
-            i += m_len
-            col += m_len
-            continue
-
-        m = _KEYWORD_RE.match(text, i)
-        if m:
-            kind = "A" if m.group(1) == "a" else "BOOL"
-            tokens.append(_Token(kind, m.group(1), line, col))
-            i = m.end()
-            col += len(m.group())
-            continue
-
-        m = _DECIMAL_RE.match(text, i)
-        if m:
-            tokens.append(_Token("DEC", m.group(), line, col))
-            i = m.end()
-            col += len(m.group())
-            continue
-        m = _INTEGER_RE.match(text, i)
-        if m:
-            tokens.append(_Token("INT", m.group(), line, col))
-            i = m.end()
-            col += len(m.group())
-            continue
-
-        m = _PNAME_RE.match(text, i)
-        if m and ":" in m.group():
-            tokens.append(_Token("PNAME", m.group(), line, col))
-            i = m.end()
-            col += len(m.group())
-            continue
-
-        err(f"unexpected character {c!r}", line, col)
-
-    tokens.append(_Token("EOF", "", line, col))
+        col = m.start() - line_start + 1
+        if kind == "BAD":
+            message = _BAD_MESSAGES.get(value, f"unexpected character {value!r}")
+            raise TurtleParseError([ParseDiagnostic(line, col, message)])
+        if kind == "STRING":
+            try:
+                value = unescape_literal(value[1:-1])
+            except StructuralError as e:
+                raise TurtleParseError([ParseDiagnostic(line, col, str(e))]) from None
+        elif kind == "IRIREF":
+            value = value[1:-1]
+        elif kind == "LANGTAG":
+            value = value[1:]
+        elif kind == "BLANK":
+            value = value[2:]
+        tokens.append(_Token(kind, value, line, col))
+    tokens.append(_Token("EOF", "", line, len(text) - line_start + 1))
     return tokens
 
 
@@ -282,10 +179,7 @@ class _Parser:
             predicate = self.term("predicate")
             while True:
                 obj = self.term("object")
-                try:
-                    self.graph.insert(Triple(subject, predicate, obj))
-                except StructuralError as e:  # pragma: no cover - positions guard earlier
-                    self.fail(str(e), self.peek())
+                self.graph.insert(Triple(subject, predicate, obj))
                 if self.peek().kind == "COMMA":
                     self.take()
                     continue
@@ -302,7 +196,7 @@ class _Parser:
     def term(self, position: str) -> Term:
         tok = self.take()
         if tok.kind == "IRIREF":
-            term: Term = Iri(tok.value)
+            term: Term = self.iri(tok.value, tok)
         elif tok.kind == "PNAME":
             term = self.resolve_pname(tok)
         elif tok.kind == "A":
@@ -337,10 +231,9 @@ class _Parser:
             self.take()
             dt = self.take()
             if dt.kind == "IRIREF":
-                return Literal(tok.value, dt.value)
+                return Literal(tok.value, self.iri(dt.value, dt).value)
             if dt.kind == "PNAME":
-                resolved = self.resolve_pname(dt)
-                return Literal(tok.value, resolved.value)
+                return Literal(tok.value, self.resolve_pname(dt).value)
             self.fail("expected datatype IRI after '^^'", dt)
         return Literal(tok.value, XSD_STRING)
 
@@ -348,7 +241,13 @@ class _Parser:
         label, _, local = tok.value.partition(":")
         if label not in self.prefixes:
             self.fail(f"unknown prefix '{label}'", tok)
-        return Iri(self.prefixes[label] + local)
+        return self.iri(self.prefixes[label] + local, tok)
+
+    def iri(self, value: str, tok: _Token) -> Iri:
+        try:
+            return Iri(value)
+        except StructuralError as e:
+            self.fail(str(e), tok)
 
 
 def parse_turtle(text: str) -> tuple[Graph, PrefixMap]:

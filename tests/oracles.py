@@ -25,6 +25,7 @@ from ontomem.namespaces import (
 from ontomem.rdf_core import Graph, Iri, Literal, StructuralError, Triple, term_text, triple_key
 from ontomem.reasoner import Derivation, RuleId
 from ontomem.sparql import IsIriTest, PathPlus, Query, QueryForm, RegexMatch
+from ontomem.turtle_io import ParseDiagnostic, TurtleParseError
 
 # ---------------------------------------------------------------------------
 # SPARQL: enumerate every |terms|^|vars| assignment and filter
@@ -360,6 +361,151 @@ def oracle_graph_retrieve(graph: Graph, seeds, radius: int) -> list:
             out.append((t, min(hops)))
     out.sort(key=lambda pair: (pair[1], triple_key(pair[0])))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Turtle: the hand-written character loop the token table replaced
+# ---------------------------------------------------------------------------
+
+_OLD_PNAME_RE = re.compile(
+    r"(?:[A-Za-z_][A-Za-z0-9_.\-]*)?:"
+    r"(?:[A-Za-z0-9_](?:[A-Za-z0-9_.\-]*[A-Za-z0-9_\-])?)?"
+)
+_OLD_BLANK_RE = re.compile(r"_:[A-Za-z0-9_][A-Za-z0-9_.\-]*")
+_OLD_DECIMAL_RE = re.compile(r"[+-]?[0-9]*\.[0-9]+")
+_OLD_INTEGER_RE = re.compile(r"[+-]?[0-9]+")
+_OLD_LANGTAG_RE = re.compile(r"@[A-Za-z]+(?:-[A-Za-z0-9]+)*")
+_OLD_KEYWORD_RE = re.compile(r"(a|true|false)(?![A-Za-z0-9_\-:])")
+_OLD_ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "r": "\r", "t": "\t"}
+
+
+def oracle_tokenize(text: str) -> list[tuple[str, str, int, int]]:
+    """(kind, value, line, column) tokens of a Turtle-subset document, read
+    one character at a time with explicit line and column counters."""
+    tokens: list[tuple[str, str, int, int]] = []
+    i, line, col = 0, 1, 1
+    n = len(text)
+
+    def err(message: str, at_line: int, at_col: int):
+        raise TurtleParseError([ParseDiagnostic(at_line, at_col, message)])
+
+    while i < n:
+        c = text[i]
+        if c == "\n":
+            i += 1
+            line += 1
+            col = 1
+            continue
+        if c in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if c == "#":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        start_line, start_col = line, col
+
+        if c == "@":
+            if text.startswith("@prefix", i):
+                tokens.append(("PREFIX_DIR", "@prefix", line, col))
+                i += 7
+                col += 7
+                continue
+            m = _OLD_LANGTAG_RE.match(text, i)
+            if m:
+                tokens.append(("LANGTAG", m.group()[1:], line, col))
+                col += len(m.group())
+                i = m.end()
+                continue
+            err("unsupported directive", line, col)
+
+        if c == "<":
+            end = text.find(">", i + 1)
+            newline = text.find("\n", i + 1)
+            if end == -1 or (newline != -1 and newline < end):
+                err("unterminated IRI", start_line, start_col)
+            tokens.append(("IRIREF", text[i + 1:end], line, col))
+            col += end - i + 1
+            i = end + 1
+            continue
+
+        if c == '"':
+            j = i + 1
+            buf: list[str] = []
+            while True:
+                if j >= n or text[j] == "\n":
+                    err("unterminated literal", start_line, start_col)
+                ch = text[j]
+                if ch == "\\":
+                    if j + 1 >= n:
+                        err("unterminated literal", start_line, start_col)
+                    nxt = text[j + 1]
+                    if nxt == "u" and j + 5 < n:
+                        buf.append(chr(int(text[j + 2:j + 6], 16)))
+                        j += 6
+                        continue
+                    if nxt == "U" and j + 9 < n:
+                        buf.append(chr(int(text[j + 2:j + 10], 16)))
+                        j += 10
+                        continue
+                    buf.append(_OLD_ESCAPES.get(nxt, text[j:j + 2]))
+                    j += 2
+                    continue
+                if ch == '"':
+                    break
+                buf.append(ch)
+                j += 1
+            tokens.append(("STRING", "".join(buf), start_line, start_col))
+            col += j + 1 - i
+            i = j + 1
+            continue
+
+        if text.startswith("^^", i):
+            tokens.append(("HATHAT", "^^", line, col))
+            i += 2
+            col += 2
+            continue
+
+        if c in ".;,":
+            tokens.append(({".": "DOT", ";": "SEMI", ",": "COMMA"}[c], c, line, col))
+            i += 1
+            col += 1
+            continue
+
+        m = _OLD_BLANK_RE.match(text, i)
+        if m:
+            label = m.group()[2:].rstrip(".")  # a trailing dot ends the statement
+            tokens.append(("BLANK", label, line, col))
+            i += 2 + len(label)
+            col += 2 + len(label)
+            continue
+
+        m = _OLD_KEYWORD_RE.match(text, i)
+        if m:
+            tokens.append(("A" if m.group(1) == "a" else "BOOL", m.group(1), line, col))
+            i = m.end()
+            col += len(m.group())
+            continue
+
+        m = _OLD_DECIMAL_RE.match(text, i) or _OLD_INTEGER_RE.match(text, i)
+        if m:
+            tokens.append(("DEC" if "." in m.group() else "INT", m.group(), line, col))
+            i = m.end()
+            col += len(m.group())
+            continue
+
+        m = _OLD_PNAME_RE.match(text, i)
+        if m:
+            tokens.append(("PNAME", m.group(), line, col))
+            i = m.end()
+            col += len(m.group())
+            continue
+
+        err(f"unexpected character {c!r}", line, col)
+
+    tokens.append(("EOF", "", line, col))
+    return tokens
 
 
 # ---------------------------------------------------------------------------

@@ -233,6 +233,14 @@ class TestParseClaims:
         assert not result.claims
         assert result.diagnostics and "line 1" in result.diagnostics[0]
 
+    def test_unicode_escapes_decode_or_diagnose(self):
+        line = ('{"subject": "<http://ex.org/a>", "predicate": "<http://ex.org/p>", '
+                '"object": "\\"caf\\\\u%s\\""}')
+        result = parse_claims("\n".join([line % "00e9", line % "00"]))
+        assert [c.statement.object for c in result.claims] == [Literal("café")]
+        assert len(result.diagnostics) == 1
+        assert result.diagnostics[0].startswith("line 2: malformed escape")
+
     def test_best_effort_over_mixed_file(self):
         good = ('{"subject": "<http://ex.org/a%d>", "predicate": "<http://ex.org/p>", '
                 '"object": "<http://ex.org/b>"}')

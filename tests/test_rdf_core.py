@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -37,6 +38,22 @@ class TestTerms:
                     "http://ex.org/{x}"):
             with pytest.raises(StructuralError):
                 Iri(bad)
+
+    def test_iri_check_agrees_with_isspace_on_every_code_point(self):
+        # Iri uses one regex class; `\s` must be exactly str.isspace.
+        forbidden = set('<>"{}|^`\\')
+        everything = "".join(map(chr, range(0x110000)))
+        by_regex = set(re.findall(r'[\s<>"{}|^`\\]', everything))
+        assert by_regex == {c for c in everything if c.isspace() or c in forbidden}
+        for c in sorted(by_regex)[:5] + sorted(by_regex)[-5:]:
+            with pytest.raises(StructuralError):
+                Iri(f"http://ex.org/a{c}b")
+
+    def test_unescape_is_shared_by_term_text(self):
+        assert parse_term_text('"caf\\u00e9 \\U0001F600 \\q"') == Literal("café \U0001F600 \\q")
+        for bad in ('"\\u00e"', '"\\uD800"', '"\\U00110000"', '"\\u 123"'):
+            with pytest.raises(StructuralError, match="malformed escape"):
+                parse_term_text(bad)
 
     def test_literal_language_needs_langstring(self):
         with pytest.raises(StructuralError):

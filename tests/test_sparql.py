@@ -81,6 +81,20 @@ class TestParse:
 
 
 class TestEvaluate:
+    def test_unicode_escape_matches_the_turtle_literal(self):
+        from ontomem.turtle_io import parse_turtle
+        g, _ = parse_turtle('@prefix ex: <http://ex.org/> . ex:shop ex:name "caf\\u00e9" .')
+        q = parse_query('PREFIX ex: <http://ex.org/> SELECT ?s WHERE { ?s ex:name "caf\\u00e9" }')
+        assert q.patterns[0].object == Literal("café")
+        assert evaluate(q, g).bindings == [{"s": iri("shop")}]
+
+    def test_malformed_unicode_escape_is_parse_error(self):
+        with pytest.raises(QueryParseError) as exc:
+            parse_query('SELECT ?s WHERE { ?s ?p "caf\\u00" }')
+        diag = exc.value.diagnostics[0]
+        assert "malformed escape" in diag.message
+        assert (diag.line, diag.column) == (1, 25)
+
     def test_empty_graph(self):
         q = parse_query("SELECT ?x WHERE { ?x ?p ?o }")
         assert evaluate(q, Graph()).bindings == []

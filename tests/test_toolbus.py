@@ -1,5 +1,6 @@
 import gc
 import io
+import itertools
 import json
 import shutil
 import socket
@@ -11,7 +12,9 @@ import weakref
 import pytest
 
 from ontomem.builder import GateResult, graph_candidates
-from ontomem.store import load_store
+from ontomem.rdf_core import diff, triple_text
+from ontomem.reasoner import materialize
+from ontomem.store import graph_at_version, load_store
 from ontomem.toolbus import (
     INTERNAL_ERROR,
     INVALID_PARAMS,
@@ -21,6 +24,7 @@ from ontomem.toolbus import (
     ToolBus,
     serve_stdio,
     serve_tcp,
+    svc_diff,
 )
 from ontomem.turtle_io import parse_turtle
 from conftest import DATA, run_cli
@@ -173,6 +177,39 @@ class TestBusCliEquivalence:
         code, out, _ = run_cli("--store", str(built_store), "--json", "diff", "0", "1")
         assert code == 0
         assert via_bus == json.loads(out)
+
+    def test_graph_diff_reads_each_delta_once_and_agrees(self, tmp_path):
+        # Three commits, each a schema file; every version pair 0..4, plain and
+        # inferred, against two whole versions read and materialized apart.
+        store, empty = tmp_path / "s", tmp_path / "empty"
+        empty.mkdir()
+        run_cli("--store", str(store), "init")
+        schemas = [
+            "ex:Dog rdfs:subClassOf ex:Animal . ex:rex a ex:Dog .",
+            "ex:Animal rdfs:subClassOf ex:Thing . ex:owns rdfs:range ex:Pet .",
+            "ex:bob ex:owns ex:rex . ex:rex ex:likes ex:bob . ex:Dog rdfs:subClassOf ex:Pet .",
+        ]
+        for i, body in enumerate(schemas):
+            schema = tmp_path / f"schema{i}.ttl"
+            schema.write_text("@prefix ex: <http://ex.org/> .\n"
+                              "@prefix rdfs: <http://www.w3.org/2000/01/rdf-schema#> .\n" + body,
+                              encoding="utf-8")
+            code, _, err = run_cli("--store", str(store), "build", "--sources", str(empty),
+                                   "--schema", str(schema),
+                                   "--extractor", "transcript", "--transcripts", str(empty))
+            assert code == 0, err
+        handle = load_store(store)
+        assert handle.store.version == 3
+        for v1, v2, inferred in itertools.product(range(5), range(5), (False, True)):
+            g1, g2 = graph_at_version(store, v1), graph_at_version(store, v2)
+            if inferred:
+                g1, g2 = materialize(g1), materialize(g2)
+            added, removed = diff(g1, g2)
+            assert svc_diff(handle, v1, v2, inferred) == {
+                "from_version": v1, "to_version": v2,
+                "added": sorted(triple_text(t) for t in added),
+                "removed": sorted(triple_text(t) for t in removed),
+                "include_inferred": inferred}
 
     def test_fact_check(self, regulatory_store):
         bus = ToolBus(load_store(regulatory_store))

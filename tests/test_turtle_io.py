@@ -1,13 +1,17 @@
 import random
+import re
+import time
 from pathlib import Path
 
 import pytest
 
 from ontomem.namespaces import RDF_TYPE, XSD_DECIMAL, XSD_INTEGER
 from ontomem.rdf_core import Graph, Iri, Literal, Triple, isomorphic
-from ontomem.turtle_io import Severity, TurtleParseError, parse_turtle, serialize_turtle
+from ontomem.turtle_io import Severity, TurtleParseError, _tokenize, parse_turtle, serialize_turtle
+from oracles import oracle_tokenize
 
 FIXTURES = sorted(Path(__file__).parent.glob("fixtures/turtle/*.ttl"))
+EX = "@prefix ex: <http://ex.org/> .\n"
 
 
 def test_fixture_corpus_is_large_enough():
@@ -87,6 +91,52 @@ class TestParse:
         lit = next(iter(g)).object
         assert lit.lexical == 'l1\nl2\t"q" ★'
 
+    def test_other_escapes_stay_as_written(self):
+        g, _ = parse_turtle(EX + 'ex:a ex:p "\\q \\\\u0041 \\U0001F600 \\r" .')
+        assert next(iter(g)).object.lexical == "\\q \\u0041 \U0001F600 \r"
+
+    @pytest.mark.parametrize("body", ["\\u00", "star \\u265 here", "\\uD800", "\\uDFFF",
+                                      "\\U00110000", "\\U0001F60", "\\u+123", "\\u1_00", "end \\u"])
+    def test_malformed_unicode_escape_is_positioned_error(self, body):
+        # The parent read the first three as a bare ValueError, as U+0265 with
+        # the space swallowed, and as a lone surrogate that no file can hold.
+        with pytest.raises(TurtleParseError) as exc:
+            parse_turtle(EX + f'ex:a ex:p "{body}" .\n')
+        diag = exc.value.diagnostics[0]
+        assert "malformed escape" in diag.message
+        assert (diag.line, diag.column) == (2, 11)
+
+    def test_backslash_before_newline_is_unterminated_literal(self):
+        doc = EX + 'ex:a ex:p "one\\\ntwo" .\nex:b ex:p ex:c .\n'
+        with pytest.raises(TurtleParseError) as exc:
+            parse_turtle(doc)
+        diag = exc.value.diagnostics[0]
+        assert diag.message == "unterminated literal"
+        assert (diag.line, diag.column) == (2, 11)
+
+    def test_eof_after_trailing_comment_is_past_the_comment(self):
+        assert _tokenize("ex:a ex:p ex:b . # end")[-1] == ("EOF", "", 1, 23)
+        assert _tokenize("# only\n  # two")[-1] == ("EOF", "", 2, 8)
+
+    @pytest.mark.parametrize("doc, column", [
+        ("<a b> ex:p ex:o .", 1),
+        ("ex:s <a b> ex:o .", 6),
+        ("ex:s ex:p <a b> .", 11),
+        ('ex:s ex:p "x"^^<a b> .', 16),
+        ('ex:s ex:p "x"^^<> .', 16),
+    ])
+    def test_bad_iri_is_positioned_error(self, doc, column):
+        with pytest.raises(TurtleParseError) as exc:
+            parse_turtle(EX + doc)
+        diag = exc.value.diagnostics[0]
+        assert diag.message.startswith("IRI must be non-empty")
+        assert (diag.line, diag.column) == (2, column)
+
+    def test_bad_iri_through_prefix_is_positioned_error(self):
+        with pytest.raises(TurtleParseError) as exc:
+            parse_turtle("@prefix ex: <http://ex.org/a b#> .\nex:s ex:p ex:o .")
+        assert (exc.value.diagnostics[0].line, exc.value.diagnostics[0].column) == (2, 1)
+
     def test_number_in_subject_position_rejected(self):
         with pytest.raises(TurtleParseError) as exc:
             parse_turtle("@prefix ex: <http://ex.org/> . 30 ex:p ex:b .")
@@ -163,3 +213,114 @@ def test_round_trip_corpus(path):
     assert isomorphic(g1, g2)
     # serializing the reparse of canonical text is a fixpoint
     assert serialize_turtle(g2, prefixes) == text
+
+
+
+# ---------------------------------------------------------------------------
+# The token table against the character loop it replaced (tests/oracles.py)
+# ---------------------------------------------------------------------------
+
+_PIECES = ["\\", "\\u", "\\U", "\\u00", "\\u265 ", "\\uD800", "\\u00e9", "\\U0001F600",
+           "\\U00110000", '"', "<", ">", "@", "#", "# c", "\n", "\\\n", " ", ".", ";", ",",
+           ":", "_:", "^^", "a", "0", "e", "\t", "\r", "é", "-", "+", "@en", "@prefix"]
+_LITERAL_RE = re.compile(r'"[^"\\\n]*(?:\\[^\n][^"\\\n]*)*"')
+_OPEN_LITERAL_RE = re.compile(r'"[^"\\\n]*(?:\\[^\n][^"\\\n]*)*\\\n')
+
+
+def _mutate(doc: str, rng: random.Random) -> str:
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randint(0, len(doc))
+        op = rng.random()
+        if op < 0.45:
+            doc = doc[:i] + rng.choice(_PIECES) + doc[i:]
+        elif op < 0.7:
+            doc = doc[:i] + doc[i + rng.randint(1, 3):]
+        elif op < 0.9:
+            doc = doc[:i] + rng.choice(_PIECES) + doc[i + 1:]
+        else:
+            doc = doc[:i]
+    return doc
+
+
+def _outcome(tokenize, text: str):
+    try:
+        return "tokens", [tuple(tok) for tok in tokenize(text)]
+    except TurtleParseError as e:
+        diag = e.diagnostics[0]
+        return "error", (diag.message, diag.line, diag.column)
+    except Exception as e:  # the oracle's crashes: ValueError, IndexError, ...
+        return "crash", type(e).__name__
+
+
+def _offset(text: str, line: int, column: int) -> int:
+    return sum(len(ln) + 1 for ln in text.split("\n")[:line - 1]) + column - 1
+
+
+def _bad_unicode_escape(body: str) -> bool:
+    """A \\u or \\U in a literal body not followed by 4 or 8 hex digits naming a
+    Unicode scalar value, read one escape pair at a time."""
+    i = 0
+    while i < len(body) - 1:
+        if body[i] != "\\":
+            i += 1
+            continue
+        width = {"u": 4, "U": 8}.get(body[i + 1])
+        if width is not None:
+            digits = body[i + 2:i + 2 + width]
+            if len(digits) < width or any(c not in "0123456789abcdefABCDEF" for c in digits):
+                return True
+            value = int(digits, 16)
+            if value > 0x10FFFF or 0xD800 <= value <= 0xDFFF:
+                return True
+        i += 2
+    return False
+
+
+def _difference(text: str, old, new) -> str:
+    """Which named difference separates the two outcomes; fails on any other."""
+    if old[0] == "crash":
+        assert new[0] == "error", (text, old, new)
+        return "oracle crash"
+    if new[0] == "error":
+        message, line, column = new[1]
+        at = _offset(text, line, column)
+        # Both read the text before the failing literal alike.
+        assert _outcome(oracle_tokenize, text[:at]) == _outcome(_tokenize, text[:at]), text
+        if message.startswith("malformed escape"):
+            m = _LITERAL_RE.match(text, at)
+            assert m and _bad_unicode_escape(m.group()[1:-1]), (text, old, new)
+            return "1: malformed unicode escape"
+        if message == "unterminated literal":
+            if _OPEN_LITERAL_RE.match(text, at):
+                return "2: backslash before newline"
+            # The oracle read a newline as one of a \u's four digits.
+            assert _bad_unicode_escape(text[at + 1:].split("\n", 1)[0]), (text, old, new)
+            return "1: malformed unicode escape"
+    if old[0] == new[0] == "tokens":
+        last_line = text.rsplit("\n", 1)[-1]
+        assert old[1][:-1] == new[1][:-1] and old[1][-1][:3] == new[1][-1][:3], (text, old, new)
+        assert "#" in last_line and new[1][-1][3] == len(last_line) + 1, (text, old, new)
+        return "3: EOF after trailing comment"
+    raise AssertionError(f"unexplained difference on {text!r}: {old} vs {new}")
+
+
+def test_token_table_matches_character_loop():
+    started = time.perf_counter()
+    docs = [path.read_text(encoding="utf-8") for path in FIXTURES]
+    rng = random.Random(20260418)
+    inputs = docs + [_mutate(rng.choice(docs), rng) for _ in range(12_000)]
+    tally: dict[str, int] = {}
+    for text in inputs:
+        old, new = _outcome(oracle_tokenize, text), _outcome(_tokenize, text)
+        kind = "identical" if old == new else _difference(text, old, new)
+        tally[kind] = tally.get(kind, 0) + 1
+        # Whatever is wrong with a document, the parser names a place in it.
+        try:
+            parse_turtle(text)
+        except TurtleParseError as e:
+            lines, diag = text.split("\n"), e.diagnostics[0]
+            assert 1 <= diag.column <= len(lines[diag.line - 1]) + 1, (text, diag)
+    assert set(tally) == {"identical", "oracle crash", "1: malformed unicode escape",
+                          "2: backslash before newline", "3: EOF after trailing comment"}, tally
+    assert tally["identical"] > 0.95 * len(inputs), tally
+    assert time.perf_counter() - started < 10
