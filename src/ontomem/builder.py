@@ -349,8 +349,6 @@ class EntityRegistry:
     def resolve(self, mention: str) -> str | None:
         """Existing IRI for the mention, None when unknown; raises on ambiguity."""
         owners = self._exact.get(mention, set())
-        if mention in self.ambiguous and len(owners) > 1:
-            raise AmbiguousAlias(mention, sorted(owners))
         if len(owners) == 1:
             return next(iter(owners))
         if len(owners) > 1:

@@ -254,9 +254,9 @@ def check_consistency(graph: Graph) -> list[Conflict]:
 
     # (a) instance typed into two owl:disjointWith classes
     types_of: dict[Term, set[Term]] = {}
-    for t in graph.match(None, _TYPE, None):
+    for t in graph.find(None, _TYPE, None):
         types_of.setdefault(t.subject, set()).add(t.object)
-    for decl in graph.match(None, _DISJOINT, None):
+    for decl in graph.find(None, _DISJOINT, None):
         a_cls, b_cls = decl.subject, decl.object
         for node, classes in types_of.items():
             if a_cls in classes and b_cls in classes and a_cls != b_cls:
@@ -264,12 +264,12 @@ def check_consistency(graph: Graph) -> list[Conflict]:
                 conflicts.append(Conflict(ConflictKind.DISJOINT_CLASS, node, detail))
 
     # (b) functional property with two distinct objects on one subject
-    for decl in graph.match(None, _TYPE, _FUNCTIONAL_CLS):
+    for decl in graph.find(None, _TYPE, _FUNCTIONAL_CLS):
         prop = decl.subject
         if not isinstance(prop, Iri):
             continue
         values: dict[Term, list[Triple]] = {}
-        for use in graph.match(None, prop, None):
+        for use in graph.find(None, prop, None):
             values.setdefault(use.subject, []).append(use)
         for subject, uses in values.items():
             if len({u.object for u in uses}) > 1:
@@ -278,7 +278,7 @@ def check_consistency(graph: Graph) -> list[Conflict]:
 
     # (c) triple asserted positively while its negation overlay is recorded
     true_lit = Literal("true", XSD_BOOLEAN)
-    for neg in graph.match(None, Iri(SYS_NOT), true_lit):
+    for neg in graph.find(None, Iri(SYS_NOT), true_lit):
         stmt = neg.subject
         s = single_object(graph, stmt, RDF_SUBJECT)
         p = single_object(graph, stmt, RDF_PREDICATE)

@@ -47,6 +47,11 @@ class PropertyShape:
     def __post_init__(self) -> None:
         if self.min_count is not None and self.max_count is not None and self.min_count > self.max_count:
             raise ShapeError(f"minCount {self.min_count} exceeds maxCount {self.max_count}")
+        if self.pattern is not None:
+            try:
+                re.compile(self.pattern)
+            except (re.error, OverflowError, RecursionError) as e:
+                raise ShapeError(f"sh:pattern of {self.path.value} does not compile: {e}") from None
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,12 @@
 """SPARQL subset: SELECT/ASK over conjunctive patterns, filters, one-step
 transitive paths (`p+`), LIMIT.
 
+The text is read as one token list, as turtle_io reads Turtle. As in the W3C
+grammar, a name directly followed by ':' is a prefixed name even when it spells
+a keyword (`a:p`, `true:x`), and a '<' that can open an IRI reference is read
+as one. Every malformed query, a bad IRI or an invalid regex included, raises
+QueryParseError at a line and column.
+
 Patterns are joined in the order written, each looked up with the positions
 that earlier patterns bound. Only the final sort fixes the order of the rows:
 the test suite holds evaluation to a naive all-assignments oracle.
@@ -11,6 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from .namespaces import (
     NUMERIC_DATATYPES,
@@ -134,314 +141,277 @@ class SolutionSequence:
 # Parser
 # ---------------------------------------------------------------------------
 
-_VAR_RE = re.compile(r"\?([A-Za-z_][A-Za-z0-9_]*)")
-_PNAME_RE = re.compile(r"(?:[A-Za-z_][A-Za-z0-9_\-]*)?:(?:[A-Za-z0-9_](?:[A-Za-z0-9_.\-]*[A-Za-z0-9_\-])?)?")
-_WORD_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_IRIREF_RE = re.compile(r"<[^<>\"{}|^`\\ \t\n]*>")
-_NUM_RE = re.compile(r"[+-]?[0-9]+(\.[0-9]+)?")
+# One alternative per token kind, tried in this order at each position. No
+# token spans a line, so NL is the only one that ends a line. A sign is an OP:
+# the parser joins it to the number right after it.
+_TOKEN_RE = re.compile(r"""
+    (?P<NL>\n)
+  | (?P<SKIP>[^\S\n]+ | \#[^\n]*)
+  | (?P<VAR>\?[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<IRIREF><[^<>"{}|^`\\ \t\n]*>)
+  | (?P<STRING>"[^"\\\n]*(?:\\.[^"\\\n]*)*")
+  | (?P<LANGTAG>@[A-Za-z]+(?:-[A-Za-z0-9]+)*)
+  | (?P<PNAME>(?:[A-Za-z_][A-Za-z0-9_\-]*)?:(?:[A-Za-z0-9_](?:[A-Za-z0-9_.\-]*[A-Za-z0-9_\-])?)?)
+  | (?P<WORD>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<NUM>[0-9]+(?:\.[0-9]+)?)
+  | (?P<OP>\^\^ | [<>!]= | .)
+""", re.VERBOSE)
+
+_COMPARE_OPS = {op.value: op for op in CompareOp}
 
 
-class _Lexer:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.line = 1
-        self.col = 1
+class _Token(NamedTuple):
+    kind: str  # VAR IRIREF STRING LANGTAG PNAME WORD NUM OP EOF
+    text: str  # as written
+    line: int
+    col: int
 
-    def _advance(self, length: int) -> None:
-        chunk = self.text[self.pos:self.pos + length]
-        newlines = chunk.count("\n")
-        if newlines:
-            self.line += newlines
-            self.col = length - chunk.rfind("\n")
-        else:
-            self.col += length
-        self.pos += length
 
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text):
-            c = self.text[self.pos]
-            if c == "#":
-                end = self.text.find("\n", self.pos)
-                self._advance((end if end != -1 else len(self.text)) - self.pos)
-            elif c.isspace():
-                self._advance(1)
-            else:
-                break
-
-    def eof(self) -> bool:
-        self.skip_ws()
-        return self.pos >= len(self.text)
-
-    def error(self, message: str):
-        raise QueryParseError([ParseDiagnostic(self.line, self.col, message)])
-
-    def try_regex(self, regex: re.Pattern) -> str | None:
-        self.skip_ws()
-        m = regex.match(self.text, self.pos)
-        if m:
-            self._advance(len(m.group()))
-            return m.group()
-        return None
-
-    def try_literal(self, token: str) -> bool:
-        self.skip_ws()
-        if self.text.startswith(token, self.pos):
-            self._advance(len(token))
-            return True
-        return False
-
-    def try_keyword(self, word: str) -> bool:
-        self.skip_ws()
-        m = _WORD_RE.match(self.text, self.pos)
-        if m and m.group().upper() == word:
-            self._advance(len(m.group()))
-            return True
-        return False
-
-    def peek_word(self) -> str | None:
-        self.skip_ws()
-        m = _WORD_RE.match(self.text, self.pos)
-        return m.group() if m else None
+def _tokenize(text: str) -> list[_Token]:
+    tokens: list[_Token] = []
+    line, line_start = 1, 0
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "NL":
+            line, line_start = line + 1, m.end()
+        elif kind != "SKIP":
+            tokens.append(_Token(kind, m.group(), line, m.start() - line_start + 1))
+    tokens.append(_Token("EOF", "", line, len(text) - line_start + 1))
+    return tokens
 
 
 class _QueryParser:
-    def __init__(self, text: str):
-        self.lex = _Lexer(text)
+    def __init__(self, tokens: list[_Token]):
+        self.tokens = tokens
+        self.pos = 0
         self.prefixes: PrefixMap = {}
 
+    def peek(self) -> _Token:
+        return self.tokens[self.pos]
+
+    def take(self) -> _Token:
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def fail(self, message: str, tok: _Token | None = None, past: bool = False):
+        """Raise at `tok` (the next token by default), or just past it."""
+        tok = tok or self.peek()
+        col = tok.col + len(tok.text) if past else tok.col
+        raise QueryParseError([ParseDiagnostic(tok.line, col, message)])
+
+    def accept(self, text: str) -> bool:
+        if self.peek().text == text:
+            self.pos += 1
+            return True
+        return False
+
+    def expect(self, text: str, message: str) -> None:
+        if not self.accept(text):
+            self.fail(message)
+
+    def keyword(self, word: str) -> bool:
+        tok = self.peek()
+        if tok.kind == "WORD" and tok.text.upper() == word:
+            self.pos += 1
+            return True
+        return False
+
+    def reject_unsupported(self, tok: _Token | None = None) -> None:
+        tok = tok or self.peek()
+        if tok.kind == "WORD" and tok.text.upper() in _UNSUPPORTED:
+            raise UnsupportedFeatureError(tok.text.upper(), tok.line, tok.col)
+
     def parse(self) -> Query:
-        lex = self.lex
-        while lex.try_keyword("PREFIX"):
-            pname = lex.try_regex(_PNAME_RE)
-            if pname is None or not pname.endswith(":"):
-                lex.error("expected prefix label ending in ':'")
-            iriref = lex.try_regex(_IRIREF_RE)
-            if iriref is None:
-                lex.error("expected namespace IRI")
-            self.prefixes[pname[:-1]] = iriref[1:-1]
+        while self.keyword("PREFIX"):
+            label = self.take()
+            if label.kind != "PNAME" or not label.text.endswith(":"):
+                self.fail("expected prefix label ending in ':'", label, past=label.kind == "PNAME")
+            namespace = self.take()
+            if namespace.kind != "IRIREF":
+                self.fail("expected namespace IRI", namespace)
+            self.prefixes[label.text[:-1]] = namespace.text[1:-1]
 
-        self._reject_unsupported()
-        if lex.try_keyword("SELECT"):
-            return self._select()
-        if lex.try_keyword("ASK"):
-            return self._ask()
-        lex.error("expected SELECT or ASK")
-
-    def _reject_unsupported(self) -> None:
-        word = self.lex.peek_word()
-        if word and word.upper() in _UNSUPPORTED:
-            raise UnsupportedFeatureError(word.upper(), self.lex.line, self.lex.col)
-
-    def _select(self) -> Query:
-        lex = self.lex
+        self.reject_unsupported()
         projection: list[str] = []
-        while True:
-            self._reject_unsupported()
-            var = lex.try_regex(_VAR_RE)
-            if var is None:
-                break
-            projection.append(var[1:])
-        if not projection:
-            lex.error("SELECT requires at least one variable")
-        if not lex.try_keyword("WHERE"):
-            lex.error("expected WHERE")
+        if self.keyword("SELECT"):
+            form = QueryForm.SELECT
+            while True:
+                self.reject_unsupported()
+                if self.peek().kind != "VAR":
+                    break
+                projection.append(self.take().text[1:])
+            if not projection:
+                self.fail("SELECT requires at least one variable")
+        elif self.keyword("ASK"):
+            form = QueryForm.ASK
+        else:
+            self.fail("expected SELECT or ASK")
+        if not self.keyword("WHERE"):
+            self.fail("expected WHERE")
         patterns, filters = self._group()
-        limit = self._limit()
-        if not lex.eof():
-            self._reject_unsupported()
-            lex.error("trailing content after query")
-        query = Query(QueryForm.SELECT, tuple(projection), tuple(patterns), tuple(filters),
-                      limit, tuple(sorted(self.prefixes.items())))
-        self._check_variables(query)
-        return query
-
-    def _ask(self) -> Query:
-        lex = self.lex
-        if not lex.try_keyword("WHERE"):
-            lex.error("expected WHERE")
-        patterns, filters = self._group()
-        if not lex.eof():
-            self._reject_unsupported()
-            lex.error("trailing content after query")
-        query = Query(QueryForm.ASK, (), tuple(patterns), tuple(filters), None,
+        limit = self._limit() if form is QueryForm.SELECT else None
+        if self.peek().kind != "EOF":
+            self.reject_unsupported()
+            self.fail("trailing content after query")
+        query = Query(form, tuple(projection), tuple(patterns), tuple(filters), limit,
                       tuple(sorted(self.prefixes.items())))
         self._check_variables(query)
         return query
 
     def _group(self) -> tuple[list[TriplePattern], list[FilterExpr]]:
-        lex = self.lex
-        if not lex.try_literal("{"):
-            lex.error("expected '{'")
+        self.expect("{", "expected '{'")
         patterns: list[TriplePattern] = []
         filters: list[FilterExpr] = []
-        while True:
-            if lex.try_literal("}"):
-                break
-            if lex.eof():
-                lex.error("unterminated group pattern")
-            self._reject_unsupported()
-            lex.skip_ws()
-            if lex.text.startswith("{", lex.pos):
-                # nested group: name the combinator that needed it, if visible
-                rest = lex.text[lex.pos:].upper()
-                for feature in sorted(_UNSUPPORTED):
-                    if re.search(r"\b" + feature + r"\b", rest):
-                        raise UnsupportedFeatureError(feature, lex.line, lex.col)
-                lex.error("nested group patterns are not supported")
-            if lex.try_keyword("FILTER"):
+        while not self.accept("}"):
+            if self.peek().kind == "EOF":
+                self.fail("unterminated group pattern")
+            self.reject_unsupported()
+            tok = self.peek()
+            if tok.text == "{":
+                # nested group: name the combinator that needed it, if any follows
+                words = {t.text.upper() for t in self.tokens[self.pos:] if t.kind == "WORD"}
+                named = sorted(words & _UNSUPPORTED)
+                if named:
+                    raise UnsupportedFeatureError(named[0], tok.line, tok.col)
+                self.fail("nested group patterns are not supported")
+            if self.keyword("FILTER"):
                 filters.append(self._filter())
-                lex.try_literal(".")
-                continue
-            patterns.append(self._pattern())
-            lex.try_literal(".")
+            else:
+                patterns.append(TriplePattern(self._term("subject"), self._predicate(),
+                                              self._term("object")))
+            self.accept(".")
         return patterns, filters
 
-    def _pattern(self) -> TriplePattern:
-        s = self._term_or_var("subject")
-        p = self._predicate()
-        o = self._term_or_var("object")
-        return TriplePattern(s, p, o)
-
     def _predicate(self) -> Term | str | PathPlus:
-        lex = self.lex
-        if lex.try_keyword("A"):
+        if self.keyword("A"):
             return Iri(RDF_TYPE)
-        slot = self._term_or_var("predicate")
-        if isinstance(slot, Iri) and lex.try_literal("+"):
+        slot = self._term("predicate")
+        if isinstance(slot, Iri) and self.accept("+"):
             return PathPlus(slot)
         return slot
 
-    def _term_or_var(self, position: str) -> Term | str:
-        lex = self.lex
-        var = lex.try_regex(_VAR_RE)
-        if var is not None:
-            return var[1:]
-        iriref = lex.try_regex(_IRIREF_RE)
-        if iriref is not None:
-            return Iri(iriref[1:-1])
-        lex.skip_ws()
-        if lex.text.startswith('"', lex.pos):
-            return self._string_literal()
-        num = lex.try_regex(_NUM_RE)
-        if num is not None:
-            return Literal(num, XSD_DECIMAL if "." in num else XSD_INTEGER)
-        if lex.try_keyword("TRUE"):
-            return Literal("true", XSD_BOOLEAN)
-        if lex.try_keyword("FALSE"):
-            return Literal("false", XSD_BOOLEAN)
-        self._reject_unsupported()
-        pname = lex.try_regex(_PNAME_RE)
-        if pname is not None:
-            label, _, local = pname.partition(":")
-            if label not in self.prefixes:
-                lex.error(f"unknown prefix '{label}'")
-            return Iri(self.prefixes[label] + local)
-        lex.error(f"expected {position} term or variable")
+    def _term(self, position: str) -> Term | str:
+        tok = self.take()
+        kind, text = tok.kind, tok.text
+        if kind == "VAR":
+            return text[1:]
+        if kind == "IRIREF":
+            return self._iri(text[1:-1], tok)
+        if kind == "STRING" or text == '"':
+            return self._literal(tok)
+        if text in ("+", "-"):
+            num = self.peek()
+            if num.kind == "NUM" and (num.line, num.col) == (tok.line, tok.col + 1):
+                self.pos += 1
+                kind, text = "NUM", text + num.text
+        if kind == "NUM":
+            return Literal(text, XSD_DECIMAL if "." in text else XSD_INTEGER)
+        if kind == "WORD" and text.upper() in ("TRUE", "FALSE"):
+            return Literal(text.lower(), XSD_BOOLEAN)
+        self.reject_unsupported(tok)
+        if kind == "PNAME":
+            return self._pname(tok)
+        self.fail(f"expected {position} term or variable", tok)
 
-    def _string_literal(self) -> Literal:
-        lex = self.lex
-        lex.skip_ws()
-        m = re.compile(r'"((?:[^"\\\n]|\\.)*)"').match(lex.text, lex.pos)
-        if m is None:
-            lex.error("unterminated string literal")
+    def _literal(self, tok: _Token) -> Literal:
+        if tok.kind != "STRING":
+            self.fail("unterminated string literal", tok)
         try:
-            lexical = unescape_literal(m.group(1))
+            lexical = unescape_literal(tok.text[1:-1])
         except StructuralError as e:
-            lex.error(str(e))
-        lex._advance(len(m.group()))
-        if lex.try_literal("^^"):
-            iriref = lex.try_regex(_IRIREF_RE)
-            if iriref is not None:
-                return Literal(lexical, iriref[1:-1])
-            pname = lex.try_regex(_PNAME_RE)
-            if pname is not None:
-                label, _, local = pname.partition(":")
-                if label not in self.prefixes:
-                    lex.error(f"unknown prefix '{label}'")
-                return Literal(lexical, self.prefixes[label] + local)
-            lex.error("expected datatype IRI after '^^'")
-        lang = lex.try_regex(re.compile(r"@[A-Za-z]+(?:-[A-Za-z0-9]+)*"))
-        if lang is not None:
-            return Literal(lexical, RDF_LANGSTRING, lang[1:])
+            self.fail(str(e), tok)
+        if self.accept("^^"):
+            dt = self.take()
+            if dt.kind == "IRIREF":
+                return Literal(lexical, self._iri(dt.text[1:-1], dt).value)
+            if dt.kind == "PNAME":
+                return Literal(lexical, self._pname(dt).value)
+            self.fail("expected datatype IRI after '^^'", dt)
+        if self.peek().kind == "LANGTAG":
+            return Literal(lexical, RDF_LANGSTRING, self.take().text[1:])
         return Literal(lexical)
 
+    def _pname(self, tok: _Token) -> Iri:
+        label, _, local = tok.text.partition(":")
+        if label not in self.prefixes:
+            self.fail(f"unknown prefix '{label}'", tok, past=True)
+        return self._iri(self.prefixes[label] + local, tok)
+
+    def _iri(self, value: str, tok: _Token) -> Iri:
+        try:
+            return Iri(value)
+        except StructuralError as e:
+            self.fail(str(e), tok)
+
     def _filter(self) -> FilterExpr:
-        lex = self.lex
-        if not lex.try_literal("("):
-            lex.error("expected '(' after FILTER")
-        word = lex.peek_word()
-        if word and word.lower() in ("isiri", "isuri"):
-            lex.try_regex(_WORD_RE)
-            if not lex.try_literal("("):
-                lex.error("expected '(' after isIRI")
-            var = lex.try_regex(_VAR_RE)
-            if var is None:
-                lex.error("isIRI takes a variable")
-            if not lex.try_literal(")"):
-                lex.error("expected ')'")
-            expr: FilterExpr = IsIriTest(var[1:])
-        elif word and word.lower() == "regex":
-            lex.try_regex(_WORD_RE)
-            if not lex.try_literal("("):
-                lex.error("expected '(' after regex")
-            var = lex.try_regex(_VAR_RE)
-            if var is None:
-                lex.error("regex takes a variable first")
-            if not lex.try_literal(","):
-                lex.error("expected ',' in regex")
-            pattern = self._string_literal()
-            if not lex.try_literal(")"):
-                lex.error("expected ')'")
-            expr = RegexMatch(var[1:], pattern.lexical)
+        self.expect("(", "expected '(' after FILTER")
+        tok = self.peek()
+        name = tok.text.lower() if tok.kind == "WORD" else None
+        if name in ("isiri", "isuri"):
+            self.pos += 1
+            self.expect("(", "expected '(' after isIRI")
+            expr: FilterExpr = IsIriTest(self._variable("isIRI takes a variable"))
+            self.expect(")", "expected ')'")
+        elif name == "regex":
+            self.pos += 1
+            self.expect("(", "expected '(' after regex")
+            var = self._variable("regex takes a variable first")
+            self.expect(",", "expected ',' in regex")
+            tok = self.take()
+            pattern = self._literal(tok).lexical
+            try:
+                re.compile(pattern)
+            except (re.error, OverflowError, RecursionError) as e:
+                self.fail(f"invalid regex pattern: {e}", tok)
+            self.expect(")", "expected ')'")
+            expr = RegexMatch(var, pattern)
         else:
-            var = lex.try_regex(_VAR_RE)
-            if var is None:
-                self._reject_unsupported()
-                lex.error("FILTER comparison starts with a variable")
-            op = None
-            for sym in ("<=", ">=", "!=", "=", "<", ">"):
-                if lex.try_literal(sym):
-                    op = CompareOp(sym)
-                    break
+            if self.peek().kind != "VAR":
+                self.reject_unsupported()
+                self.fail("FILTER comparison starts with a variable")
+            var = self.take().text[1:]
+            op = _COMPARE_OPS.get(self.peek().text)
             if op is None:
-                lex.error("expected comparison operator")
-            rhs = self._term_or_var("comparison")
-            expr = Comparison(var[1:], op, rhs)
-        if not lex.try_literal(")"):
-            lex.error("expected ')' closing FILTER")
+                self.fail("expected comparison operator")
+            self.pos += 1
+            expr = Comparison(var, op, self._term("comparison"))
+        self.expect(")", "expected ')' closing FILTER")
         return expr
 
+    def _variable(self, message: str) -> str:
+        if self.peek().kind != "VAR":
+            self.fail(message)
+        return self.take().text[1:]
+
     def _limit(self) -> int | None:
-        lex = self.lex
-        if lex.try_keyword("LIMIT"):
-            num = lex.try_regex(re.compile(r"[0-9]+"))
-            if num is None:
-                lex.error("LIMIT requires an integer")
-            value = int(num)
-            if value < 1:
-                lex.error("LIMIT must be >= 1")
-            return value
-        return None
+        if not self.keyword("LIMIT"):
+            return None
+        tok = self.take()
+        if tok.kind != "NUM" or "." in tok.text:
+            self.fail("LIMIT requires an integer", tok)
+        try:
+            value = int(tok.text)
+        except ValueError:  # more digits than int() converts
+            self.fail("LIMIT is too large", tok)
+        if value < 1:
+            self.fail("LIMIT must be >= 1", tok, past=True)
+        return value
 
     def _check_variables(self, query: Query) -> None:
-        in_patterns: set[str] = set()
-        for p in query.patterns:
-            in_patterns |= p.variables()
-        for v in query.projection:
-            if v not in in_patterns:
-                self.lex.error(f"projected variable ?{v} not in pattern")
-        for f in query.filters:
-            used = [f.variable] if not isinstance(f, Comparison) else (
-                [f.variable, f.rhs] if isinstance(f.rhs, str) else [f.variable])
-            for v in used:
-                if v not in in_patterns:
-                    self.lex.error(f"filter variable ?{v} not in pattern")
+        bound = set().union(*(p.variables() for p in query.patterns))
+        filtered = [v for f in query.filters
+                    for v in ((f.variable, f.rhs) if isinstance(f, Comparison) else (f.variable,))
+                    if isinstance(v, str)]
+        for role, names in (("projected", query.projection), ("filter", filtered)):
+            for v in names:
+                if v not in bound:
+                    self.fail(f"{role} variable ?{v} not in pattern")
 
 
 def parse_query(text: str) -> Query:
     """Parse the SPARQL subset; unsupported constructs are rejected by name."""
-    return _QueryParser(text).parse()
+    return _QueryParser(_tokenize(text)).parse()
 
 
 # ---------------------------------------------------------------------------

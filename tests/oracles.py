@@ -16,16 +16,43 @@ from ontomem.namespaces import (
     OWL_INVERSEOF,
     OWL_SYMMETRIC,
     OWL_TRANSITIVE,
+    RDF_LANGSTRING,
     RDF_TYPE,
     RDFS_DOMAIN,
     RDFS_RANGE,
     RDFS_SUBCLASSOF,
     RDFS_SUBPROPERTYOF,
+    XSD_BOOLEAN,
+    XSD_DECIMAL,
+    XSD_INTEGER,
 )
-from ontomem.rdf_core import Graph, Iri, Literal, StructuralError, Triple, term_text, triple_key
+from ontomem.rdf_core import (
+    Graph,
+    Iri,
+    Literal,
+    StructuralError,
+    Term,
+    Triple,
+    term_text,
+    triple_key,
+    unescape_literal,
+)
 from ontomem.reasoner import Derivation, RuleId
-from ontomem.sparql import IsIriTest, PathPlus, Query, QueryForm, RegexMatch
-from ontomem.turtle_io import ParseDiagnostic, TurtleParseError
+from ontomem.sparql import (
+    _UNSUPPORTED,
+    Comparison,
+    CompareOp,
+    FilterExpr,
+    IsIriTest,
+    PathPlus,
+    Query,
+    QueryForm,
+    QueryParseError,
+    RegexMatch,
+    TriplePattern,
+    UnsupportedFeatureError,
+)
+from ontomem.turtle_io import ParseDiagnostic, PrefixMap, TurtleParseError
 
 # ---------------------------------------------------------------------------
 # SPARQL: enumerate every |terms|^|vars| assignment and filter
@@ -506,6 +533,321 @@ def oracle_tokenize(text: str) -> list[tuple[str, str, int, int]]:
 
     tokens.append(("EOF", "", line, col))
     return tokens
+
+
+# ---------------------------------------------------------------------------
+# SPARQL parser: the scannerless lexer the token table replaced
+# ---------------------------------------------------------------------------
+
+_OLD_VAR_RE = re.compile(r"\?([A-Za-z_][A-Za-z0-9_]*)")
+_OLD_QUERY_PNAME_RE = re.compile(r"(?:[A-Za-z_][A-Za-z0-9_\-]*)?:(?:[A-Za-z0-9_](?:[A-Za-z0-9_.\-]*[A-Za-z0-9_\-])?)?")
+_OLD_WORD_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_OLD_IRIREF_RE = re.compile(r"<[^<>\"{}|^`\\ \t\n]*>")
+_OLD_NUM_RE = re.compile(r"[+-]?[0-9]+(\.[0-9]+)?")
+
+
+class _OldLexer:
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+        self.line = 1
+        self.col = 1
+
+    def _advance(self, length: int) -> None:
+        chunk = self.text[self.pos:self.pos + length]
+        newlines = chunk.count("\n")
+        if newlines:
+            self.line += newlines
+            self.col = length - chunk.rfind("\n")
+        else:
+            self.col += length
+        self.pos += length
+
+    def skip_ws(self) -> None:
+        while self.pos < len(self.text):
+            c = self.text[self.pos]
+            if c == "#":
+                end = self.text.find("\n", self.pos)
+                self._advance((end if end != -1 else len(self.text)) - self.pos)
+            elif c.isspace():
+                self._advance(1)
+            else:
+                break
+
+    def eof(self) -> bool:
+        self.skip_ws()
+        return self.pos >= len(self.text)
+
+    def error(self, message: str):
+        raise QueryParseError([ParseDiagnostic(self.line, self.col, message)])
+
+    def try_regex(self, regex: re.Pattern) -> str | None:
+        self.skip_ws()
+        m = regex.match(self.text, self.pos)
+        if m:
+            self._advance(len(m.group()))
+            return m.group()
+        return None
+
+    def try_literal(self, token: str) -> bool:
+        self.skip_ws()
+        if self.text.startswith(token, self.pos):
+            self._advance(len(token))
+            return True
+        return False
+
+    def try_keyword(self, word: str) -> bool:
+        self.skip_ws()
+        m = _OLD_WORD_RE.match(self.text, self.pos)
+        if m and m.group().upper() == word:
+            self._advance(len(m.group()))
+            return True
+        return False
+
+    def peek_word(self) -> str | None:
+        self.skip_ws()
+        m = _OLD_WORD_RE.match(self.text, self.pos)
+        return m.group() if m else None
+
+
+class _OldQueryParser:
+    def __init__(self, text: str):
+        self.lex = _OldLexer(text)
+        self.prefixes: PrefixMap = {}
+
+    def parse(self) -> Query:
+        lex = self.lex
+        while lex.try_keyword("PREFIX"):
+            pname = lex.try_regex(_OLD_QUERY_PNAME_RE)
+            if pname is None or not pname.endswith(":"):
+                lex.error("expected prefix label ending in ':'")
+            iriref = lex.try_regex(_OLD_IRIREF_RE)
+            if iriref is None:
+                lex.error("expected namespace IRI")
+            self.prefixes[pname[:-1]] = iriref[1:-1]
+
+        self._reject_unsupported()
+        if lex.try_keyword("SELECT"):
+            return self._select()
+        if lex.try_keyword("ASK"):
+            return self._ask()
+        lex.error("expected SELECT or ASK")
+
+    def _reject_unsupported(self) -> None:
+        word = self.lex.peek_word()
+        if word and word.upper() in _UNSUPPORTED:
+            raise UnsupportedFeatureError(word.upper(), self.lex.line, self.lex.col)
+
+    def _select(self) -> Query:
+        lex = self.lex
+        projection: list[str] = []
+        while True:
+            self._reject_unsupported()
+            var = lex.try_regex(_OLD_VAR_RE)
+            if var is None:
+                break
+            projection.append(var[1:])
+        if not projection:
+            lex.error("SELECT requires at least one variable")
+        if not lex.try_keyword("WHERE"):
+            lex.error("expected WHERE")
+        patterns, filters = self._group()
+        limit = self._limit()
+        if not lex.eof():
+            self._reject_unsupported()
+            lex.error("trailing content after query")
+        query = Query(QueryForm.SELECT, tuple(projection), tuple(patterns), tuple(filters),
+                      limit, tuple(sorted(self.prefixes.items())))
+        self._check_variables(query)
+        return query
+
+    def _ask(self) -> Query:
+        lex = self.lex
+        if not lex.try_keyword("WHERE"):
+            lex.error("expected WHERE")
+        patterns, filters = self._group()
+        if not lex.eof():
+            self._reject_unsupported()
+            lex.error("trailing content after query")
+        query = Query(QueryForm.ASK, (), tuple(patterns), tuple(filters), None,
+                      tuple(sorted(self.prefixes.items())))
+        self._check_variables(query)
+        return query
+
+    def _group(self) -> tuple[list[TriplePattern], list[FilterExpr]]:
+        lex = self.lex
+        if not lex.try_literal("{"):
+            lex.error("expected '{'")
+        patterns: list[TriplePattern] = []
+        filters: list[FilterExpr] = []
+        while True:
+            if lex.try_literal("}"):
+                break
+            if lex.eof():
+                lex.error("unterminated group pattern")
+            self._reject_unsupported()
+            lex.skip_ws()
+            if lex.text.startswith("{", lex.pos):
+                # nested group: name the combinator that needed it, if visible
+                rest = lex.text[lex.pos:].upper()
+                for feature in sorted(_UNSUPPORTED):
+                    if re.search(r"\b" + feature + r"\b", rest):
+                        raise UnsupportedFeatureError(feature, lex.line, lex.col)
+                lex.error("nested group patterns are not supported")
+            if lex.try_keyword("FILTER"):
+                filters.append(self._filter())
+                lex.try_literal(".")
+                continue
+            patterns.append(self._pattern())
+            lex.try_literal(".")
+        return patterns, filters
+
+    def _pattern(self) -> TriplePattern:
+        s = self._term_or_var("subject")
+        p = self._predicate()
+        o = self._term_or_var("object")
+        return TriplePattern(s, p, o)
+
+    def _predicate(self) -> Term | str | PathPlus:
+        lex = self.lex
+        if lex.try_keyword("A"):
+            return Iri(RDF_TYPE)
+        slot = self._term_or_var("predicate")
+        if isinstance(slot, Iri) and lex.try_literal("+"):
+            return PathPlus(slot)
+        return slot
+
+    def _term_or_var(self, position: str) -> Term | str:
+        lex = self.lex
+        var = lex.try_regex(_OLD_VAR_RE)
+        if var is not None:
+            return var[1:]
+        iriref = lex.try_regex(_OLD_IRIREF_RE)
+        if iriref is not None:
+            return Iri(iriref[1:-1])
+        lex.skip_ws()
+        if lex.text.startswith('"', lex.pos):
+            return self._string_literal()
+        num = lex.try_regex(_OLD_NUM_RE)
+        if num is not None:
+            return Literal(num, XSD_DECIMAL if "." in num else XSD_INTEGER)
+        if lex.try_keyword("TRUE"):
+            return Literal("true", XSD_BOOLEAN)
+        if lex.try_keyword("FALSE"):
+            return Literal("false", XSD_BOOLEAN)
+        self._reject_unsupported()
+        pname = lex.try_regex(_OLD_QUERY_PNAME_RE)
+        if pname is not None:
+            label, _, local = pname.partition(":")
+            if label not in self.prefixes:
+                lex.error(f"unknown prefix '{label}'")
+            return Iri(self.prefixes[label] + local)
+        lex.error(f"expected {position} term or variable")
+
+    def _string_literal(self) -> Literal:
+        lex = self.lex
+        lex.skip_ws()
+        m = re.compile(r'"((?:[^"\\\n]|\\.)*)"').match(lex.text, lex.pos)
+        if m is None:
+            lex.error("unterminated string literal")
+        try:
+            lexical = unescape_literal(m.group(1))
+        except StructuralError as e:
+            lex.error(str(e))
+        lex._advance(len(m.group()))
+        if lex.try_literal("^^"):
+            iriref = lex.try_regex(_OLD_IRIREF_RE)
+            if iriref is not None:
+                return Literal(lexical, iriref[1:-1])
+            pname = lex.try_regex(_OLD_QUERY_PNAME_RE)
+            if pname is not None:
+                label, _, local = pname.partition(":")
+                if label not in self.prefixes:
+                    lex.error(f"unknown prefix '{label}'")
+                return Literal(lexical, self.prefixes[label] + local)
+            lex.error("expected datatype IRI after '^^'")
+        lang = lex.try_regex(re.compile(r"@[A-Za-z]+(?:-[A-Za-z0-9]+)*"))
+        if lang is not None:
+            return Literal(lexical, RDF_LANGSTRING, lang[1:])
+        return Literal(lexical)
+
+    def _filter(self) -> FilterExpr:
+        lex = self.lex
+        if not lex.try_literal("("):
+            lex.error("expected '(' after FILTER")
+        word = lex.peek_word()
+        if word and word.lower() in ("isiri", "isuri"):
+            lex.try_regex(_OLD_WORD_RE)
+            if not lex.try_literal("("):
+                lex.error("expected '(' after isIRI")
+            var = lex.try_regex(_OLD_VAR_RE)
+            if var is None:
+                lex.error("isIRI takes a variable")
+            if not lex.try_literal(")"):
+                lex.error("expected ')'")
+            expr: FilterExpr = IsIriTest(var[1:])
+        elif word and word.lower() == "regex":
+            lex.try_regex(_OLD_WORD_RE)
+            if not lex.try_literal("("):
+                lex.error("expected '(' after regex")
+            var = lex.try_regex(_OLD_VAR_RE)
+            if var is None:
+                lex.error("regex takes a variable first")
+            if not lex.try_literal(","):
+                lex.error("expected ',' in regex")
+            pattern = self._string_literal()
+            if not lex.try_literal(")"):
+                lex.error("expected ')'")
+            expr = RegexMatch(var[1:], pattern.lexical)
+        else:
+            var = lex.try_regex(_OLD_VAR_RE)
+            if var is None:
+                self._reject_unsupported()
+                lex.error("FILTER comparison starts with a variable")
+            op = None
+            for sym in ("<=", ">=", "!=", "=", "<", ">"):
+                if lex.try_literal(sym):
+                    op = CompareOp(sym)
+                    break
+            if op is None:
+                lex.error("expected comparison operator")
+            rhs = self._term_or_var("comparison")
+            expr = Comparison(var[1:], op, rhs)
+        if not lex.try_literal(")"):
+            lex.error("expected ')' closing FILTER")
+        return expr
+
+    def _limit(self) -> int | None:
+        lex = self.lex
+        if lex.try_keyword("LIMIT"):
+            num = lex.try_regex(re.compile(r"[0-9]+"))
+            if num is None:
+                lex.error("LIMIT requires an integer")
+            value = int(num)
+            if value < 1:
+                lex.error("LIMIT must be >= 1")
+            return value
+        return None
+
+    def _check_variables(self, query: Query) -> None:
+        in_patterns: set[str] = set()
+        for p in query.patterns:
+            in_patterns |= p.variables()
+        for v in query.projection:
+            if v not in in_patterns:
+                self.lex.error(f"projected variable ?{v} not in pattern")
+        for f in query.filters:
+            used = [f.variable] if not isinstance(f, Comparison) else (
+                [f.variable, f.rhs] if isinstance(f.rhs, str) else [f.variable])
+            for v in used:
+                if v not in in_patterns:
+                    self.lex.error(f"filter variable ?{v} not in pattern")
+
+
+def oracle_parse_query(text: str) -> Query:
+    """The SPARQL subset read without a token list: each parser step skips
+    whitespace and matches its own regex or literal at the current offset."""
+    return _OldQueryParser(text).parse()
 
 
 # ---------------------------------------------------------------------------

@@ -195,6 +195,28 @@ class TestConsistency:
         second = check_consistency(g)
         assert first == second
         assert [c.subject.value for c in first] == sorted(c.subject.value for c in first)
+        # Index buckets are read unsorted, so the insertion order of a triple
+        # set must not reach the report.
+        from test_factcheck import _fuzzed_graph
+        rng = random.Random(13)
+        with_conflicts = 0
+        for _ in range(150):
+            triples = list(_fuzzed_graph(rng))
+            if rng.random() < 0.3:
+                a, b = f"C{rng.randrange(5)}", f"C{rng.randrange(5)}"
+                triples += [tr(a, OWL_DISJOINTWITH, b), tr(b, OWL_DISJOINTWITH, a),
+                            tr(f"p{rng.randrange(4)}", RDF_TYPE, OWL_FUNCTIONAL)]
+            reports = []
+            for _ in range(2):
+                rng.shuffle(triples)
+                shuffled = Graph()
+                for t in triples:
+                    shuffled.insert(t)
+                reports.append(check_consistency(materialize(shuffled)))
+            first, second = reports
+            assert first == second
+            with_conflicts += bool(first)
+        assert with_conflicts >= 30
 
 
 # ---------------------------------------------------------------------------

@@ -93,6 +93,18 @@ class TestParseShapes:
         shapes, _ = parse_shapes(g)
         assert shapes[0].property_shapes[0].value_in == (Literal("open"), Literal("closed"))
 
+    def test_pattern_that_does_not_compile_rejected(self):
+        doc = """
+        @prefix sh: <http://www.w3.org/ns/shacl#> .
+        @prefix ex: <http://ex.org/> .
+        ex:S a sh:NodeShape ; sh:targetClass ex:T ; sh:property _:p .
+        _:p sh:path ex:code ; sh:pattern "(" .
+        """
+        g, _ = parse_turtle(doc)
+        with pytest.raises(ShapeError) as exc:
+            parse_shapes(g)
+        assert "sh:pattern of http://ex.org/code does not compile" in str(exc.value)
+
     def test_min_above_max_rejected(self):
         with pytest.raises(ShapeError):
             PropertyShape(path=iri("p"), min_count=3, max_count=1)

@@ -1,22 +1,30 @@
+import ast
 import random
+import re
+import time
+from pathlib import Path
 
 import pytest
 
-from ontomem.rdf_core import Graph, Iri, Literal, Triple, term_text
+from ontomem.rdf_core import Graph, Iri, Literal, Triple, escape_literal, term_text
 from ontomem.namespaces import XSD_INTEGER
 from ontomem.sparql import (
+    _UNSUPPORTED,
     Comparison,
     CompareOp,
+    IsIriTest,
     PathPlus,
     Query,
     QueryForm,
     QueryParseError,
     TriplePattern,
     UnsupportedFeatureError,
+    _tokenize,
     evaluate,
     parse_query,
 )
-from oracles import naive_evaluate
+from oracles import naive_evaluate, oracle_parse_query
+from test_turtle_io import _mutate, _offset
 
 EX = "http://ex.org/"
 
@@ -78,6 +86,74 @@ class TestParse:
         assert len(q.filters) == 3
         comp = q.filters[0]
         assert isinstance(comp, Comparison) and comp.op is CompareOp.NE
+
+    @pytest.mark.parametrize("query, message, column", [
+        ("SELECT ?s WHERE { ?s ex:p ?o }", "unknown prefix 'ex'", 26),
+        ('SELECT ?s WHERE { ?s ?p "x"^^ex:t }', "unknown prefix 'ex'", 34),
+        ("PREFIX ex:a <http://ex.org/> SELECT ?s WHERE { ?s ?p ?o }", "expected prefix label ending in ':'", 12),
+        ("SELECT ?s WHERE { ?s ?p ?o } LIMIT 0", "LIMIT must be >= 1", 37),
+    ])
+    def test_errors_after_a_token_point_just_past_it(self, query, message, column):
+        for parse in (parse_query, oracle_parse_query):
+            with pytest.raises(QueryParseError) as exc:
+                parse(query)
+            diag = exc.value.diagnostics[0]
+            assert (diag.message, diag.line, diag.column) == (message, 1, column)
+
+    @pytest.mark.parametrize("query, column", [
+        ("SELECT ?s WHERE { ?s <> ?o }", 22),
+        ("SELECT ?s WHERE {\n ?s <a\u00a0b> ?o }", 5),
+        ('SELECT ?s WHERE { ?s ?p "x"^^<> }', 30),
+        ("PREFIX ex: <a\u00a0> SELECT ?s WHERE { ?s ex:p ?o }", 38),
+    ])
+    def test_bad_iri_is_parse_error_at_its_token(self, query, column):
+        with pytest.raises(QueryParseError) as exc:
+            parse_query(query)
+        diag = exc.value.diagnostics[0]
+        assert diag.message.startswith("IRI must be non-empty")
+        assert (diag.line, diag.column) == (query.count("\n") + 1, column)
+
+    def test_keyword_followed_by_colon_is_prefixed_name(self):
+        q = parse_query("PREFIX a: <http://ex.org/> PREFIX TRUE: <http://ex.org/t#> "
+                        "SELECT ?s WHERE { ?s a:p TRUE:x . ?s a ?o . ?s a:q true }")
+        assert q.patterns[0] == TriplePattern("s", iri("p"), Iri("http://ex.org/t#x"))
+        assert q.patterns[1].predicate == Iri("http://www.w3.org/1999/02/22-rdf-syntax-ns#type")
+        assert q.patterns[2].object == Literal("true", "http://www.w3.org/2001/XMLSchema#boolean")
+        q = parse_query("PREFIX Optional: <http://ex.org/> SELECT ?s WHERE { ?s ?p Optional:x }")
+        assert q.patterns[0].object == iri("x")
+
+    def test_iriref_wins_over_less_than_after_filter_variable(self):
+        text = "SELECT ?a ?b ?c WHERE { ?a ?p ?b . ?b ?p ?c FILTER(?a<?b)FILTER(?b>?c) }"
+        with pytest.raises(QueryParseError) as exc:
+            parse_query(text)
+        diag = exc.value.diagnostics[0]
+        assert (diag.message, diag.column) == ("expected comparison operator", text.index("<") + 1)
+        spaced = parse_query("SELECT ?a ?b ?c WHERE { ?a ?p ?b . ?b ?p ?c FILTER(?a < ?b) FILTER(?b>?c) }")
+        assert [f.op for f in spaced.filters] == [CompareOp.LT, CompareOp.GT]
+
+    def test_nested_group_names_a_keyword_token(self):
+        with pytest.raises(UnsupportedFeatureError) as exc:
+            parse_query("SELECT ?x WHERE { ?x ?p ?o { ?x <http://ex.org/optional> ?y } UNION { ?x ?q ?y } }")
+        assert exc.value.feature == "UNION"
+
+    def test_decimal_after_limit(self):
+        with pytest.raises(QueryParseError) as exc:
+            parse_query("SELECT ?s WHERE { ?s ?p ?o } LIMIT 1.4")
+        diag = exc.value.diagnostics[0]
+        assert (diag.message, diag.column) == ("LIMIT requires an integer", 36)
+
+    def test_limit_with_more_digits_than_int_reads(self):
+        with pytest.raises(QueryParseError) as exc:
+            parse_query("SELECT ?s WHERE { ?s ?p ?o } LIMIT " + "9" * 5000)
+        diag = exc.value.diagnostics[0]
+        assert (diag.message, diag.column) == ("LIMIT is too large", 36)
+
+    def test_invalid_regex_is_parse_error_at_its_literal(self):
+        with pytest.raises(QueryParseError) as exc:
+            parse_query('SELECT ?s WHERE { ?s ?p ?o FILTER(regex(?o, "(")) }')
+        diag = exc.value.diagnostics[0]
+        assert diag.message.startswith("invalid regex pattern: missing )")
+        assert diag.column == 45
 
 
 class TestEvaluate:
@@ -240,3 +316,184 @@ def test_evaluation_ceiling_stops_runaway_joins():
     # generous ceiling leaves results unchanged
     small = parse_query("PREFIX ex: <http://ex.org/> SELECT ?x WHERE { ?x ex:p ?y }")
     assert len(evaluate(small, g).bindings) == 900
+
+
+# ---------------------------------------------------------------------------
+# Text round trip
+# ---------------------------------------------------------------------------
+
+
+def render(query: Query) -> str:
+    """SPARQL text for `query`, each term written with term_text."""
+    def slot(x):
+        return f"?{x}" if isinstance(x, str) else term_text(x)
+
+    def predicate(x):
+        return f"{term_text(x.iri)}+" if isinstance(x, PathPlus) else slot(x)
+
+    def filter_text(f):
+        if isinstance(f, Comparison):
+            return f"FILTER(?{f.variable} {f.op.value} {slot(f.rhs)})"
+        if isinstance(f, IsIriTest):
+            return f"FILTER(isIRI(?{f.variable}))"
+        return f'FILTER(regex(?{f.variable}, "{escape_literal(f.pattern)}"))'
+
+    head = "ASK" if query.form is QueryForm.ASK else "SELECT " + " ".join(f"?{v}" for v in query.projection)
+    body = [f"{slot(p.subject)} {predicate(p.predicate)} {slot(p.object)} ." for p in query.patterns]
+    body += [filter_text(f) for f in query.filters]
+    return ("".join(f"PREFIX {label}: <{ns}>\n" for label, ns in query.prefixes)
+            + f"{head} WHERE {{ {' '.join(body)} }}"
+            + (f" LIMIT {query.limit}" if query.limit is not None else ""))
+
+
+def _random_queries(count: int) -> list[Query]:
+    rng = random.Random(11)
+    return [random_query(rng, random_graph(rng, 40)) for _ in range(count)]
+
+
+def test_rendered_random_queries_parse_back():
+    for query in _random_queries(200):
+        assert parse_query(render(query)) == query, render(query)
+
+
+# ---------------------------------------------------------------------------
+# The token table against the scannerless parser it replaced (tests/oracles.py)
+# ---------------------------------------------------------------------------
+
+
+def _suite_queries() -> list[str]:
+    """Every string constant in the test modules that reads as a query."""
+    found = set()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                    and node.value.lstrip().upper().startswith(("SELECT", "ASK", "PREFIX")):
+                found.add(node.value)
+    return sorted(found)
+
+
+_MULTILINE = [
+    "# who works where\nPREFIX prop: <http://ex.org/prop/>\nSELECT ?e ?c ?s\nWHERE {\n"
+    "  ?e prop:worksFor ?c .  # employer\n  ?c prop:owns ?s .\n  FILTER(?s != prop:none)\n} LIMIT 5\n",
+    'PREFIX ex: <http://ex.org/>\nASK WHERE {\n\t?d ex:label "caf\\u00e9"@fr .\n'
+    '  ?d ex:n ?n . FILTER(?n >= -2.5) FILTER(regex(?d, "^h.*"))\n  ?d ex:t true }',
+]
+_PIECES = [" ", "\n", "\t", "#", "# c\n", "\u00a0", "?x", "?o", "?", "<", ">", "<>", "<a\u00a0b>",
+           "<http://ex.org/q>", "a", "a:", "true", "TRUE:", "filter:", "where:", "OPTIONAL", "{", "}",
+           "(", ")", ".", ",", ";", "+", "-", "+1", "- 1", "1", "0", "1.4", '"', '"x"', '"\\u00"', "^^", "@en",
+           "ex:", "ex:q", ":", "=", "!=", "<=", "FILTER(", 'regex(?x, "(")', "isIRI(", "LIMIT", "é"]
+
+# Words the parser reads as keywords somewhere.
+_KEYWORDS = _UNSUPPORTED | {"PREFIX", "SELECT", "ASK", "WHERE", "FILTER", "A", "TRUE", "FALSE",
+                            "LIMIT", "ISIRI", "ISURI", "REGEX"}
+
+
+def _outcome(parse, text: str):
+    try:
+        return "query", parse(text)
+    except QueryParseError as e:
+        diag = e.diagnostics[0]
+        return "error", (type(e).__name__, diag.message, diag.line, diag.column)
+    except Exception as e:  # the oracle's crashes: StructuralError
+        return "crash", type(e).__name__
+
+
+def _error_at(text: str, outcome) -> float:
+    """Offset of an outcome's error; a query or a crash has none."""
+    return _offset(text, *outcome[1][2:]) if outcome[0] == "error" else float("inf")
+
+
+def _nested_group_error(outcome, brace) -> bool:
+    """An error at a nested '{' that names a feature or the nesting itself."""
+    return outcome[0] == "error" and outcome[1][2:] == brace and (
+        outcome[1][1].startswith("unsupported SPARQL feature")
+        or outcome[1][1] == "nested group patterns are not supported")
+
+
+def _candidates(text: str, old, new):
+    """(offset, difference) for each place the token table may read unlike the oracle."""
+    tokens = _tokenize(text)
+    at_token = {_offset(text, tok.line, tok.col): tok for tok in tokens}
+    message, new_at = (new[1][1], _error_at(text, new)) if new[0] == "error" else ("", None)
+    kind_there = at_token[new_at].kind if new_at in at_token else None
+    if message.startswith("IRI must be") and kind_there in ("IRIREF", "PNAME"):
+        yield new_at, "1: bad IRI"
+    if message.startswith("invalid regex pattern") and kind_there == "STRING":
+        yield new_at, "6: invalid regex"
+    if kind_there == "OP" and at_token[new_at].text == "{" and _nested_group_error(new, new[1][2:]) \
+            and _nested_group_error(old, new[1][2:]):
+        yield new_at, "4: feature named after a nested group"
+    for i, tok in enumerate(tokens):
+        at = _offset(text, tok.line, tok.col)
+        word = re.match(r"[A-Za-z_][A-Za-z0-9_]*", tok.text)
+        if tok.kind == "PNAME" and word and word.group().upper() in _KEYWORDS:
+            yield at, "2: keyword-named prefix"
+        if at == new_at and tok.kind == "IRIREF" and message == "expected comparison operator" \
+                and [t.text.upper() for t in tokens[i - 3:i - 1]] == ["FILTER", "("] \
+                and tokens[i - 1].kind == "VAR":
+            yield at, "3: IRIREF after a FILTER variable"
+        if at == new_at and tok.kind == "NUM" and "." in tok.text \
+                and message == "LIMIT requires an integer" and tokens[i - 1].text.upper() == "LIMIT":
+            yield at, "5: decimal after LIMIT"
+
+
+def _difference(text: str, old, new) -> str:
+    """Which named difference separates the two outcomes; fails on any other.
+
+    A difference is the one whose place comes first among those at which
+    both parsers read the text before it alike, and before any error."""
+    if old[0] == "crash":
+        assert new[0] == "error" and new[1][0] == "QueryParseError", (text, old, new)
+    for at, kind in sorted(_candidates(text, old, new)):
+        if at > min(_error_at(text, old), _error_at(text, new)):
+            break
+        if _outcome(oracle_parse_query, text[:at]) == _outcome(parse_query, text[:at]):
+            return kind
+    raise AssertionError(f"unexplained difference on {text!r}: {old} vs {new}")
+
+
+_EX = "PREFIX ex: <http://ex.org/> "
+_NAMED = [
+    (_EX + "SELECT ?s WHERE { ?s <> ?o }", "1: bad IRI"),
+    (_EX + "SELECT ?s WHERE { ?s <a\u00a0b> ?o }", "1: bad IRI"),
+    (_EX + 'SELECT ?s WHERE { ?s ?p "x"^^<> }', "1: bad IRI"),
+    ("PREFIX ex: <a\u00a0> SELECT ?s WHERE { ?s ex:p ?o }", "1: bad IRI"),
+    ("PREFIX a: <http://ex.org/> SELECT ?s WHERE { ?s a:p ?o }", "2: keyword-named prefix"),
+    ("PREFIX true: <http://ex.org/> SELECT ?s WHERE { ?s ?p true:x }", "2: keyword-named prefix"),
+    ("PREFIX Optional: <http://ex.org/> SELECT ?s WHERE { ?s ?p Optional:x }", "2: keyword-named prefix"),
+    ("SELECT ?s where:{ ?s ?p ?o }", "2: keyword-named prefix"),
+    ("SELECT ?a ?b ?c WHERE { ?a ?p ?b . ?b ?p ?c FILTER(?a<?b)FILTER(?b>?c) }",
+     "3: IRIREF after a FILTER variable"),
+    ("SELECT ?x WHERE { ?x ?p ?o { ?x <http://ex.org/optional> ?y } UNION { ?x ?q ?y } }",
+     "4: feature named after a nested group"),
+    ("SELECT ?s WHERE { ?s ?p ?o } LIMIT 1.4", "5: decimal after LIMIT"),
+    ('SELECT ?s WHERE { ?s ?p ?o FILTER(regex(?o, "(")) }', "6: invalid regex"),
+]
+
+
+@pytest.mark.parametrize("text, kind", _NAMED)
+def test_named_difference_is_classified(text, kind):
+    old, new = _outcome(oracle_parse_query, text), _outcome(parse_query, text)
+    assert old != new
+    assert _difference(text, old, new) == kind
+
+
+def test_token_table_matches_scannerless_parser():
+    started = time.perf_counter()
+    seeds = _suite_queries() + _MULTILINE
+    seeds += [render(q) for q in _random_queries(200)]
+    rng = random.Random(20261018)
+    inputs = seeds + [_mutate(rng.choice(seeds), rng, _PIECES) for _ in range(12_000)]
+    tally: dict[str, int] = {}
+    for text in inputs:
+        old, new = _outcome(oracle_parse_query, text), _outcome(parse_query, text)
+        kind = "identical" if old == new else _difference(text, old, new)
+        tally[kind] = tally.get(kind, 0) + 1
+        # Whatever is wrong with a query, the parser names a place in it.
+        if new[0] == "error":
+            lines, (_, _, line, column) = text.split("\n"), new[1]
+            assert 1 <= column <= len(lines[line - 1]) + 1, (text, new)
+        assert new[0] != "crash", (text, new)
+    assert set(tally) <= {"identical", *(kind for _, kind in _NAMED)}, tally
+    assert tally["identical"] > 0.95 * len(inputs), tally
+    assert time.perf_counter() - started < 10

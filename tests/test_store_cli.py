@@ -125,6 +125,28 @@ class TestCliBasics:
         assert code == 1
         assert "minCount" in out
 
+    def test_validate_uncompilable_shape_pattern_exit_2(self, tmp_path, built_store):
+        shapes = tmp_path / "shapes.ttl"
+        shapes.write_text(
+            "@prefix sh: <http://www.w3.org/ns/shacl#> .\n"
+            "@prefix schema: <http://ontomem.dev/ns/schema#> .\n"
+            "@prefix prop: <http://ontomem.dev/ns/prop#> .\n"
+            "schema:DiskShape a sh:NodeShape ; sh:targetClass schema:Disk ; sh:property _:p .\n"
+            '_:p sh:path prop:size ; sh:pattern "(" .\n', encoding="utf-8")
+        code, _, err = run_cli("--store", str(built_store), "validate", "--shapes", str(shapes))
+        assert code == 2
+        assert err.startswith("error: sh:pattern of http://ontomem.dev/ns/prop#size does not compile")
+
+    @pytest.mark.parametrize("query, column", [
+        ('SELECT ?s WHERE { ?s ?p ?o FILTER(regex(?o, "(")) }', 45),
+        ("SELECT ?s WHERE { ?s <> ?o }", 22),
+        ("SELECT ?s WHERE { ?s <a\u00a0b> ?o }", 22),
+    ])
+    def test_malformed_query_exit_2_with_position(self, built_store, query, column):
+        code, out, err = run_cli("--store", str(built_store), "query", query)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: 1:{column}: ")
+
     def test_query_json_rows(self, built_store):
         code, out, _ = run_cli("--store", str(built_store), "--json", "query",
                                "PREFIX prop: <http://ontomem.dev/ns/prop#> "

@@ -131,6 +131,16 @@ class TestDispatch:
             response = call(bus, "tools.list", req_id=req_id)
             assert response["id"] == req_id
 
+    @pytest.mark.parametrize("query, column", [
+        ('SELECT ?s WHERE { ?s ?p ?o FILTER(regex(?o, "(")) }', 45),
+        ("SELECT ?s WHERE { ?s <> ?o }", 22),
+        ("SELECT ?s WHERE { ?s <a\u00a0b> ?o }", 22),
+    ])
+    def test_malformed_query_32602_with_position(self, bus, query, column):
+        error = call(bus, "graph.query", {"query": query})["error"]
+        assert error["code"] == INVALID_PARAMS
+        assert error["message"].startswith(f"1:{column}: ")
+
     def test_notification_gets_no_response(self, bus):
         request = {"jsonrpc": "2.0", "method": "tools.list"}
         assert bus.dispatch(request) is None

@@ -227,16 +227,16 @@ _LITERAL_RE = re.compile(r'"[^"\\\n]*(?:\\[^\n][^"\\\n]*)*"')
 _OPEN_LITERAL_RE = re.compile(r'"[^"\\\n]*(?:\\[^\n][^"\\\n]*)*\\\n')
 
 
-def _mutate(doc: str, rng: random.Random) -> str:
+def _mutate(doc: str, rng: random.Random, pieces: list[str] = _PIECES) -> str:
     for _ in range(rng.randint(1, 3)):
         i = rng.randint(0, len(doc))
         op = rng.random()
         if op < 0.45:
-            doc = doc[:i] + rng.choice(_PIECES) + doc[i:]
+            doc = doc[:i] + rng.choice(pieces) + doc[i:]
         elif op < 0.7:
             doc = doc[:i] + doc[i + rng.randint(1, 3):]
         elif op < 0.9:
-            doc = doc[:i] + rng.choice(_PIECES) + doc[i + 1:]
+            doc = doc[:i] + rng.choice(pieces) + doc[i + 1:]
         else:
             doc = doc[:i]
     return doc
