@@ -26,7 +26,6 @@ from .rdf_core import (
     Triple,
     term_text,
     triple_key,
-    triple_text,
 )
 from .reasoner import Conflict, check_consistency, extend, materialize
 from .shacl import NodeShape, ValidationResult, validate
@@ -558,10 +557,6 @@ class GateResult:
     quarantined: list[QuarantinedCandidate]
 
 
-def _conflict_key(c: Conflict) -> tuple:
-    return (c.kind.value, tuple(triple_text(t) for t in c.detail))
-
-
 def _violation_key(v: ValidationResult) -> tuple:
     return (term_text(v.focus_node), v.path.value if v.path else "", v.constraint)
 
@@ -592,7 +587,7 @@ def validate_gate(candidates: list[Candidate], trusted: Graph,
     quarantined: list[QuarantinedCandidate] = []
 
     base = materialize(trusted)
-    base_conflicts = {_conflict_key(c) for c in check_consistency(base)}
+    base_conflicts = set(check_consistency(base))
     base_violations = {_violation_key(v) for v in validate(base, shapes).results}
 
     # Conflicts only grow with the asserted set, so a round that removes
@@ -600,7 +595,7 @@ def validate_gate(candidates: list[Candidate], trusted: Graph,
     # every shape round.
     while remaining:
         closure = extend(base, [cand.triple for cand in remaining])
-        evidence = [c for c in check_consistency(closure) if _conflict_key(c) not in base_conflicts]
+        evidence = [c for c in check_consistency(closure) if c not in base_conflicts]
         if not evidence:
             evidence = [v for v in validate(closure, shapes).results
                         if _violation_key(v) not in base_violations]

@@ -149,32 +149,29 @@ def solve_optimal(n: int, from_peg: int = 0, to_peg: int = 2) -> list[Move]:
 
 
 def solve_from(start: HanoiState, goal: HanoiState) -> list[Move]:
-    """Shortest plan between arbitrary states (BFS over the 3^n state space);
-    what the optimal proposer falls back to mid-episode in move-level mode."""
-    if start == goal:
-        return []
-    parent: dict[tuple[int, ...], tuple[tuple[int, ...], Move]] = {start.peg_of: (start.peg_of, Move(0, 1))}
-    frontier = [start]
-    while frontier:
-        nxt: list[HanoiState] = []
-        for state in frontier:
-            for move in legal_moves(state):
-                succ = apply_move(state, move)
-                if succ.peg_of in parent:
-                    continue
-                parent[succ.peg_of] = (state.peg_of, move)
-                if succ == goal:
-                    plan: list[Move] = []
-                    cursor = succ.peg_of
-                    while cursor != start.peg_of:
-                        prev, step = parent[cursor]
-                        plan.append(step)
-                        cursor = prev
-                    plan.reverse()
-                    return plan
-                nxt.append(succ)
-        frontier = nxt
-    raise ValueError("goal unreachable")  # cannot happen on a connected state space
+    """Shortest plan from any state to a perfect tower, largest disk first:
+    the largest disk off the goal peg moves there once, after the smaller
+    disks are gathered on the third peg, and the tower of smaller disks then
+    follows it (Hinz, L'Enseignement Math. 35, 1989). What the optimal and
+    corrupted proposers plan from, at the start and mid-episode alike."""
+    if goal.n != start.n or len(set(goal.peg_of)) != 1:
+        raise ValueError(f"goal must be a perfect tower of {start.n} disks, got {goal.peg_of}")
+    plan: list[Move] = []
+
+    def gather(k: int, dst: int) -> None:
+        """Move disks 0..k-1 from their start pegs onto `dst`."""
+        for disk in reversed(range(k)):
+            src = start.peg_of[disk]
+            if src != dst:
+                via = 3 - src - dst
+                gather(disk, via)
+                plan.append(Move(src, dst))
+                if disk:
+                    plan.extend(solve_optimal(disk, via, dst))
+                return
+
+    gather(start.n, goal.peg_of[0])
+    return plan
 
 
 def graph_move(graph: Graph, move: Move) -> Graph | Violation:
@@ -243,17 +240,11 @@ class Proposer:
         raise NotImplementedError
 
 
-def _base_plan(n: int, start: HanoiState, goal: HanoiState) -> list[Move]:
-    if len(set(start.peg_of)) == 1 and len(set(goal.peg_of)) == 1:
-        return solve_optimal(n, start.peg_of[0], goal.peg_of[0])
-    return solve_from(start, goal)
-
-
 class OptimalProposer(Proposer):
     proposer_id = "optimal"
 
     def propose(self, n, start, goal, feedback, rng):
-        return _base_plan(n, start, goal)
+        return solve_from(start, goal)
 
 
 class RandomLegalProposer(Proposer):
@@ -287,7 +278,7 @@ class CorruptedProposer(Proposer):
 
     def propose(self, n, start, goal, feedback, rng):
         all_moves = [Move(f, t) for f in PEGS for t in PEGS if f != t]
-        plan = _base_plan(n, start, goal)
+        plan = solve_from(start, goal)
         out = []
         for move in plan:
             if rng.random() < self.p:

@@ -108,6 +108,16 @@ def term_text(term: Term) -> str:
     return f"{body}^^<{term.datatype}>"
 
 
+def node_text(term: Term) -> str:
+    """The text a regex runs against (SPARQL regex, sh:pattern): a literal's
+    lexical form, an IRI's value, a blank node's label."""
+    if isinstance(term, Literal):
+        return term.lexical
+    if isinstance(term, Iri):
+        return term.value
+    return term.label
+
+
 def term_key(term: Term) -> tuple[int, str]:
     """Sort key: IRIs before blanks before literals, then canonical text."""
     if isinstance(term, Iri):

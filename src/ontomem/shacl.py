@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass, field
 
 from .namespaces import RDF_FIRST, RDF_NIL, RDF_REST, RDF_TYPE, SH_NS, XSD_BOOLEAN, XSD_INTEGER
-from .rdf_core import Graph, Iri, Literal, Term, Triple, single_object, term_key, term_text
+from .rdf_core import Graph, Iri, Literal, Term, Triple, node_text, single_object, term_key, term_text
 
 SH_NODESHAPE = SH_NS + "NodeShape"
 SH_TARGETCLASS = SH_NS + "targetClass"
@@ -230,7 +230,7 @@ def _check_focus(data: Graph, shape: NodeShape, focus: Term) -> list[ValidationR
                 results.append(ValidationResult(
                     focus, prop.path, "in",
                     f"value {term_text(value)} not in the allowed list"))
-            if prop.pattern is not None and re.search(prop.pattern, _node_text(value)) is None:
+            if prop.pattern is not None and re.search(prop.pattern, node_text(value)) is None:
                 results.append(ValidationResult(
                     focus, prop.path, "pattern",
                     f"value {term_text(value)} does not match /{prop.pattern}/"))
@@ -242,12 +242,3 @@ def _check_focus(data: Graph, shape: NodeShape, focus: Term) -> list[ValidationR
                 focus, Iri(pred), "closed",
                 f"predicate {pred} not allowed on closed shape {shape.id.value}"))
     return results
-
-
-def _node_text(value: Term) -> str:
-    """The text a sh:pattern regex runs against."""
-    if isinstance(value, Literal):
-        return value.lexical
-    if isinstance(value, Iri):
-        return value.value
-    return value.label

@@ -27,7 +27,7 @@ from .namespaces import (
     XSD_DECIMAL,
     XSD_INTEGER,
 )
-from .rdf_core import Graph, Iri, Literal, StructuralError, Term, term_text, unescape_literal
+from .rdf_core import Graph, Iri, Literal, StructuralError, Term, node_text, term_text, unescape_literal
 from .turtle_io import ParseDiagnostic, PrefixMap
 
 
@@ -452,12 +452,8 @@ def _passes(filters, binding: dict[str, Term]) -> bool:
         elif isinstance(f, IsIriTest):
             if not isinstance(binding[f.variable], Iri):
                 return False
-        else:
-            value = binding[f.variable]
-            text = value.lexical if isinstance(value, Literal) else (
-                value.value if isinstance(value, Iri) else value.label)
-            if re.search(f.pattern, text) is None:
-                return False
+        elif re.search(f.pattern, node_text(binding[f.variable])) is None:
+            return False
     return True
 
 

@@ -386,7 +386,7 @@ def graph_at_version(root: str | Path, version: int, since: int = 0) -> Graph:
             continue
         delta_graph, _ = parse_turtle(path.read_text(encoding="utf-8"))
         for t in delta_graph:
-            g.insert(t, Provenance(source_id=path.name, origin=Origin.SOURCE_DOCUMENT))
+            g.insert(t)
     return g
 
 

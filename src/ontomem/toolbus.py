@@ -31,9 +31,10 @@ from .builder import AmbiguousAlias
 from .hanoi import run_benchmark
 from .rdf_core import Iri, Origin, StructuralError, Term, Triple, diff, parse_term_text, triple_text
 from .reasoner import extend, materialize
-from .shacl import validate
+from .shacl import ShapeError, validate
 from .sparql import EvaluationLimitError, QueryParseError, evaluate, parse_query
 from .store import StoreHandle, graph_at_version, load_shapes_file, read_version
+from .turtle_io import TurtleParseError
 
 PARSE_OR_REQUEST_ERROR = -32600
 METHOD_NOT_FOUND = -32601
@@ -241,10 +242,13 @@ def _graph_query(handle: StoreHandle, params: dict) -> dict:
 
 
 def _graph_validate(handle: StoreHandle, params: dict) -> dict:
-    shapes_file = params.get("shapes_file")
-    if shapes_file is not None and not isinstance(shapes_file, str):
-        raise ParamError("param 'shapes_file' must be str")
-    return svc_validate(handle, shapes_file)
+    shapes_file = _optional(params, "shapes_file", str, None)
+    try:
+        return svc_validate(handle, shapes_file)
+    except OSError as e:
+        raise ParamError(f"cannot read shapes file: {e}") from e
+    except (ShapeError, TurtleParseError) as e:
+        raise ParamError(str(e)) from e
 
 
 def _graph_diff(handle: StoreHandle, params: dict) -> dict:

@@ -11,6 +11,7 @@ import itertools
 import random
 import re
 
+from ontomem.hanoi import HanoiState, Move, apply_move, legal_moves
 from ontomem.namespaces import (
     NUMERIC_DATATYPES,
     OWL_INVERSEOF,
@@ -896,5 +897,52 @@ def oracle_bfs_distance(n: int, start: tuple[int, ...], goal: tuple[int, ...]) -
     raise AssertionError("goal unreachable")
 
 
+def oracle_distances_from(n: int, source: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+    """BFS distance from `source` to every state; every move can be undone,
+    so this is also each state's distance to `source`."""
+    dist = {source: 0}
+    frontier = [source]
+    while frontier:
+        nxt = []
+        for state in frontier:
+            for move in oracle_legal_moves(state):
+                succ = oracle_apply(state, move)
+                if succ not in dist:
+                    dist[succ] = dist[state] + 1
+                    nxt.append(succ)
+        frontier = nxt
+    assert len(dist) == 3 ** n
+    return dist
+
+
 def all_states(n: int):
     return (tuple(s) for s in itertools.product(range(3), repeat=n))
+
+
+def oracle_solve_from(start: HanoiState, goal: HanoiState) -> list[Move]:
+    """Shortest plan between arbitrary states (BFS over the 3^n state space);
+    the planner that the largest-disk-first recursion replaced."""
+    if start == goal:
+        return []
+    parent: dict[tuple[int, ...], tuple[tuple[int, ...], Move]] = {start.peg_of: (start.peg_of, Move(0, 1))}
+    frontier = [start]
+    while frontier:
+        nxt: list[HanoiState] = []
+        for state in frontier:
+            for move in legal_moves(state):
+                succ = apply_move(state, move)
+                if succ.peg_of in parent:
+                    continue
+                parent[succ.peg_of] = (state.peg_of, move)
+                if succ == goal:
+                    plan: list[Move] = []
+                    cursor = succ.peg_of
+                    while cursor != start.peg_of:
+                        prev, step = parent[cursor]
+                        plan.append(step)
+                        cursor = prev
+                    plan.reverse()
+                    return plan
+                nxt.append(succ)
+        frontier = nxt
+    raise ValueError("goal unreachable")  # cannot happen on a connected state space

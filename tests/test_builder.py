@@ -29,9 +29,9 @@ from ontomem.builder import (
     validate_gate,
 )
 from ontomem.factcheck import Claim
-from ontomem.namespaces import OWL_FUNCTIONAL, RDF_TYPE, XSD_DATE
+from ontomem.namespaces import OWL_DISJOINTWITH, OWL_FUNCTIONAL, RDF_TYPE, RDFS_SUBCLASSOF, XSD_DATE
 from ontomem.rdf_core import Graph, Iri, Literal, Origin, Provenance, Triple
-from ontomem.reasoner import ConflictKind, check_consistency, extend, materialize
+from ontomem.reasoner import Conflict, ConflictKind, check_consistency, extend, materialize
 from ontomem.shacl import NodeShape, PropertyShape, validate
 from ontomem.turtle_io import parse_turtle
 
@@ -311,6 +311,23 @@ class TestValidateGate:
             assert check_consistency(m) == []
             assert validate(m, shapes).conforms
         assert total >= 400
+
+    def test_inferred_clash_blames_weakest_candidate(self):
+        # the clash is on the inferred `x a C`, so no candidate takes part in it
+        disjoint = Triple(iri("C"), Iri(OWL_DISJOINTWITH), iri("D"))
+        trusted = Graph()
+        trusted.insert(Triple(iri("A"), Iri(RDFS_SUBCLASSOF), iri("C")))
+        trusted.insert(disjoint)
+        trusted.insert(Triple(iri("x"), Iri(RDF_TYPE), iri("D")))
+        typed = cand("x", RDF_TYPE, "A", confidence=0.5)
+        unrelated = cand("u", "p", "v", confidence=0.9)
+        gate = validate_gate([typed, unrelated], trusted, [])
+        assert [c.triple for c in gate.accepted] == [unrelated.triple]
+        [q] = gate.quarantined
+        assert (q.candidate, q.reason) == (typed, "consistency conflict")
+        assert q.conflicts == [Conflict(ConflictKind.DISJOINT_CLASS, iri("x"), (
+            Triple(iri("x"), Iri(RDF_TYPE), iri("C")), Triple(iri("x"), Iri(RDF_TYPE), iri("D")),
+            disjoint))]
 
     def test_resubmitted_trusted_axiom_not_blamed_for_conflict(self):
         functional = Triple(iri("p"), Iri(RDF_TYPE), Iri(OWL_FUNCTIONAL))

@@ -22,6 +22,7 @@ from ontomem.hanoi import (
     report_to_json_text,
     run_benchmark,
     run_episode,
+    solve_from,
     solve_optimal,
     state_to_graph,
     verify_plan,
@@ -30,7 +31,14 @@ from ontomem.shacl import parse_shapes, validate
 from ontomem.turtle_io import parse_turtle
 from ontomem.rdf_core import isomorphic
 from conftest import DATA
-from oracles import all_states, oracle_apply, oracle_bfs_distance, oracle_legal_moves
+from oracles import (
+    all_states,
+    oracle_apply,
+    oracle_bfs_distance,
+    oracle_distances_from,
+    oracle_legal_moves,
+    oracle_solve_from,
+)
 
 
 def hanoi_shapes():
@@ -112,6 +120,38 @@ class TestSolveOptimal:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_matches_bfs_distance(self, n):
         assert len(solve_optimal(n)) == oracle_bfs_distance(n, (0,) * n, (2,) * n)
+
+
+class TestSolveFrom:
+    def test_equals_bfs_plan_exhaustive_small(self):
+        for n in (1, 2, 3, 4):
+            for peg_of in all_states(n):
+                for peg in range(3):
+                    start, goal = HanoiState(n, peg_of), HanoiState.initial(n, peg)
+                    assert solve_from(start, goal) == oracle_solve_from(start, goal), (peg_of, peg)
+
+    def test_legal_and_shortest_exhaustive(self):
+        # 9,837 (state, goal peg) pairs; one reverse BFS per (n, goal)
+        for n in range(1, 8):
+            for peg in range(3):
+                goal = HanoiState.initial(n, peg)
+                distance = oracle_distances_from(n, goal.peg_of)
+                for peg_of in all_states(n):
+                    start = HanoiState(n, peg_of)
+                    plan = solve_from(start, goal)
+                    assert verify_plan(start, plan, goal) == goal, (peg_of, peg)
+                    assert len(plan) == distance[peg_of], (peg_of, peg)
+
+    def test_from_perfect_tower_is_classical_recursion(self):
+        for n in range(1, 9):
+            assert solve_from(HanoiState.initial(n, 0), HanoiState.initial(n, 2)) == solve_optimal(n)
+
+    def test_goal_must_be_perfect_tower(self):
+        start = HanoiState.initial(3, 0)
+        with pytest.raises(ValueError):
+            solve_from(start, HanoiState(3, (2, 2, 1)))
+        with pytest.raises(ValueError):
+            solve_from(start, HanoiState.initial(4, 2))
 
 
 class TestStateToGraph:
@@ -226,7 +266,6 @@ class TestMoveLevel:
         assert result.success and result.moves_executed == 7
 
     def test_solve_from_arbitrary_state(self):
-        from ontomem.hanoi import solve_from
         start = HanoiState(3, (2, 0, 1))
         goal = HanoiState.initial(3, 2)
         plan = solve_from(start, goal)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from ontomem.rdf_core import Graph, Iri, Literal, Triple, escape_literal, term_text
+from ontomem.rdf_core import Blank, Graph, Iri, Literal, Triple, escape_literal, term_text
 from ontomem.namespaces import XSD_INTEGER
 from ontomem.sparql import (
     _UNSUPPORTED,
@@ -17,6 +17,7 @@ from ontomem.sparql import (
     Query,
     QueryForm,
     QueryParseError,
+    RegexMatch,
     TriplePattern,
     UnsupportedFeatureError,
     _tokenize,
@@ -244,6 +245,20 @@ def random_graph(rng: random.Random, max_triples: int) -> Graph:
     return g
 
 
+_FIXED_PATTERNS = ["^h", "[0-9]", "o1$"]
+
+
+def random_pattern(rng: random.Random, pool: list) -> str:
+    """A fixed pattern, or an escaped piece of one term's text in the graph."""
+    if rng.random() < 0.3:
+        return rng.choice(_FIXED_PATTERNS)
+    term = rng.choice(pool)
+    text = term.lexical if isinstance(term, Literal) else (
+        term.value if isinstance(term, Iri) else term.label)
+    start = rng.randrange(len(text) + 1)
+    return re.escape(text[start:rng.randint(start, len(text))])
+
+
 def random_query(rng: random.Random, graph: Graph) -> Query:
     variables = ["a", "b", "c"][:rng.randint(1, 3)]
     patterns = []
@@ -265,20 +280,21 @@ def random_query(rng: random.Random, graph: Graph) -> Query:
         patterns.append(TriplePattern(slot(), predicate, slot(allow_literal=True)))
 
     used = sorted({v for p in patterns for v in p.variables()})
-    if not used:
-        patterns.append(TriplePattern(variables[0], rng.choice(iris), variables[0]))
+    if not used:  # replace, not append: criterion 2 holds queries to three patterns
+        patterns[-1] = TriplePattern(variables[0], rng.choice(iris), variables[0])
         used = [variables[0]]
     filters = []
     for _ in range(rng.randint(0, 2)):
         v = rng.choice(used)
         kind = rng.random()
-        if kind < 0.5:
+        if kind < 0.4:
             op = rng.choice(list(CompareOp))
             rhs = rng.choice(used) if rng.random() < 0.3 else rng.choice(pool)
             filters.append(Comparison(v, op, rhs))
-        else:
-            from ontomem.sparql import IsIriTest
+        elif kind < 0.7:
             filters.append(IsIriTest(v))
+        else:
+            filters.append(RegexMatch(v, random_pattern(rng, pool)))
     projection = tuple(sorted(rng.sample(used, rng.randint(1, len(used)))))
     limit = rng.choice([None, None, rng.randint(1, 5)])
     form = QueryForm.ASK if rng.random() < 0.2 else QueryForm.SELECT
@@ -301,6 +317,21 @@ def test_oracle_equivalence_quick():
         g = random_graph(rng, 60)
         q = random_query(rng, g)
         assert_oracle_match(q, g)
+
+
+def test_oracle_equivalence_regex_on_every_term_kind():
+    rng = random.Random(13)
+    kinds = set()
+    for _ in range(60):
+        g = random_graph(rng, 30)
+        for k in range(rng.randint(1, 4)):
+            g.insert(Triple(Blank(f"b{k}"), iri("p0"), rng.choice([iri("o1"), Blank(f"h{k}")])))
+        v = rng.choice(["s", "o"])
+        q = Query(QueryForm.SELECT, (v,), (TriplePattern("s", iri("p0"), "o"),),
+                  (RegexMatch(v, random_pattern(rng, g.terms())),), None)
+        assert_oracle_match(q, g)
+        kinds |= {type(row[v]) for row in evaluate(q, g).bindings}
+    assert kinds == {Iri, Literal, Blank}  # the regex passed a term of every kind
 
 
 def test_evaluation_ceiling_stops_runaway_joins():

@@ -6,17 +6,21 @@ from pathlib import Path
 
 import pytest
 
-from ontomem.builder import EntityRegistry
+from ontomem.builder import EntityRegistry, GateResult, graph_candidates
 from ontomem.rdf_core import isomorphic
 from ontomem.store import (
     StoreLock,
     StoreLockError,
     graph_at_version,
+    init_store,
     load_store,
     rebuild_trusted,
     registry_from_graph,
     registry_to_graph,
+    save_commit,
 )
+from ontomem.toolbus import svc_logic_check
+from ontomem.turtle_io import parse_turtle
 from conftest import DATA, run_cli
 
 
@@ -136,6 +140,30 @@ class TestCliBasics:
         code, _, err = run_cli("--store", str(built_store), "validate", "--shapes", str(shapes))
         assert code == 2
         assert err.startswith("error: sh:pattern of http://ontomem.dev/ns/prop#size does not compile")
+
+    def test_validate_logic_consistent_store(self, built_store):
+        code, out, _ = run_cli("--store", str(built_store), "validate", "--logic")
+        assert (code, out) == (0, "consistent\n")
+
+    def test_validate_logic_reports_committed_clash(self, tmp_path):
+        # committed past the gate, as a store written by another tool could hold it
+        store = tmp_path / "s"
+        handle = init_store(store)
+        graph, _ = parse_turtle(
+            "@prefix owl: <http://www.w3.org/2002/07/owl#> .\n"
+            "@prefix ex: <http://ex.org/> .\n"
+            "ex:p a owl:FunctionalProperty .\n"
+            "ex:s ex:p ex:o1 , ex:o2 .\n"
+            "ex:t ex:p ex:o1 , ex:o3 .\n")
+        save_commit(handle, handle.store.commit(
+            GateResult(graph_candidates(graph, "clash.ttl"), []), handle.store.version))
+        code, out, _ = run_cli("--store", str(store), "validate", "--logic")
+        assert code == 1
+        assert out.splitlines() == ["conflict: FUNCTIONAL_PROPERTY on <http://ex.org/s>",
+                                    "conflict: FUNCTIONAL_PROPERTY on <http://ex.org/t>"]
+        code, out, _ = run_cli("--store", str(store), "--json", "validate", "--logic")
+        assert code == 1
+        assert json.loads(out) == svc_logic_check(load_store(store))
 
     @pytest.mark.parametrize("query, column", [
         ('SELECT ?s WHERE { ?s ?p ?o FILTER(regex(?o, "(")) }', 45),

@@ -7,6 +7,7 @@ import socket
 import sys
 import threading
 import time
+import tracemalloc
 import weakref
 
 import pytest
@@ -14,7 +15,8 @@ import pytest
 from ontomem.builder import GateResult, graph_candidates
 from ontomem.rdf_core import diff, triple_text
 from ontomem.reasoner import materialize
-from ontomem.store import graph_at_version, load_store
+from ontomem import toolbus
+from ontomem.store import graph_at_version, init_store, load_store
 from ontomem.toolbus import (
     INTERNAL_ERROR,
     INVALID_PARAMS,
@@ -28,6 +30,9 @@ from ontomem.toolbus import (
 )
 from ontomem.turtle_io import parse_turtle
 from conftest import DATA, run_cli
+
+
+EX_TTL = "@prefix ex: <http://ex.org/> .\n"
 
 
 @pytest.fixture()
@@ -159,10 +164,46 @@ class TestDispatch:
         call(bus, "bench.hanoi.run", {"episodes": -1})
         assert bus.handle.store.trusted.content_hash() == before
 
-    def test_internal_error_sanitized(self, bus, built_store):
-        response = call(bus, "graph.validate", {"shapes_file": str(built_store / "missing.ttl")})
-        assert response["error"]["code"] == INTERNAL_ERROR
-        assert "Traceback" not in response["error"]["message"]
+    def test_internal_error_sanitized(self, bus, monkeypatch):
+        def broken(handle, text):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(toolbus, "svc_query", broken)
+        response = call(bus, "graph.query", {"query": "ASK WHERE { ?s ?p ?o }"})
+        assert response["error"] == {"code": INTERNAL_ERROR, "message": "RuntimeError: boom"}
+
+    @pytest.mark.parametrize("text, message", [
+        ("@prefix sh: <http://www.w3.org/ns/shacl#> .\n" + EX_TTL
+         + "ex:S a sh:NodeShape ; sh:targetClass ex:T ; sh:property _:p .\n"
+           '_:p sh:path ex:code ; sh:pattern "(" .\n', "sh:pattern of http://ex.org/code"),
+        (EX_TTL + "ex:a ex:b", "2:10: expected object term"),
+    ], ids=["bad_pattern", "cut_off"])
+    def test_malformed_shapes_file_32602(self, tmp_path, text, message):
+        path = tmp_path / "shapes.ttl"
+        path.write_text(text, encoding="utf-8")
+        bus = ToolBus(init_store(tmp_path / "s"))
+        error = call(bus, "graph.validate", {"shapes_file": str(path)})["error"]
+        assert error["code"] == INVALID_PARAMS
+        assert error["message"].startswith(message)
+
+    def test_missing_shapes_file_32602(self, tmp_path):
+        bus = ToolBus(init_store(tmp_path / "s"))
+        error = call(bus, "graph.validate", {"shapes_file": str(tmp_path / "missing.ttl")})["error"]
+        assert error["code"] == INVALID_PARAMS
+        assert error["message"].startswith("cannot read shapes file: ")
+
+    def test_move_level_bench_memory_follows_the_plan(self, bus):
+        # a replan from a mid-episode state once searched up to 3^n states (60 MiB at 11 disks)
+        params = {"disks": [11], "proposers": ["corrupted:0.5"], "episodes": 1, "repairs": [1],
+                  "seed": 0, "move_level": True}
+        tracemalloc.start()
+        try:
+            response = call(bus, "bench.hanoi.run", params)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert response["result"]["cells"][0]["mean_repair_rounds"] == 1.0
+        assert peak < 10 * 2 ** 20
 
 
 class TestBusCliEquivalence:
@@ -365,9 +406,6 @@ class TestTransports:
             assert json.loads(data)["id"] == 4
         finally:
             holder["server"].shutdown()
-
-
-EX_TTL = "@prefix ex: <http://ex.org/> .\n"
 
 
 class TestLiveStore:
