@@ -323,7 +323,7 @@ class RegistryEntry:
     preferred_label: str
     aliases: set[str] = field(default_factory=set)
     types: set[str] = field(default_factory=set)
-    first_seen: Provenance | None = None
+    first_seen: str | None = None  # source id of the mention's first document
 
 
 class AmbiguousAlias(Exception):
@@ -359,7 +359,7 @@ class EntityRegistry:
             raise AmbiguousAlias(mention, sorted(folded_owners))
         return None
 
-    def resolve_or_mint(self, mention: str, prov: Provenance | None = None) -> str:
+    def resolve_or_mint(self, mention: str, source_id: str | None = None) -> str:
         existing = self.resolve(mention)
         if existing is not None:
             return existing
@@ -369,7 +369,7 @@ class EntityRegistry:
         while iri in self.entries:
             iri = f"{self.instance_ns}{slug}-{counter}"
             counter += 1
-        self.entries[iri] = RegistryEntry(iri, mention, first_seen=prov)
+        self.entries[iri] = RegistryEntry(iri, mention, first_seen=source_id)
         self.add_alias(iri, mention)
         return iri
 
@@ -477,7 +477,7 @@ def normalize(records: list[ExtractionRecord], registry: EntityRegistry,
             if literal_for_mention(entity.mention) is not None:
                 continue  # literal-shaped mentions are data values, not entities
             try:
-                iri = registry.resolve_or_mint(entity.mention, base_prov)
+                iri = registry.resolve_or_mint(entity.mention, doc_id)
             except AmbiguousAlias:
                 continue  # relations through this mention are quarantined below
             for alias in entity.aliases:
@@ -491,12 +491,12 @@ def normalize(records: list[ExtractionRecord], registry: EntityRegistry,
             prov = Provenance(source_id=doc_id, chunk_id=str(index), extracted_at=received_at,
                               confidence=rel.confidence, origin=origin)
             try:
-                subject_iri = registry.resolve_or_mint(rel.subject_mention, prov)
+                subject_iri = registry.resolve_or_mint(rel.subject_mention, doc_id)
                 literal = literal_for_mention(rel.object_mention)
                 if literal is not None:
                     obj: Term = literal
                 else:
-                    obj = Iri(registry.resolve_or_mint(rel.object_mention, prov))
+                    obj = Iri(registry.resolve_or_mint(rel.object_mention, doc_id))
             except AmbiguousAlias:
                 result.quarantined.append(QuarantinedRelation(
                     rel.subject_mention, rel.predicate_label, rel.object_mention,
@@ -645,14 +645,16 @@ class OntologyDelta:
 
 class OntologyStore:
     """In-memory pipeline state: the trusted graph (committed triples only),
-    its version and the entity registry. `commit` returns the delta that
-    `store.save_commit` persists, quarantine lines included."""
+    each trusted triple's provenance records, the version and the entity
+    registry. `commit` returns the delta that `store.save_commit` persists,
+    quarantine lines included."""
 
     def __init__(self, config: BuilderConfig | None = None,
                  shapes: list[NodeShape] | None = None):
         self.config = config or BuilderConfig()
         self.shapes = shapes or []
         self.trusted = Graph()
+        self.provenance: dict[Triple, list[Provenance]] = {}
         self.version = 0
         self.registry = EntityRegistry(self.config.instance_ns)
 
@@ -668,8 +670,7 @@ class OntologyStore:
         new: list[Candidate] = []
         for cand in gate.accepted:
             if cand.triple in self.trusted:
-                for prov in cand.provenance:
-                    self.trusted.add_provenance(cand.triple, prov)
+                self.provenance.setdefault(cand.triple, []).extend(cand.provenance)
             else:
                 new.append(cand)
 
@@ -681,8 +682,7 @@ class OntologyStore:
         self.version += 1
         for cand in new:
             self.trusted.insert(cand.triple)
-            for prov in cand.provenance:
-                self.trusted.add_provenance(cand.triple, prov)
+            self.provenance[cand.triple] = list(cand.provenance)
         return OntologyDelta(self.version, new, gate.quarantined, self.version - 1,
                              quarantined_relations)
 
@@ -690,11 +690,8 @@ class OntologyStore:
 def graph_candidates(graph: Graph, source_id: str,
                      origin: Origin = Origin.SOURCE_DOCUMENT) -> list[Candidate]:
     """Wrap a parsed graph (e.g. a curated schema file) as gate candidates."""
-    out = []
-    for t in graph:
-        provs = list(graph.provenance(t)) or [Provenance(source_id=source_id, origin=origin)]
-        out.append(Candidate(t, provs))
-    return out
+    prov = Provenance(source_id=source_id, origin=origin)
+    return [Candidate(t, [prov]) for t in graph]
 
 
 def run_pipeline(store: OntologyStore, docs: list[SourceDocument], extractor: Extractor,

@@ -64,6 +64,11 @@ class Move:
         return f"{self.from_peg}->{self.to_peg}"
 
 
+# The six moves between distinct pegs, shared by every plan built here; a
+# transcript may still name others, so Move stays a class.
+_MOVES = {(f, t): Move(f, t) for f in PEGS for t in PEGS if f != t}
+
+
 class ViolationReason(Enum):
     EMPTY_SOURCE = "EMPTY_SOURCE"
     LARGER_ON_SMALLER = "LARGER_ON_SMALLER"
@@ -93,7 +98,7 @@ def legal_moves(state: HanoiState) -> list[Move]:
                 continue
             top_t = state.top(t)
             if top_t is None or top_t > top_f:
-                out.append(Move(f, t))
+                out.append(_MOVES[f, t])
     return out
 
 
@@ -141,7 +146,7 @@ def solve_optimal(n: int, from_peg: int = 0, to_peg: int = 2) -> list[Move]:
         if k == 0:
             return
         rec(k - 1, src, via, dst)
-        plan.append(Move(src, dst))
+        plan.append(_MOVES[src, dst])
         rec(k - 1, via, dst, src)
 
     rec(n, from_peg, to_peg, 3 - from_peg - to_peg)
@@ -165,7 +170,7 @@ def solve_from(start: HanoiState, goal: HanoiState) -> list[Move]:
             if src != dst:
                 via = 3 - src - dst
                 gather(disk, via)
-                plan.append(Move(src, dst))
+                plan.append(_MOVES[src, dst])
                 if disk:
                     plan.extend(solve_optimal(disk, via, dst))
                 return
@@ -277,7 +282,7 @@ class CorruptedProposer(Proposer):
         self.proposer_id = f"corrupted:{p}"
 
     def propose(self, n, start, goal, feedback, rng):
-        all_moves = [Move(f, t) for f in PEGS for t in PEGS if f != t]
+        all_moves = list(_MOVES.values())
         plan = solve_from(start, goal)
         out = []
         for move in plan:

@@ -1,9 +1,9 @@
-"""In-memory RDF graph store: terms, triples, provenance, triple indexes.
+"""In-memory RDF graph store: terms, triples, provenance records, triple indexes.
 
 The graph is the structured half of the engine's dual memory. Triples are
 immutable values held in a set plus three indexes (subject-first,
-predicate-first, object-first); provenance records live in a side table keyed
-by triple, never inside the graph itself.
+predicate-first, object-first). A graph carries no provenance: the ontology
+store keeps the provenance records beside its trusted graph, keyed by triple.
 """
 
 from __future__ import annotations
@@ -118,6 +118,21 @@ def node_text(term: Term) -> str:
     return term.label
 
 
+def regex_error(pattern: str) -> str | None:
+    """Why `pattern` does not compile as a SPARQL regex or sh:pattern, or None
+    when it does."""
+    try:
+        re.compile(pattern)
+    except (re.error, OverflowError, RecursionError) as e:
+        return str(e)
+    return None
+
+
+def regex_matches(pattern: str, term: Term) -> bool:
+    """True when `pattern` matches somewhere in the node text of `term`."""
+    return re.search(pattern, node_text(term)) is not None
+
+
 def term_key(term: Term) -> tuple[int, str]:
     """Sort key: IRIs before blanks before literals, then canonical text."""
     if isinstance(term, Iri):
@@ -217,50 +232,42 @@ class Provenance:
         }
 
 
-REASONER_SOURCE = "reasoner"
-
-
 # ---------------------------------------------------------------------------
 # Graph
 # ---------------------------------------------------------------------------
 
 
 class Graph:
-    """Triple set with three always-coherent indexes and per-triple provenance.
+    """Triple set with three always-coherent indexes.
 
-    Set semantics: re-inserting a triple never grows the set, though its
-    provenance list may grow. Iteration is in canonical triple order so every
-    consumer is deterministic by construction.
+    Set semantics: re-inserting a triple never grows the set. Iteration is in
+    canonical triple order so every consumer is deterministic by construction.
     """
 
     def __init__(self) -> None:
         self._triples: set[Triple] = set()
-        self._prov: dict[Triple, list[Provenance]] = {}
         self._by_s: dict[Term, set[Triple]] = {}
         self._by_p: dict[Term, set[Triple]] = {}
         self._by_o: dict[Term, set[Triple]] = {}
 
     # -- mutation ------------------------------------------------------------
 
-    def insert(self, triple: Triple, prov: Provenance | None = None) -> bool:
+    def insert(self, triple: Triple) -> bool:
         """Add a triple; returns True when it was not already present."""
         if not isinstance(triple, Triple):
             raise StructuralError(f"not a triple: {triple!r}")
-        was_new = triple not in self._triples
-        if was_new:
-            self._triples.add(triple)
-            self._by_s.setdefault(triple.subject, set()).add(triple)
-            self._by_p.setdefault(triple.predicate, set()).add(triple)
-            self._by_o.setdefault(triple.object, set()).add(triple)
-        if prov is not None:
-            self._prov.setdefault(triple, []).append(prov)
-        return was_new
+        if triple in self._triples:
+            return False
+        self._triples.add(triple)
+        self._by_s.setdefault(triple.subject, set()).add(triple)
+        self._by_p.setdefault(triple.predicate, set()).add(triple)
+        self._by_o.setdefault(triple.object, set()).add(triple)
+        return True
 
     def remove(self, triple: Triple) -> bool:
         if triple not in self._triples:
             return False
         self._triples.discard(triple)
-        self._prov.pop(triple, None)
         for index, key in ((self._by_s, triple.subject), (self._by_p, triple.predicate), (self._by_o, triple.object)):
             bucket = index.get(key)
             if bucket is not None:
@@ -268,15 +275,6 @@ class Graph:
                 if not bucket:
                     del index[key]
         return True
-
-    def clear_provenance(self) -> None:
-        """Drop every provenance record; the triples stay."""
-        self._prov = {}
-
-    def add_provenance(self, triple: Triple, prov: Provenance) -> None:
-        if triple not in self._triples:
-            raise StructuralError("cannot attach provenance to an absent triple")
-        self._prov.setdefault(triple, []).append(prov)
 
     # -- access --------------------------------------------------------------
 
@@ -291,9 +289,6 @@ class Graph:
 
     def triple_set(self) -> frozenset[Triple]:
         return frozenset(self._triples)
-
-    def provenance(self, triple: Triple) -> tuple[Provenance, ...]:
-        return tuple(self._prov.get(triple, ()))
 
     def match(self, subject: Term | None = None, predicate: Term | None = None,
               object: Term | None = None) -> list[Triple]:
@@ -325,7 +320,6 @@ class Graph:
     def copy(self) -> Graph:
         g = Graph()
         g._triples = set(self._triples)
-        g._prov = {t: list(ps) for t, ps in self._prov.items()}
         g._by_s = {k: set(v) for k, v in self._by_s.items()}
         g._by_p = {k: set(v) for k, v in self._by_p.items()}
         g._by_o = {k: set(v) for k, v in self._by_o.items()}

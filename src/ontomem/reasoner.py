@@ -39,9 +39,6 @@ from .rdf_core import (
     Graph,
     Iri,
     Literal,
-    Origin,
-    Provenance,
-    REASONER_SOURCE,
     Term,
     Triple,
     single_object,
@@ -174,7 +171,6 @@ def _saturate(graph: Graph, new, ceiling: int) -> dict[Triple, Derivation]:
     log = list(new)
     fired_upto = dict.fromkeys(RuleId, 0)
     derivations: dict[Triple, Derivation] = {}
-    inferred_prov = Provenance(source_id=REASONER_SOURCE, origin=Origin.TOOL_RESULT)
     applications = 0
     while any(upto < len(log) for upto in fired_upto.values()):
         for rule, rows in _BY_RULE.items():
@@ -187,7 +183,7 @@ def _saturate(graph: Graph, new, ceiling: int) -> dict[Triple, Derivation]:
             if applications > ceiling:
                 raise DivergenceError(f"rule applications exceeded ceiling {ceiling}")
             for conclusion, (row, chosen) in conclusions.items():
-                graph.insert(conclusion, inferred_prov)
+                graph.insert(conclusion)
                 derivations[conclusion] = Derivation(rule, tuple(chosen[i] for i in rows[row][3]))
             log.extend(conclusions)
     return derivations
@@ -196,10 +192,8 @@ def _saturate(graph: Graph, new, ceiling: int) -> dict[Triple, Derivation]:
 def materialize(graph: Graph, ceiling: int = DEFAULT_APPLICATION_CEILING,
                 want_derivations: bool = False, added=()):
     """Least fixpoint of the rule slice over `graph` plus the triples of
-    `added`, which are inserted without provenance; input graph is not mutated.
-
-    Inferred triples carry Provenance(source_id="reasoner", origin=TOOL_RESULT).
-    Returns the new graph, or (graph, derivations) when want_derivations is set.
+    `added`; the input graph is not mutated. Returns the new graph, or
+    (graph, derivations) when want_derivations is set.
     """
     result = graph.copy()
     for t in added:
@@ -212,8 +206,7 @@ def materialize(graph: Graph, ceiling: int = DEFAULT_APPLICATION_CEILING,
 
 def extend(closure: Graph, added) -> Graph:
     """materialize(closure + added) for a `closure` that materialize returned,
-    at the cost of what `added` brings; `closure` is not mutated. Triples of
-    `added` are inserted without provenance."""
+    at the cost of what `added` brings; `closure` is not mutated."""
     result = closure.copy()
     _saturate(result, [t for t in added if result.insert(t)], DEFAULT_APPLICATION_CEILING)
     return result
@@ -307,9 +300,7 @@ def check_consistency(graph: Graph) -> list[Conflict]:
 
 class Closure(NamedTuple):
     """A materialized graph, each inferred triple's derivation, and the
-    conflicts the graph holds. Shared by readers, so never mutated. The graph
-    keeps no provenance: no reader of a closure looks at it, and without it a
-    closure kept for reuse takes about a fifth less memory."""
+    conflicts the graph holds. Shared by readers, so never mutated."""
 
     graph: Graph
     derivations: dict[Triple, Derivation]
@@ -319,5 +310,4 @@ class Closure(NamedTuple):
 def close(graph: Graph) -> Closure:
     """The closure of `graph`: materialize with derivations, then check_consistency."""
     m, derivations = materialize(graph, want_derivations=True)
-    m.clear_provenance()
     return Closure(m, derivations, check_consistency(m))

@@ -8,11 +8,11 @@ materialize first (the builder pipeline does exactly that).
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 
 from .namespaces import RDF_FIRST, RDF_NIL, RDF_REST, RDF_TYPE, SH_NS, XSD_BOOLEAN, XSD_INTEGER
-from .rdf_core import Graph, Iri, Literal, Term, Triple, node_text, single_object, term_key, term_text
+from .rdf_core import (Graph, Iri, Literal, Term, Triple, regex_error, regex_matches, single_object, term_key,
+                       term_text)
 
 SH_NODESHAPE = SH_NS + "NodeShape"
 SH_TARGETCLASS = SH_NS + "targetClass"
@@ -47,11 +47,8 @@ class PropertyShape:
     def __post_init__(self) -> None:
         if self.min_count is not None and self.max_count is not None and self.min_count > self.max_count:
             raise ShapeError(f"minCount {self.min_count} exceeds maxCount {self.max_count}")
-        if self.pattern is not None:
-            try:
-                re.compile(self.pattern)
-            except (re.error, OverflowError, RecursionError) as e:
-                raise ShapeError(f"sh:pattern of {self.path.value} does not compile: {e}") from None
+        if self.pattern is not None and (error := regex_error(self.pattern)) is not None:
+            raise ShapeError(f"sh:pattern of {self.path.value} does not compile: {error}")
 
 
 @dataclass(frozen=True)
@@ -230,7 +227,7 @@ def _check_focus(data: Graph, shape: NodeShape, focus: Term) -> list[ValidationR
                 results.append(ValidationResult(
                     focus, prop.path, "in",
                     f"value {term_text(value)} not in the allowed list"))
-            if prop.pattern is not None and re.search(prop.pattern, node_text(value)) is None:
+            if prop.pattern is not None and not regex_matches(prop.pattern, value):
                 results.append(ValidationResult(
                     focus, prop.path, "pattern",
                     f"value {term_text(value)} does not match /{prop.pattern}/"))

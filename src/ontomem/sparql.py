@@ -27,7 +27,8 @@ from .namespaces import (
     XSD_DECIMAL,
     XSD_INTEGER,
 )
-from .rdf_core import Graph, Iri, Literal, StructuralError, Term, node_text, term_text, unescape_literal
+from .rdf_core import (Graph, Iri, Literal, StructuralError, Term, regex_error, regex_matches, term_text,
+                       unescape_literal)
 from .turtle_io import ParseDiagnostic, PrefixMap
 
 
@@ -360,10 +361,9 @@ class _QueryParser:
             self.expect(",", "expected ',' in regex")
             tok = self.take()
             pattern = self._literal(tok).lexical
-            try:
-                re.compile(pattern)
-            except (re.error, OverflowError, RecursionError) as e:
-                self.fail(f"invalid regex pattern: {e}", tok)
+            error = regex_error(pattern)
+            if error is not None:
+                self.fail(f"invalid regex pattern: {error}", tok)
             self.expect(")", "expected ')'")
             expr = RegexMatch(var, pattern)
         else:
@@ -452,7 +452,7 @@ def _passes(filters, binding: dict[str, Term]) -> bool:
         elif isinstance(f, IsIriTest):
             if not isinstance(binding[f.variable], Iri):
                 return False
-        elif re.search(f.pattern, node_text(binding[f.variable])) is None:
+        elif not regex_matches(f.pattern, binding[f.variable]):
             return False
     return True
 

@@ -184,10 +184,8 @@ def load_store(root: str | Path, shapes: list[NodeShape] | None = None) -> Store
     graph, prefixes = parse_turtle((root / "trusted.ttl").read_text(encoding="utf-8"))
     prov_by_triple = _load_provenance(root / "provenance.jsonl")
     fallback = Provenance(source_id="trusted.ttl", origin=Origin.SOURCE_DOCUMENT)
-    for t in graph.find():
-        for p in prov_by_triple.get(triple_text(t)) or [fallback]:
-            graph.add_provenance(t, p)
     store.trusted = graph
+    store.provenance = {t: prov_by_triple.get(triple_text(t)) or [fallback] for t in graph.find()}
 
     store.registry = _load_registry(root / "registry.ttl", builder_config.instance_ns)
     merged_prefixes = dict(DEFAULT_PREFIXES)
@@ -219,7 +217,7 @@ def save_commit(handle: StoreHandle, delta: OntologyDelta) -> Path | None:
         delta_path.write_text(serialize_turtle(delta_graph, handle.prefixes), encoding="utf-8")
         (root / "trusted.ttl").write_text(
             serialize_turtle(store.trusted, handle.prefixes), encoding="utf-8")
-        _save_provenance(root / "provenance.jsonl", store.trusted)
+        _save_provenance(root / "provenance.jsonl", store)
         (root / "registry.ttl").write_text(
             serialize_turtle(registry_to_graph(store.registry), handle.prefixes), encoding="utf-8")
 
@@ -273,10 +271,10 @@ def load_log_entries(root: str | Path, start: int = 0) -> tuple[list[tuple[str, 
     return entries, start + len(complete)
 
 
-def _save_provenance(path: Path, graph: Graph) -> None:
+def _save_provenance(path: Path, store: OntologyStore) -> None:
     lines = []
-    for t in graph:
-        records = [p.to_json() for p in graph.provenance(t)]
+    for t in store.trusted:
+        records = [p.to_json() for p in store.provenance.get(t, ())]
         lines.append(json.dumps({"triple": triple_text(t), "provenance": records},
                                 sort_keys=True, ensure_ascii=False))
     path.write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
@@ -322,7 +320,7 @@ def registry_to_graph(registry: EntityRegistry) -> Graph:
         for type_iri in sorted(entry.types):
             g.insert(Triple(node, type_p, Iri(type_iri)))
         if entry.first_seen is not None:
-            g.insert(Triple(node, seen_p, Literal(entry.first_seen.source_id)))
+            g.insert(Triple(node, seen_p, Literal(entry.first_seen)))
     reg_node = Iri(SYS_REGISTRY)
     for alias in sorted(registry.ambiguous):
         g.insert(Triple(reg_node, Iri(SYS_AMBIGUOUS_ALIAS), Literal(alias)))
@@ -346,7 +344,7 @@ def registry_from_graph(graph: Graph, instance_ns: str) -> EntityRegistry:
                 registry.add_type(iri, t.object.value)
         seen = graph.match(node, Iri(SYS_FIRST_SEEN), None)
         if seen and isinstance(seen[0].object, Literal):
-            registry.entries[iri].first_seen = Provenance(source_id=seen[0].object.lexical)
+            registry.entries[iri].first_seen = seen[0].object.lexical
     for t in graph.match(Iri(SYS_REGISTRY), Iri(SYS_AMBIGUOUS_ALIAS), None):
         if isinstance(t.object, Literal):
             registry.ambiguous.add(t.object.lexical)

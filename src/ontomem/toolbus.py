@@ -140,14 +140,10 @@ def _seed_terms(handle: StoreHandle, query: str, seeds: list[str] | None) -> lis
 def session_memory(handle: StoreHandle, session_id: str) -> list[Triple]:
     """Per-session user memory: trusted triples whose provenance is DIALOGUE
     under the session's source id."""
-    out = []
-    trusted = handle.store.trusted
-    for t in trusted:
-        for p in trusted.provenance(t):
-            if p.origin is Origin.DIALOGUE and p.source_id == session_id:
-                out.append(t)
-                break
-    return out
+    provenance = handle.store.provenance
+    return [t for t in handle.store.trusted
+            if any(p.origin is Origin.DIALOGUE and p.source_id == session_id
+                   for p in provenance.get(t, ()))]
 
 
 def svc_bench(params: dict) -> dict:
@@ -175,7 +171,8 @@ TOOL_CATALOG = [
     {
         "name": "graph.diff",
         "description": "Diff the graphs at two committed versions",
-        "params": {"from_version": "integer", "to_version": "integer"},
+        "params": {"from_version": "integer", "to_version": "integer",
+                   "include_inferred": "boolean (optional): diff the materialized graphs"},
     },
     {
         "name": "fact.check",
@@ -192,7 +189,8 @@ TOOL_CATALOG = [
         "name": "bench.hanoi.run",
         "description": "Run the Tower of Hanoi propose/check/repair benchmark",
         "params": {"disks": "list of ints", "proposers": "list of proposer specs",
-                   "episodes": "int", "repairs": "list of ints", "seed": "int"},
+                   "episodes": "int", "repairs": "list of ints", "seed": "int",
+                   "move_level": "boolean (optional): propose one step at a time"},
     },
     {
         "name": "tools.list",
@@ -245,7 +243,7 @@ def _graph_validate(handle: StoreHandle, params: dict) -> dict:
     shapes_file = _optional(params, "shapes_file", str, None)
     try:
         return svc_validate(handle, shapes_file)
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ParamError(f"cannot read shapes file: {e}") from e
     except (ShapeError, TurtleParseError) as e:
         raise ParamError(str(e)) from e
@@ -264,7 +262,7 @@ def _fact_check(handle: StoreHandle, params: dict) -> dict:
         try:
             with open(path, encoding="utf-8") as fh:
                 parsed = parse_claims(fh.read())
-        except OSError as e:
+        except (OSError, UnicodeDecodeError) as e:
             raise ParamError(f"cannot read claims file: {e}") from e
         claims, diagnostics = parsed.claims, parsed.diagnostics
     else:

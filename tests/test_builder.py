@@ -344,7 +344,7 @@ class TestValidateGate:
         store.trusted = trusted
         delta = store.commit(gate, 0)
         assert not delta.accepted
-        assert len(store.trusted.provenance(functional)) == 1
+        assert len(store.provenance[functional]) == 1
         assert [q.candidate.triple for q in delta.quarantined] == [
             Triple(iri("s"), iri("p"), iri("o2"))]
 
@@ -427,7 +427,7 @@ class TestCommit:
         assert delta.accepted == [] and delta.version_id == 1
         assert store.version == 1
         # duplicate's provenance merged onto the existing fact
-        assert len(store.trusted.provenance(batch[0].triple)) == 2
+        assert len(store.provenance[batch[0].triple]) == 2
 
     def test_stale_version_conflict(self):
         store = OntologyStore()
@@ -460,7 +460,7 @@ class TestPipelineAndFeedback:
         store = OntologyStore()
         run_pipeline(store, self.docs(), self.extractor())
         for t in store.trusted:
-            provs = store.trusted.provenance(t)
+            provs = store.provenance[t]
             assert provs and all(p.source_id for p in provs)
 
     def test_feedback_accepts_novel_consistent_claim(self):
@@ -469,7 +469,7 @@ class TestPipelineAndFeedback:
         claim = Claim(Triple(Iri(INST + "disk3"), Iri(PROP + "is-on"), Iri(INST + "pegc")))
         delta = feedback(store, [claim])
         assert len(delta.accepted) == 1
-        provs = store.trusted.provenance(delta.accepted[0].triple)
+        provs = store.provenance[delta.accepted[0].triple]
         assert provs[0].origin is Origin.ANSWER_FEEDBACK
 
     def test_feedback_existing_claim_empty_delta(self):
@@ -482,8 +482,7 @@ class TestPipelineAndFeedback:
 
     def test_feedback_functional_clash_quarantined(self):
         store = OntologyStore()
-        store.trusted.insert(Triple(Iri(PROP + "is-on"), Iri(RDF_TYPE), Iri(OWL_FUNCTIONAL)),
-                             Provenance(source_id="schema"))
+        store.trusted.insert(Triple(Iri(PROP + "is-on"), Iri(RDF_TYPE), Iri(OWL_FUNCTIONAL)))
         run_pipeline(store, self.docs(), self.extractor())
         before = store.trusted.content_hash()
         clash = Claim(Triple(Iri(INST + "disk1"), Iri(PROP + "is-on"), Iri(INST + "pegb")))

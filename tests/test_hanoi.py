@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -152,6 +153,24 @@ class TestSolveFrom:
             solve_from(start, HanoiState(3, (2, 2, 1)))
         with pytest.raises(ValueError):
             solve_from(start, HanoiState.initial(4, 2))
+
+    def test_16_disk_plans_share_move_values(self):
+        # 65,535 moves as references to six shared values take about 0.5 MiB;
+        # one Move object per step would take about 6 MiB.
+        plan = solve_optimal(16)
+        mid = HanoiState.initial(16)
+        for move in plan[:40_000]:
+            mid = apply_move(mid, move)
+        del plan
+        goal = HanoiState.initial(16, 2)
+        for solve in (lambda: solve_optimal(16), lambda: solve_from(mid, goal)):
+            tracemalloc.start()
+            try:
+                solve()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2 * 2**20
 
 
 class TestStateToGraph:

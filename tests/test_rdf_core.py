@@ -10,7 +10,6 @@ from ontomem.rdf_core import (
     Graph,
     Iri,
     Literal,
-    Provenance,
     StructuralError,
     Triple,
     diff,
@@ -98,13 +97,6 @@ class TestInsert:
         g.insert(t("a", "p", "b"))
         assert g.insert(t("a", "p", "b")) is False
         assert len(g) == 1
-
-    def test_provenance_list_grows_on_reinsert(self):
-        g = Graph()
-        trip = t("a", "p", "b")
-        g.insert(trip, Provenance(source_id="one"))
-        g.insert(trip, Provenance(source_id="two"))
-        assert [p.source_id for p in g.provenance(trip)] == ["one", "two"]
 
     def test_insert_remove_round_trip(self):
         g = Graph()

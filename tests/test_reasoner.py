@@ -15,7 +15,7 @@ from ontomem.namespaces import (
     RDFS_SUBPROPERTYOF,
 )
 from ontomem.factcheck import negation_overlay
-from ontomem.rdf_core import REASONER_SOURCE, Graph, Iri, Literal, Origin, Triple
+from ontomem.rdf_core import Graph, Iri, Literal, Triple
 from ontomem.reasoner import (
     ConflictKind,
     DivergenceError,
@@ -107,16 +107,6 @@ class TestMaterialize:
         before = g.content_hash()
         materialize(g)
         assert g.content_hash() == before
-
-    def test_inferred_triples_carry_reasoner_provenance(self):
-        g = Graph()
-        g.insert(tr("x", RDF_TYPE, "A"))
-        g.insert(tr("A", RDFS_SUBCLASSOF, "B"))
-        m = materialize(g)
-        provs = m.provenance(tr("x", RDF_TYPE, "B"))
-        assert len(provs) == 1
-        assert provs[0].source_id == REASONER_SOURCE
-        assert provs[0].origin is Origin.TOOL_RESULT
 
     def test_divergence_ceiling(self):
         g = Graph()
@@ -285,13 +275,13 @@ def test_extend_equals_materialize_of_union():
         g1 = random_ontology_graph(rng, 30)
         g2 = random_ontology_graph(rng, 30)
         closure = materialize(g1)
-        before = (closure.content_hash(), [closure.provenance(t) for t in closure])
+        before = closure.content_hash()
         extended = extend(closure, list(g2))
         union = g1.copy()
         for t in g2:
             union.insert(t)
         assert extended.triple_set() == materialize(union).triple_set()
-        assert (closure.content_hash(), [closure.provenance(t) for t in closure]) == before
+        assert closure.content_hash() == before
 
 
 def test_extend_ceiling(monkeypatch):

@@ -47,7 +47,7 @@ class TestStoreLayout:
         handle = load_store(built_store)
         sources = set()
         for t in handle.store.trusted:
-            provs = handle.store.trusted.provenance(t)
+            provs = handle.store.provenance[t]
             assert provs
             sources.update(p.source_id for p in provs)
         assert any(s.endswith(".txt") for s in sources)  # real doc ids, not synthetic
@@ -64,6 +64,38 @@ class TestStoreLayout:
         assert back.resolve("acme corp") == a
         assert "ACME" in back.ambiguous
         assert back.entries[a].types == {"http://ontomem.dev/ns/schema#Company"}
+
+    @pytest.fixture(scope="class")
+    def built_and_loaded(self, tmp_path_factory):
+        """The store of the `build` that committed the bundled corpus, and the
+        store that `load_store` reads back from its files."""
+        import ontomem.cli as cli
+        built = []
+
+        def capture(handle, delta):
+            built.append(handle.store)
+            return save_commit(handle, delta)
+
+        root = tmp_path_factory.mktemp("round-trip") / "store"
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "save_commit", capture)
+            run_cli("--store", str(root), "init")
+            code, _, err = run_cli(
+                "--store", str(root), "build", "--sources", str(DATA / "corpus"),
+                "--shapes", str(DATA / "corpus_shapes.ttl"),
+                "--schema", str(DATA / "corpus_schema.ttl"),
+                "--patterns", str(DATA / "corpus_patterns.json"))
+        assert code == 0, err
+        return built[0], load_store(root).store
+
+    def test_reload_keeps_every_provenance_record(self, built_and_loaded):
+        built, loaded = built_and_loaded
+        assert loaded.provenance and loaded.provenance == built.provenance
+
+    def test_reload_keeps_registry_entries(self, built_and_loaded):
+        built, loaded = built_and_loaded
+        assert any(e.first_seen for e in built.registry.entries.values())
+        assert loaded.registry.entries == built.registry.entries
 
     def test_lock_excludes_second_writer(self, tmp_path):
         with StoreLock(tmp_path):
@@ -388,8 +420,8 @@ class TestCommitPath:
         return store, sources
 
     def test_reasoner_named_schema_file_stays_trusted(self, tmp_path):
-        # A schema file named like the reasoner's provenance source: its triple
-        # is committed, so it belongs in trusted.ttl as well as in delta-1.ttl.
+        # A schema file named `reasoner`: its triple is committed, so it
+        # belongs in trusted.ttl as well as in delta-1.ttl.
         store, sources = self._store_and_docs(tmp_path, {})
         schema = tmp_path / "reasoner"
         schema.write_text("@prefix ex: <http://ex.org/> .\nex:a ex:p ex:b .\n", encoding="utf-8")

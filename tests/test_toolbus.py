@@ -57,6 +57,12 @@ class TestDispatch:
                 "memory.retrieve", "bench.hanoi.run"} <= names
         assert all("params" in t for t in tools)
 
+    def test_tools_list_names_every_method_and_accepted_param(self, bus):
+        tools = {t["name"]: t["params"] for t in call(bus, "tools.list")["result"]["tools"]}
+        assert set(tools) == set(toolbus._METHODS)
+        assert "include_inferred" in tools["graph.diff"]
+        assert "move_level" in tools["bench.hanoi.run"]
+
     def test_unknown_method_32601(self, bus):
         response = call(bus, "graph.everything")
         assert response["error"]["code"] == METHOD_NOT_FOUND
@@ -191,6 +197,18 @@ class TestDispatch:
         error = call(bus, "graph.validate", {"shapes_file": str(tmp_path / "missing.ttl")})["error"]
         assert error["code"] == INVALID_PARAMS
         assert error["message"].startswith("cannot read shapes file: ")
+
+    @pytest.mark.parametrize("method, param, what", [
+        ("graph.validate", "shapes_file", "shapes"),
+        ("fact.check", "claims_file", "claims"),
+    ], ids=["shapes_file", "claims_file"])
+    def test_non_utf8_file_32602(self, tmp_path, method, param, what):
+        path = tmp_path / "not-utf8"
+        path.write_bytes(b"\xff\xfe")
+        bus = ToolBus(init_store(tmp_path / "s"))
+        error = call(bus, method, {param: str(path)})["error"]
+        assert error["code"] == INVALID_PARAMS
+        assert error["message"].startswith(f"cannot read {what} file: ")
 
     def test_move_level_bench_memory_follows_the_plan(self, bus):
         # a replan from a mid-episode state once searched up to 3^n states (60 MiB at 11 disks)
