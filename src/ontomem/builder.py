@@ -575,8 +575,14 @@ def validate_gate(candidates: list[Candidate], trusted: Graph,
     and shape-conforming; quarantine the rest with their evidence.
 
     The trusted graph is materialized once; each round extends that closure
-    with the remaining candidates. Fresh consistency conflicts are blamed
-    first; only a round without them looks at fresh shape violations.
+    with the remaining candidates as a Layer and checks only the layer's
+    delta (`since=`): a conflict or violation that the delta does not touch
+    lies wholly in the trusted closure, so it is not fresh, and a round costs
+    what the candidates add. A delta of a twentieth of the closure or more,
+    as in a store's first build, gets its conflicts from the full scan,
+    filtered to the delta. Fresh consistency conflicts are blamed first;
+    only a round without them looks at fresh shape violations: those on the
+    delta's subjects that the trusted closure does not already show there.
     Candidates directly participating in a conflict or sharing a focus node
     with a fresh violation go first; if the evidence names no candidate
     (purely inferred clash), the lowest-confidence candidate is removed and
@@ -587,19 +593,18 @@ def validate_gate(candidates: list[Candidate], trusted: Graph,
     quarantined: list[QuarantinedCandidate] = []
 
     base = materialize(trusted)
-    base_conflicts = set(check_consistency(base))
-    base_violations = {_violation_key(v) for v in validate(base, shapes).results}
 
     # Conflicts only grow with the asserted set, so a round that removes
     # candidates cannot create a fresh one: every conflict round comes before
     # every shape round.
     while remaining:
-        closure = extend(base, [cand.triple for cand in remaining])
-        evidence = [c for c in check_consistency(closure) if c not in base_conflicts]
+        trial = extend(base, [cand.triple for cand in remaining])
+        fresh = trial.delta.triple_set()
+        evidence = check_consistency(trial, since=fresh)
         if not evidence:
-            evidence = [v for v in validate(closure, shapes).results
-                        if _violation_key(v) not in base_violations]
-        del closure  # hold the base and at most one trial closure
+            known = {_violation_key(v) for v in validate(base, shapes, since=fresh).results}
+            evidence = [v for v in validate(trial, shapes, since=fresh).results
+                        if _violation_key(v) not in known]
         if not evidence:
             break
 

@@ -185,7 +185,7 @@ def cmd_check(args) -> int:
     handle = load_store(args.store)
     try:
         text = Path(args.claims).read_text(encoding="utf-8")
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         print(f"cannot read claims file: {e}", file=sys.stderr)
         return 2
     parsed = parse_claims(text)

@@ -2,9 +2,12 @@
 is derivable, CONTRADICTED when asserting it creates a conflict (functional
 clash, disjointness, or a stored explicit negation), NOT_FOUND otherwise.
 
-Open-world: absence alone never contradicts. Claim conditions are assumed
-hypothetically on a copy; neither the trusted graph nor a shared closure of it
-is ever touched.
+Open-world: absence alone never contradicts. A statement is assumed
+hypothetically on a Layer over the closure, and only the layer's delta is
+checked for conflicts. Claim conditions are materialized with trusted from
+scratch: extending a cached closure with them would keep cached derivations
+where a fresh run finds others, and so change traces. Neither the trusted
+graph nor a shared closure of it is ever touched.
 """
 
 from __future__ import annotations
@@ -167,7 +170,10 @@ def _check_asserted(statement: Triple, m: Graph, derivations, condition_steps):
         trace = condition_steps + _support_trace(statement, m, derivations)
         return (VerdictStatus.SUPPORTED, trace)
 
-    conflicts = check_consistency(extend(m, [statement]))
+    # `m` holds no conflict (check_claim raised otherwise), so every conflict
+    # of the layer touches its delta.
+    layer = extend(m, [statement])
+    conflicts = check_consistency(layer, since=layer.delta.triple_set())
     if conflicts:
         steps = condition_steps + tuple(
             TraceStep(TraceKind.CONFLICT, c.detail, detail=c.kind.value) for c in conflicts

@@ -4,6 +4,7 @@ The graph is the structured half of the engine's dual memory. Triples are
 immutable values held in a set plus three indexes (subject-first,
 predicate-first, object-first). A graph carries no provenance: the ontology
 store keeps the provenance records beside its trusted graph, keyed by triple.
+A `Layer` reads a shared graph plus a small graph of triples added on top.
 """
 
 from __future__ import annotations
@@ -331,6 +332,51 @@ class Graph:
             h.update(triple_text(t).encode("utf-8"))
             h.update(b"\n")
         return h.hexdigest()
+
+
+class Layer:
+    """A graph read as a shared `base` plus a small `delta` graph on top.
+
+    `insert` writes only to the delta and skips triples the base holds, so
+    the two never overlap; a layer has no `remove`, so nothing written
+    through it reaches the base.
+    Reads union the base and the delta, so building a layer copies nothing:
+    this is path copying as in persistent data structures (Driscoll, Sarnak,
+    Sleator & Tarjan, 1989). The base must not change while the layer lives.
+    """
+
+    def __init__(self, base: Graph | Layer) -> None:
+        self.base = base
+        self.delta = Graph()
+
+    def insert(self, triple: Triple) -> bool:
+        """Add a triple to the delta; returns True when the layer lacked it."""
+        if triple in self.base:
+            return False
+        return self.delta.insert(triple)
+
+    def __len__(self) -> int:
+        return len(self.base) + len(self.delta)
+
+    def __contains__(self, triple: Triple) -> bool:
+        return triple in self.delta or triple in self.base
+
+    def __iter__(self):
+        return iter(sorted(self.find(), key=triple_key))
+
+    def triple_set(self) -> frozenset[Triple]:
+        return self.base.triple_set() | self.delta.triple_set()
+
+    def find(self, subject: Term | None = None, predicate: Term | None = None,
+             object: Term | None = None) -> list[Triple]:
+        """All triples matching the bound positions, unordered: the base's
+        matches followed by the delta's."""
+        found = self.base.find(subject, predicate, object)
+        found.extend(self.delta.find(subject, predicate, object))
+        return found
+
+    match = Graph.match
+    content_hash = Graph.content_hash
 
 
 def single_object(graph: Graph, subject: Term, predicate: str) -> Term | None:

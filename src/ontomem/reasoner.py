@@ -5,6 +5,10 @@ negation overlay).
 The rules are one table that a single semi-naive loop evaluates: `materialize`
 closes a copy of a graph from scratch, and `extend` closes a materialized graph
 plus added triples, each rule joining only the triples it has not yet seen.
+`extend` copies nothing: it returns a `Layer` whose read-only base is the
+closure and whose delta holds the added triples and what they infer.
+`check_consistency(graph, since=delta)` then looks only where that delta can
+make a conflict, so a claim or a gate round costs what it adds.
 
 The rule set is deliberately small enough that termination is structural:
 every rule's conclusions stay inside the vocabulary closure of its premises,
@@ -38,6 +42,7 @@ from .namespaces import (
 from .rdf_core import (
     Graph,
     Iri,
+    Layer,
     Literal,
     Term,
     Triple,
@@ -204,10 +209,13 @@ def materialize(graph: Graph, ceiling: int = DEFAULT_APPLICATION_CEILING,
     return result
 
 
-def extend(closure: Graph, added) -> Graph:
+def extend(closure: Graph | Layer, added) -> Layer:
     """materialize(closure + added) for a `closure` that materialize returned,
-    at the cost of what `added` brings; `closure` is not mutated."""
-    result = closure.copy()
+    at the cost of what `added` brings: a Layer over `closure`, which is
+    neither copied nor mutated and must not change while the layer is read.
+    The layer's delta holds exactly the added triples that `closure` lacks
+    plus the triples they infer."""
+    result = Layer(closure)
     _saturate(result, [t for t in added if result.insert(t)], DEFAULT_APPLICATION_CEILING)
     return result
 
@@ -241,15 +249,71 @@ _KIND_ORDER = {ConflictKind.DISJOINT_CLASS: 0, ConflictKind.FUNCTIONAL_PROPERTY:
                ConflictKind.EXPLICIT_NEGATION: 2}
 
 
-def check_consistency(graph: Graph) -> list[Conflict]:
-    """Conflicts visible in a materialized graph; empty list means consistent."""
+_NOT = Iri(SYS_NOT)
+_TRUE = Literal("true", XSD_BOOLEAN)
+_RDF_SUBJECT = Iri(RDF_SUBJECT)
+_REIFICATION = {_RDF_SUBJECT, Iri(RDF_PREDICATE), Iri(RDF_OBJECT), _NOT}
+
+
+def worth_scoping(delta, graph: Graph | Layer) -> bool:
+    """True when a consistency check scoped to `delta` costs less than one
+    scan of the whole `graph`. The scoped check pays index lookups and triple
+    hashes for each delta triple, the scan one pass over each graph triple:
+    4 to 9 us per delta triple, depending on what the delta holds, against
+    0.35 us per graph triple (deltas of the builder's corpus closure and of a
+    15,010-triple synthetic closure, 2-core VM, CPython 3.11). So scoping
+    wins below a twelfth to a twenty-fifth of the graph; the cut is a
+    twentieth."""
+    return 20 * len(delta) < len(graph)
+
+
+def check_consistency(graph: Graph | Layer, since=None) -> list[Conflict]:
+    """Conflicts visible in a materialized graph; empty list means consistent.
+
+    `since`, a set of triples of `graph` such as a Layer's delta, scopes the
+    check to them: the result is then exactly the conflicts of the full report
+    whose detail holds a triple of `since`. They are found through its keys
+    alone: the nodes it types, the (subject, property) pairs it uses, and the
+    reified statements whose rdf:subject is one of its subjects or whose
+    reification or sys:not triple it holds. Only a disjointness or functional
+    declaration in `since` is checked across the graph. This is integrity
+    checking by simplification (Nicolas, 1982). A delta of a twentieth of
+    the graph or more, such as a store's first build, is checked by the full
+    scan and then filtered, which gives the same list faster.
+    """
+    if since is not None and not worth_scoping(since, graph):
+        return [c for c in check_consistency(graph) if any(t in since for t in c.detail)]
+    disjoint = graph.find(None, _DISJOINT, None)
+    types_of: dict[Term, set[Term]] = {}
+    if since is None:
+        for t in graph.find(None, _TYPE, None):
+            types_of.setdefault(t.subject, set()).add(t.object)
+        negations = graph.find(None, _NOT, _TRUE)
+    else:
+        nodes: set[Term] = set()
+        used: dict[Term, set[Term]] = {}
+        stmts: set[Term] = set()
+        for t in since:
+            used.setdefault(t.predicate, set()).add(t.subject)
+            if t.predicate == _TYPE:
+                nodes.add(t.subject)
+            elif t.predicate == _DISJOINT:
+                nodes.update({u.subject for u in graph.find(None, _TYPE, t.subject)}
+                             & {u.subject for u in graph.find(None, _TYPE, t.object)})
+            elif t.predicate in _REIFICATION:
+                stmts.add(t.subject)
+        # Only the classes a disjointness names matter, so a node's other
+        # types are never looked up.
+        classes = {c for decl in disjoint for c in (decl.subject, decl.object)}
+        for node in nodes:
+            types_of[node] = {c for c in classes if Triple(node, _TYPE, c) in graph}
+        for subject in {t.subject for t in since}:
+            stmts.update(r.subject for r in graph.find(None, _RDF_SUBJECT, subject))
+        negations = [neg for neg in (Triple(stmt, _NOT, _TRUE) for stmt in stmts) if neg in graph]
     conflicts: list[Conflict] = []
 
     # (a) instance typed into two owl:disjointWith classes
-    types_of: dict[Term, set[Term]] = {}
-    for t in graph.find(None, _TYPE, None):
-        types_of.setdefault(t.subject, set()).add(t.object)
-    for decl in graph.find(None, _DISJOINT, None):
+    for decl in disjoint:
         a_cls, b_cls = decl.subject, decl.object
         for node, classes in types_of.items():
             if a_cls in classes and b_cls in classes and a_cls != b_cls:
@@ -261,8 +325,12 @@ def check_consistency(graph: Graph) -> list[Conflict]:
         prop = decl.subject
         if not isinstance(prop, Iri):
             continue
+        if since is None or decl in since:
+            uses = graph.find(None, prop, None)
+        else:
+            uses = [u for subject in used.get(prop, ()) for u in graph.find(subject, prop, None)]
         values: dict[Term, list[Triple]] = {}
-        for use in graph.find(None, prop, None):
+        for use in uses:
             values.setdefault(use.subject, []).append(use)
         for subject, uses in values.items():
             if len({u.object for u in uses}) > 1:
@@ -270,8 +338,7 @@ def check_consistency(graph: Graph) -> list[Conflict]:
                 conflicts.append(Conflict(ConflictKind.FUNCTIONAL_PROPERTY, subject, detail))
 
     # (c) triple asserted positively while its negation overlay is recorded
-    true_lit = Literal("true", XSD_BOOLEAN)
-    for neg in graph.find(None, Iri(SYS_NOT), true_lit):
+    for neg in negations:
         stmt = neg.subject
         s = single_object(graph, stmt, RDF_SUBJECT)
         p = single_object(graph, stmt, RDF_PREDICATE)
@@ -295,7 +362,9 @@ def check_consistency(graph: Graph) -> list[Conflict]:
         else:
             key = (c.kind.value, term_key(c.subject), tuple(triple_text(t) for t in c.detail))
         deduped.setdefault(key, c)
-    return list(deduped.values())
+    if since is None:
+        return list(deduped.values())
+    return [c for c in deduped.values() if any(t in since for t in c.detail)]
 
 
 class Closure(NamedTuple):

@@ -26,6 +26,7 @@ SH_IN = SH_NS + "in"
 SH_PATTERN = SH_NS + "pattern"
 SH_CLOSED = SH_NS + "closed"
 
+_TYPE = Iri(RDF_TYPE)
 _KNOWN_SHAPE_TERMS = {SH_TARGETCLASS, SH_PROPERTY, SH_CLOSED, RDF_TYPE}
 _KNOWN_PROPERTY_TERMS = {SH_PATH, SH_MINCOUNT, SH_MAXCOUNT, SH_DATATYPE, SH_CLASS, SH_IN, SH_PATTERN, RDF_TYPE}
 
@@ -182,20 +183,29 @@ def _warn_unknown(graph: Graph, node: Term, known: set[str], warnings: list[str]
 # ---------------------------------------------------------------------------
 
 
-def validate(data: Graph, shapes: list[NodeShape]) -> ValidationReport:
-    """Check every focus node of every shape; conforms iff no results."""
+def validate(data: Graph, shapes: list[NodeShape], since=None) -> ValidationReport:
+    """Check every focus node of every shape; conforms iff no results.
+
+    `since`, a set of triples such as a Layer's delta, scopes the check to
+    the focus nodes that are subjects of its triples: the report then holds
+    exactly the full report's results on those nodes, in the same order.
+    """
+    scope = None if since is None else {t.subject for t in since}
     results: list[ValidationResult] = []
     for shape in shapes:
-        for focus in _focus_nodes(data, shape):
+        for focus in _focus_nodes(data, shape, scope):
             results.extend(_check_focus(data, shape, focus))
     results.sort(key=lambda r: (term_key(r.focus_node), r.path.value if r.path else "", r.constraint))
     return ValidationReport(conforms=not results, results=results)
 
 
-def _focus_nodes(data: Graph, shape: NodeShape) -> list[Term]:
+def _focus_nodes(data: Graph, shape: NodeShape, scope: set[Term] | None) -> list[Term]:
     if shape.target_class is None:
         return []
-    nodes = {t.subject for t in data.match(None, Iri(RDF_TYPE), shape.target_class)}
+    if scope is None:
+        nodes = {t.subject for t in data.find(None, _TYPE, shape.target_class)}
+    else:
+        nodes = {n for n in scope if Triple(n, _TYPE, shape.target_class) in data}
     return sorted(nodes, key=term_key)
 
 
@@ -219,7 +229,7 @@ def _check_focus(data: Graph, shape: NodeShape, focus: Term) -> list[ValidationR
                         focus, prop.path, "datatype",
                         f"value {term_text(value)} is not a literal of {prop.datatype.value}"))
             if prop.value_class is not None:
-                if isinstance(value, Literal) or Triple(value, Iri(RDF_TYPE), prop.value_class) not in data:
+                if isinstance(value, Literal) or Triple(value, _TYPE, prop.value_class) not in data:
                     results.append(ValidationResult(
                         focus, prop.path, "class",
                         f"value {term_text(value)} is not typed {prop.value_class.value}"))

@@ -29,7 +29,7 @@ from .fusion import (
 )
 from .builder import AmbiguousAlias
 from .hanoi import run_benchmark
-from .rdf_core import Iri, Origin, StructuralError, Term, Triple, diff, parse_term_text, triple_text
+from .rdf_core import Iri, Layer, Origin, StructuralError, Term, Triple, parse_term_text, triple_key, triple_text
 from .reasoner import extend, materialize
 from .shacl import ShapeError, validate
 from .sparql import EvaluationLimitError, QueryParseError, evaluate, parse_query
@@ -73,20 +73,22 @@ def svc_logic_check(handle: StoreHandle) -> dict:
 
 def svc_diff(handle: StoreHandle, v1: int, v2: int, include_inferred: bool = False) -> dict:
     """Triples added and removed from version v1 to v2. The deltas only add, so
-    the lower version is read once and the deltas above it are added to it."""
+    the higher version is a Layer over the lower one, and the layer's delta is
+    all that differs: the triples the deltas above the lower version add, and
+    with `include_inferred` what they infer beyond its closure."""
     lo, hi = sorted((v1, v2))
     g_lo = graph_at_version(handle.root, lo)
     new = graph_at_version(handle.root, hi, since=lo).find()
     if include_inferred:
-        g_lo = materialize(g_lo)
-        g_hi = extend(g_lo, new)
+        g_hi = extend(materialize(g_lo), new)
     else:
-        g_hi = g_lo.copy()
+        g_hi = Layer(g_lo)
         for t in new:
             g_hi.insert(t)
-    added, removed = diff(g_lo, g_hi) if v1 <= v2 else diff(g_hi, g_lo)
-    return {"from_version": v1, "to_version": v2, "added": sorted(map(triple_text, added)),
-            "removed": sorted(map(triple_text, removed)), "include_inferred": include_inferred}
+    changed = sorted(map(triple_text, g_hi.delta.find()))
+    added, removed = (changed, []) if v1 <= v2 else ([], changed)
+    return {"from_version": v1, "to_version": v2, "added": added,
+            "removed": removed, "include_inferred": include_inferred}
 
 
 def svc_check(handle: StoreHandle, claims: list[Claim], diagnostics: list[str] | None = None) -> dict:
@@ -140,10 +142,10 @@ def _seed_terms(handle: StoreHandle, query: str, seeds: list[str] | None) -> lis
 def session_memory(handle: StoreHandle, session_id: str) -> list[Triple]:
     """Per-session user memory: trusted triples whose provenance is DIALOGUE
     under the session's source id."""
-    provenance = handle.store.provenance
-    return [t for t in handle.store.trusted
-            if any(p.origin is Origin.DIALOGUE and p.source_id == session_id
-                   for p in provenance.get(t, ()))]
+    trusted = handle.store.trusted
+    return sorted((t for t, records in handle.store.provenance.items()
+                   if t in trusted and any(p.origin is Origin.DIALOGUE and p.source_id == session_id
+                                           for p in records)), key=triple_key)
 
 
 def svc_bench(params: dict) -> dict:

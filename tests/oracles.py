@@ -11,6 +11,13 @@ import itertools
 import random
 import re
 
+from ontomem.builder import (
+    Candidate,
+    GateResult,
+    QuarantinedCandidate,
+    _touches,
+    _violation_key,
+)
 from ontomem.hanoi import HanoiState, Move, apply_move, legal_moves
 from ontomem.namespaces import (
     NUMERIC_DATATYPES,
@@ -38,7 +45,16 @@ from ontomem.rdf_core import (
     triple_key,
     unescape_literal,
 )
-from ontomem.reasoner import Derivation, RuleId
+from ontomem.reasoner import (
+    DEFAULT_APPLICATION_CEILING,
+    Conflict,
+    Derivation,
+    RuleId,
+    _saturate,
+    check_consistency,
+    materialize,
+)
+from ontomem.shacl import NodeShape, validate
 from ontomem.sparql import (
     _UNSUPPORTED,
     Comparison,
@@ -946,3 +962,66 @@ def oracle_solve_from(start: HanoiState, goal: HanoiState) -> list[Move]:
                 nxt.append(succ)
         frontier = nxt
     raise ValueError("goal unreachable")  # cannot happen on a connected state space
+
+
+# ---------------------------------------------------------------------------
+# Builder gate: the copy-based blame loop, checking whole closures
+# ---------------------------------------------------------------------------
+
+
+def _copy_extend(closure: Graph, added) -> Graph:
+    """materialize(closure + added) on a full copy of `closure`: the extend
+    the gate used before layers."""
+    result = closure.copy()
+    _saturate(result, [t for t in added if result.insert(t)], DEFAULT_APPLICATION_CEILING)
+    return result
+
+
+def oracle_validate_gate(candidates: list[Candidate], trusted: Graph,
+                         shapes: list[NodeShape]) -> GateResult:
+    """The gate before layers and scoped checks: every round copies the base
+    closure, scans the whole trial for conflicts and violations, and drops
+    those the base closure already shows."""
+    remaining = list(candidates)
+    quarantined: list[QuarantinedCandidate] = []
+
+    base = materialize(trusted)
+    base_conflicts = set(check_consistency(base))
+    base_violations = {_violation_key(v) for v in validate(base, shapes).results}
+
+    # Conflicts only grow with the asserted set, so a round that removes
+    # candidates cannot create a fresh one: every conflict round comes before
+    # every shape round.
+    while remaining:
+        closure = _copy_extend(base, [cand.triple for cand in remaining])
+        evidence = [c for c in check_consistency(closure) if c not in base_conflicts]
+        if not evidence:
+            evidence = [v for v in validate(closure, shapes).results
+                        if _violation_key(v) not in base_violations]
+        del closure  # hold the base and at most one trial closure
+        if not evidence:
+            break
+
+        # Only duplicates of trusted triples would leave the trial equal to
+        # `trusted`, which shows nothing fresh; so `suspects` is never empty.
+        suspects = [i for i, cand in enumerate(remaining) if cand.triple not in trusted]
+        blamed: dict[int, list] = {}
+        for i in suspects:
+            hits = [e for e in evidence if _touches(remaining[i].triple, e)]
+            if hits:
+                blamed[i] = hits
+        if not blamed:
+            weakest = min(suspects,
+                          key=lambda i: (remaining[i].confidence(), triple_key(remaining[i].triple)))
+            blamed = {weakest: evidence}
+        for i in sorted(blamed, reverse=True):
+            cand = remaining.pop(i)
+            if isinstance(evidence[0], Conflict):
+                quarantined.append(QuarantinedCandidate(cand, "consistency conflict",
+                                                        conflicts=blamed[i]))
+            else:
+                quarantined.append(QuarantinedCandidate(cand, "shape violation",
+                                                        violations=blamed[i]))
+
+    quarantined.sort(key=lambda q: triple_key(q.candidate.triple))
+    return GateResult(accepted=remaining, quarantined=quarantined)

@@ -28,12 +28,14 @@ from ontomem.builder import (
     run_pipeline,
     validate_gate,
 )
-from ontomem.factcheck import Claim
+from ontomem.factcheck import Claim, negation_overlay
 from ontomem.namespaces import OWL_DISJOINTWITH, OWL_FUNCTIONAL, RDF_TYPE, RDFS_SUBCLASSOF, XSD_DATE
 from ontomem.rdf_core import Graph, Iri, Literal, Origin, Provenance, Triple
 from ontomem.reasoner import Conflict, ConflictKind, check_consistency, extend, materialize
 from ontomem.shacl import NodeShape, PropertyShape, validate
+from ontomem import reasoner as reasoner_module
 from ontomem.turtle_io import parse_turtle
+from oracles import oracle_validate_gate
 
 EX = "http://ex.org/"
 INST = "http://ontomem.dev/ns/inst#"
@@ -407,6 +409,56 @@ class TestValidateGate:
         assert conflict.kind is ConflictKind.FUNCTIONAL_PROPERTY
         assert conflict.subject == iri("s")
         assert conflict.detail == (old_value, clash.triple, functional)
+
+    @pytest.mark.parametrize("scoping", ["by size", "always"])
+    def test_scoped_gate_matches_copy_based_oracle(self, monkeypatch, scoping):
+        # A functional property, a subclass, a disjoint pair and the Disk
+        # shape (minCount 1, maxCount 1), over a trusted graph that may hold
+        # clashes and a negation of its own; candidates never repeat a
+        # trusted triple. These graphs are small, so only forced scoping
+        # takes the scoped consistency check on every round.
+        if scoping == "always":
+            monkeypatch.setattr(reasoner_module, "worth_scoping", lambda delta, graph: True)
+        rng = random.Random(303)
+        a, fp, on = Iri(RDF_TYPE), iri("fp"), Iri(PROP + "is-on")
+        disk, part, peg = (Iri(SCHEMA + c) for c in ("Disk", "Part", "Peg"))
+        shapes = [shape_disk_on_peg()]
+
+        def fact():
+            node, kind = iri(f"n{rng.randrange(6)}"), rng.random()
+            if kind < 0.3:
+                return Triple(node, fp, iri(f"o{rng.randrange(3)}"))
+            if kind < 0.6:
+                return Triple(node, a, rng.choice((disk, part, peg, iri("Tool"))))
+            if kind < 0.85:
+                return Triple(node, on, iri(f"peg{rng.randrange(3)}"))
+            return Triple(node, iri(f"q{rng.randrange(2)}"), iri(f"o{rng.randrange(3)}"))
+
+        reasons = {"consistency conflict": 0, "shape violation": 0}
+        for _ in range(300):
+            trusted = Graph()
+            for t in (Triple(fp, a, Iri(OWL_FUNCTIONAL)), Triple(disk, Iri(RDFS_SUBCLASSOF), part),
+                      Triple(part, Iri(OWL_DISJOINTWITH), peg)):
+                trusted.insert(t)
+            for _ in range(rng.randint(0, 8)):
+                trusted.insert(fact())
+            if rng.random() < 0.2:
+                for t in negation_overlay(fact()):
+                    trusted.insert(t)
+            batch: dict[Triple, Candidate] = {}
+            for _ in range(rng.randint(1, 10)):
+                t = fact()
+                if t not in trusted:
+                    batch.setdefault(t, Candidate(t, [Provenance("t", confidence=rng.randrange(10) / 10)]))
+            candidates = list(batch.values())
+            gate = validate_gate(candidates, trusted, shapes)
+            oracle = oracle_validate_gate(candidates, trusted, shapes)
+            assert gate.accepted == oracle.accepted
+            assert [(q.candidate, q.reason, q.conflicts, q.violations) for q in gate.quarantined] == \
+                [(q.candidate, q.reason, q.conflicts, q.violations) for q in oracle.quarantined]
+            for q in gate.quarantined:
+                reasons[q.reason] += 1
+        assert reasons["consistency conflict"] >= 150 and reasons["shape violation"] >= 100
 
 
 class TestCommit:

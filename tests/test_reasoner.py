@@ -8,6 +8,7 @@ from ontomem.namespaces import (
     OWL_INVERSEOF,
     OWL_SYMMETRIC,
     OWL_TRANSITIVE,
+    RDF_SUBJECT,
     RDF_TYPE,
     RDFS_DOMAIN,
     RDFS_RANGE,
@@ -15,7 +16,7 @@ from ontomem.namespaces import (
     RDFS_SUBPROPERTYOF,
 )
 from ontomem.factcheck import negation_overlay
-from ontomem.rdf_core import Graph, Iri, Literal, Triple
+from ontomem.rdf_core import Graph, Iri, Literal, Triple, diff, single_object, triple_key
 from ontomem.reasoner import (
     ConflictKind,
     DivergenceError,
@@ -23,6 +24,7 @@ from ontomem.reasoner import (
     extend,
     materialize,
 )
+from ontomem import reasoner as reasoner_module
 from ontomem.turtle_io import parse_turtle
 from conftest import DATA
 from oracles import oracle_derivations, oracle_materialize
@@ -294,3 +296,122 @@ def test_extend_ceiling(monkeypatch):
     monkeypatch.setattr(reasoner_module, "DEFAULT_APPLICATION_CEILING", 5)
     with pytest.raises(DivergenceError):
         extend(closure, chain)
+
+
+# ---------------------------------------------------------------------------
+# Layered extend and the consistency check scoped to a delta
+# ---------------------------------------------------------------------------
+
+
+def _add_clashes(rng: random.Random, g: Graph) -> None:
+    """Sometimes a mirrored disjoint pair, a functional property, and a
+    negation overlay whose statement has a second rdf:subject."""
+    if rng.random() < 0.5:
+        a, b = f"C{rng.randrange(5)}", f"C{rng.randrange(5)}"
+        g.insert(tr(a, OWL_DISJOINTWITH, b))
+        if rng.random() < 0.6:
+            g.insert(tr(b, OWL_DISJOINTWITH, a))
+    if rng.random() < 0.5:
+        g.insert(tr(f"p{rng.randrange(4)}", RDF_TYPE, OWL_FUNCTIONAL))
+    if rng.random() < 0.4 and len(g):
+        statement = rng.choice(sorted(g.triple_set(), key=triple_key))
+        overlay = negation_overlay(statement)
+        for t in overlay:
+            g.insert(t)
+        if rng.random() < 0.3:
+            g.insert(Triple(overlay[0].subject, Iri(RDF_SUBJECT), iri(f"n{rng.randrange(8)}")))
+
+
+def _clashing_graph(rng: random.Random) -> Graph:
+    from test_factcheck import _fuzzed_graph
+    g = _fuzzed_graph(rng) if rng.random() < 0.5 else random_ontology_graph(rng, 40)
+    _add_clashes(rng, g)
+    return g
+
+
+@pytest.mark.parametrize("scoping", ["by size", "always"])
+def test_scoped_consistency_equals_filtered_full_scan(monkeypatch, scoping):
+    if scoping == "always":
+        monkeypatch.setattr(reasoner_module, "worth_scoping", lambda delta, graph: True)
+    rng = random.Random(1101)
+    checked = scoped_hits = filtered_out = 0
+    for _ in range(150):
+        g1, g2 = _clashing_graph(rng), _clashing_graph(rng)
+        closure = materialize(g1)
+        layer = extend(closure, list(g2))
+        flat = Graph()
+        for t in layer.triple_set():
+            flat.insert(t)
+        assert check_consistency(layer) == check_consistency(flat)
+        cases = [(layer, layer.delta.triple_set())]
+        for graph in (g1, closure, layer):
+            triples = sorted(graph.triple_set(), key=triple_key)
+            for size in (1, 3, len(triples) // 4, len(triples) // 2):
+                cases.append((graph, frozenset(rng.sample(triples, min(size, len(triples))))))
+        for graph, delta in cases:
+            full = check_consistency(graph)
+            expected = [c for c in full if set(c.detail) & delta]
+            assert check_consistency(graph, since=delta) == expected
+            checked += 1
+            scoped_hits += bool(expected)
+            filtered_out += len(full) > len(expected)
+    assert checked == 150 * 13
+    assert scoped_hits >= 300 and filtered_out >= 300
+
+
+def test_extend_copies_nothing_and_writes_only_its_delta(monkeypatch):
+    copies = []
+    real_copy = Graph.copy
+
+    def counting_copy(self):
+        copies.append(len(self))
+        return real_copy(self)
+
+    monkeypatch.setattr(Graph, "copy", counting_copy)
+    rng = random.Random(1103)
+    for _ in range(40):
+        g1, g2 = random_ontology_graph(rng, 30), random_ontology_graph(rng, 30)
+        closure = materialize(g1)
+        before = closure.content_hash()
+        copies.clear()
+        layer = extend(closure, list(g2))
+        assert copies == []
+
+        union = g1.copy()
+        for t in g2:
+            union.insert(t)
+        flat = materialize(union)
+        whole = flat.triple_set()
+        assert layer.delta.triple_set() == whole - closure.triple_set()
+        assert len(layer) == len(whole) == len(closure) + len(layer.delta)
+        assert diff(closure, layer) == (layer.delta.triple_set(), frozenset())
+        assert list(layer) == list(flat) and layer.content_hash() == flat.content_hash()
+        for t in rng.sample(sorted(whole, key=triple_key), min(8, len(whole))):
+            assert t in layer
+            for pattern in ((t.subject, None, None), (None, t.predicate, None), (None, None, t.object),
+                            (t.subject, t.predicate, None), (None, t.predicate, t.object)):
+                assert layer.match(*pattern) == flat.match(*pattern)
+            assert single_object(layer, t.subject, t.predicate.value) == \
+                single_object(flat, t.subject, t.predicate.value)
+
+        fresh = Triple(iri("fresh"), iri("p0"), iri("n0"))
+        assert layer.insert(fresh) and fresh in layer.delta and fresh not in closure
+        assert closure.content_hash() == before
+
+    # The base is never written through the layer: inserting a base triple
+    # is a no-op, a layer cannot remove, and the base's own writers are unused.
+    base_triple = next(iter(closure))
+    delta_size = len(layer.delta)
+    assert layer.insert(base_triple) is False
+    assert len(layer.delta) == delta_size
+    with pytest.raises(AttributeError):
+        layer.remove(base_triple)
+
+    def refuse(*_):
+        raise AssertionError("the base was written")
+
+    monkeypatch.setattr(closure, "insert", refuse, raising=False)
+    monkeypatch.setattr(closure, "remove", refuse, raising=False)
+    layer.insert(Triple(iri("another"), iri("p1"), iri("n1")))
+    layer.insert(base_triple)
+    assert closure.content_hash() == before

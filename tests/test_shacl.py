@@ -3,7 +3,7 @@ import random
 import pytest
 
 from ontomem.namespaces import RDF_TYPE, XSD_DATE, XSD_INTEGER, XSD_STRING
-from ontomem.rdf_core import Graph, Iri, Literal, Triple
+from ontomem.rdf_core import Graph, Iri, Layer, Literal, Triple, triple_key
 from ontomem.shacl import (
     NodeShape,
     PropertyShape,
@@ -260,3 +260,31 @@ def test_oracle_equivalence_quick():
         expected = set(naive_validate(data, shapes))
         assert got == expected
         assert report.conforms == (not expected)
+
+
+def test_scoped_validate_equals_filtered_full_report():
+    rng = random.Random(1104)
+    checked = scoped_hits = filtered_out = 0
+    for _ in range(150):
+        data = random_data(rng, 60)
+        shapes = random_shapes(rng, rng.randint(1, 3))
+        layer = Layer(data)
+        for t in random_data(rng, 20).triple_set():
+            layer.insert(t)
+        cases = [(layer, layer.delta.triple_set())]
+        for graph in (data, layer):
+            triples = sorted(graph.triple_set(), key=triple_key)
+            for size in (1, 4, len(triples) // 3):
+                cases.append((graph, frozenset(rng.sample(triples, min(size, len(triples))))))
+        for graph, delta in cases:
+            full = validate(graph, shapes).results
+            subjects = {t.subject for t in delta}
+            expected = [r for r in full if r.focus_node in subjects]
+            scoped = validate(graph, shapes, since=delta)
+            assert scoped.results == expected
+            assert scoped.conforms == (not expected)
+            checked += 1
+            scoped_hits += bool(expected)
+            filtered_out += len(full) > len(expected)
+    assert checked == 150 * 7
+    assert scoped_hits >= 300 and filtered_out >= 300

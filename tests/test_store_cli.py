@@ -133,6 +133,17 @@ class TestCliBasics:
         assert statuses == ["SUPPORTED", "CONTRADICTED"]
         assert all(v["trace"] for v in payload["verdicts"])
 
+    @pytest.mark.parametrize("content", [None, b"\xff\xfe"], ids=["missing", "not_utf8"])
+    def test_check_unreadable_claims_file_exit_2(self, tmp_path, content):
+        store = tmp_path / "s"
+        run_cli("--store", str(store), "init")
+        claims = tmp_path / "claims.jsonl"
+        if content is not None:
+            claims.write_bytes(content)
+        code, out, err = run_cli("--store", str(store), "check", "--claims", str(claims))
+        assert code == 2 and out == ""
+        assert err.startswith("cannot read claims file: ")
+
     def test_validate_nonconforming_exit_1(self, tmp_path):
         store = tmp_path / "s"
         run_cli("--store", str(store), "init")

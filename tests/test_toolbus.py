@@ -13,10 +13,10 @@ import weakref
 import pytest
 
 from ontomem.builder import GateResult, graph_candidates
-from ontomem.rdf_core import diff, triple_text
+from ontomem.rdf_core import Iri, Origin, Triple, diff, triple_text
 from ontomem.reasoner import materialize
 from ontomem import toolbus
-from ontomem.store import graph_at_version, init_store, load_store
+from ontomem.store import graph_at_version, init_store, load_store, save_commit
 from ontomem.toolbus import (
     INTERNAL_ERROR,
     INVALID_PARAMS,
@@ -32,7 +32,8 @@ from ontomem.turtle_io import parse_turtle
 from conftest import DATA, run_cli
 
 
-EX_TTL = "@prefix ex: <http://ex.org/> .\n"
+EX = "http://ex.org/"
+EX_TTL = f"@prefix ex: <{EX}> .\n"
 
 
 @pytest.fixture()
@@ -559,3 +560,39 @@ class TestLiveStore:
         assert top["vector_hits"][0]["id"] == last["id"]
         memory = bus.handle.log_memory()
         assert {f"grow.txt#{i}" for i in range(150)} <= set(memory.entries)
+
+
+def test_session_memory_keeps_only_the_sessions_dialogue_facts(tmp_path):
+    def facts(text):
+        graph, _ = parse_turtle(EX_TTL + text)
+        return graph
+
+    handle = init_store(tmp_path / "s")
+    store = handle.store
+    commits = [
+        # the session's facts, committed out of canonical order
+        graph_candidates(facts("ex:z ex:says ex:b . ex:a ex:says ex:c . ex:m ex:says ex:a ."),
+                         "chat-1", Origin.DIALOGUE),
+        graph_candidates(facts("ex:a ex:says ex:d . ex:y ex:says ex:z ."), "chat-2", Origin.DIALOGUE),
+        graph_candidates(facts("ex:b ex:says ex:e ."), "chat-1", Origin.SOURCE_DOCUMENT),
+        graph_candidates(facts("ex:c ex:says ex:f ."), "chat-1", Origin.TOOL_RESULT),
+        graph_candidates(facts("ex:d ex:says ex:g . ex:m ex:says ex:a ."), "doc.txt"),
+        # a fact first learned from a document, then said in the session
+        graph_candidates(facts("ex:d ex:says ex:g . ex:y ex:says ex:z ."), "chat-1", Origin.DIALOGUE),
+    ]
+    for candidates in commits:
+        save_commit(handle, store.commit(GateResult(candidates, []), store.version))
+
+    def canonical_scan(h, session):
+        return [t for t in h.store.trusted
+                if any(p.origin is Origin.DIALOGUE and p.source_id == session
+                       for p in h.store.provenance.get(t, ()))]
+
+    expected = [Triple(Iri(EX + s), Iri(EX + "says"), Iri(EX + o))
+                for s, o in (("a", "c"), ("d", "g"), ("m", "a"), ("y", "z"), ("z", "b"))]
+    assert toolbus.session_memory(handle, "chat-1") == expected
+    assert len(toolbus.session_memory(handle, "chat-2")) == 2
+    for h in (handle, load_store(tmp_path / "s")):
+        for session in ("chat-1", "chat-2", "doc.txt", "none"):
+            assert toolbus.session_memory(h, session) == canonical_scan(h, session)
+        assert toolbus.session_memory(h, "doc.txt") == []
