@@ -344,6 +344,12 @@ class EntityRegistry:
         self._exact: dict[str, set[str]] = {}
         self._folded: dict[str, set[str]] = {}
         self.ambiguous: set[str] = set()
+        # What was added since the last save, three items per addition (kind,
+        # iri, value): "entry", iri, None; "alias", iri, alias; "type", iri,
+        # type_iri; "ambiguous", None, alias. A flat list of the strings
+        # themselves, so a large build allocates no object per addition.
+        # `store.save_commit` writes and clears it.
+        self.unsaved: list[str | None] = []
 
     def resolve(self, mention: str) -> str | None:
         """Existing IRI for the mention, None when unknown; raises on ambiguity."""
@@ -370,20 +376,27 @@ class EntityRegistry:
             iri = f"{self.instance_ns}{slug}-{counter}"
             counter += 1
         self.entries[iri] = RegistryEntry(iri, mention, first_seen=source_id)
+        self.unsaved += ("entry", iri, None)
         self.add_alias(iri, mention)
         return iri
 
     def add_alias(self, iri: str, alias: str) -> None:
         entry = self.entries[iri]
-        entry.aliases.add(alias)
+        if alias not in entry.aliases:
+            entry.aliases.add(alias)
+            self.unsaved += ("alias", iri, alias)
         owners = self._exact.setdefault(alias, set())
         owners.add(iri)
-        if len(owners) > 1:
+        if len(owners) > 1 and alias not in self.ambiguous:
             self.ambiguous.add(alias)
+            self.unsaved += ("ambiguous", None, alias)
         self._folded.setdefault(_fold(alias), set()).add(iri)
 
     def add_type(self, iri: str, type_iri: str) -> None:
-        self.entries[iri].types.add(type_iri)
+        types = self.entries[iri].types
+        if type_iri not in types:
+            types.add(type_iri)
+            self.unsaved += ("type", iri, type_iri)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -652,7 +665,8 @@ class OntologyStore:
     """In-memory pipeline state: the trusted graph (committed triples only),
     each trusted triple's provenance records, the version and the entity
     registry. `commit` returns the delta that `store.save_commit` persists,
-    quarantine lines included."""
+    quarantine lines included. `unsaved` maps each trusted triple that gained
+    merged records since the last save to how many records it had before."""
 
     def __init__(self, config: BuilderConfig | None = None,
                  shapes: list[NodeShape] | None = None):
@@ -660,6 +674,7 @@ class OntologyStore:
         self.shapes = shapes or []
         self.trusted = Graph()
         self.provenance: dict[Triple, list[Provenance]] = {}
+        self.unsaved: dict[Triple, int] = {}
         self.version = 0
         self.registry = EntityRegistry(self.config.instance_ns)
 
@@ -675,7 +690,9 @@ class OntologyStore:
         new: list[Candidate] = []
         for cand in gate.accepted:
             if cand.triple in self.trusted:
-                self.provenance.setdefault(cand.triple, []).extend(cand.provenance)
+                records = self.provenance.setdefault(cand.triple, [])
+                self.unsaved.setdefault(cand.triple, len(records))
+                records.extend(cand.provenance)
             else:
                 new.append(cand)
 

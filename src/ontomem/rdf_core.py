@@ -69,11 +69,12 @@ Term = Iri | Blank | Literal
 
 _ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
 _UNESCAPES = {escaped[1]: c for c, escaped in _ESCAPES.items()}
+_ESCAPE_TABLE = str.maketrans(_ESCAPES)
 _ESCAPE_RE = re.compile(r'\\(?:u([0-9A-Fa-f]{4})|U([0-9A-Fa-f]{8})|([\\"nrt])|[uU])')
 
 
 def escape_literal(text: str) -> str:
-    return "".join(_ESCAPES.get(c, c) for c in text)
+    return text.translate(_ESCAPE_TABLE)
 
 
 def unescape_literal(text: str) -> str:

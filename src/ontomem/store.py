@@ -7,6 +7,18 @@ store and `save_commit` is the only code that writes to an existing one: each
 commit writes the files named by its `OntologyDelta` and the `version` file
 last. trusted.ttl always equals the union of the delta files in version
 order; the deltas are the canonical, diffable history.
+
+provenance.jsonl and registry.ttl are append-only journals. A commit that
+accepts triples opens a block in each with a version marker line
+(`{"version": N}`, and the Turtle comment `# version N`), then appends only
+what the store gained since the last save: a provenance line per new triple
+and per triple that gained records, holding those records, and a registry
+line per new registry triple. `load_store` replays each journal up to the
+first marker above `version`, without a last line that has no newline, so a
+block whose commit never wrote `version` stays invisible; the next commit
+truncates it away. Lines before any marker are committed, so stores written
+as one full rewrite per commit load unchanged. registry.ttl is valid Turtle
+but no longer in canonical order.
 """
 
 from __future__ import annotations
@@ -15,6 +27,7 @@ import json
 import os
 import re
 import threading
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -32,10 +45,10 @@ from .namespaces import (
     SYS_FIRST_SEEN,
     SYS_REGISTRY,
 )
-from .rdf_core import Graph, Iri, Literal, Origin, Provenance, Triple, triple_text
+from .rdf_core import Graph, Iri, Literal, Origin, Provenance, Term, Triple, term_key, triple_text
 from .reasoner import Closure, close
 from .shacl import NodeShape, parse_shapes
-from .turtle_io import parse_turtle, serialize_turtle
+from .turtle_io import parse_turtle, serialize_turtle, triple_line
 
 
 class StoreError(RuntimeError):
@@ -59,6 +72,11 @@ DEFAULT_CONFIG: dict[str, str] = {
 }
 
 _DELTA_RE = re.compile(r"^delta-(\d+)\.ttl$")
+_PROVENANCE = "provenance.jsonl"
+_REGISTRY = "registry.ttl"
+# The line that opens a commit's block in each journal.
+_MARKERS = {_PROVENANCE: '{{"version": {}}}\n', _REGISTRY: "# version {}\n"}
+_REGISTRY_MARKER_RE = re.compile(rb"^# version (\d+)$", re.M)
 
 
 def _write_config(path: Path, config: dict[str, str]) -> None:
@@ -98,6 +116,10 @@ class StoreHandle:
     store: OntologyStore
     config: dict[str, str]
     prefixes: dict[str, str] = field(default_factory=lambda: dict(DEFAULT_PREFIXES))
+    # The committed byte length of each journal, and the prefixes that
+    # registry.ttl's header declares, which its appended lines use.
+    journal_ends: dict[str, int] = field(default_factory=dict, repr=False, compare=False)
+    registry_prefixes: dict[str, str] = field(default_factory=dict, repr=False, compare=False)
     # (version, trusted graph, closure) and (vector store, (device, inode), offset)
     _closure: tuple | None = field(default=None, init=False, repr=False, compare=False)
     _log: tuple | None = field(default=None, init=False, repr=False, compare=False)
@@ -182,15 +204,19 @@ def load_store(root: str | Path, shapes: list[NodeShape] | None = None) -> Store
     store.version = read_version(root)
 
     graph, prefixes = parse_turtle((root / "trusted.ttl").read_text(encoding="utf-8"))
-    prov_by_triple = _load_provenance(root / "provenance.jsonl")
+    prov_by_triple, prov_end = _load_provenance(root / _PROVENANCE, store.version)
     fallback = Provenance(source_id="trusted.ttl", origin=Origin.SOURCE_DOCUMENT)
     store.trusted = graph
     store.provenance = {t: prov_by_triple.get(triple_text(t)) or [fallback] for t in graph.find()}
 
-    store.registry = _load_registry(root / "registry.ttl", builder_config.instance_ns)
+    reg_text, reg_end = _read_registry(root / _REGISTRY, store.version)
+    reg_graph, reg_prefixes = parse_turtle(reg_text)
+    store.registry = registry_from_graph(reg_graph, builder_config.instance_ns)
     merged_prefixes = dict(DEFAULT_PREFIXES)
     merged_prefixes.update(prefixes)
-    return StoreHandle(root=root, store=store, config=config, prefixes=merged_prefixes)
+    return StoreHandle(root=root, store=store, config=config, prefixes=merged_prefixes,
+                       journal_ends={_PROVENANCE: prov_end, _REGISTRY: reg_end},
+                       registry_prefixes=reg_prefixes)
 
 
 def read_version(root: str | Path) -> int:
@@ -201,14 +227,20 @@ def read_version(root: str | Path) -> int:
 def save_commit(handle: StoreHandle, delta: OntologyDelta) -> Path | None:
     """Persist a commit; the store's only writer after `init_store`.
 
-    A delta with accepted triples writes delta-N.ttl and rewrites trusted.ttl,
-    provenance.jsonl and registry.ttl. Every commit appends its quarantine
-    lines, stamped with `delta.version_id`, and the chunks whose ids
-    logs.jsonl does not hold yet. `version` is written last."""
+    A delta with accepted triples writes delta-N.ttl, rewrites trusted.ttl,
+    and appends a version-N block to provenance.jsonl and registry.ttl:
+    every provenance record and registry addition the store gained since the
+    last save, including those of commits that accepted nothing. Before
+    appending, each journal is cut back to its committed length, which drops
+    a block left by a writer that died before writing `version`. Every
+    commit appends its quarantine lines, stamped with `delta.version_id`, and
+    the chunks whose ids logs.jsonl does not hold yet. `version` is written
+    last."""
     root = handle.root
     store = handle.store
 
     delta_path: Path | None = None
+    ends: dict[str, int] = {}
     if delta.accepted:
         delta_graph = Graph()
         for cand in delta.accepted:
@@ -217,9 +249,18 @@ def save_commit(handle: StoreHandle, delta: OntologyDelta) -> Path | None:
         delta_path.write_text(serialize_turtle(delta_graph, handle.prefixes), encoding="utf-8")
         (root / "trusted.ttl").write_text(
             serialize_turtle(store.trusted, handle.prefixes), encoding="utf-8")
-        _save_provenance(root / "provenance.jsonl", store)
-        (root / "registry.ttl").write_text(
-            serialize_turtle(registry_to_graph(store.registry), handle.prefixes), encoding="utf-8")
+        # a new triple gained all its records, a merged one those past `saved`
+        gained = [(t, 0) for t in delta_graph.find()] + list(store.unsaved.items())
+        ends[_PROVENANCE] = _append_block(handle, _PROVENANCE, delta.version_id, (
+            json.dumps({"triple": triple_text(t),
+                        "provenance": [p.to_json() for p in store.provenance[t][saved:]]},
+                       sort_keys=True, ensure_ascii=False)
+            for t, saved in gained if len(store.provenance[t]) > saved))
+        registry, items = store.registry, iter(store.registry.unsaved)
+        ends[_REGISTRY] = _append_block(handle, _REGISTRY, delta.version_id, (
+            triple_line(t, handle.registry_prefixes)
+            for addition in zip(items, items, items)
+            for t in _registry_triples(registry, *addition)))
 
     _append_jsonl(root / "quarantine.jsonl", [{
         "triple": triple_text(q.candidate.triple),
@@ -242,7 +283,37 @@ def save_commit(handle: StoreHandle, delta: OntologyDelta) -> Path | None:
 
     if delta.accepted:  # the commit point, after every other write
         (root / "version").write_text(f"{delta.version_id}\n", encoding="utf-8")
+        handle.journal_ends.update(ends)
+        store.unsaved.clear()
+        store.registry.unsaved.clear()
     return delta_path
+
+
+def _append_block(handle: StoreHandle, name: str, version: int, lines: Iterable[str]) -> int:
+    """Cut a journal back to its committed length, then append a version
+    marker and `lines`, each written as it comes; returns the new length."""
+    with (handle.root / name).open("ab") as fh:
+        fh.truncate(handle.journal_ends[name])
+        fh.write(_MARKERS[name].format(version).encode("utf-8"))
+        for line in lines:
+            fh.write(line.encode("utf-8") + b"\n")
+        return fh.tell()
+
+
+def _read_registry(path: Path, version: int) -> tuple[str, int]:
+    """The committed text of registry.ttl and its length in bytes: every
+    line up to the first version marker above `version`, without a last
+    line that has no newline."""
+    try:
+        data = path.read_bytes()
+    except FileNotFoundError:
+        return "", 0
+    end = data.rfind(b"\n") + 1
+    for m in _REGISTRY_MARKER_RE.finditer(data, 0, end):
+        if int(m.group(1)) > version:
+            end = m.start()
+            break
+    return str(memoryview(data)[:end], "utf-8"), end  # decoded without copying the bytes
 
 
 def _append_jsonl(path: Path, objects: list[dict]) -> None:
@@ -271,36 +342,38 @@ def load_log_entries(root: str | Path, start: int = 0) -> tuple[list[tuple[str, 
     return entries, start + len(complete)
 
 
-def _save_provenance(path: Path, store: OntologyStore) -> None:
-    lines = []
-    for t in store.trusted:
-        records = [p.to_json() for p in store.provenance.get(t, ())]
-        lines.append(json.dumps({"triple": triple_text(t), "provenance": records},
-                                sort_keys=True, ensure_ascii=False))
-    path.write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
-
-
-def _load_provenance(path: Path) -> dict[str, list[Provenance]]:
+def _load_provenance(path: Path, version: int) -> tuple[dict[str, list[Provenance]], int]:
+    """Each triple's records, concatenated in journal order, read line by
+    line up to the first version marker above `version`, without a last line
+    that has no newline; and the length in bytes of the lines read."""
     out: dict[str, list[Provenance]] = {}
-    if not path.exists():
-        return out
     records: dict[Provenance, Provenance] = {}  # one object per distinct record
-    for line in path.read_text(encoding="utf-8").splitlines():
-        if not line.strip():
-            continue
-        obj = json.loads(line)
-        provs = []
-        for p in obj["provenance"]:
-            prov = Provenance(
-                source_id=p["source_id"],
-                chunk_id=p.get("chunk_id"),
-                extracted_at=p.get("extracted_at", 0),
-                confidence=p.get("confidence", 1.0),
-                origin=Origin(p.get("origin", "SOURCE_DOCUMENT")),
-            )
-            provs.append(records.setdefault(prov, prov))
-        out[obj["triple"]] = provs
-    return out
+    end = 0
+    try:
+        fh = path.open("rb")
+    except FileNotFoundError:
+        return out, end
+    with fh:
+        for line in fh:
+            if not line.endswith(b"\n"):
+                break
+            obj = json.loads(line) if line.strip() else {}
+            if obj.get("version", 0) > version:  # the marker of an uncommitted block
+                break
+            end += len(line)
+            if "triple" not in obj:
+                continue
+            provs = out.setdefault(obj["triple"], [])
+            for p in obj["provenance"]:
+                prov = Provenance(
+                    source_id=p["source_id"],
+                    chunk_id=p.get("chunk_id"),
+                    extracted_at=p.get("extracted_at", 0),
+                    confidence=p.get("confidence", 1.0),
+                    origin=Origin(p.get("origin", "SOURCE_DOCUMENT")),
+                )
+                provs.append(records.setdefault(prov, prov))
+    return out, end
 
 
 # ---------------------------------------------------------------------------
@@ -308,54 +381,88 @@ def _load_provenance(path: Path) -> dict[str, list[Provenance]]:
 # ---------------------------------------------------------------------------
 
 
+_LABEL, _ALIAS, _TYPE, _SEEN = Iri(RDFS_LABEL), Iri(SYS_ALIAS), Iri(RDF_TYPE), Iri(SYS_FIRST_SEEN)
+
+
+def _registry_triples(registry: EntityRegistry, kind: str, iri: str | None,
+                      value: str | None) -> Iterator[Triple]:
+    """The registry.ttl triples of one registry addition (see
+    `EntityRegistry.unsaved`): a new entry is its label and first source."""
+    if kind == "ambiguous":
+        yield Triple(Iri(SYS_REGISTRY), Iri(SYS_AMBIGUOUS_ALIAS), Literal(value))
+        return
+    node = Iri(iri)
+    if kind == "entry":
+        entry = registry.entries[iri]
+        yield Triple(node, _LABEL, Literal(entry.preferred_label))
+        if entry.first_seen is not None:
+            yield Triple(node, _SEEN, Literal(entry.first_seen))
+    elif kind == "alias":
+        yield Triple(node, _ALIAS, Literal(value))
+    else:
+        yield Triple(node, _TYPE, Iri(value))
+
+
 def registry_to_graph(registry: EntityRegistry) -> Graph:
     g = Graph()
-    label_p, alias_p, type_p = Iri(RDFS_LABEL), Iri(SYS_ALIAS), Iri(RDF_TYPE)
-    seen_p = Iri(SYS_FIRST_SEEN)
-    for iri, entry in sorted(registry.entries.items()):
-        node = Iri(iri)
-        g.insert(Triple(node, label_p, Literal(entry.preferred_label)))
-        for alias in sorted(entry.aliases):
-            g.insert(Triple(node, alias_p, Literal(alias)))
-        for type_iri in sorted(entry.types):
-            g.insert(Triple(node, type_p, Iri(type_iri)))
-        if entry.first_seen is not None:
-            g.insert(Triple(node, seen_p, Literal(entry.first_seen)))
-    reg_node = Iri(SYS_REGISTRY)
-    for alias in sorted(registry.ambiguous):
-        g.insert(Triple(reg_node, Iri(SYS_AMBIGUOUS_ALIAS), Literal(alias)))
+    additions = [("entry", iri, None) for iri in registry.entries]
+    for iri, entry in registry.entries.items():
+        additions += [("alias", iri, alias) for alias in entry.aliases]
+        additions += [("type", iri, type_iri) for type_iri in entry.types]
+    additions += [("ambiguous", None, alias) for alias in registry.ambiguous]
+    for addition in additions:
+        for t in _registry_triples(registry, *addition):
+            g.insert(t)
     return g
 
 
 def registry_from_graph(graph: Graph, instance_ns: str) -> EntityRegistry:
-    registry = EntityRegistry(instance_ns)
-    for t in graph.match(None, Iri(RDFS_LABEL), None):
-        if not isinstance(t.subject, Iri) or not isinstance(t.object, Literal):
+    """The registry a graph describes, read in one pass. An entry is an IRI
+    with a literal label; where a node has several labels the greatest
+    wins, and of several first sources the least, in term order."""
+    labels: dict[str, Literal] = {}
+    seen: dict[str, Term] = {}
+    aliases: list[tuple[str, str]] = []
+    types: list[tuple[str, str]] = []
+    ambiguous: list[str] = []
+    for t in graph.find():
+        s, p, o = t.subject, t.predicate, t.object
+        if not isinstance(s, Iri):
             continue
-        iri = t.subject.value
-        registry.entries[iri] = RegistryEntry(iri, t.object.lexical)
-    for iri in list(registry.entries):
-        node = Iri(iri)
-        for t in graph.match(node, Iri(SYS_ALIAS), None):
-            if isinstance(t.object, Literal):
-                registry.add_alias(iri, t.object.lexical)
-        for t in graph.match(node, Iri(RDF_TYPE), None):
-            if isinstance(t.object, Iri):
-                registry.add_type(iri, t.object.value)
-        seen = graph.match(node, Iri(SYS_FIRST_SEEN), None)
-        if seen and isinstance(seen[0].object, Literal):
-            registry.entries[iri].first_seen = seen[0].object.lexical
-    for t in graph.match(Iri(SYS_REGISTRY), Iri(SYS_AMBIGUOUS_ALIAS), None):
-        if isinstance(t.object, Literal):
-            registry.ambiguous.add(t.object.lexical)
+        p = p.value
+        if p == RDFS_LABEL:
+            if isinstance(o, Literal):
+                old = labels.get(s.value)
+                if old is None or term_key(o) > term_key(old):
+                    labels[s.value] = o
+        elif p == SYS_ALIAS:
+            if isinstance(o, Literal):
+                aliases.append((s.value, o.lexical))
+        elif p == RDF_TYPE:
+            if isinstance(o, Iri):
+                types.append((s.value, o.value))
+        elif p == SYS_FIRST_SEEN:
+            old = seen.get(s.value)
+            if old is None or term_key(o) < term_key(old):
+                seen[s.value] = o
+        elif p == SYS_AMBIGUOUS_ALIAS and s.value == SYS_REGISTRY and isinstance(o, Literal):
+            ambiguous.append(o.lexical)
+
+    registry = EntityRegistry(instance_ns)
+    for iri in sorted(labels):
+        first = seen.get(iri)
+        registry.entries[iri] = RegistryEntry(
+            iri, labels[iri].lexical,
+            first_seen=first.lexical if isinstance(first, Literal) else None)
+    for iri, alias in aliases:
+        if iri in registry.entries:
+            registry.add_alias(iri, alias)
+    for iri, type_iri in types:
+        if iri in registry.entries:
+            registry.add_type(iri, type_iri)
+    registry.ambiguous.update(ambiguous)
+    registry.unsaved.clear()  # all of it is on disk already
     return registry
-
-
-def _load_registry(path: Path, instance_ns: str) -> EntityRegistry:
-    if not path.exists():
-        return EntityRegistry(instance_ns)
-    graph, _ = parse_turtle(path.read_text(encoding="utf-8"))
-    return registry_from_graph(graph, instance_ns)
 
 
 # ---------------------------------------------------------------------------

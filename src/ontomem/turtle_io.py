@@ -137,6 +137,9 @@ class _Parser:
         self.graph = Graph()
         # One object per distinct term, so a graph holds each IRI string once.
         self.terms: dict[Term, Term] = {}
+        # The term of each IRIREF, PNAME and BLANK token text seen since the
+        # last @prefix, by kind: a name is resolved once, not at every use.
+        self.named: dict[str, dict[str, Term]] = {"IRIREF": {}, "PNAME": {}, "BLANK": {}}
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -172,6 +175,8 @@ class _Parser:
         iri = self.expect("IRIREF", "namespace IRI")
         self.expect("DOT", "'.'")
         self.prefixes[label] = iri.value
+        for named in self.named.values():
+            named.clear()
 
     def statement(self) -> None:
         subject = self.term("subject")
@@ -195,6 +200,19 @@ class _Parser:
 
     def term(self, position: str) -> Term:
         tok = self.take()
+        named = self.named.get(tok.kind)
+        term = named.get(tok.value) if named is not None else None
+        if term is None:
+            term = self.new_term(tok, position)
+            if named is not None:
+                named[tok.value] = term
+        if position == "subject" and isinstance(term, Literal):
+            self.fail("literal in subject position", tok)
+        if position == "predicate" and not isinstance(term, Iri):
+            self.fail("predicate must be an IRI", tok)
+        return term
+
+    def new_term(self, tok: _Token, position: str) -> Term:
         if tok.kind == "IRIREF":
             term: Term = self.iri(tok.value, tok)
         elif tok.kind == "PNAME":
@@ -215,11 +233,6 @@ class _Parser:
             term = Literal(tok.value, XSD_BOOLEAN)
         else:
             self.fail(f"expected {position} term", tok)
-
-        if position == "subject" and isinstance(term, Literal):
-            self.fail("literal in subject position", tok)
-        if position == "predicate" and not isinstance(term, Iri):
-            self.fail("predicate must be an IRI", tok)
         return self.terms.setdefault(term, term)
 
     def literal_tail(self, tok: _Token) -> Literal:
@@ -282,11 +295,14 @@ def serialize_turtle(graph: Graph, prefixes: PrefixMap) -> str:
     if triples and lines:
         lines.append("")
     for t in triples:
-        lines.append(
-            f"{_format(t.subject, prefixes)} {_format(t.predicate, prefixes, predicate=True)} "
-            f"{_format(t.object, prefixes)} ."
-        )
+        lines.append(triple_line(t, prefixes))
     return "\n".join(lines) + "\n" if lines else ""
+
+
+def triple_line(t: Triple, prefixes: PrefixMap) -> str:
+    """One triple as a line of canonical Turtle, without its newline."""
+    return (f"{_format(t.subject, prefixes)} {_format(t.predicate, prefixes, predicate=True)} "
+            f"{_format(t.object, prefixes)} .")
 
 
 def _format(term: Term, prefixes: PrefixMap, predicate: bool = False) -> str:

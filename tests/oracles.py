@@ -8,13 +8,19 @@ evaluation code with the implementation it checks.
 from __future__ import annotations
 
 import itertools
+import json
 import random
 import re
+from pathlib import Path
 
 from ontomem.builder import (
     Candidate,
+    EntityRegistry,
     GateResult,
+    OntologyDelta,
+    OntologyStore,
     QuarantinedCandidate,
+    RegistryEntry,
     _touches,
     _violation_key,
 )
@@ -27,9 +33,14 @@ from ontomem.namespaces import (
     RDF_LANGSTRING,
     RDF_TYPE,
     RDFS_DOMAIN,
+    RDFS_LABEL,
     RDFS_RANGE,
     RDFS_SUBCLASSOF,
     RDFS_SUBPROPERTYOF,
+    SYS_ALIAS,
+    SYS_AMBIGUOUS_ALIAS,
+    SYS_FIRST_SEEN,
+    SYS_REGISTRY,
     XSD_BOOLEAN,
     XSD_DECIMAL,
     XSD_INTEGER,
@@ -43,6 +54,7 @@ from ontomem.rdf_core import (
     Triple,
     term_text,
     triple_key,
+    triple_text,
     unescape_literal,
 )
 from ontomem.reasoner import (
@@ -55,6 +67,7 @@ from ontomem.reasoner import (
     materialize,
 )
 from ontomem.shacl import NodeShape, validate
+from ontomem.store import StoreHandle, _append_jsonl, load_log_entries
 from ontomem.sparql import (
     _UNSUPPORTED,
     Comparison,
@@ -69,7 +82,7 @@ from ontomem.sparql import (
     TriplePattern,
     UnsupportedFeatureError,
 )
-from ontomem.turtle_io import ParseDiagnostic, PrefixMap, TurtleParseError
+from ontomem.turtle_io import ParseDiagnostic, PrefixMap, TurtleParseError, serialize_turtle
 
 # ---------------------------------------------------------------------------
 # SPARQL: enumerate every |terms|^|vars| assignment and filter
@@ -1025,3 +1038,106 @@ def oracle_validate_gate(candidates: list[Candidate], trusted: Graph,
 
     quarantined.sort(key=lambda q: triple_key(q.candidate.triple))
     return GateResult(accepted=remaining, quarantined=quarantined)
+
+
+# ---------------------------------------------------------------------------
+# Store writer: one full rewrite of trusted.ttl, provenance.jsonl and
+# registry.ttl per accepting commit, and the multi-pass registry reader
+# ---------------------------------------------------------------------------
+
+
+def oracle_save_commit(handle: StoreHandle, delta: OntologyDelta) -> Path | None:
+    """The commit writer before the journals: a delta with accepted triples
+    rewrites trusted.ttl, provenance.jsonl and registry.ttl whole."""
+    root = handle.root
+    store = handle.store
+
+    delta_path: Path | None = None
+    if delta.accepted:
+        delta_graph = Graph()
+        for cand in delta.accepted:
+            delta_graph.insert(cand.triple)
+        delta_path = root / f"delta-{delta.version_id}.ttl"
+        delta_path.write_text(serialize_turtle(delta_graph, handle.prefixes), encoding="utf-8")
+        (root / "trusted.ttl").write_text(
+            serialize_turtle(store.trusted, handle.prefixes), encoding="utf-8")
+        _oracle_save_provenance(root / "provenance.jsonl", store)
+        (root / "registry.ttl").write_text(
+            serialize_turtle(oracle_registry_to_graph(store.registry), handle.prefixes),
+            encoding="utf-8")
+
+    _append_jsonl(root / "quarantine.jsonl", [{
+        "triple": triple_text(q.candidate.triple),
+        "reason": q.reason,
+        "conflicts": [c.to_json() for c in q.conflicts],
+        "violations": [v.to_json() for v in q.violations],
+        "provenance": [p.to_json() for p in q.candidate.provenance],
+        "version": delta.version_id,
+    } for q in delta.quarantined] + [{
+        "relation": qr.describe(),
+        "reason": qr.reason,
+        "provenance": [qr.provenance.to_json()],
+        "version": delta.version_id,
+    } for qr in delta.quarantined_relations])
+
+    texts = {f"{chunk.doc_id}#{chunk.index}": chunk.text for chunk in delta.chunks}
+    for entry_id, _ in load_log_entries(root)[0]:
+        texts.pop(entry_id, None)
+    _append_jsonl(root / "logs.jsonl", [{"id": i, "text": text} for i, text in texts.items()])
+
+    if delta.accepted:  # the commit point, after every other write
+        (root / "version").write_text(f"{delta.version_id}\n", encoding="utf-8")
+    return delta_path
+
+
+def _oracle_save_provenance(path: Path, store: OntologyStore) -> None:
+    lines = []
+    for t in store.trusted:
+        records = [p.to_json() for p in store.provenance.get(t, ())]
+        lines.append(json.dumps({"triple": triple_text(t), "provenance": records},
+                                sort_keys=True, ensure_ascii=False))
+    path.write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+
+
+def oracle_registry_to_graph(registry: EntityRegistry) -> Graph:
+    g = Graph()
+    label_p, alias_p, type_p = Iri(RDFS_LABEL), Iri(SYS_ALIAS), Iri(RDF_TYPE)
+    seen_p = Iri(SYS_FIRST_SEEN)
+    for iri, entry in sorted(registry.entries.items()):
+        node = Iri(iri)
+        g.insert(Triple(node, label_p, Literal(entry.preferred_label)))
+        for alias in sorted(entry.aliases):
+            g.insert(Triple(node, alias_p, Literal(alias)))
+        for type_iri in sorted(entry.types):
+            g.insert(Triple(node, type_p, Iri(type_iri)))
+        if entry.first_seen is not None:
+            g.insert(Triple(node, seen_p, Literal(entry.first_seen)))
+    reg_node = Iri(SYS_REGISTRY)
+    for alias in sorted(registry.ambiguous):
+        g.insert(Triple(reg_node, Iri(SYS_AMBIGUOUS_ALIAS), Literal(alias)))
+    return g
+
+
+def oracle_registry_from_graph(graph: Graph, instance_ns: str) -> EntityRegistry:
+    """One sorted `match` per entry and predicate."""
+    registry = EntityRegistry(instance_ns)
+    for t in graph.match(None, Iri(RDFS_LABEL), None):
+        if not isinstance(t.subject, Iri) or not isinstance(t.object, Literal):
+            continue
+        iri = t.subject.value
+        registry.entries[iri] = RegistryEntry(iri, t.object.lexical)
+    for iri in list(registry.entries):
+        node = Iri(iri)
+        for t in graph.match(node, Iri(SYS_ALIAS), None):
+            if isinstance(t.object, Literal):
+                registry.add_alias(iri, t.object.lexical)
+        for t in graph.match(node, Iri(RDF_TYPE), None):
+            if isinstance(t.object, Iri):
+                registry.add_type(iri, t.object.value)
+        seen = graph.match(node, Iri(SYS_FIRST_SEEN), None)
+        if seen and isinstance(seen[0].object, Literal):
+            registry.entries[iri].first_seen = seen[0].object.lexical
+    for t in graph.match(Iri(SYS_REGISTRY), Iri(SYS_AMBIGUOUS_ALIAS), None):
+        if isinstance(t.object, Literal):
+            registry.ambiguous.add(t.object.lexical)
+    return registry

@@ -1,0 +1,383 @@
+"""provenance.jsonl and registry.ttl as append-only journals.
+
+Every commit sequence must load exactly as the full rewrite per commit that
+the journals replace (`oracles.oracle_save_commit`) loads: the same trusted
+graph, the same provenance lists in the same order, the same registry. A
+block whose commit never wrote `version` stays invisible, a torn last line is
+ignored, and stores written as one full rewrite per commit load unchanged."""
+
+import dataclasses
+import json
+import random
+from pathlib import Path
+
+import pytest
+
+from ontomem.builder import (
+    DocKind,
+    RulePatternExtractor,
+    SourceDocument,
+    graph_candidates,
+    run_pipeline,
+    validate_gate,
+)
+from ontomem.namespaces import (
+    RDF_TYPE,
+    RDFS_LABEL,
+    SYS_ALIAS,
+    SYS_AMBIGUOUS_ALIAS,
+    SYS_FIRST_SEEN,
+    SYS_REGISTRY,
+)
+from ontomem.rdf_core import Blank, Graph, Iri, Literal, Origin, Triple, escape_literal, triple_key
+from ontomem.store import init_store, load_shapes_file, load_store, registry_from_graph, save_commit
+from ontomem.turtle_io import TurtleParseError, parse_turtle
+from conftest import DATA, run_cli
+from oracles import oracle_registry_from_graph, oracle_save_commit
+
+PATTERNS = json.loads((DATA / "corpus_patterns.json").read_text(encoding="utf-8"))
+CORPUS = {p.name: p.read_text(encoding="utf-8") for p in sorted((DATA / "corpus").glob("*.txt"))}
+SCHEMA, _ = parse_turtle((DATA / "corpus_schema.ttl").read_text(encoding="utf-8"))
+SHAPES = load_shapes_file(DATA / "corpus_shapes.ttl")
+JOURNALS = ("provenance.jsonl", "registry.ttl")
+
+
+def _open(root):
+    """A handle set up as `cli build` sets it up for the bundled corpus."""
+    handle = load_store(root)
+    handle.store.shapes = SHAPES
+    handle.store.config = dataclasses.replace(
+        handle.store.config, predicate_table=tuple(sorted(PATTERNS["predicates"].items())))
+    return handle
+
+
+def _state(store) -> dict:
+    return {
+        "version": store.version,
+        "trusted": store.trusted.content_hash(),
+        "provenance": dict(store.provenance),
+        "entries": dict(store.registry.entries),
+        "ambiguous": set(store.registry.ambiguous),
+    }
+
+
+def _loaded(root) -> dict:
+    return _state(load_store(root).store)
+
+
+def _extractor(entity_types=None, aliases=None) -> RulePatternExtractor:
+    return RulePatternExtractor(PATTERNS["relations"],
+                                {**PATTERNS["entity_types"], **(entity_types or {})},
+                                {**PATTERNS["aliases"], **(aliases or {})})
+
+
+class _Sequence:
+    """A seeded sequence of builds over the bundled corpus and generated
+    documents. Each step is drawn once and then run on every handle, which
+    all hold the same state."""
+
+    KINDS = ("corpus", "corpus", "schema", "dialogue", "said", "fresh", "fresh",
+             "clash", "repeat", "reload")
+
+    def __init__(self, seed: int):
+        self.rng = random.Random(seed)
+        self.sites: dict[int, int] = {}  # generated device -> its first site
+        self.last: tuple | None = None
+        self.sessions = 0
+
+    def draw(self, step: int, handle) -> tuple:
+        """(kind, run) where run(store) returns the step's delta."""
+        rng = self.rng
+        kind = "schema" if step == 0 else rng.choice(self.KINDS)
+        if kind == "repeat" and self.last is None:
+            kind = "corpus"
+        if kind == "reload":
+            return kind, None
+        if kind == "said":
+            trusted = sorted(handle.store.trusted, key=triple_key)
+            said = rng.sample(trusted, min(len(trusted), rng.randint(1, 6)))
+            self.sessions += 1
+            graph = Graph()
+            for t in said:
+                graph.insert(t)
+            candidates = graph_candidates(graph, f"chat-{self.sessions}", Origin.DIALOGUE)
+
+            def run(store):
+                return store.commit(validate_gate(candidates, store.trusted, store.shapes),
+                                    store.version)
+            return kind, run
+        if kind == "repeat":
+            docs, extractor, extra = self.last
+        else:
+            docs, extractor, extra = self._docs(kind)
+            self.last = (docs, extractor, extra)
+
+        def run(store):
+            return run_pipeline(store, docs, extractor, extra)
+        return kind, run
+
+    def _docs(self, kind: str):
+        rng = self.rng
+        names = rng.sample(sorted(CORPUS), rng.randint(1, 4))
+        docs = [SourceDocument(n, DocKind.TEXT, CORPUS[n]) for n in names]
+        extra = []
+        types: dict[str, str] = {}
+        aliases: dict[str, list[str]] = {}
+        if kind == "schema":
+            extra = graph_candidates(SCHEMA, "corpus_schema.ttl")
+        elif kind == "dialogue":
+            self.sessions += 1
+            docs = [SourceDocument(f"chat-{self.sessions}.dialogue.txt", DocKind.DIALOGUE,
+                                   CORPUS[n].replace("\n\n", "\n")) for n in names]
+        elif kind == "fresh":
+            lines = []
+            for _ in range(rng.randint(1, 5)):
+                n = rng.randrange(100)
+                site = self.sites.setdefault(n, rng.randrange(20))
+                lines.append(f"Dev{n} located in Site{site}.")
+                if rng.random() < 0.5:
+                    types[f"Dev{n}"] = "Device"
+                if rng.random() < 0.3:
+                    aliases[f"Dev{n}"] = [f"D{n}", f"Unit {n % 7}"]
+                if rng.random() < 0.3:
+                    lines.append(f"Acme Labs supplies Vendor{rng.randrange(9)}.")
+                    aliases["Acme Labs"] = ["Acme"]  # Acme Corp's alias too
+            docs.append(SourceDocument(f"gen-{rng.randrange(10**6)}.txt", DocKind.TEXT,
+                                       " ".join(lines)))
+        elif kind == "clash":  # another site for a known device, an ambiguous mention
+            lines = [f"Dev{n} located in Site{site + 1}."
+                     for n, site in sorted(self.sites.items())[:3]]
+            lines.append("Acme supplies Globex.")
+            docs = [SourceDocument(f"clash-{rng.randrange(10**6)}.txt", DocKind.TEXT,
+                                   " ".join(lines))]
+        return docs, _extractor(types, aliases), extra
+
+
+def _run_differential(tmp_path, seed: int, steps: int = 50, switch: int = 17) -> dict:
+    """Run one sequence through the journal writer, the full-rewrite writer,
+    and a store written by the full rewrite up to step `switch` and by the
+    journal writer after it; compare their loaded state after every step."""
+    roots = {name: tmp_path / name for name in ("journal", "rewrite", "upgraded")}
+    for root in roots.values():
+        init_store(root)
+    handles = {name: _open(root) for name, root in roots.items()}
+    seq = _Sequence(seed)
+    kinds: dict[str, int] = {}
+    for step in range(steps):
+        kind, run = seq.draw(step, handles["journal"])
+        if kind == "reload" or step == switch:  # a new process, which drops unsaved state
+            handles = {name: _open(root) for name, root in roots.items()}
+        if run is None:
+            continue
+        deltas = {}
+        for name, handle in handles.items():
+            delta = run(handle.store)
+            writer = save_commit if name == "journal" or (name == "upgraded" and step >= switch) \
+                else oracle_save_commit
+            writer(handle, delta)
+            deltas[name] = delta
+        accepted = {name: [c.triple for c in d.accepted] for name, d in deltas.items()}
+        assert accepted["journal"] == accepted["rewrite"] == accepted["upgraded"], (seed, step)
+        delta = deltas["journal"]
+        if not delta.accepted:
+            kinds["accepts nothing"] = kinds.get("accepts nothing", 0) + 1
+            if delta.quarantined or delta.quarantined_relations:
+                kinds["all quarantined"] = kinds.get("all quarantined", 0) + 1
+        kinds[kind] = kinds.get(kind, 0) + 1
+
+        expected = _loaded(roots["rewrite"])
+        assert _loaded(roots["journal"]) == expected, (seed, step, kind)
+        assert _loaded(roots["upgraded"]) == expected, (seed, step, kind)
+        if delta.accepted:  # every unsaved addition is on disk now
+            for handle in handles.values():
+                assert _state(handle.store) == expected, (seed, step, kind)
+    return kinds
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_journal_loads_as_the_full_rewrite(tmp_path, seed):
+    kinds = _run_differential(tmp_path, seed)
+    # the sequence reached every case it is meant to cover
+    for kind in ("corpus", "schema", "dialogue", "said", "fresh", "clash", "repeat",
+                 "accepts nothing", "all quarantined"):
+        assert kinds.get(kind), (kind, kinds)
+    registry = load_store(tmp_path / "journal").store.registry
+    assert "Acme" in registry.ambiguous
+    assert any(len(e.types) and e.first_seen for e in registry.entries.values())
+
+
+def _corpus_store(tmp_path, builds=2):
+    """A store with a few journal commits, and its loaded state."""
+    root = tmp_path / "s"
+    init_store(root)
+    for names, extra in [(["doc01.txt", "doc02.txt"], graph_candidates(SCHEMA, "corpus_schema.ttl")),
+                         (["doc03.txt", "doc04.txt"], []),
+                         (["doc05.txt", "doc06.txt"], [])][:builds]:
+        handle = _open(root)
+        docs = [SourceDocument(n, DocKind.TEXT, CORPUS[n]) for n in names]
+        save_commit(handle, run_pipeline(handle.store, docs, _extractor(), extra))
+    return root
+
+
+def test_dead_commit_stays_invisible(tmp_path, monkeypatch):
+    root = _corpus_store(tmp_path)
+    before = _loaded(root)
+
+    handle = _open(root)
+    dead = [SourceDocument("dead.txt", DocKind.TEXT,
+                           "Zed1 located in Zone9. Alice Reyes works for Zed Co.")]
+    delta = run_pipeline(handle.store, dead, _extractor({"Zed1": "Device"}, {"Zed Co": ["ZC"]}))
+    assert delta.accepted and handle.store.registry.unsaved and handle.store.unsaved
+    write_text = Path.write_text
+
+    def failing_write(path, *args, **kwargs):
+        if path.name == "version":
+            raise OSError("disk full")
+        return write_text(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", failing_write)
+    with pytest.raises(OSError):
+        save_commit(handle, delta)
+    monkeypatch.undo()
+
+    after = _loaded(root)
+    assert after["version"] == before["version"]
+    assert after["entries"] == before["entries"] and after["ambiguous"] == before["ambiguous"]
+    # trusted.ttl is rewritten before `version` (its torn window is not the
+    # journals'): its extra triples get only the placeholder record
+    assert {t: after["provenance"][t] for t in before["provenance"]} == before["provenance"]
+    for t in after["provenance"].keys() - before["provenance"].keys():
+        assert [p.source_id for p in after["provenance"][t]] == ["trusted.ttl"]
+
+    # the next commit reuses the version number; the dead block stays gone
+    handle = _open(root)
+    live = [SourceDocument("live.txt", DocKind.TEXT, "Pump4 located in SiteD.")]
+    delta = run_pipeline(handle.store, live, _extractor({"Pump4": "Device"}))
+    save_commit(handle, delta)
+    assert delta.version_id == before["version"] + 1
+    loaded = _loaded(root)
+    assert loaded == _state(handle.store)
+    assert not any(p.source_id == "dead.txt" for ps in loaded["provenance"].values() for p in ps)
+    assert not any(iri.endswith(("zed1", "zed-co")) for iri in loaded["entries"])
+    for name in JOURNALS:
+        assert "dead.txt" not in (root / name).read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("name", JOURNALS)
+def test_torn_last_line_is_ignored(tmp_path, name):
+    root = _corpus_store(tmp_path)
+    before = _loaded(root)
+    text = (root / name).read_text(encoding="utf-8")
+    last = text.splitlines()[-1]
+    with (root / name).open("a", encoding="utf-8") as fh:
+        fh.write(last[:len(last) // 2])  # a line cut short, without its newline
+    assert _loaded(root) == before
+
+    # the next commit cuts the torn line off before it appends
+    handle = _open(root)
+    docs = [SourceDocument("doc07.txt", DocKind.TEXT, CORPUS["doc07.txt"])]
+    save_commit(handle, run_pipeline(handle.store, docs, _extractor()))
+    assert _loaded(root) == _state(handle.store)
+    assert last[:len(last) // 2] + "{" not in (root / name).read_text(encoding="utf-8")
+
+
+def test_store_without_markers_loads_unchanged(tmp_path):
+    """A store written as one full rewrite per commit: no version markers."""
+    root = tmp_path / "s"
+    init_store(root)
+    for names in (["doc01.txt"], ["doc02.txt", "doc03.txt"]):
+        handle = _open(root)
+        docs = [SourceDocument(n, DocKind.TEXT, CORPUS[n]) for n in names]
+        oracle_save_commit(handle, run_pipeline(handle.store, docs, _extractor(),
+                                                graph_candidates(SCHEMA, "corpus_schema.ttl")))
+    for name in JOURNALS:
+        assert "version" not in (root / name).read_text(encoding="utf-8")
+    assert _loaded(root) == _state(handle.store)
+
+
+def test_identical_rebuild_leaves_journals_byte_identical(tmp_path):
+    store = tmp_path / "s"
+    argv = ("--store", str(store), "--json", "build", "--sources", str(DATA / "corpus"),
+            "--shapes", str(DATA / "corpus_shapes.ttl"),
+            "--schema", str(DATA / "corpus_schema.ttl"),
+            "--patterns", str(DATA / "corpus_patterns.json"))
+    assert run_cli("--store", str(store), "init")[0] == 0
+    code, out, err = run_cli(*argv)
+    assert code == 0, err
+    before = {name: (store / name).read_bytes() for name in JOURNALS}
+    code, out, err = run_cli(*argv)
+    assert code == 0, err
+    assert json.loads(out)["accepted"] == 0
+    assert {name: (store / name).read_bytes() for name in JOURNALS} == before
+
+
+def test_commit_appends_only_its_own_block(tmp_path):
+    root = _corpus_store(tmp_path)
+    before = {name: (root / name).read_bytes() for name in JOURNALS}
+    handle = _open(root)
+    docs = [SourceDocument("new.txt", DocKind.TEXT, "Pump4 located in SiteD.")]
+    delta = run_pipeline(handle.store, docs, _extractor({"Pump4": "Device"}))
+    save_commit(handle, delta)
+    for name in JOURNALS:
+        data = (root / name).read_bytes()
+        assert data.startswith(before[name])
+        block = data[len(before[name]):].decode("utf-8").splitlines()
+        marker = {"provenance.jsonl": '{"version": 3}', "registry.ttl": "# version 3"}[name]
+        assert block[0] == marker
+    block = (root / "provenance.jsonl").read_bytes()[len(before["provenance.jsonl"]):]
+    assert len(block.splitlines()) == 1 + len(delta.accepted)
+    # registry.ttl stays one Turtle document with the prefixes of its header
+    graph, _ = parse_turtle((root / "registry.ttl").read_text(encoding="utf-8"))
+    assert Triple(Iri("http://ontomem.dev/ns/inst#pump4"), Iri(RDFS_LABEL), Literal("Pump4")) \
+        in graph
+    assert "inst:pump4 rdfs:label \"Pump4\" ." in (root / "registry.ttl").read_text("utf-8")
+
+
+# ---------------------------------------------------------------------------
+# The one-pass registry reader and the Turtle kernel trims
+# ---------------------------------------------------------------------------
+
+
+def _random_registry_graph(rng: random.Random) -> Graph:
+    nodes = [Iri(f"http://ontomem.dev/ns/inst#n{i}") for i in range(6)] + [Blank("b0")]
+    values = [Literal(v) for v in ("Acme", "acme", "Bolt", "doc1.txt", "doc2.txt", "x\ny")]
+    objects = values + [Iri(f"http://ontomem.dev/ns/schema#C{i}") for i in range(3)]
+    predicates = [RDFS_LABEL, SYS_ALIAS, RDF_TYPE, SYS_FIRST_SEEN, SYS_AMBIGUOUS_ALIAS,
+                  "http://ex.org/other"]
+    g = Graph()
+    for _ in range(rng.randint(0, 30)):
+        s = rng.choice(nodes + [Iri(SYS_REGISTRY)])
+        g.insert(Triple(s, Iri(rng.choice(predicates)), rng.choice(objects)))
+    return g
+
+
+def test_one_pass_registry_reader_equals_the_match_reader():
+    rng = random.Random(7)
+    for _ in range(500):
+        g = _random_registry_graph(rng)
+        got = registry_from_graph(g, "http://ontomem.dev/ns/inst#")
+        want = oracle_registry_from_graph(g, "http://ontomem.dev/ns/inst#")
+        assert list(got.entries.items()) == list(want.entries.items())
+        assert got.ambiguous == want.ambiguous
+        assert got.unsaved == []
+
+
+def test_escape_literal_table_equals_per_character_escapes():
+    escapes = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+    rng = random.Random(3)
+    alphabet = 'ab\\"\n\r\t é \U0001F600'
+    for _ in range(2000):
+        text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 12)))
+        assert escape_literal(text) == "".join(escapes.get(c, c) for c in text)
+
+
+def test_parser_resolves_names_again_after_each_prefix():
+    g, _ = parse_turtle("@prefix ex: <http://a/> .\nex:s ex:p ex:o .\n"
+                        "@prefix ex: <http://b/> .\nex:s ex:p ex:o .\n")
+    assert sorted(t.subject.value for t in g) == ["http://a/s", "http://b/s"]
+
+
+def test_parser_checks_positions_of_resolved_names_on_every_use():
+    with pytest.raises(TurtleParseError) as err:
+        parse_turtle("@prefix ex: <http://a/> .\n_:x ex:p ex:o .\nex:s _:x ex:o .\n")
+    assert str(err.value) == "3:6: predicate must be an IRI"
