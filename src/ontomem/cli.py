@@ -1,6 +1,11 @@
 """Operator entry point: init, build, query, validate, diff, check, retrieve,
 bench hanoi, serve.
 
+Each command imports the layers it uses inside its own function, so a process
+pays only for the command it runs. `query` imports `store`, `turtle_io`,
+`rdf_core` and `sparql`, and of the store reads only `version` and
+`trusted.ttl`; its output equals the bus's `graph.query`.
+
 Exit codes: 0 success, 1 domain-negative outcome (nonconforming validation,
 CONTRADICTED verdict, inconsistent logic check), 2 usage or I/O error.
 """
@@ -13,39 +18,15 @@ import json
 import sys
 from pathlib import Path
 
-from .builder import (
-    DocKind,
-    RulePatternExtractor,
-    SourceDocument,
-    TranscriptExtractor,
-    graph_candidates,
-    run_pipeline,
-)
-from .factcheck import ConditionInconsistencyError, parse_claims
-from .hanoi import report_to_json_text
-from .rdf_core import StructuralError
-from .sparql import QueryParseError
-from .shacl import ShapeError
 from .store import (
     StoreError,
     StoreLock,
     init_store,
     load_shapes_file,
     load_store,
+    load_trusted,
     save_commit,
 )
-from .toolbus import (
-    serve_stdio,
-    serve_tcp,
-    svc_bench,
-    svc_check,
-    svc_diff,
-    svc_logic_check,
-    svc_query,
-    svc_retrieve,
-    svc_validate,
-)
-from .turtle_io import TurtleParseError, parse_turtle
 
 
 def _p(args, payload, human: str) -> None:
@@ -55,7 +36,8 @@ def _p(args, payload, human: str) -> None:
         print(human)
 
 
-def _load_docs(sources_dir: str) -> list[SourceDocument]:
+def _load_docs(sources_dir: str) -> list:
+    from .builder import DocKind, SourceDocument
     root = Path(sources_dir)
     if not root.is_dir():
         raise StoreError(f"sources directory not found: {sources_dir}")
@@ -94,6 +76,8 @@ def cmd_init(args) -> int:
 
 
 def cmd_build(args) -> int:
+    from .builder import RulePatternExtractor, TranscriptExtractor, graph_candidates, run_pipeline
+    from .turtle_io import parse_turtle
     shapes = load_shapes_file(args.shapes) if args.shapes else []
     patterns = _load_patterns(args.patterns)
     with StoreLock(args.store):
@@ -139,12 +123,14 @@ def cmd_build(args) -> int:
 
 
 def cmd_query(args) -> int:
-    handle = load_store(args.store)
+    from .sparql import evaluate, parse_query
+    trusted = load_trusted(args.store)
     text = Path(args.file).read_text(encoding="utf-8") if args.file else args.query
     if not text:
         print("supply a query string or --file", file=sys.stderr)
         return 2
-    result = svc_query(handle, text)
+    # the answer of `toolbus.svc_query`, without importing the bus
+    result = evaluate(parse_query(text), trusted).to_json()
     if "ask" in result:
         _p(args, result, f"ASK -> {result['ask']}")
     else:
@@ -157,6 +143,7 @@ def cmd_query(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    from .toolbus import svc_logic_check, svc_validate
     handle = load_store(args.store)
     if args.logic:
         result = svc_logic_check(handle)
@@ -173,6 +160,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_diff(args) -> int:
+    from .toolbus import svc_diff
     handle = load_store(args.store)
     result = svc_diff(handle, args.v1, args.v2, args.include_inferred)
     human = "\n".join([f"+ {t}" for t in result["added"]] + [f"- {t}" for t in result["removed"]]) \
@@ -182,6 +170,8 @@ def cmd_diff(args) -> int:
 
 
 def cmd_check(args) -> int:
+    from .factcheck import ConditionInconsistencyError, parse_claims
+    from .toolbus import svc_check
     handle = load_store(args.store)
     try:
         text = Path(args.claims).read_text(encoding="utf-8")
@@ -194,7 +184,11 @@ def cmd_check(args) -> int:
     if not parsed.claims:
         print("no valid claims in input", file=sys.stderr)
         return 2
-    result = svc_check(handle, parsed.claims, parsed.diagnostics)
+    try:
+        result = svc_check(handle, parsed.claims, parsed.diagnostics)
+    except ConditionInconsistencyError as e:  # a RuntimeError, which `main` does not catch
+        print(f"error: {e}", file=sys.stderr)
+        return 2
     human = "\n".join([f"overall: {result['overall']}"] +
                       [f"  {v['status']}: {v['claim']['statement']}" for v in result["verdicts"]])
     _p(args, result, human)
@@ -202,6 +196,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_retrieve(args) -> int:
+    from .toolbus import svc_retrieve
     handle = load_store(args.store)
     seeds = args.seeds.split(",") if args.seeds else None
     result = svc_retrieve(handle, args.query, seeds, args.radius, args.k, args.budget,
@@ -213,6 +208,8 @@ def cmd_retrieve(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    from .hanoi import report_to_json_text
+    from .toolbus import svc_bench
     if args.domain != "hanoi":
         print(f"unknown benchmark domain: {args.domain}", file=sys.stderr)
         return 2
@@ -232,6 +229,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_serve(args) -> int:
+    from .toolbus import serve_stdio, serve_tcp
     handle = load_store(args.store)
     if args.transport == "stdio":
         serve_stdio(handle)
@@ -318,8 +316,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (StoreError, TurtleParseError, QueryParseError, ShapeError, StructuralError,
-            ConditionInconsistencyError, OSError, ValueError) as e:
+    except (StoreError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -16,9 +16,9 @@ from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .namespaces import DEFAULT_DIMENSION
 from .rdf_core import Graph, Provenance, Term, Triple, triple_key, triple_text
 
-DEFAULT_DIMENSION = 256
 MAX_RADIUS = 4
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")

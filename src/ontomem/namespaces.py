@@ -1,4 +1,4 @@
-"""Namespace IRIs shared across the engine."""
+"""Namespace IRIs, and the few other constants, shared across the engine."""
 
 RDF_NS = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
 RDFS_NS = "http://www.w3.org/2000/01/rdf-schema#"
@@ -74,3 +74,6 @@ DEFAULT_PREFIXES = {
     "schema": SCHEMA_NS,
     "prop": PROP_NS,
 }
+
+# Components of a `fusion.embed` vector, unless the store's config says otherwise.
+DEFAULT_DIMENSION = 256

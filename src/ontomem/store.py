@@ -30,10 +30,10 @@ import threading
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .builder import BuilderConfig, EntityRegistry, OntologyDelta, OntologyStore, RegistryEntry
-from .fusion import DEFAULT_DIMENSION, FusionWeights, VectorStore
 from .namespaces import (
+    DEFAULT_DIMENSION,
     DEFAULT_PREFIXES,
     INST_NS,
     PROP_NS,
@@ -46,9 +46,15 @@ from .namespaces import (
     SYS_REGISTRY,
 )
 from .rdf_core import Graph, Iri, Literal, Origin, Provenance, Term, Triple, term_key, triple_text
-from .reasoner import Closure, close
-from .shacl import NodeShape, parse_shapes
-from .turtle_io import parse_turtle, serialize_turtle, triple_line
+from .turtle_io import PrefixMap, parse_triples, parse_turtle, serialize_turtle, triple_line
+
+# The layers above the store are imported where they are used, so that a
+# process that only reads trusted.ttl (`load_trusted`) does not import them.
+if TYPE_CHECKING:
+    from .builder import EntityRegistry, OntologyDelta, OntologyStore
+    from .fusion import FusionWeights, VectorStore
+    from .reasoner import Closure
+    from .shacl import NodeShape
 
 
 class StoreError(RuntimeError):
@@ -127,6 +133,7 @@ class StoreHandle:
                                   compare=False)
 
     def closure(self) -> Closure:
+        from .reasoner import close
         with self._lock:
             version, trusted = self.store.version, self.store.trusted
             cached = self._closure
@@ -135,6 +142,7 @@ class StoreHandle:
             return cached[2]
 
     def log_memory(self) -> VectorStore:
+        from .fusion import VectorStore
         with self._lock:
             memory, file_id, offset = self._log or (VectorStore(self.dimension), None, 0)
             try:
@@ -162,6 +170,7 @@ class StoreHandle:
 
     @property
     def weights(self) -> FusionWeights:
+        from .fusion import FusionWeights
         return FusionWeights(
             vector=float(self.config["weight_vector"]),
             graph=float(self.config["weight_graph"]),
@@ -189,10 +198,9 @@ def init_store(root: str | Path) -> StoreHandle:
 
 
 def load_store(root: str | Path, shapes: list[NodeShape] | None = None) -> StoreHandle:
+    from .builder import BuilderConfig, OntologyStore
     root = Path(root)
-    version_path = root / "version"
-    if not version_path.exists():
-        raise StoreError(f"no store at {root} (run init first)")
+    graph, prefixes = _read_trusted(root)
     config = _read_config(root / "config")
     builder_config = BuilderConfig(
         instance_ns=config["instance_ns"],
@@ -203,20 +211,31 @@ def load_store(root: str | Path, shapes: list[NodeShape] | None = None) -> Store
     store = OntologyStore(builder_config, shapes or [])
     store.version = read_version(root)
 
-    graph, prefixes = parse_turtle((root / "trusted.ttl").read_text(encoding="utf-8"))
     prov_by_triple, prov_end = _load_provenance(root / _PROVENANCE, store.version)
     fallback = Provenance(source_id="trusted.ttl", origin=Origin.SOURCE_DOCUMENT)
     store.trusted = graph
     store.provenance = {t: prov_by_triple.get(triple_text(t)) or [fallback] for t in graph.find()}
 
     reg_text, reg_end = _read_registry(root / _REGISTRY, store.version)
-    reg_graph, reg_prefixes = parse_turtle(reg_text)
-    store.registry = registry_from_graph(reg_graph, builder_config.instance_ns)
+    reg_triples, reg_prefixes = parse_triples(reg_text)
+    store.registry = registry_from_graph(reg_triples, builder_config.instance_ns)
     merged_prefixes = dict(DEFAULT_PREFIXES)
     merged_prefixes.update(prefixes)
     return StoreHandle(root=root, store=store, config=config, prefixes=merged_prefixes,
                        journal_ends={_PROVENANCE: prov_end, _REGISTRY: reg_end},
                        registry_prefixes=reg_prefixes)
+
+
+def load_trusted(root: str | Path) -> Graph:
+    """The committed trusted graph, read from trusted.ttl alone: all that a
+    query needs of the store."""
+    return _read_trusted(Path(root))[0]
+
+
+def _read_trusted(root: Path) -> tuple[Graph, PrefixMap]:
+    if not (root / "version").exists():
+        raise StoreError(f"no store at {root} (run init first)")
+    return parse_turtle((root / "trusted.ttl").read_text(encoding="utf-8"))
 
 
 def read_version(root: str | Path) -> int:
@@ -277,8 +296,9 @@ def save_commit(handle: StoreHandle, delta: OntologyDelta) -> Path | None:
     } for qr in delta.quarantined_relations])
 
     texts = {f"{chunk.doc_id}#{chunk.index}": chunk.text for chunk in delta.chunks}
-    for entry_id, _ in load_log_entries(root)[0]:
-        texts.pop(entry_id, None)
+    if texts:  # a commit that logs nothing need not read the log
+        for entry_id, _ in load_log_entries(root)[0]:
+            texts.pop(entry_id, None)
     _append_jsonl(root / "logs.jsonl", [{"id": i, "text": text} for i, text in texts.items()])
 
     if delta.accepted:  # the commit point, after every other write
@@ -416,16 +436,19 @@ def registry_to_graph(registry: EntityRegistry) -> Graph:
     return g
 
 
-def registry_from_graph(graph: Graph, instance_ns: str) -> EntityRegistry:
-    """The registry a graph describes, read in one pass. An entry is an IRI
-    with a literal label; where a node has several labels the greatest
-    wins, and of several first sources the least, in term order."""
+def registry_from_graph(triples: Iterable[Triple], instance_ns: str) -> EntityRegistry:
+    """The registry that a graph, or any stream of its triples, describes,
+    read in one pass; a triple repeated in the stream changes nothing. An
+    entry is an IRI with a literal label; where a node has several labels
+    the greatest wins, and of several first sources the least, in term
+    order."""
+    from .builder import EntityRegistry, RegistryEntry
     labels: dict[str, Literal] = {}
     seen: dict[str, Term] = {}
     aliases: list[tuple[str, str]] = []
     types: list[tuple[str, str]] = []
     ambiguous: list[str] = []
-    for t in graph.find():
+    for t in triples:
         s, p, o = t.subject, t.predicate, t.object
         if not isinstance(s, Iri):
             continue
@@ -501,6 +524,7 @@ def rebuild_trusted(root: str | Path) -> Graph:
 
 
 def load_shapes_file(path: str | Path) -> list[NodeShape]:
+    from .shacl import parse_shapes
     graph, _ = parse_turtle(Path(path).read_text(encoding="utf-8"))
     shapes, _warnings = parse_shapes(graph)
     return shapes

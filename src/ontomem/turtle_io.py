@@ -16,6 +16,7 @@ what makes TTL deltas diffable as text.
 from __future__ import annotations
 
 import re
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -130,11 +131,13 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
+    """Reads a token list, passing each triple to `sink` as it is read."""
+
+    def __init__(self, tokens: list[_Token], sink: Callable[[Triple], object]):
         self.tokens = tokens
         self.pos = 0
         self.prefixes: PrefixMap = {}
-        self.graph = Graph()
+        self.sink = sink
         # One object per distinct term, so a graph holds each IRI string once.
         self.terms: dict[Term, Term] = {}
         # The term of each IRIREF, PNAME and BLANK token text seen since the
@@ -158,13 +161,13 @@ class _Parser:
             self.fail(f"expected {what}, found {tok.value!r}" if tok.value else f"expected {what}", tok)
         return tok
 
-    def parse(self) -> tuple[Graph, PrefixMap]:
+    def parse(self) -> PrefixMap:
         while self.peek().kind != "EOF":
             if self.peek().kind == "PREFIX_DIR":
                 self.directive()
             else:
                 self.statement()
-        return self.graph, self.prefixes
+        return self.prefixes
 
     def directive(self) -> None:
         self.take()  # @prefix
@@ -184,7 +187,7 @@ class _Parser:
             predicate = self.term("predicate")
             while True:
                 obj = self.term("object")
-                self.graph.insert(Triple(subject, predicate, obj))
+                self.sink(Triple(subject, predicate, obj))
                 if self.peek().kind == "COMMA":
                     self.take()
                     continue
@@ -265,7 +268,15 @@ class _Parser:
 
 def parse_turtle(text: str) -> tuple[Graph, PrefixMap]:
     """Parse a Turtle-subset document; raises TurtleParseError at the first error."""
-    return _Parser(_tokenize(text)).parse()
+    graph = Graph()
+    return graph, _Parser(_tokenize(text), graph.insert).parse()
+
+
+def parse_triples(text: str) -> tuple[list[Triple], PrefixMap]:
+    """`parse_turtle` without the graph: the document's triples in text
+    order, repeats kept, for a reader that needs no index."""
+    triples: list[Triple] = []
+    return triples, _Parser(_tokenize(text), triples.append).parse()
 
 
 # ---------------------------------------------------------------------------

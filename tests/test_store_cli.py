@@ -144,6 +144,51 @@ class TestCliBasics:
         assert code == 2 and out == ""
         assert err.startswith("cannot read claims file: ")
 
+    def test_check_inconsistent_conditions_exit_2(self, tmp_path, regulatory_store):
+        # the sponsor assumed to be an application, a class disjoint with its own
+        claim = {"subject": "<http://ontomem.dev/ns/ind#sponsor-1>",
+                 "predicate": "<http://ontomem.dev/ns/reg#mayProceed>",
+                 "object": "<http://ontomem.dev/ns/ind#IND-1>",
+                 "conditions": [{"subject": "<http://ontomem.dev/ns/ind#sponsor-1>",
+                                 "predicate": "<http://www.w3.org/1999/02/22-rdf-syntax-ns#type>",
+                                 "object": "<http://ontomem.dev/ns/reg#Application>"}]}
+        claims = tmp_path / "claims.jsonl"
+        claims.write_text(json.dumps(claim) + "\n", encoding="utf-8")
+        code, out, err = run_cli("--store", str(regulatory_store), "--json",
+                                 "check", "--claims", str(claims))
+        assert code == 2 and out == ""
+        assert err == ("error: claim conditions are inconsistent with the trusted graph "
+                       "(1 conflict(s))\n")
+
+    def test_query_imports_only_its_layers(self, built_store):
+        # in a fresh interpreter: this one has imported every layer already
+        script = ("import json, sys\n"
+                  "from ontomem.cli import main\n"
+                  "code = main(['--store', sys.argv[1], '--json', 'query', "
+                  "'ASK WHERE { ?s ?p ?o }'])\n"
+                  "print(json.dumps([code, sorted(sys.modules)]))\n")
+        proc = subprocess.run([sys.executable, "-c", script, str(built_store)],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        answer, _, last = proc.stdout.rstrip("\n").rpartition("\n")
+        code, modules = json.loads(last)
+        assert code == 0 and json.loads(answer) == {"ask": True}
+        unused = {f"ontomem.{m}" for m in
+                  ("builder", "toolbus", "hanoi", "factcheck", "fusion", "reasoner", "shacl")}
+        assert unused.isdisjoint(modules), sorted(unused & set(modules))
+
+    def test_query_reads_only_version_and_trusted(self, built_store, monkeypatch):
+        read = []
+        for name in ("open", "read_text", "read_bytes"):
+            def record(path, *args, _original=getattr(Path, name), **kwargs):
+                read.append(path.name)
+                return _original(path, *args, **kwargs)
+            monkeypatch.setattr(Path, name, record)
+        code, out, _ = run_cli("--store", str(built_store), "--json", "query",
+                               "ASK WHERE { ?s ?p ?o }")
+        assert code == 0 and json.loads(out) == {"ask": True}
+        assert "trusted.ttl" in read and set(read) <= {"version", "trusted.ttl"}
+
     def test_validate_nonconforming_exit_1(self, tmp_path):
         store = tmp_path / "s"
         run_cli("--store", str(store), "init")
