@@ -322,7 +322,6 @@ class RegistryEntry:
     iri: str
     preferred_label: str
     aliases: set[str] = field(default_factory=set)
-    types: set[str] = field(default_factory=set)
     first_seen: str | None = None  # source id of the mention's first document
 
 
@@ -345,10 +344,10 @@ class EntityRegistry:
         self._folded: dict[str, set[str]] = {}
         self.ambiguous: set[str] = set()
         # What was added since the last save, three items per addition (kind,
-        # iri, value): "entry", iri, None; "alias", iri, alias; "type", iri,
-        # type_iri; "ambiguous", None, alias. A flat list of the strings
-        # themselves, so a large build allocates no object per addition.
-        # `store.save_commit` writes and clears it.
+        # iri, value): "entry", iri, None; "alias", iri, alias; "ambiguous",
+        # None, alias. A flat list of the strings themselves, so a large
+        # build allocates no object per addition. `store.save_commit` writes
+        # and clears it. An entity's type is a `CanonicalEntity` candidate.
         self.unsaved: list[str | None] = []
 
     def resolve(self, mention: str) -> str | None:
@@ -391,12 +390,6 @@ class EntityRegistry:
             self.ambiguous.add(alias)
             self.unsaved += ("ambiguous", None, alias)
         self._folded.setdefault(_fold(alias), set()).add(iri)
-
-    def add_type(self, iri: str, type_iri: str) -> None:
-        types = self.entries[iri].types
-        if type_iri not in types:
-            types.add(type_iri)
-            self.unsaved += ("type", iri, type_iri)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -497,7 +490,6 @@ def normalize(records: list[ExtractionRecord], registry: EntityRegistry,
                 registry.add_alias(iri, alias)
             if entity.type_guess:
                 type_iri = config.schema_ns + sanitize_class_name(entity.type_guess)
-                registry.add_type(iri, type_iri)
                 result.entities.append(CanonicalEntity(Iri(iri), Iri(type_iri), base_prov))
 
         for rel in record.relations:
@@ -656,7 +648,6 @@ class OntologyDelta:
     version_id: int
     accepted: list[Candidate]
     quarantined: list[QuarantinedCandidate]
-    base_version: int
     quarantined_relations: list[QuarantinedRelation] = field(default_factory=list)
     chunks: list[Chunk] = field(default_factory=list)  # for logs.jsonl
 
@@ -698,15 +689,13 @@ class OntologyStore:
 
         quarantined_relations = quarantined_relations or []
         if not new:
-            return OntologyDelta(self.version, [], gate.quarantined, self.version,
-                                 quarantined_relations)
+            return OntologyDelta(self.version, [], gate.quarantined, quarantined_relations)
 
         self.version += 1
         for cand in new:
             self.trusted.insert(cand.triple)
             self.provenance[cand.triple] = list(cand.provenance)
-        return OntologyDelta(self.version, new, gate.quarantined, self.version - 1,
-                             quarantined_relations)
+        return OntologyDelta(self.version, new, gate.quarantined, quarantined_relations)
 
 
 def graph_candidates(graph: Graph, source_id: str,

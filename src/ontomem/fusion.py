@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .namespaces import DEFAULT_DIMENSION
-from .rdf_core import Graph, Provenance, Term, Triple, triple_key, triple_text
+from .rdf_core import Graph, Term, Triple, triple_key, triple_text
 
 MAX_RADIUS = 4
 
@@ -63,7 +63,7 @@ def cosine(a: EmbeddingVector, b: EmbeddingVector) -> float:
 
 @dataclass
 class VectorStore:
-    """Exact-search vector memory: entry id -> (embedding, payload, provenance).
+    """Exact-search vector memory: entry id -> (embedding, payload).
 
     Each embedding is kept as an array of doubles, a quarter of the memory of
     a tuple of boxed floats, holding the same values, so every score is the
@@ -72,11 +72,11 @@ class VectorStore:
     adding to the copy and publishing that."""
 
     dimension: int = DEFAULT_DIMENSION
-    entries: dict[str, tuple[array, str, Provenance | None]] = field(default_factory=dict)
+    entries: dict[str, tuple[array, str]] = field(default_factory=dict)
 
-    def add(self, entry_id: str, payload: str, prov: Provenance | None = None) -> None:
+    def add(self, entry_id: str, payload: str) -> None:
         vec = embed(payload, self.dimension).components
-        self.entries[entry_id] = (array("d", vec), payload, prov)
+        self.entries[entry_id] = (array("d", vec), payload)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -96,7 +96,7 @@ def vector_search(store: VectorStore, query: str, k: int) -> list[VectorHit]:
     qvec = embed(query, store.dimension).components
     scored = [
         VectorHit(entry_id, payload, sum(x * y for x, y in zip(qvec, vec)))
-        for entry_id, (vec, payload, _prov) in store.entries.items()
+        for entry_id, (vec, payload) in store.entries.items()
     ]
     scored.sort(key=lambda h: (-h.score, h.entry_id))
     return scored[:k]

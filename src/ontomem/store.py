@@ -1,6 +1,6 @@
 """On-disk store layout: trusted.ttl, delta-N.ttl files, quarantine.jsonl,
-registry.ttl, provenance.jsonl, logs.jsonl, a version file, and a flat
-key=value config.
+registry.ttl, provenance.jsonl, logs.jsonl, a version file, a flat
+key=value config, and an empty `.lock` that carries the writer's `flock`.
 
 This is the only module that knows these file formats. `init_store` creates a
 store and `save_commit` is the only code that writes to an existing one: each
@@ -12,13 +12,14 @@ provenance.jsonl and registry.ttl are append-only journals. A commit that
 accepts triples opens a block in each with a version marker line
 (`{"version": N}`, and the Turtle comment `# version N`), then appends only
 what the store gained since the last save: a provenance line per new triple
-and per triple that gained records, holding those records, and a registry
-line per new registry triple. `load_store` replays each journal up to the
-first marker above `version`, without a last line that has no newline, so a
-block whose commit never wrote `version` stays invisible; the next commit
-truncates it away. Lines before any marker are committed, so stores written
-as one full rewrite per commit load unchanged. registry.ttl is valid Turtle
-but no longer in canonical order.
+and per triple that gained records, in triple order, and a registry line per
+new label, first source, alias or ambiguous alias. Every line file is read by
+`_lines`, which drops a last line without its newline and stops a journal at
+its first marker above `version`, so a block whose commit never wrote
+`version` stays invisible; and appended to by `_append`, which first cuts the
+file back to its committed lines. Lines before any marker are committed, so
+stores written as one full rewrite per commit load unchanged. registry.ttl
+is valid Turtle but no longer in canonical order.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import re
 import threading
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -37,7 +39,6 @@ from .namespaces import (
     DEFAULT_PREFIXES,
     INST_NS,
     PROP_NS,
-    RDF_TYPE,
     RDFS_LABEL,
     SCHEMA_NS,
     SYS_ALIAS,
@@ -45,7 +46,8 @@ from .namespaces import (
     SYS_FIRST_SEEN,
     SYS_REGISTRY,
 )
-from .rdf_core import Graph, Iri, Literal, Origin, Provenance, Term, Triple, term_key, triple_text
+from .rdf_core import (
+    Graph, Iri, Literal, Origin, Provenance, Term, Triple, term_key, triple_key, triple_text)
 from .turtle_io import PrefixMap, parse_triples, parse_turtle, serialize_turtle, triple_line
 
 # The layers above the store are imported where they are used, so that a
@@ -80,9 +82,9 @@ DEFAULT_CONFIG: dict[str, str] = {
 _DELTA_RE = re.compile(r"^delta-(\d+)\.ttl$")
 _PROVENANCE = "provenance.jsonl"
 _REGISTRY = "registry.ttl"
-# The line that opens a commit's block in each journal.
-_MARKERS = {_PROVENANCE: '{{"version": {}}}\n', _REGISTRY: "# version {}\n"}
-_REGISTRY_MARKER_RE = re.compile(rb"^# version (\d+)$", re.M)
+# The line that opens a commit's block in each journal, and its pattern.
+_MARKERS = {_PROVENANCE: ('{{"version": {}}}', re.compile(rb'\{"version": (\d+)\}$')),
+            _REGISTRY: ("# version {}", re.compile(rb"# version (\d+)$"))}
 
 
 def _write_config(path: Path, config: dict[str, str]) -> None:
@@ -216,13 +218,13 @@ def load_store(root: str | Path, shapes: list[NodeShape] | None = None) -> Store
     store.trusted = graph
     store.provenance = {t: prov_by_triple.get(triple_text(t)) or [fallback] for t in graph.find()}
 
-    reg_text, reg_end = _read_registry(root / _REGISTRY, store.version)
-    reg_triples, reg_prefixes = parse_triples(reg_text)
+    reg_data = b"".join(_lines(root / _REGISTRY, version=store.version))
+    reg_triples, reg_prefixes = parse_triples(reg_data.decode("utf-8"))
     store.registry = registry_from_graph(reg_triples, builder_config.instance_ns)
     merged_prefixes = dict(DEFAULT_PREFIXES)
     merged_prefixes.update(prefixes)
     return StoreHandle(root=root, store=store, config=config, prefixes=merged_prefixes,
-                       journal_ends={_PROVENANCE: prov_end, _REGISTRY: reg_end},
+                       journal_ends={_PROVENANCE: prov_end, _REGISTRY: len(reg_data)},
                        registry_prefixes=reg_prefixes)
 
 
@@ -249,12 +251,12 @@ def save_commit(handle: StoreHandle, delta: OntologyDelta) -> Path | None:
     A delta with accepted triples writes delta-N.ttl, rewrites trusted.ttl,
     and appends a version-N block to provenance.jsonl and registry.ttl:
     every provenance record and registry addition the store gained since the
-    last save, including those of commits that accepted nothing. Before
-    appending, each journal is cut back to its committed length, which drops
-    a block left by a writer that died before writing `version`. Every
-    commit appends its quarantine lines, stamped with `delta.version_id`, and
-    the chunks whose ids logs.jsonl does not hold yet. `version` is written
-    last."""
+    last save, including those of commits that accepted nothing, the
+    provenance lines in triple order, so equal commits write equal bytes.
+    Every commit appends its quarantine lines, stamped with
+    `delta.version_id`, and the chunks whose ids logs.jsonl does not hold
+    yet. Each append first cuts its file back to its committed lines: a
+    journal's dead block, or a torn last line. `version` is written last."""
     root = handle.root
     store = handle.store
 
@@ -269,11 +271,11 @@ def save_commit(handle: StoreHandle, delta: OntologyDelta) -> Path | None:
         (root / "trusted.ttl").write_text(
             serialize_turtle(store.trusted, handle.prefixes), encoding="utf-8")
         # a new triple gained all its records, a merged one those past `saved`
-        gained = [(t, 0) for t in delta_graph.find()] + list(store.unsaved.items())
+        gained = sorted([(t, 0) for t in delta_graph.find()] + list(store.unsaved.items()),
+                        key=lambda item: triple_key(item[0]))
         ends[_PROVENANCE] = _append_block(handle, _PROVENANCE, delta.version_id, (
-            json.dumps({"triple": triple_text(t),
-                        "provenance": [p.to_json() for p in store.provenance[t][saved:]]},
-                       sort_keys=True, ensure_ascii=False)
+            _json({"triple": triple_text(t),
+                   "provenance": [p.to_json() for p in store.provenance[t][saved:]]})
             for t, saved in gained if len(store.provenance[t]) > saved))
         registry, items = store.registry, iter(store.registry.unsaved)
         ends[_REGISTRY] = _append_block(handle, _REGISTRY, delta.version_id, (
@@ -281,25 +283,28 @@ def save_commit(handle: StoreHandle, delta: OntologyDelta) -> Path | None:
             for addition in zip(items, items, items)
             for t in _registry_triples(registry, *addition)))
 
-    _append_jsonl(root / "quarantine.jsonl", [{
+    quarantine = root / "quarantine.jsonl"
+    _append(quarantine, _committed_end(quarantine), [_json({
         "triple": triple_text(q.candidate.triple),
         "reason": q.reason,
         "conflicts": [c.to_json() for c in q.conflicts],
         "violations": [v.to_json() for v in q.violations],
         "provenance": [p.to_json() for p in q.candidate.provenance],
         "version": delta.version_id,
-    } for q in delta.quarantined] + [{
+    }) for q in delta.quarantined] + [_json({
         "relation": qr.describe(),
         "reason": qr.reason,
         "provenance": [qr.provenance.to_json()],
         "version": delta.version_id,
-    } for qr in delta.quarantined_relations])
+    }) for qr in delta.quarantined_relations])
 
     texts = {f"{chunk.doc_id}#{chunk.index}": chunk.text for chunk in delta.chunks}
     if texts:  # a commit that logs nothing need not read the log
-        for entry_id, _ in load_log_entries(root)[0]:
+        logged, log_end = load_log_entries(root)
+        for entry_id, _ in logged:
             texts.pop(entry_id, None)
-    _append_jsonl(root / "logs.jsonl", [{"id": i, "text": text} for i, text in texts.items()])
+        _append(root / "logs.jsonl", log_end,
+                (_json({"id": i, "text": text}) for i, text in texts.items()))
 
     if delta.accepted:  # the commit point, after every other write
         (root / "version").write_text(f"{delta.version_id}\n", encoding="utf-8")
@@ -309,90 +314,95 @@ def save_commit(handle: StoreHandle, delta: OntologyDelta) -> Path | None:
     return delta_path
 
 
+def _json(obj: dict) -> str:
+    return json.dumps(obj, sort_keys=True, ensure_ascii=False)
+
+
 def _append_block(handle: StoreHandle, name: str, version: int, lines: Iterable[str]) -> int:
-    """Cut a journal back to its committed length, then append a version
-    marker and `lines`, each written as it comes; returns the new length."""
-    with (handle.root / name).open("ab") as fh:
-        fh.truncate(handle.journal_ends[name])
-        fh.write(_MARKERS[name].format(version).encode("utf-8"))
+    return _append(handle.root / name, handle.journal_ends[name],
+                   chain([_MARKERS[name][0].format(version)], lines))
+
+
+def _append(path: Path, end: int, lines: Iterable[str]) -> int:
+    """Cut a line file back to `end`, the end of its committed lines, then
+    append `lines`, each written with its newline as it comes; returns the
+    new length."""
+    with path.open("ab") as fh:
+        fh.truncate(end)
         for line in lines:
             fh.write(line.encode("utf-8") + b"\n")
         return fh.tell()
 
 
-def _read_registry(path: Path, version: int) -> tuple[str, int]:
-    """The committed text of registry.ttl and its length in bytes: every
-    line up to the first version marker above `version`, without a last
-    line that has no newline."""
+def _committed_end(path: Path) -> int:
+    """The end of a line file's last complete line: its size when it ends
+    in a newline, so only a torn file is read through."""
     try:
-        data = path.read_bytes()
+        with path.open("rb") as fh:
+            size = fh.seek(0, os.SEEK_END)
+            fh.seek(max(size - 1, 0))
+            if fh.read(1) in (b"", b"\n"):
+                return size
     except FileNotFoundError:
-        return "", 0
-    end = data.rfind(b"\n") + 1
-    for m in _REGISTRY_MARKER_RE.finditer(data, 0, end):
-        if int(m.group(1)) > version:
-            end = m.start()
-            break
-    return str(memoryview(data)[:end], "utf-8"), end  # decoded without copying the bytes
+        return 0
+    return sum(map(len, _lines(path)))
 
 
-def _append_jsonl(path: Path, objects: list[dict]) -> None:
-    with path.open("a", encoding="utf-8") as fh:
-        for obj in objects:
-            fh.write(json.dumps(obj, sort_keys=True, ensure_ascii=False) + "\n")
+def _lines(path: Path, start: int = 0, version: int | None = None) -> Iterator[bytes]:
+    """The complete lines of a line file from byte `start`, each with its
+    newline, read one at a time. A last line without its newline is still
+    being written, or was torn, and is left out. Given `version`, stop at
+    the journal's first block marker above it."""
+    marker = _MARKERS[path.name][1] if version is not None else None
+    try:
+        fh = path.open("rb")
+    except FileNotFoundError:
+        return
+    with fh:
+        fh.seek(start)
+        for line in fh:
+            if not line.endswith(b"\n"):
+                return
+            if marker and (m := marker.match(line)) and int(m.group(1)) > version:
+                return
+            yield line
 
 
 def load_log_entries(root: str | Path, start: int = 0) -> tuple[list[tuple[str, str]], int]:
     """The (id, text) chunk payloads of logs.jsonl that back the vector memory,
     read from byte offset `start`, and the offset just past the last complete
-    line read. A last line without its newline is still being written: it is
-    left for a later call."""
-    try:
-        with (Path(root) / "logs.jsonl").open("rb") as fh:
-            fh.seek(start)
-            data = fh.read()
-    except FileNotFoundError:
-        return [], start
-    complete = data[:data.rfind(b"\n") + 1]
+    line read; a last line without its newline is left for a later call."""
     entries: list[tuple[str, str]] = []
-    for line in complete.split(b"\n"):
+    end = start
+    for line in _lines(Path(root) / "logs.jsonl", start):
+        end += len(line)
         if line.strip():
             obj = json.loads(line)
             entries.append((obj["id"], obj["text"]))
-    return entries, start + len(complete)
+    return entries, end
 
 
 def _load_provenance(path: Path, version: int) -> tuple[dict[str, list[Provenance]], int]:
     """Each triple's records, concatenated in journal order, read line by
-    line up to the first version marker above `version`, without a last line
-    that has no newline; and the length in bytes of the lines read."""
+    line through `_lines`; and the length in bytes of the lines read."""
     out: dict[str, list[Provenance]] = {}
     records: dict[Provenance, Provenance] = {}  # one object per distinct record
     end = 0
-    try:
-        fh = path.open("rb")
-    except FileNotFoundError:
-        return out, end
-    with fh:
-        for line in fh:
-            if not line.endswith(b"\n"):
-                break
-            obj = json.loads(line) if line.strip() else {}
-            if obj.get("version", 0) > version:  # the marker of an uncommitted block
-                break
-            end += len(line)
-            if "triple" not in obj:
-                continue
-            provs = out.setdefault(obj["triple"], [])
-            for p in obj["provenance"]:
-                prov = Provenance(
-                    source_id=p["source_id"],
-                    chunk_id=p.get("chunk_id"),
-                    extracted_at=p.get("extracted_at", 0),
-                    confidence=p.get("confidence", 1.0),
-                    origin=Origin(p.get("origin", "SOURCE_DOCUMENT")),
-                )
-                provs.append(records.setdefault(prov, prov))
+    for line in _lines(path, version=version):
+        end += len(line)
+        obj = json.loads(line) if line.strip() else {}
+        if "triple" not in obj:  # a blank line or a block marker
+            continue
+        provs = out.setdefault(obj["triple"], [])
+        for p in obj["provenance"]:
+            prov = Provenance(
+                source_id=p["source_id"],
+                chunk_id=p.get("chunk_id"),
+                extracted_at=p.get("extracted_at", 0),
+                confidence=p.get("confidence", 1.0),
+                origin=Origin(p.get("origin", "SOURCE_DOCUMENT")),
+            )
+            provs.append(records.setdefault(prov, prov))
     return out, end
 
 
@@ -401,7 +411,7 @@ def _load_provenance(path: Path, version: int) -> tuple[dict[str, list[Provenanc
 # ---------------------------------------------------------------------------
 
 
-_LABEL, _ALIAS, _TYPE, _SEEN = Iri(RDFS_LABEL), Iri(SYS_ALIAS), Iri(RDF_TYPE), Iri(SYS_FIRST_SEEN)
+_LABEL, _ALIAS, _SEEN = Iri(RDFS_LABEL), Iri(SYS_ALIAS), Iri(SYS_FIRST_SEEN)
 
 
 def _registry_triples(registry: EntityRegistry, kind: str, iri: str | None,
@@ -417,10 +427,8 @@ def _registry_triples(registry: EntityRegistry, kind: str, iri: str | None,
         yield Triple(node, _LABEL, Literal(entry.preferred_label))
         if entry.first_seen is not None:
             yield Triple(node, _SEEN, Literal(entry.first_seen))
-    elif kind == "alias":
-        yield Triple(node, _ALIAS, Literal(value))
     else:
-        yield Triple(node, _TYPE, Iri(value))
+        yield Triple(node, _ALIAS, Literal(value))
 
 
 def registry_to_graph(registry: EntityRegistry) -> Graph:
@@ -428,7 +436,6 @@ def registry_to_graph(registry: EntityRegistry) -> Graph:
     additions = [("entry", iri, None) for iri in registry.entries]
     for iri, entry in registry.entries.items():
         additions += [("alias", iri, alias) for alias in entry.aliases]
-        additions += [("type", iri, type_iri) for type_iri in entry.types]
     additions += [("ambiguous", None, alias) for alias in registry.ambiguous]
     for addition in additions:
         for t in _registry_triples(registry, *addition):
@@ -441,12 +448,12 @@ def registry_from_graph(triples: Iterable[Triple], instance_ns: str) -> EntityRe
     read in one pass; a triple repeated in the stream changes nothing. An
     entry is an IRI with a literal label; where a node has several labels
     the greatest wins, and of several first sources the least, in term
-    order."""
+    order. Other triples, such as the `a` lines that older stores wrote
+    for entity types, are skipped."""
     from .builder import EntityRegistry, RegistryEntry
     labels: dict[str, Literal] = {}
     seen: dict[str, Term] = {}
     aliases: list[tuple[str, str]] = []
-    types: list[tuple[str, str]] = []
     ambiguous: list[str] = []
     for t in triples:
         s, p, o = t.subject, t.predicate, t.object
@@ -461,9 +468,6 @@ def registry_from_graph(triples: Iterable[Triple], instance_ns: str) -> EntityRe
         elif p == SYS_ALIAS:
             if isinstance(o, Literal):
                 aliases.append((s.value, o.lexical))
-        elif p == RDF_TYPE:
-            if isinstance(o, Iri):
-                types.append((s.value, o.value))
         elif p == SYS_FIRST_SEEN:
             old = seen.get(s.value)
             if old is None or term_key(o) < term_key(old):
@@ -480,9 +484,6 @@ def registry_from_graph(triples: Iterable[Triple], instance_ns: str) -> EntityRe
     for iri, alias in aliases:
         if iri in registry.entries:
             registry.add_alias(iri, alias)
-    for iri, type_iri in types:
-        if iri in registry.entries:
-            registry.add_type(iri, type_iri)
     registry.ambiguous.update(ambiguous)
     registry.unsaved.clear()  # all of it is on disk already
     return registry
@@ -536,23 +537,22 @@ def load_shapes_file(path: str | Path) -> list[NodeShape]:
 
 
 class StoreLock:
+    """An exclusive, non-blocking `flock` on the store's `.lock`, which
+    stays as an empty file. The system releases the lock however its holder
+    exits, so a writer that dies leaves the store unlocked. POSIX only."""
+
     def __init__(self, root: str | Path):
         self.path = Path(root) / ".lock"
-        self._fd: int | None = None
 
     def __enter__(self) -> StoreLock:
+        import fcntl
+        self._fd = os.open(self.path, os.O_CREAT | os.O_WRONLY, 0o666)
         try:
-            self._fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
+            fcntl.flock(self._fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            os.close(self._fd)
             raise StoreLockError(f"store is locked by another process: {self.path}") from None
-        os.write(self._fd, str(os.getpid()).encode())
         return self
 
     def __exit__(self, *exc) -> None:
-        if self._fd is not None:
-            os.close(self._fd)
-            self._fd = None
-        try:
-            self.path.unlink()
-        except FileNotFoundError:
-            pass
+        os.close(self._fd)  # which releases the lock

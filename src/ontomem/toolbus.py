@@ -296,6 +296,9 @@ def _bench(handle: StoreHandle, params: dict) -> dict:
                             ("episodes", int, None), ("repairs", list, int),
                             ("seed", int, None), ("move_level", bool, None)):
         _optional(params, key, kind, None, item)
+    # a transcript proposer reads a file that the caller names
+    if any(spec.startswith("transcript:") for spec in params.get("proposers", ())):
+        raise ParamError("transcript proposers are not served over the bus")
     try:
         return svc_bench(params)
     except (ValueError, TypeError) as e:

@@ -67,7 +67,7 @@ from ontomem.reasoner import (
     materialize,
 )
 from ontomem.shacl import NodeShape, validate
-from ontomem.store import StoreHandle, _append_jsonl, load_log_entries
+from ontomem.store import StoreHandle, load_log_entries
 from ontomem.sparql import (
     _UNSUPPORTED,
     Comparison,
@@ -1090,6 +1090,12 @@ def oracle_save_commit(handle: StoreHandle, delta: OntologyDelta) -> Path | None
     return delta_path
 
 
+def _append_jsonl(path: Path, objects: list[dict]) -> None:
+    with path.open("a", encoding="utf-8") as fh:
+        for obj in objects:
+            fh.write(json.dumps(obj, sort_keys=True, ensure_ascii=False) + "\n")
+
+
 def _oracle_save_provenance(path: Path, store: OntologyStore) -> None:
     lines = []
     for t in store.trusted:
@@ -1101,15 +1107,13 @@ def _oracle_save_provenance(path: Path, store: OntologyStore) -> None:
 
 def oracle_registry_to_graph(registry: EntityRegistry) -> Graph:
     g = Graph()
-    label_p, alias_p, type_p = Iri(RDFS_LABEL), Iri(SYS_ALIAS), Iri(RDF_TYPE)
+    label_p, alias_p = Iri(RDFS_LABEL), Iri(SYS_ALIAS)
     seen_p = Iri(SYS_FIRST_SEEN)
     for iri, entry in sorted(registry.entries.items()):
         node = Iri(iri)
         g.insert(Triple(node, label_p, Literal(entry.preferred_label)))
         for alias in sorted(entry.aliases):
             g.insert(Triple(node, alias_p, Literal(alias)))
-        for type_iri in sorted(entry.types):
-            g.insert(Triple(node, type_p, Iri(type_iri)))
         if entry.first_seen is not None:
             g.insert(Triple(node, seen_p, Literal(entry.first_seen)))
     reg_node = Iri(SYS_REGISTRY)
@@ -1131,9 +1135,6 @@ def oracle_registry_from_graph(graph: Graph, instance_ns: str) -> EntityRegistry
         for t in graph.match(node, Iri(SYS_ALIAS), None):
             if isinstance(t.object, Literal):
                 registry.add_alias(iri, t.object.lexical)
-        for t in graph.match(node, Iri(RDF_TYPE), None):
-            if isinstance(t.object, Iri):
-                registry.add_type(iri, t.object.value)
         seen = graph.match(node, Iri(SYS_FIRST_SEEN), None)
         if seen and isinstance(seen[0].object, Literal):
             registry.entries[iri].first_seen = seen[0].object.lexical

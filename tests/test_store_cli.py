@@ -56,14 +56,12 @@ class TestStoreLayout:
         registry = EntityRegistry()
         a = registry.resolve_or_mint("ACME Corp")
         registry.add_alias(a, "ACME")
-        registry.add_type(a, "http://ontomem.dev/ns/schema#Company")
         b = registry.resolve_or_mint("Bolt Co")
         registry.add_alias(b, "ACME")  # now ambiguous
         g = registry_to_graph(registry)
         back = registry_from_graph(g, registry.instance_ns)
         assert back.resolve("acme corp") == a
         assert "ACME" in back.ambiguous
-        assert back.entries[a].types == {"http://ontomem.dev/ns/schema#Company"}
 
     @pytest.fixture(scope="class")
     def built_and_loaded(self, tmp_path_factory):
@@ -103,6 +101,24 @@ class TestStoreLayout:
                 with StoreLock(tmp_path):
                     pass
         with StoreLock(tmp_path):  # released after exit
+            pass
+
+    def test_lock_dies_with_its_holder(self, tmp_path):
+        script = ("import sys, time\nfrom ontomem.store import StoreLock\n"
+                  "with StoreLock(sys.argv[1]):\n    print('locked', flush=True)\n"
+                  "    time.sleep(60)\n")
+        holder = subprocess.Popen([sys.executable, "-c", script, str(tmp_path)],
+                                  stdout=subprocess.PIPE, text=True)
+        try:
+            assert holder.stdout.readline() == "locked\n"
+            with pytest.raises(StoreLockError):
+                with StoreLock(tmp_path):
+                    pass
+        finally:
+            holder.kill()  # SIGKILL: the holder runs no exit code
+            holder.wait()
+            holder.stdout.close()
+        with StoreLock(tmp_path):
             pass
 
 
@@ -526,6 +542,37 @@ class TestCommitPath:
         assert summary == {"version": 1, "accepted": 0, "quarantined": 2, "delta_file": None}
         assert (store / "version").read_text(encoding="utf-8") == "1\n"
         assert [e["id"] for e in self._logs(store)] == ["a.txt#0", "b.txt#0", "c.txt#0"]
+        lines = [json.loads(line) for line in
+                 (store / "quarantine.jsonl").read_text(encoding="utf-8").splitlines()]
+        assert [(e["reason"], e["version"]) for e in lines] == [("consistency conflict", 1)] * 2
+
+    def test_build_cuts_a_torn_log_tail(self, tmp_path):
+        store, sources = self._store_and_docs(tmp_path, {"a.txt": "Pump3 located in SiteC."})
+        self._build(store, sources)
+        with (store / "logs.jsonl").open("a", encoding="utf-8") as fh:
+            fh.write('{"id": "dead.txt#0", "text": "Pump9 loc')  # a writer died mid-line
+        (sources / "b.txt").write_text("Pump4 located in SiteD.", encoding="utf-8")
+        assert self._build(store, sources)["version"] == 2
+        assert [e["id"] for e in self._logs(store)] == ["a.txt#0", "b.txt#0"]
+        code, out, err = run_cli("--store", str(store), "--json", "retrieve",
+                                 "--query", "Pump4 located in SiteD.")
+        assert code == 0, err
+        assert json.loads(out)["vector_hits"][0]["id"] == "b.txt#0"
+
+    def test_build_cuts_a_torn_quarantine_tail(self, tmp_path):
+        store, sources = self._store_and_docs(tmp_path, {"a.txt": "Oven7 located in Plant7."})
+        schema = tmp_path / "schema.ttl"
+        schema.write_text(
+            "@prefix owl: <http://www.w3.org/2002/07/owl#> .\n"
+            "@prefix prop: <http://ontomem.dev/ns/prop#> .\n"
+            "prop:located-in a owl:FunctionalProperty .\n", encoding="utf-8")
+        self._build(store, sources, "--schema", str(schema))
+        with (store / "quarantine.jsonl").open("a", encoding="utf-8") as fh:
+            fh.write('{"reason": "consistency')  # a writer died mid-line
+        for name, text in {"b.txt": "Pump1 located in SiteA.",
+                           "c.txt": "Pump1 located in SiteB."}.items():
+            (sources / name).write_text(text, encoding="utf-8")
+        assert self._build(store, sources)["quarantined"] == 2
         lines = [json.loads(line) for line in
                  (store / "quarantine.jsonl").read_text(encoding="utf-8").splitlines()]
         assert [(e["reason"], e["version"]) for e in lines] == [("consistency conflict", 1)] * 2

@@ -125,6 +125,15 @@ class TestDispatch:
                                                "move_level": True})
         assert report["result"]["config"]["move_level"] is True
 
+    def test_bench_transcript_proposer_32602(self, bus, tmp_path):
+        # a transcript proposer would open any file the caller names
+        secret = tmp_path / "secret.txt"
+        secret.write_text("secret-token-123\n", encoding="utf-8")
+        error = call(bus, "bench.hanoi.run", {"proposers": [f"transcript:{secret}"],
+                                              "episodes": 1})["error"]
+        assert error["code"] == INVALID_PARAMS
+        assert "secret-token-123" not in error["message"]
+
     def test_bus_is_freed_without_cycle_collection(self, built_store):
         handle = load_store(built_store)
         bus = ToolBus(handle)
@@ -504,6 +513,26 @@ class TestLiveStore:
         for _ in range(2):
             assert call(bus, "graph.query", ask)["result"]["ask"] is True
         assert bus.handle is handle
+
+    def test_bus_follows_a_log_whose_torn_tail_a_build_cut(self, tmp_path):
+        store = tmp_path / "s"
+        run_cli("--store", str(store), "init")
+        self._build_docs(store, tmp_path, {"a.txt": "Pump3 located in SiteC."})
+        bus = ToolBus(load_store(store))
+        query = {"query": "Pump4 located in SiteD.", "k": 3}
+        assert "result" in call(bus, "memory.retrieve", query)
+        before = bus.handle.log_memory()
+        with (store / "logs.jsonl").open("a", encoding="utf-8") as fh:
+            fh.write('{"id": "dead.txt#0", "text": "Pump9 loc')  # a writer died mid-line
+        assert "result" in call(bus, "memory.retrieve", query)
+        self._build_docs(store, tmp_path, {"b.txt": "Pump4 located in SiteD."})
+        hits = call(bus, "memory.retrieve", query)["result"]["vector_hits"]
+        assert hits[0]["id"] == "b.txt#0"
+        after = bus.handle.log_memory()
+        assert sorted(after.entries) == ["a.txt#0", "b.txt#0"]
+        assert after.entries["a.txt#0"] is before.entries["a.txt#0"]  # not embedded again
+        lines = (store / "logs.jsonl").read_text(encoding="utf-8").splitlines()
+        assert [json.loads(line)["id"] for line in lines] == ["a.txt#0", "b.txt#0"]
 
     def test_retrieve_while_log_grows(self, tmp_path, built_store):
         store = tmp_path / "s"
