@@ -50,8 +50,9 @@ def _load_docs(sources_dir: str) -> list:
             docs.append(SourceDocument(path.name, DocKind.TEXT,
                                        path.read_text(encoding="utf-8")))
         elif path.suffix == ".jsonl":
+            # lines end at "\n" only: JSON allows U+2028, U+2029 and U+0085 raw in a string
             records = tuple(json.loads(line) for line in
-                            path.read_text(encoding="utf-8").splitlines() if line.strip())
+                            path.read_text(encoding="utf-8").split("\n") if line.strip())
             docs.append(SourceDocument(path.name, DocKind.TABLE_ROWSET, records))
     return docs
 

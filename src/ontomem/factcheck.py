@@ -36,7 +36,7 @@ from .rdf_core import (
     parse_term_text,
     triple_text,
 )
-from .reasoner import Closure, Conflict, check_consistency, close, extend, materialize
+from .reasoner import Closure, Conflict, check_consistency, close, extend
 
 
 class ClaimInputError(ValueError):
@@ -147,10 +147,8 @@ def check_claim(claim: Claim, trusted: Graph, closure: Closure | None = None) ->
     `closure`, when given, must be `close(trusted)`: a claim without
     conditions reads it instead of materializing `trusted` again."""
     if claim.conditions or closure is None:
-        m, derivations = materialize(trusted, want_derivations=True, added=claim.conditions)
-        base_conflicts = check_consistency(m)
-    else:
-        m, derivations, base_conflicts = closure
+        closure = close(trusted, claim.conditions)
+    m, derivations, base_conflicts = closure
     if base_conflicts:
         raise ConditionInconsistencyError(base_conflicts)
 
@@ -167,8 +165,9 @@ def check_claim(claim: Claim, trusted: Graph, closure: Closure | None = None) ->
 
 def _check_asserted(statement: Triple, m: Graph, derivations, condition_steps):
     if statement in m:
-        trace = condition_steps + _support_trace(statement, m, derivations)
-        return (VerdictStatus.SUPPORTED, trace)
+        steps = list(condition_steps)
+        _walk(statement, derivations, set(), steps)
+        return (VerdictStatus.SUPPORTED, tuple(steps))
 
     # `m` holds no conflict (check_claim raised otherwise), so every conflict
     # of the layer touches its delta.
@@ -185,14 +184,9 @@ def _check_asserted(statement: Triple, m: Graph, derivations, condition_steps):
     return (VerdictStatus.NOT_FOUND, condition_steps + (lookup,))
 
 
-def _support_trace(statement: Triple, m: Graph, derivations) -> tuple[TraceStep, ...]:
-    """Derivation chain bottom-up: matched leaves first, then rule firings."""
-    steps: list[TraceStep] = []
-    _walk(statement, derivations, set(), steps)
-    return tuple(steps)
-
-
 def _walk(t: Triple, derivations, seen: set[Triple], steps: list[TraceStep]) -> None:
+    """Append the derivation chain of `t` to `steps` bottom-up: matched leaves
+    first, then rule firings."""
     # Module-level rather than nested: a self-recursive closure is a reference
     # cycle that would keep `derivations` alive until a cyclic collection.
     if t in seen:
@@ -251,9 +245,11 @@ class ClaimParse:
 
 
 def parse_claims(text: str) -> ClaimParse:
-    """Best-effort JSONL intake: bad lines produce diagnostics, not failure."""
+    """Best-effort JSONL intake: bad lines produce diagnostics, not failure.
+    Lines end at a line feed only, as U+2028, U+2029 and U+0085 may stand
+    raw inside a JSON string."""
     result = ClaimParse()
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
         try:

@@ -28,16 +28,7 @@ class FusionConfigError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class EmbeddingVector:
-    components: tuple[float, ...]
-
-    @property
-    def dimension(self) -> int:
-        return len(self.components)
-
-
-def embed(text: str, dimension: int = DEFAULT_DIMENSION) -> EmbeddingVector:
+def embed(text: str, dimension: int = DEFAULT_DIMENSION) -> tuple[float, ...]:
     """Feature-hashing bag-of-tokens embedding; same text, same vector, always.
 
     Tokens are lowercased alphanumeric runs; each hashes to one component with
@@ -51,14 +42,8 @@ def embed(text: str, dimension: int = DEFAULT_DIMENSION) -> EmbeddingVector:
         acc[idx] += sign
     norm = math.sqrt(sum(x * x for x in acc))
     if norm == 0.0:
-        return EmbeddingVector(tuple(acc))
-    return EmbeddingVector(tuple(x / norm for x in acc))
-
-
-def cosine(a: EmbeddingVector, b: EmbeddingVector) -> float:
-    if a.dimension != b.dimension:
-        raise FusionConfigError(f"dimension mismatch: {a.dimension} vs {b.dimension}")
-    return sum(x * y for x, y in zip(a.components, b.components))
+        return tuple(acc)
+    return tuple(x / norm for x in acc)
 
 
 @dataclass
@@ -75,8 +60,7 @@ class VectorStore:
     entries: dict[str, tuple[array, str]] = field(default_factory=dict)
 
     def add(self, entry_id: str, payload: str) -> None:
-        vec = embed(payload, self.dimension).components
-        self.entries[entry_id] = (array("d", vec), payload)
+        self.entries[entry_id] = (array("d", embed(payload, self.dimension)), payload)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -93,7 +77,7 @@ def vector_search(store: VectorStore, query: str, k: int) -> list[VectorHit]:
     """Exact top-k by cosine similarity; ties broken by entry id."""
     if k < 1:
         raise FusionConfigError("k must be >= 1")
-    qvec = embed(query, store.dimension).components
+    qvec = embed(query, store.dimension)
     scored = [
         VectorHit(entry_id, payload, sum(x * y for x, y in zip(qvec, vec)))
         for entry_id, (vec, payload) in store.entries.items()

@@ -83,9 +83,6 @@ class Violation:
     reason: ViolationReason
     detail: str
 
-    def to_json(self) -> dict:
-        return {"move_index": self.move_index, "reason": self.reason.value, "detail": self.detail}
-
 
 def legal_moves(state: HanoiState) -> list[Move]:
     out = []
@@ -363,15 +360,6 @@ class EpisodeResult:
     violations: tuple[Violation, ...]
     proposer_id: str
 
-    def to_json(self) -> dict:
-        return {
-            "success": self.success,
-            "moves_executed": self.moves_executed,
-            "repair_rounds_used": self.repair_rounds_used,
-            "violations": [v.to_json() for v in self.violations],
-            "proposer_id": self.proposer_id,
-        }
-
 
 def run_episode(n: int, proposer: Proposer, max_repairs: int, seed: int,
                 move_level: bool = False) -> EpisodeResult:
@@ -427,40 +415,20 @@ def _run_move_level(n, proposer, max_repairs, rng, start, goal) -> EpisodeResult
         repairs_used += 1
 
 
-@dataclass(frozen=True)
-class BenchmarkCell:
-    disks: int
-    proposer_id: str
-    max_repairs: int
-    episodes: int
-    successes: int
-    mean_moves_on_success: float | None
-    mean_repair_rounds: float
-
-    @property
-    def success_rate(self) -> float:
-        return self.successes / self.episodes
-
-    def to_json(self) -> dict:
-        return {
-            "disks": self.disks,
-            "proposer": self.proposer_id,
-            "max_repairs": self.max_repairs,
-            "episodes": self.episodes,
-            "successes": self.successes,
-            "success_rate": round(self.success_rate, 6),
-            "mean_moves_on_success": self.mean_moves_on_success,
-            "mean_repair_rounds": self.mean_repair_rounds,
-        }
-
-
 def aggregate_cell(disks: int, proposer_id: str, max_repairs: int,
-                   episodes: list[EpisodeResult]) -> BenchmarkCell:
+                   episodes: list[EpisodeResult]) -> dict:
     successes = [e for e in episodes if e.success]
     mean_moves = round(sum(e.moves_executed for e in successes) / len(successes), 3) if successes else None
-    mean_rounds = round(sum(e.repair_rounds_used for e in episodes) / len(episodes), 3)
-    return BenchmarkCell(disks, proposer_id, max_repairs, len(episodes), len(successes),
-                         mean_moves, mean_rounds)
+    return {
+        "disks": disks,
+        "proposer": proposer_id,
+        "max_repairs": max_repairs,
+        "episodes": len(episodes),
+        "successes": len(successes),
+        "success_rate": round(len(successes) / len(episodes), 6),
+        "mean_moves_on_success": mean_moves,
+        "mean_repair_rounds": round(sum(e.repair_rounds_used for e in episodes) / len(episodes), 3),
+    }
 
 
 MAX_BENCH_DISKS = 20
@@ -496,19 +464,20 @@ def run_benchmark(disk_counts: list[int], proposer_specs: list[str], episodes: i
             "seed": base_seed,
             "move_level": move_level,
         },
-        "cells": [c.to_json() for c in cells],
+        "cells": cells,
         "table": format_benchmark_table(cells),
     }
     return report
 
 
-def format_benchmark_table(cells: list[BenchmarkCell]) -> str:
+def format_benchmark_table(cells: list[dict]) -> str:
     header = f"{'disks':>5}  {'proposer':<18} {'repairs':>7}  {'success':>8}  {'moves':>7}  {'rounds':>6}"
     lines = [header, "-" * len(header)]
     for c in cells:
-        moves = f"{c.mean_moves_on_success:.1f}" if c.mean_moves_on_success is not None else "-"
-        lines.append(f"{c.disks:>5}  {c.proposer_id:<18} {c.max_repairs:>7}  "
-                     f"{_pct(c.success_rate):>8}  {moves:>7}  {c.mean_repair_rounds:>6.2f}")
+        moves = f"{c['mean_moves_on_success']:.1f}" if c["mean_moves_on_success"] is not None else "-"
+        rate = c["successes"] / c["episodes"]
+        lines.append(f"{c['disks']:>5}  {c['proposer']:<18} {c['max_repairs']:>7}  "
+                     f"{_pct(rate):>8}  {moves:>7}  {c['mean_repair_rounds']:>6.2f}")
     return "\n".join(lines)
 
 

@@ -386,12 +386,6 @@ def single_object(graph: Graph, subject: Term, predicate: str) -> Term | None:
     return hits[0].object if hits else None
 
 
-def diff(before: Graph, after: Graph) -> tuple[frozenset[Triple], frozenset[Triple]]:
-    """(added, removed) = (after \\ before, before \\ after)."""
-    b, a = before.triple_set(), after.triple_set()
-    return frozenset(a - b), frozenset(b - a)
-
-
 # ---------------------------------------------------------------------------
 # Blank-node isomorphism (test-scale)
 # ---------------------------------------------------------------------------

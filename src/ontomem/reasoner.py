@@ -194,8 +194,7 @@ def _saturate(graph: Graph, new, ceiling: int) -> dict[Triple, Derivation]:
     return derivations
 
 
-def materialize(graph: Graph, ceiling: int = DEFAULT_APPLICATION_CEILING,
-                want_derivations: bool = False, added=()):
+def materialize(graph: Graph, want_derivations: bool = False, added=()):
     """Least fixpoint of the rule slice over `graph` plus the triples of
     `added`; the input graph is not mutated. Returns the new graph, or
     (graph, derivations) when want_derivations is set.
@@ -203,7 +202,7 @@ def materialize(graph: Graph, ceiling: int = DEFAULT_APPLICATION_CEILING,
     result = graph.copy()
     for t in added:
         result.insert(t)
-    derivations = _saturate(result, result.find(), ceiling)
+    derivations = _saturate(result, result.find(), DEFAULT_APPLICATION_CEILING)
     if want_derivations:
         return result, derivations
     return result
@@ -376,7 +375,8 @@ class Closure(NamedTuple):
     conflicts: list[Conflict]
 
 
-def close(graph: Graph) -> Closure:
-    """The closure of `graph`: materialize with derivations, then check_consistency."""
-    m, derivations = materialize(graph, want_derivations=True)
+def close(graph: Graph, added=()) -> Closure:
+    """The closure of `graph` plus the triples of `added`: materialize with
+    derivations, then check_consistency."""
+    m, derivations = materialize(graph, want_derivations=True, added=added)
     return Closure(m, derivations, check_consistency(m))

@@ -512,14 +512,14 @@ def _bind(binding: dict[str, Term], slots, values) -> dict[str, Term] | None:
 DEFAULT_SOLUTION_CEILING = 1_000_000
 
 
-def evaluate(query: Query, graph: Graph,
-             max_solutions: int = DEFAULT_SOLUTION_CEILING) -> SolutionSequence:
+def evaluate(query: Query, graph: Graph) -> SolutionSequence:
     """All assignments satisfying every pattern conjunctively plus every filter.
 
     Result rows are ordered lexicographically over the canonical text of the
     full assignment, then projected, then truncated by LIMIT. The ceiling on
     intermediate solutions keeps adversarial joins from running away.
     """
+    max_solutions = DEFAULT_SOLUTION_CEILING
     closures: dict[Iri, set[tuple[Term, Term]]] = {}
     solutions: list[dict[str, Term]] = [{}]
     for pattern in query.patterns:

@@ -301,8 +301,8 @@ def save_commit(handle: StoreHandle, delta: OntologyDelta) -> Path | None:
     texts = {f"{chunk.doc_id}#{chunk.index}": chunk.text for chunk in delta.chunks}
     if texts:  # a commit that logs nothing need not read the log
         logged, log_end = load_log_entries(root)
-        for entry_id, _ in logged:
-            texts.pop(entry_id, None)
+        last = dict(logged)  # the last line of an id wins, as in log_memory
+        texts = {i: text for i, text in texts.items() if last.get(i) != text}
         _append(root / "logs.jsonl", log_end,
                 (_json({"id": i, "text": text}) for i, text in texts.items()))
 
@@ -429,18 +429,6 @@ def _registry_triples(registry: EntityRegistry, kind: str, iri: str | None,
             yield Triple(node, _SEEN, Literal(entry.first_seen))
     else:
         yield Triple(node, _ALIAS, Literal(value))
-
-
-def registry_to_graph(registry: EntityRegistry) -> Graph:
-    g = Graph()
-    additions = [("entry", iri, None) for iri in registry.entries]
-    for iri, entry in registry.entries.items():
-        additions += [("alias", iri, alias) for alias in entry.aliases]
-    additions += [("ambiguous", None, alias) for alias in registry.ambiguous]
-    for addition in additions:
-        for t in _registry_triples(registry, *addition):
-            g.insert(t)
-    return g
 
 
 def registry_from_graph(triples: Iterable[Triple], instance_ns: str) -> EntityRegistry:

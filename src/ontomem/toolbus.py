@@ -21,15 +21,14 @@ from .factcheck import (
     parse_claims,
 )
 from .fusion import (
-    ContextBundle,
     FusionConfigError,
     fuse,
     graph_retrieve,
     vector_search,
 )
 from .builder import AmbiguousAlias
-from .hanoi import run_benchmark
-from .rdf_core import Iri, Layer, Origin, StructuralError, Term, Triple, parse_term_text, triple_key, triple_text
+from .hanoi import MAX_BENCH_DISKS, run_benchmark
+from .rdf_core import Iri, Origin, StructuralError, Term, Triple, parse_term_text, triple_key, triple_text
 from .reasoner import extend, materialize
 from .shacl import ShapeError, validate
 from .sparql import EvaluationLimitError, QueryParseError, evaluate, parse_query
@@ -43,6 +42,9 @@ INTERNAL_ERROR = -32000
 
 # Longest request line a TCP session may send, newline excluded.
 MAX_REQUEST_BYTES = 1 << 20
+
+# Most moves a bench.hanoi.run request may make, estimated before it runs.
+MAX_BENCH_MOVES = 1 << 22
 
 
 class ParamError(ValueError):
@@ -73,19 +75,17 @@ def svc_logic_check(handle: StoreHandle) -> dict:
 
 def svc_diff(handle: StoreHandle, v1: int, v2: int, include_inferred: bool = False) -> dict:
     """Triples added and removed from version v1 to v2. The deltas only add, so
-    the higher version is a Layer over the lower one, and the layer's delta is
-    all that differs: the triples the deltas above the lower version add, and
-    with `include_inferred` what they infer beyond its closure."""
+    all that differs is what the deltas above the lower version add that it
+    lacks, and with `include_inferred` what they infer beyond its closure: the
+    delta of its closure extended by them."""
     lo, hi = sorted((v1, v2))
     g_lo = graph_at_version(handle.root, lo)
     new = graph_at_version(handle.root, hi, since=lo).find()
     if include_inferred:
-        g_hi = extend(materialize(g_lo), new)
+        changed = extend(materialize(g_lo), new).delta.find()
     else:
-        g_hi = Layer(g_lo)
-        for t in new:
-            g_hi.insert(t)
-    changed = sorted(map(triple_text, g_hi.delta.find()))
+        changed = [t for t in new if t not in g_lo]
+    changed = sorted(map(triple_text, changed))
     added, removed = (changed, []) if v1 <= v2 else ([], changed)
     return {"from_version": v1, "to_version": v2, "added": added,
             "removed": removed, "include_inferred": include_inferred}
@@ -104,12 +104,6 @@ def svc_check(handle: StoreHandle, claims: list[Claim], diagnostics: list[str] |
 def svc_retrieve(handle: StoreHandle, query: str, seeds: list[str] | None = None,
                  radius: int = 1, k: int = 5, budget: int = 10,
                  session: str | None = None) -> dict:
-    bundle = retrieve_bundle(handle, query, seeds, radius, k, budget, session)
-    return bundle.to_json()
-
-
-def retrieve_bundle(handle: StoreHandle, query: str, seeds: list[str] | None,
-                    radius: int, k: int, budget: int, session: str | None) -> ContextBundle:
     vstore = handle.log_memory()
     hits = vector_search(vstore, query, k) if len(vstore) else []
 
@@ -117,7 +111,7 @@ def retrieve_bundle(handle: StoreHandle, query: str, seeds: list[str] | None,
     facts = graph_retrieve(handle.store.trusted, seed_terms, radius)
 
     user_memory = session_memory(handle, session) if session else []
-    return fuse(hits, facts, [], user_memory, handle.weights, budget)
+    return fuse(hits, facts, [], user_memory, handle.weights, budget).to_json()
 
 
 def _seed_terms(handle: StoreHandle, query: str, seeds: list[str] | None) -> list[Term]:
@@ -299,6 +293,14 @@ def _bench(handle: StoreHandle, params: dict) -> dict:
     # a transcript proposer reads a file that the caller names
     if any(spec.startswith("transcript:") for spec in params.get("proposers", ())):
         raise ParamError("transcript proposers are not served over the bus")
+    # No proposal holds more than 2^(n+1) moves and an episode makes at most
+    # one per round; capping n keeps an out-of-range count from building a
+    # huge integer before run_benchmark rejects it.
+    per_episode = sum((r + 1) * 2 ** (min(n, MAX_BENCH_DISKS) + 1)
+                      for n in params.get("disks", [3]) for r in params.get("repairs", [0]))
+    moves = len(params.get("proposers", ["optimal"])) * params.get("episodes", 10) * per_episode
+    if moves > MAX_BENCH_MOVES:
+        raise ParamError(f"request may make up to {moves} moves; the bus allows {MAX_BENCH_MOVES}")
     try:
         return svc_bench(params)
     except (ValueError, TypeError) as e:

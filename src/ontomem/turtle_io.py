@@ -18,7 +18,6 @@ from __future__ import annotations
 import re
 from collections.abc import Callable
 from dataclasses import dataclass
-from enum import Enum
 from typing import NamedTuple
 
 from .namespaces import RDF_LANGSTRING, RDF_TYPE, XSD_BOOLEAN, XSD_DECIMAL, XSD_INTEGER, XSD_STRING
@@ -38,17 +37,11 @@ from .rdf_core import (
 PrefixMap = dict[str, str]
 
 
-class Severity(Enum):
-    ERROR = "ERROR"
-    WARNING = "WARNING"
-
-
 @dataclass(frozen=True)
 class ParseDiagnostic:
     line: int
     column: int
     message: str
-    severity: Severity = Severity.ERROR
 
 
 class TurtleParseError(ValueError):

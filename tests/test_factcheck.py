@@ -249,6 +249,17 @@ class TestParseClaims:
         assert len(result.claims) == 3
         assert len(result.diagnostics) == 1 and "line 3" in result.diagnostics[0]
 
+    def test_lines_end_at_line_feed_only(self):
+        # U+2028, U+2029 and U+0085 may stand raw inside a JSON string
+        lines = [json.dumps({"subject": "<http://ex.org/a>", "predicate": "<http://ex.org/p>",
+                             "object": "<http://ex.org/b>", "source_text": f"one{sep}two"},
+                            ensure_ascii=False) for sep in ("\u2028", "\u2029", "\u0085")]
+        for text in ("\n".join(lines), "\r\n".join(lines) + "\r\n"):
+            result = parse_claims(text)
+            assert not result.diagnostics
+            assert [c.source_text for c in result.claims] == \
+                ["one\u2028two", "one\u2029two", "one\u0085two"]
+
     def test_conditions_and_polarity_parsed(self, regulatory_claims):
         import json
         text = "\n".join(json.dumps(obj) for obj in regulatory_claims)
@@ -359,7 +370,6 @@ def test_check_answer_materializes_once_for_condition_free_claims(monkeypatch):
         return real(graph, *args, **kwargs)
 
     monkeypatch.setattr(reasoner, "materialize", counting)
-    monkeypatch.setattr("ontomem.factcheck.materialize", counting)
     g = TestCheckAnswer().build()
     claims = [Claim(tr("a", "q", "b")), Claim(tr("s", "p", "o2")), Claim(tr("zz", "q", "yy")),
               Claim(tr("a", "q", "b"), Polarity.NEGATED)]

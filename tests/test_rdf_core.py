@@ -12,7 +12,6 @@ from ontomem.rdf_core import (
     Literal,
     StructuralError,
     Triple,
-    diff,
     isomorphic,
     parse_term_text,
     term_text,
@@ -153,46 +152,6 @@ class TestMatch:
                  and (o is None or x.object == o)),
                 key=triple_key)
             assert g.match(s, p, o) == expected
-
-
-class TestDiff:
-    def test_identity(self):
-        g = Graph()
-        g.insert(t("a", "p", "b"))
-        assert diff(g, g) == (frozenset(), frozenset())
-
-    def test_one_insertion(self):
-        g1, g2 = Graph(), Graph()
-        g1.insert(t("1", "p", "1"))
-        g2.insert(t("1", "p", "1"))
-        g2.insert(t("2", "p", "2"))
-        added, removed = diff(g1, g2)
-        assert added == {t("2", "p", "2")} and removed == frozenset()
-
-    def test_set_subtraction(self):
-        g1, g2 = Graph(), Graph()
-        for trip in (t("1", "p", "1"), t("2", "p", "2")):
-            g1.insert(trip)
-        for trip in (t("2", "p", "2"), t("3", "p", "3")):
-            g2.insert(trip)
-        added, removed = diff(g1, g2)
-        assert added == {t("3", "p", "3")} and removed == {t("1", "p", "1")}
-
-    def test_diff_soundness_random(self):
-        rng = random.Random(23)
-        for _ in range(30):
-            g1, g2 = Graph(), Graph()
-            for _ in range(rng.randrange(40)):
-                g1.insert(t(f"s{rng.randrange(6)}", "p", f"o{rng.randrange(6)}"))
-            for _ in range(rng.randrange(40)):
-                g2.insert(t(f"s{rng.randrange(6)}", "p", f"o{rng.randrange(6)}"))
-            added, removed = diff(g1, g2)
-            rebuilt = g1.copy()
-            for trip in removed:
-                rebuilt.remove(trip)
-            for trip in added:
-                rebuilt.insert(trip)
-            assert rebuilt.triple_set() == g2.triple_set()
 
 
 class TestIsomorphic:

@@ -16,7 +16,7 @@ from ontomem.namespaces import (
     RDFS_SUBPROPERTYOF,
 )
 from ontomem.factcheck import negation_overlay
-from ontomem.rdf_core import Graph, Iri, Literal, Triple, diff, single_object, triple_key
+from ontomem.rdf_core import Graph, Iri, Literal, Triple, single_object, triple_key
 from ontomem.reasoner import (
     ConflictKind,
     DivergenceError,
@@ -110,12 +110,15 @@ class TestMaterialize:
         materialize(g)
         assert g.content_hash() == before
 
-    def test_divergence_ceiling(self):
+    def test_divergence_ceiling(self, monkeypatch):
+        import ontomem.reasoner as reasoner_module
+
+        monkeypatch.setattr(reasoner_module, "DEFAULT_APPLICATION_CEILING", 5)
         g = Graph()
         for i in range(20):
             g.insert(tr(f"c{i}", RDFS_SUBCLASSOF, f"c{i+1}"))
         with pytest.raises(DivergenceError):
-            materialize(g, ceiling=5)
+            materialize(g)
 
 
 class TestConsistency:
@@ -384,7 +387,8 @@ def test_extend_copies_nothing_and_writes_only_its_delta(monkeypatch):
         whole = flat.triple_set()
         assert layer.delta.triple_set() == whole - closure.triple_set()
         assert len(layer) == len(whole) == len(closure) + len(layer.delta)
-        assert diff(closure, layer) == (layer.delta.triple_set(), frozenset())
+        assert layer.triple_set() - closure.triple_set() == layer.delta.triple_set()
+        assert closure.triple_set() - layer.triple_set() == frozenset()
         assert list(layer) == list(flat) and layer.content_hash() == flat.content_hash()
         for t in rng.sample(sorted(whole, key=triple_key), min(8, len(whole))):
             assert t in layer

@@ -334,7 +334,8 @@ def test_oracle_equivalence_regex_on_every_term_kind():
     assert kinds == {Iri, Literal, Blank}  # the regex passed a term of every kind
 
 
-def test_evaluation_ceiling_stops_runaway_joins():
+def test_evaluation_ceiling_stops_runaway_joins(monkeypatch):
+    import ontomem.sparql as sparql_module
     from ontomem.sparql import EvaluationLimitError
     g = Graph()
     for i in range(30):
@@ -342,8 +343,9 @@ def test_evaluation_ceiling_stops_runaway_joins():
             g.insert(tr(f"a{i}", "p", f"b{j}"))
     q = parse_query("PREFIX ex: <http://ex.org/> SELECT ?x WHERE "
                     "{ ?x ex:p ?y . ?z ex:p ?w . ?u ex:p ?v }")
+    monkeypatch.setattr(sparql_module, "DEFAULT_SOLUTION_CEILING", 10_000)
     with pytest.raises(EvaluationLimitError):
-        evaluate(q, g, max_solutions=10_000)
+        evaluate(q, g)
     # generous ceiling leaves results unchanged
     small = parse_query("PREFIX ex: <http://ex.org/> SELECT ?x WHERE { ?x ex:p ?y }")
     assert len(evaluate(small, g).bindings) == 900

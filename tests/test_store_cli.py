@@ -16,12 +16,12 @@ from ontomem.store import (
     load_store,
     rebuild_trusted,
     registry_from_graph,
-    registry_to_graph,
     save_commit,
 )
 from ontomem.toolbus import svc_logic_check
 from ontomem.turtle_io import parse_turtle
 from conftest import DATA, run_cli
+from oracles import oracle_registry_to_graph
 
 
 class TestStoreLayout:
@@ -58,7 +58,7 @@ class TestStoreLayout:
         registry.add_alias(a, "ACME")
         b = registry.resolve_or_mint("Bolt Co")
         registry.add_alias(b, "ACME")  # now ambiguous
-        g = registry_to_graph(registry)
+        g = oracle_registry_to_graph(registry)
         back = registry_from_graph(g, registry.instance_ns)
         assert back.resolve("acme corp") == a
         assert "ACME" in back.ambiguous
@@ -527,6 +527,22 @@ class TestCommitPath:
         assert summary["accepted"] == 0 and summary["version"] == 1
         assert {name: (store / name).read_bytes() for name in before} == before
 
+    def test_edited_document_logs_its_new_text(self, tmp_path):
+        store, sources = self._store_and_docs(tmp_path, {"a.txt": "Pump3 located in SiteC."})
+        assert self._build(store, sources)["version"] == 1
+        (sources / "a.txt").write_text("Pump4 located in SiteD.", encoding="utf-8")
+        assert self._build(store, sources)["version"] == 2
+        assert self._logs(store) == [{"id": "a.txt#0", "text": "Pump3 located in SiteC."},
+                                     {"id": "a.txt#0", "text": "Pump4 located in SiteD."}]
+        before = (store / "logs.jsonl").read_bytes()
+        self._build(store, sources)
+        assert (store / "logs.jsonl").read_bytes() == before
+        code, out, err = run_cli("--store", str(store), "--json", "retrieve",
+                                 "--query", "Pump4 SiteD", "--k", "1")
+        assert code == 0, err
+        top = json.loads(out)["vector_hits"][0]
+        assert (top["id"], top["payload"]) == ("a.txt#0", "Pump4 located in SiteD.")
+
     def test_all_quarantined_build_logs_chunks_at_unchanged_version(self, tmp_path):
         store, sources = self._store_and_docs(tmp_path, {"a.txt": "Oven7 located in Plant7."})
         schema = tmp_path / "schema.ttl"
@@ -587,6 +603,17 @@ class TestCommitPath:
         code, out, err = run_cli("--store", str(store), "--json", "retrieve", "--query", text)
         assert code == 0, err
         assert json.loads(out)["vector_hits"][0]["id"] == "a.txt#0"
+
+    def test_rowset_lines_end_at_line_feed_only(self, tmp_path):
+        # JSON allows U+2028 raw inside a string, so it does not end a row.
+        rows = [{"name": "Pump3", "note": "checked\u2028daily"}, {"name": "Pump4"}]
+        store, sources = self._store_and_docs(tmp_path, {
+            "rows.jsonl": "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in rows)})
+        assert self._build(store, sources)["version"] == 0
+        logged = (store / "logs.jsonl").read_text(encoding="utf-8").split("\n")
+        assert [json.loads(line) for line in logged if line] == [
+            {"id": f"rows.jsonl#{i}", "text": json.dumps(r, sort_keys=True, ensure_ascii=False)}
+            for i, r in enumerate(rows)]
 
     def test_new_chunk_is_its_own_top_vector_hit(self, tmp_path, built_store):
         store = tmp_path / "s"

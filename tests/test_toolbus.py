@@ -13,7 +13,7 @@ import weakref
 import pytest
 
 from ontomem.builder import GateResult, graph_candidates
-from ontomem.rdf_core import Iri, Origin, Triple, diff, triple_text
+from ontomem.rdf_core import Iri, Origin, Triple, triple_text
 from ontomem.reasoner import materialize
 from ontomem import toolbus
 from ontomem.store import graph_at_version, init_store, load_store, save_commit
@@ -133,6 +133,12 @@ class TestDispatch:
                                               "episodes": 1})["error"]
         assert error["code"] == INVALID_PARAMS
         assert "secret-token-123" not in error["message"]
+
+    def test_bench_bounded_by_its_moves_32602(self, bus):
+        # 40 optimal 16-disk episodes would hold a server thread for seconds
+        error = call(bus, "bench.hanoi.run", {"disks": [16], "episodes": 40})["error"]
+        assert error["code"] == INVALID_PARAMS
+        assert error["message"] == "request may make up to 5242880 moves; the bus allows 4194304"
 
     def test_bus_is_freed_without_cycle_collection(self, built_store):
         handle = load_store(built_store)
@@ -283,7 +289,7 @@ class TestBusCliEquivalence:
             g1, g2 = graph_at_version(store, v1), graph_at_version(store, v2)
             if inferred:
                 g1, g2 = materialize(g1), materialize(g2)
-            added, removed = diff(g1, g2)
+            added, removed = g2.triple_set() - g1.triple_set(), g1.triple_set() - g2.triple_set()
             assert svc_diff(handle, v1, v2, inferred) == {
                 "from_version": v1, "to_version": v2,
                 "added": sorted(triple_text(t) for t in added),
