@@ -36,6 +36,11 @@ def _p(args, payload, human: str) -> None:
         print(human)
 
 
+def _warn(warnings: list[str]) -> None:
+    for warning in warnings:
+        print(f"warning: {warning}", file=sys.stderr)
+
+
 def _load_docs(sources_dir: str) -> list:
     from .builder import DocKind, SourceDocument
     root = Path(sources_dir)
@@ -79,7 +84,9 @@ def cmd_init(args) -> int:
 def cmd_build(args) -> int:
     from .builder import RulePatternExtractor, TranscriptExtractor, graph_candidates, run_pipeline
     from .turtle_io import parse_turtle
-    shapes = load_shapes_file(args.shapes) if args.shapes else []
+    warnings: list[str] = []
+    shapes = load_shapes_file(args.shapes, warnings) if args.shapes else []
+    _warn(warnings)
     patterns = _load_patterns(args.patterns)
     with StoreLock(args.store):
         handle = load_store(args.store)
@@ -153,6 +160,7 @@ def cmd_validate(args) -> int:
            "\n".join(f"conflict: {c['kind']} on {c['subject']}" for c in result["conflicts"]))
         return 0 if ok else 1
     result = svc_validate(handle, args.shapes)
+    _warn(result.get("warnings", []))
     human = "conforms" if result["conforms"] else "\n".join(
         f"violation: {r['constraint']} at {r['focus_node']} path={r['path']}"
         for r in result["results"])

@@ -2,12 +2,13 @@
 is derivable, CONTRADICTED when asserting it creates a conflict (functional
 clash, disjointness, or a stored explicit negation), NOT_FOUND otherwise.
 
-Open-world: absence alone never contradicts. A statement is assumed
-hypothetically on a Layer over the closure, and only the layer's delta is
-checked for conflicts. Claim conditions are materialized with trusted from
-scratch: extending a cached closure with them would keep cached derivations
-where a fresh run finds others, and so change traces. Neither the trusted
-graph nor a shared closure of it is ever touched.
+Open-world: absence alone never contradicts. A claim's conditions, and then
+a statement the closure lacks, are assumed hypothetically on Layers over the
+trusted graph's closure (`Closure.extend`), and only each layer's delta is
+checked for conflicts. An extended closure keeps exactly the derivations a
+from-scratch closure of trusted plus the conditions would, so a trace does
+not depend on whether the closure was shared. Neither the trusted graph nor
+a shared closure of it is ever touched.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .rdf_core import (
     parse_term_text,
     triple_text,
 )
-from .reasoner import Closure, Conflict, check_consistency, close, extend
+from .reasoner import Closure, Conflict, close
 
 
 class ClaimInputError(ValueError):
@@ -144,35 +145,33 @@ def negation_overlay(statement: Triple) -> list[Triple]:
 def check_claim(claim: Claim, trusted: Graph, closure: Closure | None = None) -> Verdict:
     """Evaluate one claim over materialize(trusted + conditions).
 
-    `closure`, when given, must be `close(trusted)`: a claim without
-    conditions reads it instead of materializing `trusted` again."""
-    if claim.conditions or closure is None:
-        closure = close(trusted, claim.conditions)
-    m, derivations, base_conflicts = closure
-    if base_conflicts:
-        raise ConditionInconsistencyError(base_conflicts)
+    `closure`, when given, must be `close(trusted)`; the claim's conditions
+    extend it rather than `trusted` being materialized again."""
+    if closure is None:
+        closure = close(trusted)
+    if claim.conditions:
+        closure = closure.extend(claim.conditions)
+    if closure.conflicts:
+        raise ConditionInconsistencyError(closure.conflicts)
 
     condition_steps = tuple(
         TraceStep(TraceKind.CONDITION_CHECK, (c,), detail="condition assumed hypothetically")
         for c in claim.conditions
     )
 
-    asserted = _check_asserted(claim.statement, m, derivations, condition_steps)
+    asserted = _check_asserted(claim.statement, closure, condition_steps)
     if claim.polarity is Polarity.NEGATED:
         asserted = _swap(asserted)
     return Verdict(asserted[0], asserted[1], claim)
 
 
-def _check_asserted(statement: Triple, m: Graph, derivations, condition_steps):
-    if statement in m:
+def _check_asserted(statement: Triple, closure: Closure, condition_steps):
+    if statement in closure.graph:
         steps = list(condition_steps)
-        _walk(statement, derivations, set(), steps)
+        _walk(statement, closure.derivations, set(), steps)
         return (VerdictStatus.SUPPORTED, tuple(steps))
 
-    # `m` holds no conflict (check_claim raised otherwise), so every conflict
-    # of the layer touches its delta.
-    layer = extend(m, [statement])
-    conflicts = check_consistency(layer, since=layer.delta.triple_set())
+    conflicts = closure.extend([statement]).conflicts
     if conflicts:
         steps = condition_steps + tuple(
             TraceStep(TraceKind.CONFLICT, c.detail, detail=c.kind.value) for c in conflicts
@@ -214,11 +213,11 @@ def _swap(result):
 def check_answer(claims: list[Claim], trusted: Graph,
                  closure: Closure | None = None) -> tuple[OverallStatus, list[Verdict]]:
     """Strict aggregation: any contradiction sinks the answer. The claims
-    without conditions share one `closure` of `trusted`, computed here when
-    the caller holds none."""
+    share one `closure` of `trusted`, computed here when the caller holds
+    none."""
     if not claims:
         raise ClaimInputError("at least one claim is required")
-    if closure is None and any(not c.conditions for c in claims):
+    if closure is None:
         closure = close(trusted)
     verdicts = [check_claim(c, trusted, closure) for c in claims]
     statuses = {v.status for v in verdicts}

@@ -512,10 +512,14 @@ def rebuild_trusted(root: str | Path) -> Graph:
     return graph_at_version(root, max(versions) if versions else 0)
 
 
-def load_shapes_file(path: str | Path) -> list[NodeShape]:
+def load_shapes_file(path: str | Path, warnings: list[str] | None = None) -> list[NodeShape]:
+    """The shapes a Turtle file declares; `warnings`, when given, receives
+    one line per unknown sh: term, such as a misspelt constraint."""
     from .shacl import parse_shapes
     graph, _ = parse_turtle(Path(path).read_text(encoding="utf-8"))
-    shapes, _warnings = parse_shapes(graph)
+    shapes, found = parse_shapes(graph)
+    if warnings is not None:
+        warnings.extend(found)
     return shapes
 
 

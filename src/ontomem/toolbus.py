@@ -62,10 +62,14 @@ def svc_query(handle: StoreHandle, query_text: str) -> dict:
 
 
 def svc_validate(handle: StoreHandle, shapes_file: str | None) -> dict:
-    """Structural validation of the materialized trusted graph."""
-    shapes = load_shapes_file(shapes_file) if shapes_file else handle.store.shapes
-    report = validate(handle.closure().graph, shapes)
-    return report.to_json()
+    """Structural validation of the materialized trusted graph. A shapes file
+    with unknown sh: terms adds their `warnings` to the report."""
+    warnings: list[str] = []
+    shapes = load_shapes_file(shapes_file, warnings) if shapes_file else handle.store.shapes
+    report = validate(handle.closure().graph, shapes).to_json()
+    if warnings:
+        report["warnings"] = warnings
+    return report
 
 
 def svc_logic_check(handle: StoreHandle) -> dict:
@@ -92,8 +96,7 @@ def svc_diff(handle: StoreHandle, v1: int, v2: int, include_inferred: bool = Fal
 
 
 def svc_check(handle: StoreHandle, claims: list[Claim], diagnostics: list[str] | None = None) -> dict:
-    closure = handle.closure() if any(not c.conditions for c in claims) else None
-    overall, verdicts = check_answer(claims, handle.store.trusted, closure)
+    overall, verdicts = check_answer(claims, handle.store.trusted, handle.closure())
     return {
         "overall": overall.value,
         "verdicts": [v.to_json() for v in verdicts],

@@ -24,6 +24,15 @@ from ontomem.builder import (
     _touches,
     _violation_key,
 )
+from ontomem.factcheck import (
+    Claim,
+    ConditionInconsistencyError,
+    Polarity,
+    TraceKind,
+    TraceStep,
+    Verdict,
+    VerdictStatus,
+)
 from ontomem.hanoi import HanoiState, Move, apply_move, legal_moves
 from ontomem.namespaces import (
     NUMERIC_DATATYPES,
@@ -1038,6 +1047,65 @@ def oracle_validate_gate(candidates: list[Candidate], trusted: Graph,
 
     quarantined.sort(key=lambda q: triple_key(q.candidate.triple))
     return GateResult(accepted=remaining, quarantined=quarantined)
+
+
+# ---------------------------------------------------------------------------
+# Fact check: every claim materializes trusted plus its conditions from scratch
+# ---------------------------------------------------------------------------
+
+
+def oracle_check_claim(claim: Claim, trusted: Graph) -> Verdict:
+    """The claim path before conditions extended a shared closure: trusted
+    plus the conditions closed from scratch, and a statement the closure
+    lacks added to a full copy of it, whose whole conflict report is kept."""
+    with_conditions = trusted.copy()
+    for t in claim.conditions:
+        with_conditions.insert(t)
+    m, derivations = materialize(with_conditions, want_derivations=True)
+    base_conflicts = check_consistency(m)
+    if base_conflicts:
+        raise ConditionInconsistencyError(base_conflicts)
+
+    condition_steps = tuple(
+        TraceStep(TraceKind.CONDITION_CHECK, (c,), detail="condition assumed hypothetically")
+        for c in claim.conditions
+    )
+    statement = claim.statement
+    if statement in m:
+        steps = list(condition_steps)
+        _oracle_walk(statement, derivations, set(), steps)
+        status, trace = VerdictStatus.SUPPORTED, tuple(steps)
+    else:
+        # `m` holds no conflict, so every conflict of the copy is fresh.
+        conflicts = check_consistency(_copy_extend(m, [statement]))
+        if conflicts:
+            status = VerdictStatus.CONTRADICTED
+            trace = condition_steps + tuple(
+                TraceStep(TraceKind.CONFLICT, c.detail, detail=c.kind.value) for c in conflicts)
+        else:
+            lookup = TraceStep(TraceKind.MATCHED_FACT, (statement,),
+                               detail="lookup attempted: no match in materialized graph")
+            status, trace = VerdictStatus.NOT_FOUND, condition_steps + (lookup,)
+    if claim.polarity is Polarity.NEGATED:
+        status = {VerdictStatus.SUPPORTED: VerdictStatus.CONTRADICTED,
+                  VerdictStatus.CONTRADICTED: VerdictStatus.SUPPORTED}.get(status, status)
+    return Verdict(status, trace, claim)
+
+
+def _oracle_walk(t: Triple, derivations, seen: set, steps: list) -> None:
+    """The derivation chain of `t`, bottom-up: matched leaves first, then
+    rule firings."""
+    if t in seen:
+        return
+    seen.add(t)
+    derivation = derivations.get(t)
+    if derivation is None:
+        steps.append(TraceStep(TraceKind.MATCHED_FACT, (t,)))
+        return
+    for premise in derivation.premises:
+        _oracle_walk(premise, derivations, seen, steps)
+    steps.append(TraceStep(TraceKind.INFERENCE_RULE, derivation.premises + (t,),
+                           rule_id=derivation.rule_id.value))
 
 
 # ---------------------------------------------------------------------------

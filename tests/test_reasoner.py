@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 
@@ -419,3 +420,81 @@ def test_extend_copies_nothing_and_writes_only_its_delta(monkeypatch):
     layer.insert(Triple(iri("another"), iri("p1"), iri("n1")))
     layer.insert(base_triple)
     assert closure.content_hash() == before
+
+
+# ---------------------------------------------------------------------------
+# Extended derivations equal a from-scratch run's, firings included
+# ---------------------------------------------------------------------------
+
+
+def _exact(derivations) -> dict:
+    """Each inferred triple's derivation with its firing, which Derivation
+    equality leaves out."""
+    return {t: (d, d.firing) for t, d in derivations.items() if d is not None}
+
+
+def _check_split(rng: random.Random, asserted: list[Triple], k: int, inferred: int) -> None:
+    """Extend the closure of all but `k` of `asserted` with those `k` plus up
+    to `inferred` triples that the closure already infers, and compare with
+    the closure of the union."""
+    rng.shuffle(asserted)
+    a = Graph()
+    for t in asserted[:len(asserted) - k]:
+        a.insert(t)
+    closure, derivations = materialize(a, want_derivations=True)
+    snapshot = dict(derivations)
+    already = sorted(derivations, key=triple_key)
+    added = asserted[len(asserted) - k:] + rng.sample(already, min(inferred, len(already)))
+    rng.shuffle(added)
+    layer = extend(closure, added, derivations)
+
+    union = a.copy()
+    for t in added:
+        union.insert(t)
+    flat, flat_derivations = materialize(union, want_derivations=True)
+    assert layer.triple_set() == flat.triple_set()
+    assert _exact(layer.derivations) == _exact(flat_derivations)
+    assert {t for t in added if t in derivations} <= {t for t, d in layer.derivations.items() if d is None}
+    assert derivations == snapshot and _exact(derivations) == _exact(snapshot)
+
+
+@pytest.mark.parametrize("path", ["by size", "insertion always"])
+def test_extend_keeps_the_derivations_of_a_fresh_run(monkeypatch, path):
+    if path == "insertion always":
+        monkeypatch.setattr(reasoner_module, "worth_extending", lambda added, closure: True)
+    rng = random.Random(1601)
+    for _ in range(200):
+        g1, g2 = random_ontology_graph(rng, 30), random_ontology_graph(rng, 30)
+        asserted = sorted(g1.triple_set() | g2.triple_set(), key=triple_key)
+        _check_split(rng, asserted, rng.randint(1, max(1, len(g2))), rng.randint(0, 6))
+
+
+@pytest.mark.parametrize("people, orgs, splits", [(500, 40, 4), (2000, 160, 1)])
+def test_extend_keeps_the_derivations_of_a_fresh_run_at_scale(monkeypatch, people, orgs, splits):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    from gen import SyntheticOntology
+
+    g, _ = parse_turtle(SyntheticOntology(7, people, orgs).turtle())
+    asserted = sorted(g.triple_set(), key=triple_key)
+    rng = random.Random(people)
+    for k in (3, 70, 400, 1)[:splits]:
+        _check_split(rng, list(asserted), k, 5)
+
+
+@pytest.mark.parametrize("path", ["by size", "insertion always"])
+def test_extend_of_an_extension_chains_its_derivations(monkeypatch, path):
+    if path == "insertion always":
+        monkeypatch.setattr(reasoner_module, "worth_extending", lambda added, closure: True)
+    rng = random.Random(1602)
+    for _ in range(60):
+        g1, g2, g3 = (random_ontology_graph(rng, 20) for _ in range(3))
+        closure, derivations = materialize(g1, want_derivations=True)
+        inner = extend(closure, list(g2), derivations)
+        outer = extend(inner, list(g3) + sorted(inner.triple_set(), key=triple_key)[:3],
+                       inner.derivations)
+        union = g1.copy()
+        for t in list(g2) + list(g3) + sorted(inner.triple_set(), key=triple_key)[:3]:
+            union.insert(t)
+        flat, flat_derivations = materialize(union, want_derivations=True)
+        assert outer.triple_set() == flat.triple_set()
+        assert _exact(outer.derivations) == _exact(flat_derivations)

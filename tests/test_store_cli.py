@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 from ontomem.builder import EntityRegistry, GateResult, graph_candidates
-from ontomem.rdf_core import isomorphic
+from ontomem.rdf_core import isomorphic, triple_text
+from ontomem.reasoner import materialize
 from ontomem.store import (
     StoreLock,
     StoreLockError,
@@ -233,6 +234,38 @@ class TestCliBasics:
         assert code == 1
         assert "minCount" in out
 
+    def test_misspelt_shape_term_warns_on_build_and_validate(self, tmp_path):
+        shapes = tmp_path / "shapes.ttl"
+        shapes.write_text(
+            "@prefix sh: <http://www.w3.org/ns/shacl#> .\n"
+            "@prefix schema: <http://ontomem.dev/ns/schema#> .\n"
+            "@prefix prop: <http://ontomem.dev/ns/prop#> .\n"
+            "schema:DiskShape a sh:NodeShape ; sh:targetClass schema:Disk ;\n"
+            "  sh:property <http://ex.org/PS> .\n"
+            "<http://ex.org/PS> sh:path prop:size ; sh:minCoutn 1 .\n", encoding="utf-8")
+        warning = "warning: unknown SHACL term sh:minCoutn on <http://ex.org/PS>\n"
+        store = tmp_path / "s"
+        run_cli("--store", str(store), "init")
+        sources = tmp_path / "docs"
+        sources.mkdir()
+        (sources / "d1.txt").write_text("Disk9 is on PegZ.", encoding="utf-8")
+        patterns = tmp_path / "patterns.json"
+        patterns.write_text(json.dumps({
+            "relations": {"is on": "is on"},
+            "entity_types": {"Disk9": "Disk", "PegZ": "Peg"},
+        }), encoding="utf-8")
+        code, out, err = run_cli("--store", str(store), "build", "--sources", str(sources),
+                                 "--patterns", str(patterns), "--shapes", str(shapes))
+        assert (code, err) == (0, warning) and "accepted 3" in out
+
+        # the misspelt minCount constrains nothing, so the Disk without a size conforms
+        code, out, err = run_cli("--store", str(store), "validate", "--shapes", str(shapes))
+        assert (code, out, err) == (0, "conforms\n", warning)
+        code, out, err = run_cli("--store", str(store), "--json", "validate", "--shapes", str(shapes))
+        assert (code, err) == (0, warning)
+        assert json.loads(out) == {"conforms": True, "results": [],
+                                   "warnings": [warning[len("warning: "):-1]]}
+
     def test_validate_uncompilable_shape_pattern_exit_2(self, tmp_path, built_store):
         shapes = tmp_path / "shapes.ttl"
         shapes.write_text(
@@ -307,6 +340,11 @@ class TestCliBasics:
         # materialization only ever adds triples on the non-empty side
         assert set(plain["added"]) <= set(payload["added"])
         assert len(payload["added"]) > len(plain["added"])
+        # exactly what the closure of version 1 holds beyond that of version 0
+        inferred = (materialize(graph_at_version(built_store, 1)).triple_set()
+                    - materialize(graph_at_version(built_store, 0)).triple_set())
+        assert payload["added"] == sorted(map(triple_text, inferred))
+        assert payload["removed"] == []
 
     def test_retrieve_json(self, built_store):
         code, out, _ = run_cli("--store", str(built_store), "--json", "retrieve",

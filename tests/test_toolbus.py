@@ -208,6 +208,16 @@ class TestDispatch:
         assert error["code"] == INVALID_PARAMS
         assert error["message"].startswith(message)
 
+    def test_misspelt_shape_term_warns(self, tmp_path):
+        path = tmp_path / "shapes.ttl"
+        path.write_text("@prefix sh: <http://www.w3.org/ns/shacl#> .\n" + EX_TTL
+                        + "ex:S a sh:NodeShape ; sh:targetClass ex:T ; sh:property ex:PS .\n"
+                          "ex:PS sh:path ex:code ; sh:minCoutn 1 .\n", encoding="utf-8")
+        bus = ToolBus(init_store(tmp_path / "s"))
+        result = call(bus, "graph.validate", {"shapes_file": str(path)})["result"]
+        assert result == {"conforms": True, "results": [],
+                          "warnings": [f"unknown SHACL term sh:minCoutn on <{EX}PS>"]}
+
     def test_missing_shapes_file_32602(self, tmp_path):
         bus = ToolBus(init_store(tmp_path / "s"))
         error = call(bus, "graph.validate", {"shapes_file": str(tmp_path / "missing.ttl")})["error"]
