@@ -27,7 +27,7 @@ from .rdf_core import (
     term_text,
     triple_key,
 )
-from .reasoner import Conflict, check_consistency, extend, materialize
+from .reasoner import Conflict, close
 from .shacl import NodeShape, ValidationResult, validate
 from .factcheck import Claim, Polarity, negation_overlay
 
@@ -579,36 +579,37 @@ def validate_gate(candidates: list[Candidate], trusted: Graph,
     """Admit candidates that keep the materialized trusted graph consistent
     and shape-conforming; quarantine the rest with their evidence.
 
-    The trusted graph is materialized once; each round extends that closure
-    with the remaining candidates as a Layer and checks only the layer's
-    delta (`since=`): a conflict or violation that the delta does not touch
-    lies wholly in the trusted closure, so it is not fresh, and a round costs
-    what the candidates add. A delta of a twentieth of the closure or more,
-    as in a store's first build, gets its conflicts from the full scan,
-    filtered to the delta. Fresh consistency conflicts are blamed first;
-    only a round without them looks at fresh shape violations: those on the
-    delta's subjects that the trusted closure does not already show there.
-    Candidates directly participating in a conflict or sharing a focus node
-    with a fresh violation go first; if the evidence names no candidate
-    (purely inferred clash), the lowest-confidence candidate is removed and
-    the check repeats. A candidate whose triple is already trusted is never
-    blamed: it stays accepted and the commit merges its provenance.
+    The trusted graph is closed once (`close`); each round extends that
+    closure with the remaining candidates (`Closure.extend`), so every trial
+    keeps the derivations a from-scratch run would, and a round costs what
+    the candidates add. Fresh conflicts are the trial's that the trusted
+    closure lacks: a conflict whose detail holds no triple of the trial's
+    delta lies wholly in the trusted closure. Fresh consistency conflicts are
+    blamed first; only a round without them looks at fresh shape violations:
+    those on the delta's subjects that the trusted closure does not already
+    show there. Candidates directly participating in a conflict or sharing a
+    focus node with a fresh violation go first; if the evidence names no
+    candidate (purely inferred clash), the lowest-confidence candidate is
+    removed and the check repeats. A candidate whose triple is already
+    trusted is never blamed: it stays accepted and the commit merges its
+    provenance.
     """
     remaining = list(candidates)
     quarantined: list[QuarantinedCandidate] = []
 
-    base = materialize(trusted)
+    base = close(trusted)
+    known_conflicts = set(base.conflicts)
 
     # Conflicts only grow with the asserted set, so a round that removes
     # candidates cannot create a fresh one: every conflict round comes before
     # every shape round.
     while remaining:
-        trial = extend(base, [cand.triple for cand in remaining])
-        fresh = trial.delta.triple_set()
-        evidence = check_consistency(trial, since=fresh)
+        trial = base.extend([cand.triple for cand in remaining])
+        evidence = [c for c in trial.conflicts if c not in known_conflicts]
         if not evidence:
-            known = {_violation_key(v) for v in validate(base, shapes, since=fresh).results}
-            evidence = [v for v in validate(trial, shapes, since=fresh).results
+            fresh = trial.graph.delta.triple_set()
+            known = {_violation_key(v) for v in validate(base.graph, shapes, since=fresh).results}
+            evidence = [v for v in validate(trial.graph, shapes, since=fresh).results
                         if _violation_key(v) not in known]
         if not evidence:
             break

@@ -438,29 +438,32 @@ def worth_scoping(delta, graph: Graph | Layer) -> bool:
 def check_consistency(graph: Graph | Layer, since=None) -> list[Conflict]:
     """Conflicts visible in a materialized graph; empty list means consistent.
 
-    `since`, a set of triples of `graph` such as a Layer's delta, scopes the
-    check to them: the result is then exactly the conflicts of the full report
-    whose detail holds a triple of `since`. They are found through its keys
-    alone: the nodes it types, the (subject, property) pairs it uses, and the
-    reified statements whose rdf:subject is one of its subjects or whose
-    reification or sys:not triple it holds. Only a disjointness or functional
-    declaration in `since` is checked across the graph. This is integrity
-    checking by simplification (Nicolas, 1982). A delta of a twentieth of
-    the graph or more, such as a store's first build, is checked by the full
-    scan and then filtered, which gives the same list faster.
+    Both paths look only at candidates: the nodes typed into a class that a
+    disjointness names, the uses of each functional property, and the reified
+    statements with a sys:not. `since`, a set of triples of `graph` such as
+    the delta `Closure.extend` passes, scopes the check to them: the result
+    is then exactly the conflicts of the full report whose detail holds a
+    triple of `since`, and the candidates come from its keys alone: the nodes
+    it types, the (subject, property) pairs it uses, and the reified
+    statements whose rdf:subject is one of its subjects or whose reification
+    or sys:not triple it holds. Only a disjointness or functional declaration
+    in `since` is checked across the graph. This is integrity checking by
+    simplification (Nicolas, 1982). A delta of a twentieth of the graph or
+    more, such as a store's first build, is checked by the full scan and then
+    filtered, which gives the same list faster.
     """
     if since is not None and not worth_scoping(since, graph):
         return [c for c in check_consistency(graph) if any(t in since for t in c.detail)]
     disjoint = graph.find(None, _DISJOINT, None)
-    types_of: dict[Term, set[Term]] = {}
+    # Only the classes a disjointness names matter, so a node's other types
+    # are never looked up.
+    classes = {c for decl in disjoint for c in (decl.subject, decl.object)}
     if since is None:
-        for t in graph.find(None, _TYPE, None):
-            types_of.setdefault(t.subject, set()).add(t.object)
-        negations = graph.find(None, _NOT, _TRUE)
+        nodes = {t.subject for c in classes for t in graph.find(None, _TYPE, c)}
+        stmts = {t.subject for t in graph.find(None, _NOT, None)}
     else:
-        nodes: set[Term] = set()
+        nodes, stmts = set(), set()
         used: dict[Term, set[Term]] = {}
-        stmts: set[Term] = set()
         for t in since:
             used.setdefault(t.predicate, set()).add(t.subject)
             if t.predicate == _TYPE:
@@ -470,14 +473,10 @@ def check_consistency(graph: Graph | Layer, since=None) -> list[Conflict]:
                              & {u.subject for u in graph.find(None, _TYPE, t.object)})
             elif t.predicate in _REIFICATION:
                 stmts.add(t.subject)
-        # Only the classes a disjointness names matter, so a node's other
-        # types are never looked up.
-        classes = {c for decl in disjoint for c in (decl.subject, decl.object)}
-        for node in nodes:
-            types_of[node] = {c for c in classes if Triple(node, _TYPE, c) in graph}
         for subject in {t.subject for t in since}:
             stmts.update(r.subject for r in graph.find(None, _RDF_SUBJECT, subject))
-        negations = [neg for neg in (Triple(stmt, _NOT, _TRUE) for stmt in stmts) if neg in graph]
+    types_of = {node: {c for c in classes if Triple(node, _TYPE, c) in graph} for node in nodes}
+    negations = [neg for neg in (Triple(stmt, _NOT, _TRUE) for stmt in stmts) if neg in graph]
     conflicts: list[Conflict] = []
 
     # (a) instance typed into two owl:disjointWith classes

@@ -79,7 +79,6 @@ DEFAULT_CONFIG: dict[str, str] = {
     "weight_user": "1.0",
 }
 
-_DELTA_RE = re.compile(r"^delta-(\d+)\.ttl$")
 _PROVENANCE = "provenance.jsonl"
 _REGISTRY = "registry.ttl"
 # The line that opens a commit's block in each journal, and its pattern.
@@ -482,34 +481,21 @@ def registry_from_graph(triples: Iterable[Triple], instance_ns: str) -> EntityRe
 # ---------------------------------------------------------------------------
 
 
-def delta_files(root: str | Path) -> list[tuple[int, Path]]:
-    root = Path(root)
-    out = []
-    for path in root.iterdir():
-        m = _DELTA_RE.match(path.name)
-        if m:
-            out.append((int(m.group(1)), path))
-    out.sort()
-    return out
-
-
 def graph_at_version(root: str | Path, version: int, since: int = 0) -> Graph:
-    """Union of delta-(since+1) .. delta-version; version 0 is the empty graph."""
+    """Union of delta-(since+1) .. delta-version, stopping at the committed
+    version: a delta file above it is a commit that never finished."""
+    root = Path(root)
     g = Graph()
-    for v, path in delta_files(root):
-        if v > version:
-            break
-        if v <= since:
-            continue
-        delta_graph, _ = parse_turtle(path.read_text(encoding="utf-8"))
+    for v in range(since + 1, min(version, read_version(root)) + 1):
+        delta_graph, _ = parse_turtle((root / f"delta-{v}.ttl").read_text(encoding="utf-8"))
         for t in delta_graph:
             g.insert(t)
     return g
 
 
 def rebuild_trusted(root: str | Path) -> Graph:
-    versions = [v for v, _ in delta_files(root)]
-    return graph_at_version(root, max(versions) if versions else 0)
+    """The committed trusted graph, rebuilt from its deltas."""
+    return graph_at_version(root, read_version(root))
 
 
 def load_shapes_file(path: str | Path, warnings: list[str] | None = None) -> list[NodeShape]:

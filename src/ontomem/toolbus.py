@@ -29,7 +29,7 @@ from .fusion import (
 from .builder import AmbiguousAlias
 from .hanoi import MAX_BENCH_DISKS, run_benchmark
 from .rdf_core import Iri, Origin, StructuralError, Term, Triple, parse_term_text, triple_key, triple_text
-from .reasoner import extend, materialize
+from .reasoner import close
 from .shacl import ShapeError, validate
 from .sparql import EvaluationLimitError, QueryParseError, evaluate, parse_query
 from .store import StoreHandle, graph_at_version, load_shapes_file, read_version
@@ -81,12 +81,12 @@ def svc_diff(handle: StoreHandle, v1: int, v2: int, include_inferred: bool = Fal
     """Triples added and removed from version v1 to v2. The deltas only add, so
     all that differs is what the deltas above the lower version add that it
     lacks, and with `include_inferred` what they infer beyond its closure: the
-    delta of its closure extended by them."""
+    delta of its `close` extended by them (`Closure.extend`)."""
     lo, hi = sorted((v1, v2))
     g_lo = graph_at_version(handle.root, lo)
     new = graph_at_version(handle.root, hi, since=lo).find()
     if include_inferred:
-        changed = extend(materialize(g_lo), new).delta.find()
+        changed = close(g_lo).extend(new).graph.delta.find()
     else:
         changed = [t for t in new if t not in g_lo]
     changed = sorted(map(triple_text, changed))
@@ -107,8 +107,7 @@ def svc_check(handle: StoreHandle, claims: list[Claim], diagnostics: list[str] |
 def svc_retrieve(handle: StoreHandle, query: str, seeds: list[str] | None = None,
                  radius: int = 1, k: int = 5, budget: int = 10,
                  session: str | None = None) -> dict:
-    vstore = handle.log_memory()
-    hits = vector_search(vstore, query, k) if len(vstore) else []
+    hits = vector_search(handle.log_memory(), query, k)
 
     seed_terms = _seed_terms(handle, query, seeds)
     facts = graph_retrieve(handle.store.trusted, seed_terms, radius)
@@ -146,13 +145,14 @@ def session_memory(handle: StoreHandle, session_id: str) -> list[Triple]:
 
 
 def svc_bench(params: dict) -> dict:
+    """`params` holds every key of `_BENCH_PARAMS`."""
     return run_benchmark(
-        disk_counts=params.get("disks", [3]),
-        proposer_specs=params.get("proposers", ["optimal"]),
-        episodes=params.get("episodes", 10),
-        repair_budgets=params.get("repairs", [0]),
-        base_seed=params.get("seed", 0),
-        move_level=params.get("move_level", False),
+        disk_counts=params["disks"],
+        proposer_specs=params["proposers"],
+        episodes=params["episodes"],
+        repair_budgets=params["repairs"],
+        base_seed=params["seed"],
+        move_level=params["move_level"],
     )
 
 
@@ -288,24 +288,28 @@ def _memory_retrieve(handle: StoreHandle, params: dict) -> dict:
         raise ParamError(str(e)) from e
 
 
+# bench.hanoi.run params: (key, type, item type of a list, default)
+_BENCH_PARAMS = (("disks", list, int, [3]), ("proposers", list, str, ["optimal"]),
+                 ("episodes", int, None, 10), ("repairs", list, int, [0]),
+                 ("seed", int, None, 0), ("move_level", bool, None, False))
+
+
 def _bench(handle: StoreHandle, params: dict) -> dict:
-    for key, kind, item in (("disks", list, int), ("proposers", list, str),
-                            ("episodes", int, None), ("repairs", list, int),
-                            ("seed", int, None), ("move_level", bool, None)):
-        _optional(params, key, kind, None, item)
+    args = {key: _optional(params, key, kind, default, item)
+            for key, kind, item, default in _BENCH_PARAMS}
     # a transcript proposer reads a file that the caller names
-    if any(spec.startswith("transcript:") for spec in params.get("proposers", ())):
+    if any(spec.startswith("transcript:") for spec in args["proposers"]):
         raise ParamError("transcript proposers are not served over the bus")
     # No proposal holds more than 2^(n+1) moves and an episode makes at most
     # one per round; capping n keeps an out-of-range count from building a
     # huge integer before run_benchmark rejects it.
     per_episode = sum((r + 1) * 2 ** (min(n, MAX_BENCH_DISKS) + 1)
-                      for n in params.get("disks", [3]) for r in params.get("repairs", [0]))
-    moves = len(params.get("proposers", ["optimal"])) * params.get("episodes", 10) * per_episode
+                      for n in args["disks"] for r in args["repairs"])
+    moves = len(args["proposers"]) * args["episodes"] * per_episode
     if moves > MAX_BENCH_MOVES:
         raise ParamError(f"request may make up to {moves} moves; the bus allows {MAX_BENCH_MOVES}")
     try:
-        return svc_bench(params)
+        return svc_bench(args)
     except (ValueError, TypeError) as e:
         raise ParamError(str(e)) from e
 

@@ -28,10 +28,22 @@ from ontomem.builder import (
     run_pipeline,
     validate_gate,
 )
-from ontomem.factcheck import Claim, negation_overlay
-from ontomem.namespaces import OWL_DISJOINTWITH, OWL_FUNCTIONAL, RDF_TYPE, RDFS_SUBCLASSOF, XSD_DATE
+from ontomem.factcheck import Claim, Polarity, negation_overlay
+from ontomem.namespaces import (
+    OWL_DISJOINTWITH,
+    OWL_FUNCTIONAL,
+    OWL_INVERSEOF,
+    OWL_SYMMETRIC,
+    OWL_TRANSITIVE,
+    RDF_TYPE,
+    RDFS_DOMAIN,
+    RDFS_RANGE,
+    RDFS_SUBCLASSOF,
+    RDFS_SUBPROPERTYOF,
+    XSD_DATE,
+)
 from ontomem.rdf_core import Graph, Iri, Literal, Origin, Provenance, Triple
-from ontomem.reasoner import Conflict, ConflictKind, check_consistency, extend, materialize
+from ontomem.reasoner import Conflict, ConflictKind, check_consistency, close, extend, materialize
 from ontomem.shacl import NodeShape, PropertyShape, validate
 from ontomem import reasoner as reasoner_module
 from ontomem.turtle_io import parse_turtle
@@ -371,16 +383,16 @@ class TestValidateGate:
 
         calls = []
 
-        def counting_materialize(graph, *args, **kwargs):
-            calls.append(("materialize", len(graph)))
-            return materialize(graph, *args, **kwargs)
+        def counting_close(graph):
+            calls.append(("close", len(graph)))
+            return close(graph)
 
-        def counting_extend(closure, added):
+        def counting_extend(closure, added, *args):
             calls.append(("extend", len(added)))
-            return extend(closure, added)
+            return extend(closure, added, *args)
 
-        monkeypatch.setattr(builder_module, "materialize", counting_materialize)
-        monkeypatch.setattr(builder_module, "extend", counting_extend)
+        monkeypatch.setattr(builder_module, "close", counting_close)
+        monkeypatch.setattr(reasoner_module, "extend", counting_extend)
         functional = Triple(iri("p"), Iri(RDF_TYPE), Iri(OWL_FUNCTIONAL))
         old_value = Triple(iri("s"), iri("p"), iri("o1"))
         trusted = Graph()
@@ -393,7 +405,7 @@ class TestValidateGate:
         gate = validate_gate([clash, bare_disk, clean], trusted, [shape_disk_on_peg()])
 
         # one base closure, then trials of 3, 2 and 1 candidates
-        assert calls == [("materialize", 2), ("extend", 3), ("extend", 2), ("extend", 1)]
+        assert calls == [("close", 2), ("extend", 3), ("extend", 2), ("extend", 1)]
         assert gate.accepted == [clean]
         shape_q, conflict_q = gate.quarantined
         assert shape_q.candidate is bare_disk
@@ -459,6 +471,75 @@ class TestValidateGate:
             for q in gate.quarantined:
                 reasons[q.reason] += 1
         assert reasons["consistency conflict"] >= 150 and reasons["shape violation"] >= 100
+
+    @pytest.mark.parametrize("path", ["by size", "insertion always"])
+    def test_gate_trials_keep_the_derivations_of_a_fresh_run(self, monkeypatch, path):
+        # Every trial closure the gate extends must hold the triples,
+        # derivations and firings of materialize(trusted + that round's
+        # candidates). `extend` is swapped in each module that binds it.
+        import ontomem.builder as builder_module
+
+        if path == "insertion always":
+            monkeypatch.setattr(reasoner_module, "worth_extending", lambda added, closure: True)
+        trials = []
+
+        def recording_extend(closure, added, *args):
+            layer = extend(closure, added, *args)
+            trials.append((list(added), layer))
+            return layer
+
+        for module in (reasoner_module, builder_module):
+            if vars(module).get("extend") is extend:
+                monkeypatch.setattr(module, "extend", recording_extend)
+        rng = random.Random(1701)
+        a = Iri(RDF_TYPE)
+        classes = [iri(f"C{i}") for i in range(5)]
+        props = [iri(f"p{i}") for i in range(4)]
+        nodes = [iri(f"n{i}") for i in range(8)]
+
+        def fact():
+            kind = rng.random()
+            if kind < 0.1:
+                return Triple(rng.choice(classes), Iri(RDFS_SUBCLASSOF), rng.choice(classes))
+            if kind < 0.15:
+                return Triple(rng.choice(classes), Iri(OWL_DISJOINTWITH), rng.choice(classes))
+            if kind < 0.2:
+                return Triple(rng.choice(props), a, Iri(rng.choice((OWL_FUNCTIONAL, OWL_SYMMETRIC,
+                                                                    OWL_TRANSITIVE))))
+            if kind < 0.3:
+                return Triple(rng.choice(props), Iri(rng.choice((RDFS_SUBPROPERTYOF, OWL_INVERSEOF))),
+                              rng.choice(props))
+            if kind < 0.35:
+                return Triple(rng.choice(props), Iri(rng.choice((RDFS_DOMAIN, RDFS_RANGE))),
+                              rng.choice(classes))
+            if kind < 0.65:
+                return Triple(rng.choice(nodes), a, rng.choice(classes))
+            return Triple(rng.choice(nodes), rng.choice(props), rng.choice(nodes))
+
+        multi_round = 0
+        for _ in range(150):
+            trusted = Graph()
+            for _ in range(rng.randint(0, 40)):
+                trusted.insert(fact())
+            batch: dict[Triple, Candidate] = {}
+            for _ in range(rng.randint(1, 8)):
+                t = fact()
+                batch.setdefault(t, Candidate(t, [Provenance("t", confidence=rng.randrange(10) / 10)]))
+            candidates = list(batch.values())
+            trials.clear()
+            gate = validate_gate(candidates, trusted, [])
+            assert trials[0][0] == [c.triple for c in candidates]
+            assert trials[-1][0] == [c.triple for c in gate.accepted] or not gate.accepted
+            for added, layer in trials:
+                union = trusted.copy()
+                for t in added:
+                    union.insert(t)
+                flat, flat_derivations = materialize(union, want_derivations=True)
+                assert layer.triple_set() == flat.triple_set()
+                assert {t: (d, d.firing) for t, d in layer.derivations.items() if d is not None} == \
+                    {t: (d, d.firing) for t, d in flat_derivations.items()}
+            multi_round += len(trials) > 1
+        assert multi_round >= 30
 
 
 class TestCommit:
@@ -531,6 +612,16 @@ class TestPipelineAndFeedback:
         assert existing in store.trusted
         delta = feedback(store, [Claim(existing)])
         assert delta.accepted == []
+
+    def test_feedback_negated_claim_commits_its_overlay(self):
+        store = OntologyStore()
+        run_pipeline(store, self.docs(), self.extractor())
+        denied = Triple(Iri(INST + "disk3"), Iri(PROP + "is-on"), Iri(INST + "pegc"))
+        delta = feedback(store, [Claim(denied, Polarity.NEGATED)])
+        overlay = negation_overlay(denied)
+        assert {c.triple for c in delta.accepted} == set(overlay)
+        assert all(t in store.trusted for t in overlay) and denied not in store.trusted
+        assert all(store.provenance[t][0].origin is Origin.ANSWER_FEEDBACK for t in overlay)
 
     def test_feedback_functional_clash_quarantined(self):
         store = OntologyStore()

@@ -1,3 +1,4 @@
+import ast
 import random
 from pathlib import Path
 
@@ -300,6 +301,29 @@ def test_extend_ceiling(monkeypatch):
     monkeypatch.setattr(reasoner_module, "DEFAULT_APPLICATION_CEILING", 5)
     with pytest.raises(DivergenceError):
         extend(closure, chain)
+
+
+def test_extend_ceiling_on_the_insertion_path(monkeypatch):
+    g = Graph()
+    g.insert(tr("c0", RDFS_SUBCLASSOF, "c1"))
+    closure, derivations = materialize(g, want_derivations=True)
+    chain = [tr(f"c{i}", RDFS_SUBCLASSOF, f"c{i + 1}") for i in range(1, 20)]
+    monkeypatch.setattr(reasoner_module, "worth_extending", lambda added, closure: True)
+    monkeypatch.setattr(reasoner_module, "DEFAULT_APPLICATION_CEILING", 5)
+    with pytest.raises(DivergenceError):
+        extend(closure, chain, derivations)
+
+
+def test_only_the_reasoner_reaches_its_inference_primitives():
+    # Every other module goes through `close` and `Closure.extend`.
+    primitives = {"materialize", "extend", "check_consistency"}
+    src = Path(reasoner_module.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        if path.name == "reasoner.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module == "reasoner" and node.level == 1:
+                assert not primitives & {alias.name for alias in node.names}, path.name
 
 
 # ---------------------------------------------------------------------------

@@ -503,6 +503,25 @@ class TestCliBasics:
         assert isomorphic(rebuilt, before)
 
 
+    @pytest.mark.parametrize("inferred", [(), ("--include-inferred",)], ids=["plain", "inferred"])
+    def test_delta_above_the_committed_version_is_not_read(self, tmp_path, built_store, inferred):
+        # A build that died after writing delta-2.ttl, before `version`.
+        store = tmp_path / "s"
+        shutil.copytree(built_store, store)
+        (store / "delta-2.ttl").write_text("<http://ex.org/a> <http://ex.org/p> <http://ex.org/b> .\n",
+                                           encoding="utf-8")
+        code, out, err = run_cli("--store", str(store), "--json", "diff", "1", "2", *inferred)
+        assert code == 0, err
+        assert json.loads(out)["added"] == []
+        assert rebuild_trusted(store).triple_set() == load_store(store).store.trusted.triple_set()
+
+    def test_retrieve_k_checked_on_an_empty_log_exit_2(self, tmp_path):
+        store = tmp_path / "s"
+        run_cli("--store", str(store), "init")
+        code, _, err = run_cli("--store", str(store), "retrieve", "--query", "x", "--k", "0")
+        assert (code, err) == (2, "error: k must be >= 1\n")
+
+
 class TestCommitPath:
     """What one `build` writes, all of it through `save_commit`."""
 

@@ -125,6 +125,11 @@ class TestDispatch:
                                                "move_level": True})
         assert report["result"]["config"]["move_level"] is True
 
+    def test_retrieve_k_checked_on_an_empty_log_32602(self, tmp_path):
+        bus = ToolBus(init_store(tmp_path / "s"))
+        response = call(bus, "memory.retrieve", {"query": "x", "k": 0})
+        assert response["error"] == {"code": INVALID_PARAMS, "message": "k must be >= 1"}
+
     def test_bench_transcript_proposer_32602(self, bus, tmp_path):
         # a transcript proposer would open any file the caller names
         secret = tmp_path / "secret.txt"
