@@ -146,6 +146,8 @@ def term_key(term: Term) -> tuple[int, str]:
 
 def parse_term_text(text: str) -> Term:
     """Inverse of term_text; accepts only the canonical forms."""
+    if not isinstance(text, str):
+        raise StructuralError(f"term text must be a string: {text!r}")
     text = text.strip()
     if text.startswith("<") and text.endswith(">"):
         return Iri(text[1:-1])
@@ -159,10 +161,11 @@ def parse_term_text(text: str) -> Term:
         suffix = text[end + 1:]
         if not suffix:
             return Literal(lexical)
-        if suffix.startswith("@"):
+        # a language tag must be Turtle's LANGTAG for canonical Turtle to read it back
+        if suffix.startswith("@") and re.fullmatch(r"[A-Za-z]+(?:-[A-Za-z0-9]+)*", suffix[1:]):
             return Literal(lexical, RDF_LANGSTRING, suffix[1:])
         if suffix.startswith("^^<") and suffix.endswith(">"):
-            return Literal(lexical, suffix[3:-1])
+            return Literal(lexical, Iri(suffix[3:-1]).value)
         raise StructuralError(f"malformed literal suffix: {suffix!r}")
     raise StructuralError(f"unrecognized term text: {text!r}")
 

@@ -4,6 +4,9 @@ This is not a full MCP implementation: no capability negotiation, sessions,
 or resource subscriptions. It adopts the JSON-RPC substrate and a tools.list
 catalog so external callers can drive the engine's operations. Every method
 returns the same structure as the matching CLI subcommand with --json.
+
+`_METHODS` declares each method once: its params' catalog text, type and
+default. `tools.list` is rendered from it, and each request is checked against it.
 """
 
 from __future__ import annotations
@@ -77,7 +80,7 @@ def svc_logic_check(handle: StoreHandle) -> dict:
     return {"consistent": not conflicts, "conflicts": [c.to_json() for c in conflicts]}
 
 
-def svc_diff(handle: StoreHandle, v1: int, v2: int, include_inferred: bool = False) -> dict:
+def svc_diff(handle: StoreHandle, v1: int, v2: int, include_inferred: bool) -> dict:
     """Triples added and removed from version v1 to v2. The deltas only add, so
     all that differs is what the deltas above the lower version add that it
     lacks, and with `include_inferred` what they infer beyond its closure: the
@@ -95,18 +98,17 @@ def svc_diff(handle: StoreHandle, v1: int, v2: int, include_inferred: bool = Fal
             "removed": removed, "include_inferred": include_inferred}
 
 
-def svc_check(handle: StoreHandle, claims: list[Claim], diagnostics: list[str] | None = None) -> dict:
+def svc_check(handle: StoreHandle, claims: list[Claim], diagnostics: list[str]) -> dict:
     overall, verdicts = check_answer(claims, handle.store.trusted, handle.closure())
     return {
         "overall": overall.value,
         "verdicts": [v.to_json() for v in verdicts],
-        "diagnostics": diagnostics or [],
+        "diagnostics": diagnostics,
     }
 
 
-def svc_retrieve(handle: StoreHandle, query: str, seeds: list[str] | None = None,
-                 radius: int = 1, k: int = 5, budget: int = 10,
-                 session: str | None = None) -> dict:
+def svc_retrieve(handle: StoreHandle, query: str, seeds: list[str] | None,
+                 radius: int, k: int, budget: int, session: str | None) -> dict:
     hits = vector_search(handle.log_memory(), query, k)
 
     seed_terms = _seed_terms(handle, query, seeds)
@@ -145,7 +147,7 @@ def session_memory(handle: StoreHandle, session_id: str) -> list[Triple]:
 
 
 def svc_bench(params: dict) -> dict:
-    """`params` holds every key of `_BENCH_PARAMS`."""
+    """`params` holds every param of `bench.hanoi.run` in `_METHODS`."""
     return run_benchmark(
         disk_counts=params["disks"],
         proposer_specs=params["proposers"],
@@ -154,49 +156,6 @@ def svc_bench(params: dict) -> dict:
         base_seed=params["seed"],
         move_level=params["move_level"],
     )
-
-
-TOOL_CATALOG = [
-    {
-        "name": "graph.query",
-        "description": "Evaluate a SPARQL-subset SELECT or ASK query over the trusted graph",
-        "params": {"query": "SPARQL text"},
-    },
-    {
-        "name": "graph.validate",
-        "description": "Validate the materialized trusted graph against SHACL-subset shapes",
-        "params": {"shapes_file": "path to a shapes .ttl (optional when the store has shapes)"},
-    },
-    {
-        "name": "graph.diff",
-        "description": "Diff the graphs at two committed versions",
-        "params": {"from_version": "integer", "to_version": "integer",
-                   "include_inferred": "boolean (optional): diff the materialized graphs"},
-    },
-    {
-        "name": "fact.check",
-        "description": "Check structured claims against the trusted graph",
-        "params": {"claims": "list of claim objects", "claims_file": "path to claims JSONL (alternative)"},
-    },
-    {
-        "name": "memory.retrieve",
-        "description": "Composite-context retrieval across vector, graph, tool, and user channels",
-        "params": {"query": "text", "seeds": "list of term texts (optional)", "radius": "0-4",
-                   "k": "vector hits", "budget": "fused size", "session": "session id (optional)"},
-    },
-    {
-        "name": "bench.hanoi.run",
-        "description": "Run the Tower of Hanoi propose/check/repair benchmark",
-        "params": {"disks": "list of ints", "proposers": "list of proposer specs",
-                   "episodes": "int", "repairs": "list of ints", "seed": "int",
-                   "move_level": "boolean (optional): propose one step at a time"},
-    },
-    {
-        "name": "tools.list",
-        "description": "This catalog",
-        "params": {},
-    },
-]
 
 
 # ---------------------------------------------------------------------------
@@ -208,95 +167,75 @@ def _is(value: Any, kind: type) -> bool:
     return isinstance(value, kind) and not (kind is int and isinstance(value, bool))
 
 
-def _require(params: dict, key: str, kind: type, item: type | None = None) -> Any:
-    """`params[key]` checked to be a `kind`; with `item`, a list of `item`s."""
-    if key not in params:
-        raise ParamError(f"missing required param {key!r}")
-    value = params[key]
-    if not _is(value, kind) or (item is not None and not all(_is(v, item) for v in value)):
-        what = kind.__name__ if item is None else f"a list of {item.__name__}"
-        raise ParamError(f"param {key!r} must be {what}")
-    return value
+_REQUIRED = object()
 
 
-def _optional(params: dict, key: str, kind: type, default: Any, item: type | None = None) -> Any:
-    return _require(params, key, kind, item) if key in params else default
+def _checked(params: dict, spec: dict) -> dict:
+    """Each param of `spec`, in its order: the request's value, checked to be of
+    its type (with an item type, a list of such items), or else the default."""
+    args = {}
+    for key, (_, kind, item, default) in spec.items():
+        args[key] = value = params.get(key, default)
+        if value is _REQUIRED:
+            raise ParamError(f"missing required param {key!r}")
+        if key in params and (not _is(value, kind) or (item and not all(_is(v, item) for v in value))):
+            what = kind.__name__ if item is None else f"a list of {item.__name__}"
+            raise ParamError(f"param {key!r} must be {what}")
+    return args
 
 
-# Method handlers: each runs on the handle its request captured.
+# Method handlers: each runs on the handle its request captured, with the
+# params `_checked` against its entry in `_METHODS`.
 
 
-def _tools_list(handle: StoreHandle, params: dict) -> dict:
+def _tools_list(handle: StoreHandle, args: dict) -> dict:
     return {"tools": TOOL_CATALOG}
 
 
-def _graph_query(handle: StoreHandle, params: dict) -> dict:
-    text = _require(params, "query", str)
+def _graph_query(handle: StoreHandle, args: dict) -> dict:
     try:
-        return svc_query(handle, text)
+        return svc_query(handle, args["query"])
     except (QueryParseError, EvaluationLimitError) as e:
         raise ParamError(str(e)) from e
 
 
-def _graph_validate(handle: StoreHandle, params: dict) -> dict:
-    shapes_file = _optional(params, "shapes_file", str, None)
+def _graph_validate(handle: StoreHandle, args: dict) -> dict:
     try:
-        return svc_validate(handle, shapes_file)
+        return svc_validate(handle, args["shapes_file"])
     except (OSError, UnicodeDecodeError) as e:
         raise ParamError(f"cannot read shapes file: {e}") from e
     except (ShapeError, TurtleParseError) as e:
         raise ParamError(str(e)) from e
 
 
-def _graph_diff(handle: StoreHandle, params: dict) -> dict:
-    v1 = _require(params, "from_version", int)
-    v2 = _require(params, "to_version", int)
-    return svc_diff(handle, v1, v2, _optional(params, "include_inferred", bool, False))
+def _graph_diff(handle: StoreHandle, args: dict) -> dict:
+    return svc_diff(handle, args["from_version"], args["to_version"], args["include_inferred"])
 
 
-def _fact_check(handle: StoreHandle, params: dict) -> dict:
-    diagnostics: list[str] = []
-    if "claims_file" in params:
-        path = _require(params, "claims_file", str)
+def _fact_check(handle: StoreHandle, args: dict) -> dict:
+    if args["claims_file"] is not None:
         try:
-            with open(path, encoding="utf-8") as fh:
+            with open(args["claims_file"], encoding="utf-8") as fh:
                 parsed = parse_claims(fh.read())
         except (OSError, UnicodeDecodeError) as e:
             raise ParamError(f"cannot read claims file: {e}") from e
-        claims, diagnostics = parsed.claims, parsed.diagnostics
+    elif args["claims"] is None:
+        raise ParamError("missing required param 'claims'")
     else:
-        raw = _require(params, "claims", list)
-        parsed = parse_claims("\n".join(json.dumps(obj) for obj in raw))
-        claims, diagnostics = parsed.claims, parsed.diagnostics
-    if not claims:
+        parsed = parse_claims("\n".join(json.dumps(obj) for obj in args["claims"]))
+    if not parsed.claims:
         raise ParamError("no valid claims supplied")
-    return svc_check(handle, claims, diagnostics)
+    return svc_check(handle, parsed.claims, parsed.diagnostics)
 
 
-def _memory_retrieve(handle: StoreHandle, params: dict) -> dict:
-    query = _require(params, "query", str)
-    seeds = _optional(params, "seeds", list, None, str)
+def _memory_retrieve(handle: StoreHandle, args: dict) -> dict:
     try:
-        return svc_retrieve(
-            handle, query, seeds,
-            radius=_optional(params, "radius", int, 1),
-            k=_optional(params, "k", int, 5),
-            budget=_optional(params, "budget", int, 10),
-            session=_optional(params, "session", str, None),
-        )
+        return svc_retrieve(handle, **args)
     except (FusionConfigError, StructuralError) as e:
         raise ParamError(str(e)) from e
 
 
-# bench.hanoi.run params: (key, type, item type of a list, default)
-_BENCH_PARAMS = (("disks", list, int, [3]), ("proposers", list, str, ["optimal"]),
-                 ("episodes", int, None, 10), ("repairs", list, int, [0]),
-                 ("seed", int, None, 0), ("move_level", bool, None, False))
-
-
-def _bench(handle: StoreHandle, params: dict) -> dict:
-    args = {key: _optional(params, key, kind, default, item)
-            for key, kind, item, default in _BENCH_PARAMS}
+def _bench(handle: StoreHandle, args: dict) -> dict:
     # a transcript proposer reads a file that the caller names
     if any(spec.startswith("transcript:") for spec in args["proposers"]):
         raise ParamError("transcript proposers are not served over the bus")
@@ -314,15 +253,48 @@ def _bench(handle: StoreHandle, params: dict) -> dict:
         raise ParamError(str(e)) from e
 
 
-_METHODS: dict[str, Callable[[StoreHandle, dict], Any]] = {
-    "tools.list": _tools_list,
-    "graph.query": _graph_query,
-    "graph.validate": _graph_validate,
-    "graph.diff": _graph_diff,
-    "fact.check": _fact_check,
-    "memory.retrieve": _memory_retrieve,
-    "bench.hanoi.run": _bench,
+# name: (description, {param: (catalog text, type, item type of a list, default)},
+# handler). A param without a default is required. Params are checked in the
+# order given, so a request gets the error of the first bad one.
+_METHODS: dict[str, tuple[str, dict[str, tuple], Callable[[StoreHandle, dict], dict]]] = {
+    "graph.query": ("Evaluate a SPARQL-subset SELECT or ASK query over the trusted graph", {
+        "query": ("SPARQL text", str, None, _REQUIRED),
+    }, _graph_query),
+    "graph.validate": ("Validate the materialized trusted graph against SHACL-subset shapes", {
+        "shapes_file": ("path to a shapes .ttl (optional when the store has shapes)", str, None, None),
+    }, _graph_validate),
+    "graph.diff": ("Diff the graphs at two committed versions", {
+        "from_version": ("integer", int, None, _REQUIRED),
+        "to_version": ("integer", int, None, _REQUIRED),
+        "include_inferred": ("boolean (optional): diff the materialized graphs", bool, None, False),
+    }, _graph_diff),
+    # a claims_file replaces claims; without one, claims is required
+    "fact.check": ("Check structured claims against the trusted graph", {
+        "claims_file": ("path to claims JSONL (alternative)", str, None, None),
+        "claims": ("list of claim objects", list, None, None),
+    }, _fact_check),
+    "memory.retrieve": ("Composite-context retrieval across vector, graph, tool, and user channels", {
+        "query": ("text", str, None, _REQUIRED),
+        "seeds": ("list of term texts (optional)", list, str, None),
+        "radius": ("0-4", int, None, 1),
+        "k": ("vector hits", int, None, 5),
+        "budget": ("fused size", int, None, 10),
+        "session": ("session id (optional)", str, None, None),
+    }, _memory_retrieve),
+    "bench.hanoi.run": ("Run the Tower of Hanoi propose/check/repair benchmark", {
+        "disks": ("list of ints", list, int, [3]),
+        "proposers": ("list of proposer specs", list, str, ["optimal"]),
+        "episodes": ("int", int, None, 10),
+        "repairs": ("list of ints", list, int, [0]),
+        "seed": ("int", int, None, 0),
+        "move_level": ("boolean (optional): propose one step at a time", bool, None, False),
+    }, _bench),
+    "tools.list": ("This catalog", {}, _tools_list),
 }
+
+TOOL_CATALOG = [{"name": name, "description": description,
+                 "params": {key: param[0] for key, param in spec.items()}}
+                for name, (description, spec, _) in _METHODS.items()]
 
 
 class ToolBus:
@@ -372,12 +344,13 @@ class ToolBus:
             return None if is_notification else _error_response(
                 req_id, INVALID_PARAMS, "params must be an object")
 
-        handler = _METHODS.get(method)
-        if handler is None:
+        entry = _METHODS.get(method)
+        if entry is None:
             return None if is_notification else _error_response(
                 req_id, METHOD_NOT_FOUND, f"method not found: {method}")
+        _, spec, handler = entry
         try:
-            result = handler(self._current_handle(), params)
+            result = handler(self._current_handle(), _checked(params, spec))
         except ParamError as e:
             return None if is_notification else _error_response(req_id, INVALID_PARAMS, str(e))
         except ConditionInconsistencyError as e:

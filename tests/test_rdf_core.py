@@ -17,6 +17,7 @@ from ontomem.rdf_core import (
     term_text,
     triple_key,
 )
+from ontomem.turtle_io import parse_turtle, serialize_turtle
 
 
 def t(s, p, o):
@@ -73,6 +74,21 @@ class TestTerms:
         ]
         for term in terms:
             assert parse_term_text(term_text(term)) == term
+
+    @pytest.mark.parametrize("text", ['"x"@', '"x"@en us', '"x"^^<>', '"x"^^<a b>', 5, None])
+    def test_term_text_turtle_cannot_read_back_is_structural(self, text):
+        # a literal read from these would serialize to Turtle that parse_turtle rejects
+        with pytest.raises(StructuralError):
+            parse_term_text(text)
+
+    @pytest.mark.parametrize("text", ['"x"@en-US', f'"30"^^<{XSD_INTEGER}>'])
+    def test_literal_suffix_round_trips_through_turtle(self, text):
+        term = parse_term_text(text)
+        assert parse_term_text(term_text(term)) == term
+        graph = Graph()
+        graph.insert(Triple(Iri("http://ex.org/s"), Iri("http://ex.org/p"), term))
+        assert parse_turtle(serialize_turtle(graph, {}))[0].triple_set() == {
+            Triple(Iri("http://ex.org/s"), Iri("http://ex.org/p"), term)}
 
 
 class TestTripleInvariants:

@@ -161,6 +161,22 @@ class TestCliBasics:
         assert code == 2 and out == ""
         assert err.startswith("cannot read claims file: ")
 
+    def test_check_non_string_term_is_a_diagnostic(self, tmp_path, regulatory_store):
+        bad = {"subject": 5, "predicate": "<http://e/p>", "object": "<http://e/o>"}
+        good = {"subject": "<http://e/s>", "predicate": "<http://e/p>", "object": "<http://e/o>"}
+        claims = tmp_path / "claims.jsonl"
+        claims.write_text(json.dumps(bad) + "\n", encoding="utf-8")
+        code, out, err = run_cli("--store", str(regulatory_store), "check", "--claims", str(claims))
+        assert (code, out) == (2, "")
+        assert err == "line 1: term text must be a string: 5\nno valid claims in input\n"
+        claims.write_text(json.dumps(bad) + "\n" + json.dumps(good) + "\n", encoding="utf-8")
+        code, out, err = run_cli("--store", str(regulatory_store), "--json",
+                                 "check", "--claims", str(claims))
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["diagnostics"] == ["line 1: term text must be a string: 5"]
+        assert [v["status"] for v in payload["verdicts"]] == ["NOT_FOUND"]
+
     def test_check_inconsistent_conditions_exit_2(self, tmp_path, regulatory_store):
         # the sponsor assumed to be an application, a class disjoint with its own
         claim = {"subject": "<http://ontomem.dev/ns/ind#sponsor-1>",

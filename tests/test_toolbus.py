@@ -9,6 +9,7 @@ import threading
 import time
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import pytest
 
@@ -41,6 +42,19 @@ def bus(built_store):
     return ToolBus(load_store(built_store))
 
 
+# a value of each param type that is of no other
+WRONG = {str: 5, int: "1", bool: "false", list: "x"}
+VALID = {str: "x", int: 0, bool: False, list: []}
+DECLARED = [(method, key) for method, (_, spec, _) in toolbus._METHODS.items() for key in spec]
+REQUIRED = [(method, key) for method, key in DECLARED
+            if toolbus._METHODS[method][1][key][3] is toolbus._REQUIRED]
+
+
+def required_params(method):
+    return {key: VALID[param[1]] for key, param in toolbus._METHODS[method][1].items()
+            if param[3] is toolbus._REQUIRED}
+
+
 def call(bus, method, params=None, req_id=1):
     request = {"jsonrpc": "2.0", "id": req_id, "method": method}
     if params is not None:
@@ -63,6 +77,41 @@ class TestDispatch:
         assert set(tools) == set(toolbus._METHODS)
         assert "include_inferred" in tools["graph.diff"]
         assert "move_level" in tools["bench.hanoi.run"]
+
+    def test_tools_list_is_the_captured_catalog(self, bus):
+        expected = (Path(__file__).parent / "fixtures" / "tools_list.json").read_text(encoding="utf-8")
+        assert bus.dispatch_line('{"jsonrpc": "2.0", "id": 1, "method": "tools.list"}') + "\n" == expected
+
+    @pytest.mark.parametrize("method, key", DECLARED, ids=[f"{m}:{k}" for m, k in DECLARED])
+    def test_every_declared_param_is_type_checked_32602(self, bus, method, key):
+        _, kind, item, _ = toolbus._METHODS[method][1][key]
+        params = required_params(method) | {key: [WRONG[item]] if item else WRONG[kind]}
+        error = call(bus, method, params)["error"]
+        assert error["code"] == INVALID_PARAMS
+        assert error["message"].startswith(f"param {key!r} must be ")
+
+    @pytest.mark.parametrize("method, key", REQUIRED, ids=[f"{m}:{k}" for m, k in REQUIRED])
+    def test_every_required_param_is_required_32602(self, bus, method, key):
+        params = required_params(method)
+        del params[key]
+        assert call(bus, method, params)["error"] == {
+            "code": INVALID_PARAMS, "message": f"missing required param {key!r}"}
+
+    def test_fact_check_types_claims_beside_a_claims_file_32602(self, bus):
+        params = {"claims_file": str(DATA / "regulatory_claims.jsonl"), "claims": "not a list"}
+        assert call(bus, "fact.check", params)["error"] == {
+            "code": INVALID_PARAMS, "message": "param 'claims' must be list"}
+        assert call(bus, "fact.check", {})["error"] == {
+            "code": INVALID_PARAMS, "message": "missing required param 'claims'"}
+
+    def test_fact_check_non_string_term_is_a_diagnostic(self, bus):
+        bad = {"subject": 5, "predicate": "<http://e/p>", "object": "<http://e/o>"}
+        good = {"subject": "<http://e/s>", "predicate": "<http://e/p>", "object": "<http://e/o>"}
+        assert call(bus, "fact.check", {"claims": [bad]})["error"] == {
+            "code": INVALID_PARAMS, "message": "no valid claims supplied"}
+        result = call(bus, "fact.check", {"claims": [bad, good]})["result"]
+        assert result["diagnostics"] == ["line 1: term text must be a string: 5"]
+        assert [v["status"] for v in result["verdicts"]] == ["NOT_FOUND"]
 
     def test_unknown_method_32601(self, bus):
         response = call(bus, "graph.everything")
