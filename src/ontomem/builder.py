@@ -78,6 +78,9 @@ class Chunk:
 
 _SENTENCE_BREAK = re.compile(r"(?<=[.!?])\s+")
 
+# The chunk size `run_pipeline` ingests with.
+MAX_CHUNK_CHARS = 1000
+
 
 def ingest(doc: SourceDocument, max_chunk_chars: int) -> list[Chunk]:
     """Partition the body into chunks: paragraph breaks first, sentence breaks
@@ -451,17 +454,13 @@ class NormalizeResult:
 
 @dataclass(frozen=True)
 class BuilderConfig:
-    instance_ns: str = INST_NS
-    schema_ns: str = SCHEMA_NS
-    property_ns: str = PROP_NS
     predicate_table: tuple[tuple[str, str], ...] = ()
-    max_chunk_chars: int = 1000
 
     def predicate_iri(self, label: str) -> Iri:
         for key, iri in self.predicate_table:
             if key == label:
                 return Iri(iri)
-        return Iri(self.property_ns + slugify(label))
+        return Iri(PROP_NS + slugify(label))
 
 
 def normalize(records: list[ExtractionRecord], registry: EntityRegistry,
@@ -489,7 +488,7 @@ def normalize(records: list[ExtractionRecord], registry: EntityRegistry,
             for alias in entity.aliases:
                 registry.add_alias(iri, alias)
             if entity.type_guess:
-                type_iri = config.schema_ns + sanitize_class_name(entity.type_guess)
+                type_iri = SCHEMA_NS + sanitize_class_name(entity.type_guess)
                 result.entities.append(CanonicalEntity(Iri(iri), Iri(type_iri), base_prov))
 
         for rel in record.relations:
@@ -668,7 +667,7 @@ class OntologyStore:
         self.provenance: dict[Triple, list[Provenance]] = {}
         self.unsaved: dict[Triple, int] = {}
         self.version = 0
-        self.registry = EntityRegistry(self.config.instance_ns)
+        self.registry = EntityRegistry()
 
     def commit(self, gate: GateResult, base_version: int,
                quarantined_relations: list[QuarantinedRelation] | None = None) -> OntologyDelta:
@@ -713,7 +712,7 @@ def run_pipeline(store: OntologyStore, docs: list[SourceDocument], extractor: Ex
     doc_meta: dict[str, tuple[Origin, int]] = {}
     for doc in sorted(docs, key=lambda d: d.id):
         doc_meta[doc.id] = (_KIND_ORIGIN[doc.kind], doc.received_at)
-        chunks += ingest(doc, store.config.max_chunk_chars)
+        chunks += ingest(doc, MAX_CHUNK_CHARS)
     records = [extractor.extract(chunk) for chunk in chunks]
 
     normalized = normalize(records, store.registry, store.config, doc_meta)

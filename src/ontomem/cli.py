@@ -13,7 +13,6 @@ CONTRADICTED verdict, inconsistent logic check), 2 usage or I/O error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -82,7 +81,8 @@ def cmd_init(args) -> int:
 
 
 def cmd_build(args) -> int:
-    from .builder import RulePatternExtractor, TranscriptExtractor, graph_candidates, run_pipeline
+    from .builder import (
+        BuilderConfig, RulePatternExtractor, TranscriptExtractor, graph_candidates, run_pipeline)
     from .turtle_io import parse_turtle
     warnings: list[str] = []
     shapes = load_shapes_file(args.shapes, warnings) if args.shapes else []
@@ -91,9 +91,7 @@ def cmd_build(args) -> int:
     with StoreLock(args.store):
         handle = load_store(args.store)
         handle.store.shapes = shapes
-        if patterns["predicates"]:
-            handle.store.config = dataclasses.replace(
-                handle.store.config, predicate_table=tuple(sorted(patterns["predicates"].items())))
+        handle.store.config = BuilderConfig(tuple(sorted(patterns["predicates"].items())))
 
         extra = []
         if args.schema:

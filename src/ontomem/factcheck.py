@@ -263,11 +263,16 @@ def parse_claims(text: str) -> ClaimParse:
     return result
 
 
-def _claim_from_json(obj: dict) -> Claim:
+def _claim_from_json(obj: object) -> Claim:
+    if not isinstance(obj, dict):
+        raise ClaimInputError("claim must be a JSON object")
     statement = _triple_from_json(obj)
     polarity = Polarity(obj.get("polarity", "ASSERTED"))
-    conditions = tuple(_triple_from_json(c) for c in obj.get("conditions", ()))
-    return Claim(statement, polarity, conditions, obj.get("source_text"))
+    conditions = obj.get("conditions", [])
+    if not isinstance(conditions, list) or not all(isinstance(c, dict) for c in conditions):
+        raise ClaimInputError("'conditions' must be a list of objects")
+    return Claim(statement, polarity, tuple(map(_triple_from_json, conditions)),
+                 obj.get("source_text"))
 
 
 def _triple_from_json(obj: dict) -> Triple:

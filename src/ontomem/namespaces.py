@@ -7,8 +7,8 @@ XSD_NS = "http://www.w3.org/2001/XMLSchema#"
 SH_NS = "http://www.w3.org/ns/shacl#"
 
 # Project namespaces. SYS_NS carries engine-reserved terms (explicit negation,
-# statement identifiers, registry metadata); the others are the default minting
-# namespaces for the builder, overridable via store config.
+# statement identifiers, registry metadata); INST_NS, SCHEMA_NS and PROP_NS are
+# the namespaces the builder mints instances, classes and properties under.
 SYS_NS = "http://ontomem.dev/ns/sys#"
 INST_NS = "http://ontomem.dev/ns/inst#"
 SCHEMA_NS = "http://ontomem.dev/ns/schema#"
@@ -75,5 +75,5 @@ DEFAULT_PREFIXES = {
     "prop": PROP_NS,
 }
 
-# Components of a `fusion.embed` vector, unless the store's config says otherwise.
+# Components of a `fusion.embed` vector, and of the store's log memory.
 DEFAULT_DIMENSION = 256

@@ -1,6 +1,9 @@
 """On-disk store layout: trusted.ttl, delta-N.ttl files, quarantine.jsonl,
-registry.ttl, provenance.jsonl, logs.jsonl, a version file, a flat
-key=value config, and an empty `.lock` that carries the writer's `flock`.
+registry.ttl, provenance.jsonl, logs.jsonl, a version file, and an empty
+`.lock` that carries the writer's `flock`. A store holds no settings: the
+minting namespaces, the chunk size, the embedding dimension and the fusion
+weights are constants of the code, and a `config` file that older code wrote
+is ignored.
 
 This is the only module that knows these file formats. `init_store` creates a
 store and `save_commit` is the only code that writes to an existing one: each
@@ -35,12 +38,9 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .namespaces import (
-    DEFAULT_DIMENSION,
     DEFAULT_PREFIXES,
     INST_NS,
-    PROP_NS,
     RDFS_LABEL,
-    SCHEMA_NS,
     SYS_ALIAS,
     SYS_AMBIGUOUS_ALIAS,
     SYS_FIRST_SEEN,
@@ -54,7 +54,7 @@ from .turtle_io import PrefixMap, parse_triples, parse_turtle, serialize_turtle,
 # process that only reads trusted.ttl (`load_trusted`) does not import them.
 if TYPE_CHECKING:
     from .builder import EntityRegistry, OntologyDelta, OntologyStore
-    from .fusion import FusionWeights, VectorStore
+    from .fusion import VectorStore
     from .reasoner import Closure
     from .shacl import NodeShape
 
@@ -67,18 +67,6 @@ class StoreLockError(StoreError):
     pass
 
 
-DEFAULT_CONFIG: dict[str, str] = {
-    "instance_ns": INST_NS,
-    "schema_ns": SCHEMA_NS,
-    "property_ns": PROP_NS,
-    "embedding_dimension": str(DEFAULT_DIMENSION),
-    "chunk_size": "1000",
-    "weight_vector": "1.0",
-    "weight_graph": "1.0",
-    "weight_tool": "1.0",
-    "weight_user": "1.0",
-}
-
 _PROVENANCE = "provenance.jsonl"
 _REGISTRY = "registry.ttl"
 # The line that opens a commit's block in each journal, and its pattern.
@@ -86,27 +74,11 @@ _MARKERS = {_PROVENANCE: ('{{"version": {}}}', re.compile(rb'\{"version": (\d+)\
             _REGISTRY: ("# version {}", re.compile(rb"# version (\d+)$"))}
 
 
-def _write_config(path: Path, config: dict[str, str]) -> None:
-    lines = [f"{k}={v}" for k, v in sorted(config.items())]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def _read_config(path: Path) -> dict[str, str]:
-    config = dict(DEFAULT_CONFIG)
-    if path.exists():
-        for line in path.read_text(encoding="utf-8").splitlines():
-            line = line.strip()
-            if not line or line.startswith("#") or "=" not in line:
-                continue
-            key, _, value = line.partition("=")
-            config[key.strip()] = value.strip()
-    return config
-
-
 @dataclass
 class StoreHandle:
-    """An open store: its in-memory state plus a snapshot of state derived
-    from it, each part computed on first use and reused until it goes stale.
+    """An open store: its root, the in-memory state read from its files, and
+    a snapshot of state derived from them, each part computed on first use
+    and reused until it goes stale. A store has no settings to carry.
 
     - `closure()`: `reasoner.close` of the trusted graph, recomputed when
       `store.version` changes or `store.trusted` is replaced.
@@ -121,7 +93,6 @@ class StoreHandle:
 
     root: Path
     store: OntologyStore
-    config: dict[str, str]
     prefixes: dict[str, str] = field(default_factory=lambda: dict(DEFAULT_PREFIXES))
     # The committed byte length of each journal, and the prefixes that
     # registry.ttl's header declares, which its appended lines use.
@@ -145,43 +116,29 @@ class StoreHandle:
     def log_memory(self) -> VectorStore:
         from .fusion import VectorStore
         with self._lock:
-            memory, file_id, offset = self._log or (VectorStore(self.dimension), None, 0)
+            memory, file_id, offset = self._log or (VectorStore(), None, 0)
             try:
                 st = (self.root / "logs.jsonl").stat()
                 now_id, size = (st.st_dev, st.st_ino), st.st_size
             except FileNotFoundError:
                 now_id, size = None, 0
             if now_id != file_id or size < offset:  # a new, shrunk or replaced log
-                memory, offset = VectorStore(self.dimension), 0
+                memory, offset = VectorStore(), 0
             if size > offset:
                 entries, offset = load_log_entries(self.root, offset)
                 if entries:
-                    memory = VectorStore(self.dimension, dict(memory.entries))
+                    memory = VectorStore(entries=dict(memory.entries))
                     for entry_id, payload in entries:
                         memory.add(entry_id, payload)
             self._log = (memory, now_id, offset)
             return memory
 
     def reloaded(self) -> StoreHandle:
-        """A fresh handle on the committed store, with the same shapes; the log
-        memory carries over, since logs.jsonl only grows."""
-        handle = load_store(self.root, self.store.shapes)
+        """A fresh handle on the committed store; the log memory carries over,
+        since logs.jsonl only grows."""
+        handle = load_store(self.root)
         handle._log = self._log
         return handle
-
-    @property
-    def weights(self) -> FusionWeights:
-        from .fusion import FusionWeights
-        return FusionWeights(
-            vector=float(self.config["weight_vector"]),
-            graph=float(self.config["weight_graph"]),
-            tool=float(self.config["weight_tool"]),
-            user=float(self.config["weight_user"]),
-        )
-
-    @property
-    def dimension(self) -> int:
-        return int(self.config["embedding_dimension"])
 
 
 def init_store(root: str | Path) -> StoreHandle:
@@ -189,7 +146,6 @@ def init_store(root: str | Path) -> StoreHandle:
     root.mkdir(parents=True, exist_ok=True)
     if (root / "version").exists():
         raise StoreError(f"store already initialized at {root}")
-    _write_config(root / "config", DEFAULT_CONFIG)
     (root / "version").write_text("0\n", encoding="utf-8")
     (root / "trusted.ttl").write_text(serialize_turtle(Graph(), DEFAULT_PREFIXES), encoding="utf-8")
     (root / "registry.ttl").write_text(serialize_turtle(Graph(), DEFAULT_PREFIXES), encoding="utf-8")
@@ -198,18 +154,11 @@ def init_store(root: str | Path) -> StoreHandle:
     return load_store(root)
 
 
-def load_store(root: str | Path, shapes: list[NodeShape] | None = None) -> StoreHandle:
-    from .builder import BuilderConfig, OntologyStore
+def load_store(root: str | Path) -> StoreHandle:
+    from .builder import OntologyStore
     root = Path(root)
     graph, prefixes = _read_trusted(root)
-    config = _read_config(root / "config")
-    builder_config = BuilderConfig(
-        instance_ns=config["instance_ns"],
-        schema_ns=config["schema_ns"],
-        property_ns=config["property_ns"],
-        max_chunk_chars=int(config["chunk_size"]),
-    )
-    store = OntologyStore(builder_config, shapes or [])
+    store = OntologyStore()
     store.version = read_version(root)
 
     prov_by_triple, prov_end = _load_provenance(root / _PROVENANCE, store.version)
@@ -219,10 +168,10 @@ def load_store(root: str | Path, shapes: list[NodeShape] | None = None) -> Store
 
     reg_data = b"".join(_lines(root / _REGISTRY, version=store.version))
     reg_triples, reg_prefixes = parse_triples(reg_data.decode("utf-8"))
-    store.registry = registry_from_graph(reg_triples, builder_config.instance_ns)
+    store.registry = registry_from_graph(reg_triples, INST_NS)
     merged_prefixes = dict(DEFAULT_PREFIXES)
     merged_prefixes.update(prefixes)
-    return StoreHandle(root=root, store=store, config=config, prefixes=merged_prefixes,
+    return StoreHandle(root=root, store=store, prefixes=merged_prefixes,
                        journal_ends={_PROVENANCE: prov_end, _REGISTRY: len(reg_data)},
                        registry_prefixes=reg_prefixes)
 

@@ -84,7 +84,10 @@ def svc_diff(handle: StoreHandle, v1: int, v2: int, include_inferred: bool) -> d
     """Triples added and removed from version v1 to v2. The deltas only add, so
     all that differs is what the deltas above the lower version add that it
     lacks, and with `include_inferred` what they infer beyond its closure: the
-    delta of its `close` extended by them (`Closure.extend`)."""
+    delta of its `close` extended by them (`Closure.extend`). A version above
+    the committed one reads as the committed one."""
+    if min(v1, v2) < 0:
+        raise ParamError("versions must be >= 0")
     lo, hi = sorted((v1, v2))
     g_lo = graph_at_version(handle.root, lo)
     new = graph_at_version(handle.root, hi, since=lo).find()
@@ -115,7 +118,7 @@ def svc_retrieve(handle: StoreHandle, query: str, seeds: list[str] | None,
     facts = graph_retrieve(handle.store.trusted, seed_terms, radius)
 
     user_memory = session_memory(handle, session) if session else []
-    return fuse(hits, facts, [], user_memory, handle.weights, budget).to_json()
+    return fuse(hits, facts, [], user_memory, budget=budget).to_json()
 
 
 def _seed_terms(handle: StoreHandle, query: str, seeds: list[str] | None) -> list[Term]:

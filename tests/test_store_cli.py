@@ -27,9 +27,40 @@ from oracles import oracle_registry_to_graph
 
 class TestStoreLayout:
     def test_layout_files_exist(self, built_store):
-        for name in ("trusted.ttl", "version", "config", "quarantine.jsonl",
+        for name in ("trusted.ttl", "version", "quarantine.jsonl",
                      "registry.ttl", "provenance.jsonl", "delta-1.ttl"):
             assert (built_store / name).exists(), name
+
+    def test_init_writes_no_config(self, tmp_path):
+        init_store(tmp_path / "s")
+        assert not (tmp_path / "s" / "config").exists()
+
+    def test_config_of_an_older_store_is_ignored(self, tmp_path):
+        # the nine keys that older code wrote and read, three with other values
+        old_config = ("chunk_size=64\nembedding_dimension=256\ninstance_ns=http://x.org/\n"
+                      "property_ns=http://ontomem.dev/ns/prop#\n"
+                      "schema_ns=http://ontomem.dev/ns/schema#\nweight_graph=9\n"
+                      "weight_tool=1.0\nweight_user=1.0\nweight_vector=1.0\n")
+        outputs = []
+        for name, config in (("plain", None), ("older", old_config)):
+            store = tmp_path / name
+            run_cli("--store", str(store), "init")
+            if config:
+                (store / "config").write_text(config, encoding="utf-8")
+            code, _, err = run_cli(
+                "--store", str(store), "build", "--sources", str(DATA / "corpus"),
+                "--shapes", str(DATA / "corpus_shapes.ttl"),
+                "--schema", str(DATA / "corpus_schema.ttl"),
+                "--patterns", str(DATA / "corpus_patterns.json"))
+            assert code == 0, err
+            retrieved = run_cli("--store", str(store), "--json", "retrieve", "--query", "Acme")
+            queried = run_cli("--store", str(store), "--json", "query",
+                              "SELECT ?s ?p ?o WHERE { ?s ?p ?o }")
+            assert retrieved[0] == queried[0] == 0
+            outputs.append(((store / "trusted.ttl").read_bytes(), (store / "delta-1.ttl").read_bytes(),
+                            retrieved[1], queried[1]))
+        assert json.loads(outputs[0][2])["fused"]
+        assert outputs[0] == outputs[1]
 
     def test_version_matches_highest_delta(self, built_store):
         version = int((built_store / "version").read_text().strip())
@@ -530,6 +561,10 @@ class TestCliBasics:
         assert code == 0, err
         assert json.loads(out)["added"] == []
         assert rebuild_trusted(store).triple_set() == load_store(store).store.trusted.triple_set()
+
+    def test_diff_negative_version_exit_2(self, built_store):
+        code, out, err = run_cli("--store", str(built_store), "diff", "-1", "1")
+        assert (code, out, err) == (2, "", "error: versions must be >= 0\n")
 
     def test_retrieve_k_checked_on_an_empty_log_exit_2(self, tmp_path):
         store = tmp_path / "s"

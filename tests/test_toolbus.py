@@ -113,6 +113,18 @@ class TestDispatch:
         assert result["diagnostics"] == ["line 1: term text must be a string: 5"]
         assert [v["status"] for v in result["verdicts"]] == ["NOT_FOUND"]
 
+    def test_fact_check_names_the_field_a_claim_gets_wrong(self, bus):
+        good = {"subject": "<http://e/s>", "predicate": "<http://e/p>", "object": "<http://e/o>"}
+        result = call(bus, "fact.check", {"claims": [1, good | {"conditions": 5}, good]})["result"]
+        assert result["diagnostics"] == ["line 1: claim must be a JSON object",
+                                         "line 2: 'conditions' must be a list of objects"]
+        assert [v["status"] for v in result["verdicts"]] == ["NOT_FOUND"]
+
+    def test_graph_diff_negative_version_32602(self, bus):
+        for params in ({"from_version": -3, "to_version": 1}, {"from_version": 1, "to_version": -1}):
+            error = call(bus, "graph.diff", params)["error"]
+            assert error == {"code": INVALID_PARAMS, "message": "versions must be >= 0"}
+
     def test_unknown_method_32601(self, bus):
         response = call(bus, "graph.everything")
         assert response["error"]["code"] == METHOD_NOT_FOUND
