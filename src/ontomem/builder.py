@@ -12,11 +12,13 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .namespaces import INST_NS, PROP_NS, RDF_TYPE, SCHEMA_NS, XSD_DATE, XSD_DECIMAL, XSD_INTEGER
+from .namespaces import INST_NS, PROP_NS, RDF_TYPE, SCHEMA_NS, SYS_NS, XSD_DATE, XSD_DECIMAL, XSD_INTEGER
 from .rdf_core import (
+    Blank,
     Graph,
     Iri,
     Literal,
@@ -32,8 +34,8 @@ from .shacl import NodeShape, ValidationResult, validate
 from .factcheck import Claim, Polarity, negation_overlay
 
 
-class MissingTranscriptError(RuntimeError):
-    pass
+class MissingTranscriptError(ValueError):
+    """A chunk has no recorded extraction in the directory the caller named."""
 
 
 class VersionConflictError(RuntimeError):
@@ -355,16 +357,11 @@ class EntityRegistry:
 
     def resolve(self, mention: str) -> str | None:
         """Existing IRI for the mention, None when unknown; raises on ambiguity."""
-        owners = self._exact.get(mention, set())
-        if len(owners) == 1:
-            return next(iter(owners))
-        if len(owners) > 1:
-            raise AmbiguousAlias(mention, sorted(owners))
-        folded_owners = self._folded.get(_fold(mention), set())
-        if len(folded_owners) == 1:
-            return next(iter(folded_owners))
-        if len(folded_owners) > 1:
-            raise AmbiguousAlias(mention, sorted(folded_owners))
+        for owners in (self._exact.get(mention), self._folded.get(_fold(mention))):
+            if owners:
+                if len(owners) > 1:
+                    raise AmbiguousAlias(mention, sorted(owners))
+                return next(iter(owners))
         return None
 
     def resolve_or_mint(self, mention: str, source_id: str | None = None) -> str:
@@ -525,21 +522,35 @@ class Candidate:
         return max((p.confidence for p in self.provenance), default=1.0)
 
 
+def _candidates(pairs: Iterable[tuple[Triple, Provenance]]) -> list[Candidate]:
+    """One candidate per distinct triple of the (triple, provenance) pairs, in
+    triple order, holding its records in pair order. A blank node becomes the
+    skolem IRI `sys:genid-<hash>` of the pair's source and the node's label
+    (RDF 1.1 Concepts, section 3.5), so the store never holds a blank node:
+    its files could not keep one's label, nor its provenance find it again."""
+    by_triple: dict[Triple, list[Provenance]] = {}
+    for triple, prov in pairs:
+        s, o = triple.subject, triple.object
+        if isinstance(s, Blank) or isinstance(o, Blank):
+            triple = Triple(_skolem(s, prov.source_id), triple.predicate, _skolem(o, prov.source_id))
+        by_triple.setdefault(triple, []).append(prov)
+    return [Candidate(t, by_triple[t]) for t in sorted(by_triple, key=triple_key)]
+
+
+def _skolem(term: Term, source_id: str) -> Term:
+    if not isinstance(term, Blank):
+        return term
+    key = json.dumps([source_id, term.label]).encode("utf-8")
+    return Iri(f"{SYS_NS}genid-{hashlib.sha256(key).hexdigest()[:16]}")
+
+
 def construct_triples(normalized: NormalizeResult) -> list[Candidate]:
     """One triple per relation plus rdf:type triples for typed entities;
     duplicates collapse with merged provenance lists."""
-    by_triple: dict[Triple, list[Provenance]] = {}
-
-    def add(triple: Triple, prov: Provenance) -> None:
-        by_triple.setdefault(triple, []).append(prov)
-
-    for rel in normalized.relations:
-        add(Triple(rel.subject, rel.predicate, rel.object), rel.provenance)
     rdf_type = Iri(RDF_TYPE)
-    for ent in normalized.entities:
-        add(Triple(ent.iri, rdf_type, ent.type_iri), ent.provenance)
-
-    return [Candidate(t, provs) for t, provs in sorted(by_triple.items(), key=lambda kv: triple_key(kv[0]))]
+    return _candidates(
+        [(Triple(rel.subject, rel.predicate, rel.object), rel.provenance) for rel in normalized.relations]
+        + [(Triple(ent.iri, rdf_type, ent.type_iri), ent.provenance) for ent in normalized.entities])
 
 
 # ---------------------------------------------------------------------------
@@ -702,7 +713,7 @@ def graph_candidates(graph: Graph, source_id: str,
                      origin: Origin = Origin.SOURCE_DOCUMENT) -> list[Candidate]:
     """Wrap a parsed graph (e.g. a curated schema file) as gate candidates."""
     prov = Provenance(source_id=source_id, origin=origin)
-    return [Candidate(t, [prov]) for t in graph]
+    return _candidates((t, prov) for t in graph.find())
 
 
 def run_pipeline(store: OntologyStore, docs: list[SourceDocument], extractor: Extractor,
@@ -728,15 +739,10 @@ def run_pipeline(store: OntologyStore, docs: list[SourceDocument], extractor: Ex
 def feedback(store: OntologyStore, claims: list[Claim]) -> OntologyDelta:
     """Answer-feedback loop: claims re-enter the pipeline as candidates with
     ANSWER_FEEDBACK provenance. Negated claims carry the negation overlay."""
-    by_triple: dict[Triple, list[Provenance]] = {}
-    for claim in claims:
-        prov = Provenance(source_id="answer-feedback", origin=Origin.ANSWER_FEEDBACK)
-        if claim.polarity is Polarity.ASSERTED:
-            by_triple.setdefault(claim.statement, []).append(prov)
-        else:
-            for t in negation_overlay(claim.statement):
-                by_triple.setdefault(t, []).append(prov)
-    candidates = [Candidate(t, provs) for t, provs in sorted(by_triple.items(),
-                                                             key=lambda kv: triple_key(kv[0]))]
+    prov = Provenance(source_id="answer-feedback", origin=Origin.ANSWER_FEEDBACK)
+    candidates = _candidates(
+        (t, prov) for claim in claims
+        for t in ([claim.statement] if claim.polarity is Polarity.ASSERTED
+                  else negation_overlay(claim.statement)))
     gate = validate_gate(candidates, store.trusted, store.shapes)
     return store.commit(gate, store.version)

@@ -215,20 +215,14 @@ def cmd_retrieve(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    from .hanoi import report_to_json_text
-    from .toolbus import svc_bench
+    from .hanoi import report_to_json_text, run_benchmark
     if args.domain != "hanoi":
         print(f"unknown benchmark domain: {args.domain}", file=sys.stderr)
         return 2
-    params = {
-        "disks": [int(n) for n in args.disks.split(",")],
-        "proposers": args.proposer.split(","),
-        "episodes": args.episodes,
-        "repairs": [int(r) for r in args.repairs.split(",")],
-        "seed": args.seed,
-        "move_level": args.move_level,
-    }
-    report = svc_bench(params)
+    report = run_benchmark(disks=[int(n) for n in args.disks.split(",")],
+                           proposers=args.proposer.split(","), episodes=args.episodes,
+                           repairs=[int(r) for r in args.repairs.split(",")], seed=args.seed,
+                           move_level=args.move_level)
     if args.out:
         Path(args.out).write_text(report_to_json_text(report) + "\n", encoding="utf-8")
     _p(args, report, report["table"])

@@ -258,7 +258,7 @@ def parse_claims(text: str) -> ClaimParse:
             continue
         try:
             result.claims.append(_claim_from_json(obj))
-        except (ClaimInputError, StructuralError, KeyError, TypeError, ValueError) as e:
+        except (ClaimInputError, StructuralError, TypeError, ValueError) as e:
             result.diagnostics.append(f"line {lineno}: {e}")
     return result
 
@@ -271,13 +271,16 @@ def _claim_from_json(obj: object) -> Claim:
     conditions = obj.get("conditions", [])
     if not isinstance(conditions, list) or not all(isinstance(c, dict) for c in conditions):
         raise ClaimInputError("'conditions' must be a list of objects")
-    return Claim(statement, polarity, tuple(map(_triple_from_json, conditions)),
-                 obj.get("source_text"))
+    source_text = obj.get("source_text")
+    if source_text is not None and not isinstance(source_text, str):
+        raise ClaimInputError("'source_text' must be a string or null")
+    return Claim(statement, polarity, tuple(map(_triple_from_json, conditions)), source_text)
 
 
 def _triple_from_json(obj: dict) -> Triple:
-    return Triple(
-        parse_term_text(obj["subject"]),
-        parse_term_text(obj["predicate"]),
-        parse_term_text(obj["object"]),
-    )
+    terms = []
+    for key in ("subject", "predicate", "object"):
+        if key not in obj:
+            raise ClaimInputError(f"missing {key!r}")
+        terms.append(parse_term_text(obj[key]))
+    return Triple(*terms)

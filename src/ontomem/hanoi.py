@@ -28,8 +28,8 @@ SIZE = Iri(HANOI_NS + "size")
 SMALLER_THAN = Iri(HANOI_NS + "smallerThan")
 
 
-class TranscriptError(RuntimeError):
-    pass
+class TranscriptError(ValueError):
+    """A transcript the caller named cannot be read or replayed."""
 
 
 @dataclass(frozen=True)
@@ -436,38 +436,38 @@ MAX_BENCH_EPISODES = 10_000
 MAX_BENCH_REPAIRS = 100
 
 
-def run_benchmark(disk_counts: list[int], proposer_specs: list[str], episodes: int,
-                  repair_budgets: list[int], base_seed: int,
-                  move_level: bool = False) -> dict:
-    """Per-(n, proposer, repairs) cells; per-episode seeds are base_seed +
-    episode index, so the same seeds pair across repair budgets."""
+def run_benchmark(disks: list[int], proposers: list[str], episodes: int,
+                  repairs: list[int], seed: int, move_level: bool = False) -> dict:
+    """Per-(disk count, proposer, repair budget) cells; per-episode seeds are
+    `seed` + episode index, so the same seeds pair across repair budgets.
+    The params are those of `bench.hanoi.run`, which the report's `config`
+    echoes."""
     if episodes < 1 or episodes > MAX_BENCH_EPISODES:
         raise ValueError(f"episodes must be in [1, {MAX_BENCH_EPISODES}]")
-    if not disk_counts or any(n < 1 or n > MAX_BENCH_DISKS for n in disk_counts):
+    if not disks or any(n < 1 or n > MAX_BENCH_DISKS for n in disks):
         raise ValueError(f"disk counts must be in [1, {MAX_BENCH_DISKS}]")
-    if not repair_budgets or any(r < 0 or r > MAX_BENCH_REPAIRS for r in repair_budgets):
+    if not repairs or any(r < 0 or r > MAX_BENCH_REPAIRS for r in repairs):
         raise ValueError(f"repair budgets must be in [0, {MAX_BENCH_REPAIRS}]")
     cells = []
-    for spec in proposer_specs:
-        for n in disk_counts:
-            for budget in repair_budgets:
+    for spec in proposers:
+        for n in disks:
+            for budget in repairs:
                 proposer = make_proposer(spec)
-                results = [run_episode(n, proposer, budget, base_seed + i, move_level)
+                results = [run_episode(n, proposer, budget, seed + i, move_level)
                            for i in range(episodes)]
                 cells.append(aggregate_cell(n, proposer.proposer_id, budget, results))
-    report = {
+    return {
         "config": {
-            "disks": disk_counts,
-            "proposers": proposer_specs,
+            "disks": disks,
+            "proposers": proposers,
             "episodes": episodes,
-            "repairs": repair_budgets,
-            "seed": base_seed,
+            "repairs": repairs,
+            "seed": seed,
             "move_level": move_level,
         },
         "cells": cells,
         "table": format_benchmark_table(cells),
     }
-    return report
 
 
 def format_benchmark_table(cells: list[dict]) -> str:

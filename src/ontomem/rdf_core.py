@@ -144,42 +144,39 @@ def term_key(term: Term) -> tuple[int, str]:
     return (2, term_text(term))
 
 
+# Turtle's lexical forms of the terms of this subset (Turtle 1.1, section
+# 6.5), written once: turtle_io and sparql tokenize with them, and
+# parse_term_text reads the canonical forms that term_text writes.
+IRIREF = r"<[^>\n]*>"
+BLANK = r"_:[A-Za-z0-9_](?:[A-Za-z0-9_.\-]*[A-Za-z0-9_\-])?"
+STRING = r'"[^"\\\n]*(?:\\[^\n][^"\\\n]*)*"'
+LANGTAG = r"@[A-Za-z]+(?:-[A-Za-z0-9]+)*"
+
+_TERM_TEXT_RE = re.compile(
+    rf"(?P<iri>{IRIREF})|(?P<blank>{BLANK})"
+    rf"|(?P<string>{STRING})(?:(?P<language>{LANGTAG})|\^\^(?P<datatype>{IRIREF}))?")
+
+
 def parse_term_text(text: str) -> Term:
-    """Inverse of term_text; accepts only the canonical forms."""
+    """Inverse of term_text; accepts only the canonical forms, surrounding
+    whitespace aside."""
     if not isinstance(text, str):
         raise StructuralError(f"term text must be a string: {text!r}")
     text = text.strip()
-    if text.startswith("<") and text.endswith(">"):
-        return Iri(text[1:-1])
-    if text.startswith("_:"):
-        return Blank(text[2:])
-    if text.startswith('"'):
-        end = _closing_quote(text)
-        if end is None:
-            raise StructuralError(f"unterminated literal in term text: {text!r}")
-        lexical = unescape_literal(text[1:end])
-        suffix = text[end + 1:]
-        if not suffix:
-            return Literal(lexical)
-        # a language tag must be Turtle's LANGTAG for canonical Turtle to read it back
-        if suffix.startswith("@") and re.fullmatch(r"[A-Za-z]+(?:-[A-Za-z0-9]+)*", suffix[1:]):
-            return Literal(lexical, RDF_LANGSTRING, suffix[1:])
-        if suffix.startswith("^^<") and suffix.endswith(">"):
-            return Literal(lexical, Iri(suffix[3:-1]).value)
-        raise StructuralError(f"malformed literal suffix: {suffix!r}")
-    raise StructuralError(f"unrecognized term text: {text!r}")
-
-
-def _closing_quote(text: str) -> int | None:
-    i = 1
-    while i < len(text):
-        if text[i] == "\\":
-            i += 2
-            continue
-        if text[i] == '"':
-            return i
-        i += 1
-    return None
+    m = _TERM_TEXT_RE.fullmatch(text)
+    if m is None:
+        raise StructuralError(f"unrecognized term text: {text!r}")
+    iri, blank, string, language, datatype = m.groups()
+    if iri:
+        return Iri(iri[1:-1])
+    if blank:
+        return Blank(blank[2:])
+    lexical = unescape_literal(string[1:-1])
+    if language:
+        return Literal(lexical, RDF_LANGSTRING, language[1:])
+    if datatype:
+        return Literal(lexical, Iri(datatype[1:-1]).value)
+    return Literal(lexical)
 
 
 # ---------------------------------------------------------------------------

@@ -27,8 +27,8 @@ from .namespaces import (
     XSD_DECIMAL,
     XSD_INTEGER,
 )
-from .rdf_core import (Graph, Iri, Literal, StructuralError, Term, regex_error, regex_matches, term_text,
-                       unescape_literal)
+from .rdf_core import (LANGTAG, STRING, Graph, Iri, Literal, StructuralError, Term, regex_error,
+                       regex_matches, term_text, unescape_literal)
 from .turtle_io import ParseDiagnostic, PrefixMap
 
 
@@ -39,8 +39,9 @@ class QueryParseError(ValueError):
         super().__init__(f"{first.line}:{first.column}: {first.message}")
 
 
-class EvaluationLimitError(RuntimeError):
-    """The intermediate solution set outgrew the evaluation ceiling."""
+class EvaluationLimitError(ValueError):
+    """The intermediate solution set outgrew the evaluation ceiling: the
+    caller asked for more than a query may cost."""
 
 
 class UnsupportedFeatureError(QueryParseError):
@@ -144,14 +145,15 @@ class SolutionSequence:
 
 # One alternative per token kind, tried in this order at each position. No
 # token spans a line, so NL is the only one that ends a line. A sign is an OP:
-# the parser joins it to the number right after it.
-_TOKEN_RE = re.compile(r"""
+# the parser joins it to the number right after it. STRING and LANGTAG are
+# Turtle's; IRIREF is SPARQL's own, as '<' is also an operator here.
+_TOKEN_RE = re.compile(rf"""
     (?P<NL>\n)
   | (?P<SKIP>[^\S\n]+ | \#[^\n]*)
   | (?P<VAR>\?[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<IRIREF><[^<>"{}|^`\\ \t\n]*>)
-  | (?P<STRING>"[^"\\\n]*(?:\\.[^"\\\n]*)*")
-  | (?P<LANGTAG>@[A-Za-z]+(?:-[A-Za-z0-9]+)*)
+  | (?P<IRIREF><[^<>"{{}}|^`\\ \t\n]*>)
+  | (?P<STRING>{STRING})
+  | (?P<LANGTAG>{LANGTAG})
   | (?P<PNAME>(?:[A-Za-z_][A-Za-z0-9_\-]*)?:(?:[A-Za-z0-9_](?:[A-Za-z0-9_.\-]*[A-Za-z0-9_\-])?)?)
   | (?P<WORD>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<NUM>[0-9]+(?:\.[0-9]+)?)

@@ -149,18 +149,6 @@ def session_memory(handle: StoreHandle, session_id: str) -> list[Triple]:
                                            for p in records)), key=triple_key)
 
 
-def svc_bench(params: dict) -> dict:
-    """`params` holds every param of `bench.hanoi.run` in `_METHODS`."""
-    return run_benchmark(
-        disk_counts=params["disks"],
-        proposer_specs=params["proposers"],
-        episodes=params["episodes"],
-        repair_budgets=params["repairs"],
-        base_seed=params["seed"],
-        move_level=params["move_level"],
-    )
-
-
 # ---------------------------------------------------------------------------
 # Dispatch
 # ---------------------------------------------------------------------------
@@ -251,7 +239,7 @@ def _bench(handle: StoreHandle, args: dict) -> dict:
     if moves > MAX_BENCH_MOVES:
         raise ParamError(f"request may make up to {moves} moves; the bus allows {MAX_BENCH_MOVES}")
     try:
-        return svc_bench(args)
+        return run_benchmark(**args)
     except (ValueError, TypeError) as e:
         raise ParamError(str(e)) from e
 

@@ -22,6 +22,10 @@ from typing import NamedTuple
 
 from .namespaces import RDF_LANGSTRING, RDF_TYPE, XSD_BOOLEAN, XSD_DECIMAL, XSD_INTEGER, XSD_STRING
 from .rdf_core import (
+    BLANK,
+    IRIREF,
+    LANGTAG,
+    STRING,
     Blank,
     Graph,
     Iri,
@@ -31,6 +35,8 @@ from .rdf_core import (
     Triple,
     escape_literal,
     term_key,
+    term_text,
+    triple_key,
     unescape_literal,
 )
 
@@ -57,18 +63,18 @@ class TurtleParseError(ValueError):
 
 # One alternative per token kind, tried in this order at each position. A
 # string or IRI never spans a line, so NL is the only token that ends one.
-_TOKEN_RE = re.compile(r"""
+_TOKEN_RE = re.compile(rf"""
     (?P<NL>\n)
   | (?P<SKIP>[ \t\r]+ | \#[^\n]*)
   | (?P<PREFIX_DIR>@prefix)
-  | (?P<LANGTAG>@[A-Za-z]+(?:-[A-Za-z0-9]+)*)
-  | (?P<IRIREF><[^>\n]*>)
-  | (?P<STRING>"[^"\\\n]*(?:\\[^\n][^"\\\n]*)*")
+  | (?P<LANGTAG>{LANGTAG})
+  | (?P<IRIREF>{IRIREF})
+  | (?P<STRING>{STRING})
   | (?P<HATHAT>\^\^)
   | (?P<DOT>\.)
   | (?P<SEMI>;)
   | (?P<COMMA>,)
-  | (?P<BLANK>_:[A-Za-z0-9_](?:[A-Za-z0-9_.\-]*[A-Za-z0-9_\-])?)
+  | (?P<BLANK>{BLANK})
   | (?P<A>a(?![A-Za-z0-9_\-:]))
   | (?P<BOOL>(?:true|false)(?![A-Za-z0-9_\-:]))
   | (?P<DEC>[+-]?[0-9]*\.[0-9]+)
@@ -283,23 +289,17 @@ def serialize_turtle(graph: Graph, prefixes: PrefixMap) -> str:
     """Canonical text: a pure function of (triple set, prefix map)."""
     lines = [f"@prefix {label}: <{iri}> ." for label, iri in sorted(prefixes.items())]
 
-    blanks = sorted(
-        {t.subject.label for t in graph.triple_set() if isinstance(t.subject, Blank)}
-        | {t.object.label for t in graph.triple_set() if isinstance(t.object, Blank)}
-    )
-    rename = {label: f"b{i}" for i, label in enumerate(blanks)}
-
-    triples = []
-    for t in graph.triple_set():
-        s = Blank(rename[t.subject.label]) if isinstance(t.subject, Blank) else t.subject
-        o = Blank(rename[t.object.label]) if isinstance(t.object, Blank) else t.object
-        triples.append(Triple(s, t.predicate, o))
-    triples.sort(key=lambda t: (term_key(t.subject), term_key(t.predicate), term_key(t.object)))
+    triples = graph.triple_set()
+    blanks = ({t.subject for t in triples if isinstance(t.subject, Blank)}
+              | {t.object for t in triples if isinstance(t.object, Blank)})
+    if blanks:
+        rename = {b: Blank(f"b{i}") for i, b in enumerate(sorted(blanks, key=term_key))}
+        triples = [Triple(rename.get(t.subject, t.subject), t.predicate, rename.get(t.object, t.object))
+                   for t in triples]
 
     if triples and lines:
         lines.append("")
-    for t in triples:
-        lines.append(triple_line(t, prefixes))
+    lines += [triple_line(t, prefixes) for t in sorted(triples, key=triple_key)]
     return "\n".join(lines) + "\n" if lines else ""
 
 
@@ -310,18 +310,14 @@ def triple_line(t: Triple, prefixes: PrefixMap) -> str:
 
 
 def _format(term: Term, prefixes: PrefixMap, predicate: bool = False) -> str:
+    """A term as canonical Turtle writes it: only IRIs and datatypes take prefixes."""
     if isinstance(term, Iri):
         if predicate and term.value == RDF_TYPE:
             return "a"
         return _format_iri(term.value, prefixes)
-    if isinstance(term, Blank):
-        return f"_:{term.label}"
-    body = f'"{escape_literal(term.lexical)}"'
-    if term.language is not None:
-        return f"{body}@{term.language}"
-    if term.datatype == XSD_STRING:
-        return body
-    return f"{body}^^{_format_iri(term.datatype, prefixes)}"
+    if isinstance(term, Literal) and term.language is None and term.datatype != XSD_STRING:
+        return f'"{escape_literal(term.lexical)}"^^{_format_iri(term.datatype, prefixes)}'
+    return term_text(term)
 
 
 def _format_iri(iri: str, prefixes: PrefixMap) -> str:

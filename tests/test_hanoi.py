@@ -310,20 +310,20 @@ class TestMoveLevel:
 
 class TestBenchmark:
     def test_optimal_row_always_succeeds(self):
-        report = run_benchmark([1, 2, 3], ["optimal"], episodes=5, repair_budgets=[0], base_seed=0)
+        report = run_benchmark([1, 2, 3], ["optimal"], episodes=5, repairs=[0], seed=0)
         assert all(cell["success_rate"] == 1.0 for cell in report["cells"])
 
     def test_config_bounds_rejected(self):
         with pytest.raises(ValueError):
-            run_benchmark([49], ["optimal"], episodes=1, repair_budgets=[0], base_seed=0)
+            run_benchmark([49], ["optimal"], episodes=1, repairs=[0], seed=0)
         with pytest.raises(ValueError):
-            run_benchmark([3], ["optimal"], episodes=0, repair_budgets=[0], base_seed=0)
+            run_benchmark([3], ["optimal"], episodes=0, repairs=[0], seed=0)
         with pytest.raises(ValueError):
-            run_benchmark([3], ["optimal"], episodes=1, repair_budgets=[-1], base_seed=0)
+            run_benchmark([3], ["optimal"], episodes=1, repairs=[-1], seed=0)
 
     def test_deterministic_report_bytes(self):
-        kwargs = dict(disk_counts=[3], proposer_specs=["corrupted:0.2"], episodes=30,
-                      repair_budgets=[0, 2], base_seed=9)
+        kwargs = dict(disks=[3], proposers=["corrupted:0.2"], episodes=30,
+                      repairs=[0, 2], seed=9)
         a = report_to_json_text(run_benchmark(**kwargs))
         b = report_to_json_text(run_benchmark(**kwargs))
         assert a == b
@@ -332,7 +332,7 @@ class TestBenchmark:
         rates = {}
         for budget in (0, 1, 3):
             report = run_benchmark([3, 4], ["corrupted:0.1"], episodes=60,
-                                   repair_budgets=[budget], base_seed=100)
+                                   repairs=[budget], seed=100)
             for cell in report["cells"]:
                 rates[(cell["disks"], budget)] = cell["success_rate"]
         for n in (3, 4):

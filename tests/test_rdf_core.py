@@ -3,8 +3,9 @@ import re
 
 import pytest
 
-from ontomem.namespaces import XSD_INTEGER
+from ontomem.namespaces import RDF_LANGSTRING, XSD_INTEGER
 from ontomem.rdf_core import (
+    BLANK,
     Blank,
     CapacityError,
     Graph,
@@ -16,6 +17,7 @@ from ontomem.rdf_core import (
     parse_term_text,
     term_text,
     triple_key,
+    unescape_literal,
 )
 from ontomem.turtle_io import parse_turtle, serialize_turtle
 
@@ -89,6 +91,118 @@ class TestTerms:
         graph.insert(Triple(Iri("http://ex.org/s"), Iri("http://ex.org/p"), term))
         assert parse_turtle(serialize_turtle(graph, {}))[0].triple_set() == {
             Triple(Iri("http://ex.org/s"), Iri("http://ex.org/p"), term)}
+
+
+def reference_parse_term_text(text):
+    """The hand-written scanner that `parse_term_text` replaced, kept as the
+    reference for the grammar that reads term text now."""
+    if not isinstance(text, str):
+        raise StructuralError(f"term text must be a string: {text!r}")
+    text = text.strip()
+    if text.startswith("<") and text.endswith(">"):
+        return Iri(text[1:-1])
+    if text.startswith("_:"):
+        return Blank(text[2:])
+    if text.startswith('"'):
+        end = _reference_closing_quote(text)
+        if end is None:
+            raise StructuralError(f"unterminated literal in term text: {text!r}")
+        lexical = unescape_literal(text[1:end])
+        suffix = text[end + 1:]
+        if not suffix:
+            return Literal(lexical)
+        if suffix.startswith("@") and re.fullmatch(r"[A-Za-z]+(?:-[A-Za-z0-9]+)*", suffix[1:]):
+            return Literal(lexical, RDF_LANGSTRING, suffix[1:])
+        if suffix.startswith("^^<") and suffix.endswith(">"):
+            return Literal(lexical, Iri(suffix[3:-1]).value)
+        raise StructuralError(f"malformed literal suffix: {suffix!r}")
+    raise StructuralError(f"unrecognized term text: {text!r}")
+
+
+def _reference_closing_quote(text):
+    i = 1
+    while i < len(text):
+        if text[i] == "\\":
+            i += 2
+            continue
+        if text[i] == '"':
+            return i
+        i += 1
+    return None
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except StructuralError:
+        return StructuralError
+
+
+_LETTERS = "abcXYZ019_-.:/#"
+_LEXICAL = _LETTERS + ' "\\\n\r\t@^<>\u00e9\u2028\U0001F600'
+
+
+def _random_term(rng):
+    kind = rng.randrange(3)
+    if kind == 0:
+        return Iri("http://ex.org/" + "".join(rng.choice(_LETTERS) for _ in range(rng.randrange(6))))
+    if kind == 1:  # a label of Turtle's BLANK: no '.' or ':' at either end
+        inner = "".join(rng.choice("ab09_-.") for _ in range(rng.randrange(5)))
+        return Blank(rng.choice("aZ_7") + (inner + rng.choice("b_-") if inner else ""))
+    lexical = "".join(rng.choice(_LEXICAL) for _ in range(rng.randrange(8)))
+    suffix = rng.randrange(3)
+    if suffix == 0:
+        return Literal(lexical)
+    if suffix == 1:
+        return Literal(lexical, RDF_LANGSTRING, rng.choice(["en", "en-US", "x-a1-B2", "de"]))
+    return Literal(lexical, rng.choice([XSD_INTEGER, "http://ex.org/dt#x", RDF_LANGSTRING]))
+
+
+class TestTermTextGrammar:
+    """`parse_term_text` is one match of Turtle's term forms. Against the
+    scanner it replaced, it reads every canonical text alike and rejects all
+    that the scanner rejected; it rejects more in two cases only: a raw line
+    feed inside a literal, and a blank label outside Turtle's BLANK."""
+
+    def test_reads_term_text_as_the_reference_did(self):
+        rng = random.Random(20)
+        for _ in range(3000):
+            term = _random_term(rng)
+            text = term_text(term)
+            assert parse_term_text(text) == reference_parse_term_text(text) == term, text
+            padded = rng.choice(" \t\n") + text + rng.choice(" \t\n")
+            assert parse_term_text(padded) == term
+
+    def test_rejects_whatever_the_reference_rejected(self):
+        rng = random.Random(21)
+        alphabet = '<>"_:@^\\ \n\tuU0e-aZx.#'
+        seen = {"both reject": 0, "raw line feed": 0, "blank label": 0}
+        for i in range(20000):
+            if i % 2:
+                text = "".join(rng.choice(alphabet) for _ in range(rng.randrange(1, 10)))
+            else:  # a canonical text with one character inserted, replaced or dropped
+                text = list(term_text(_random_term(rng)))
+                at = rng.randrange(len(text) + 1)
+                text[at:at + rng.randrange(2)] = rng.choice(["", rng.choice(alphabet)])
+                text = "".join(text)
+            old, new = _outcome(reference_parse_term_text, text), _outcome(parse_term_text, text)
+            if old is StructuralError:
+                assert new is StructuralError, text
+                seen["both reject"] += 1
+            elif new is not StructuralError:
+                assert new == old, text
+            elif isinstance(old, Literal) and "\n" in text.strip():
+                seen["raw line feed"] += 1
+            else:
+                assert isinstance(old, Blank) and not re.fullmatch(BLANK, text.strip()), text
+                seen["blank label"] += 1
+        assert min(seen.values()) > 0, seen
+
+    @pytest.mark.parametrize("text", ['"a\nb"', '"a\\\nb"@en', "_:a b", "_:-a", "_:a."])
+    def test_rejected_beyond_the_reference(self, text):
+        assert isinstance(reference_parse_term_text(text), (Literal, Blank))
+        with pytest.raises(StructuralError, match="unrecognized term text"):
+            parse_term_text(text)
 
 
 class TestTripleInvariants:

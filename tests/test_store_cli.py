@@ -572,6 +572,47 @@ class TestCliBasics:
         code, _, err = run_cli("--store", str(store), "retrieve", "--query", "x", "--k", "0")
         assert (code, err) == (2, "error: k must be >= 1\n")
 
+    def test_query_over_the_solution_ceiling_exit_2(self, built_store, monkeypatch):
+        import ontomem.sparql as sparql_module
+        monkeypatch.setattr(sparql_module, "DEFAULT_SOLUTION_CEILING", 1000)
+        code, out, err = run_cli("--store", str(built_store), "query",
+                                 "SELECT ?a ?b WHERE { ?a ?p ?x . ?b ?q ?y }")
+        assert (code, out) == (2, "")
+        assert err == "error: query produced more than 1000 intermediate solutions\n"
+
+    def test_bench_unreadable_transcript_exit_2(self, tmp_path):
+        code, out, err = run_cli("bench", "hanoi", "--proposer", f"transcript:{tmp_path / 'none'}")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot read transcript {tmp_path / 'none'}: ")
+
+    def test_build_without_recorded_extraction_exit_2(self, tmp_path):
+        store = tmp_path / "s"
+        run_cli("--store", str(store), "init")
+        sources, transcripts = tmp_path / "docs", tmp_path / "transcripts"
+        sources.mkdir()
+        transcripts.mkdir()
+        (sources / "a.txt").write_text("Pump1 located in SiteA.", encoding="utf-8")
+        code, out, err = run_cli("--store", str(store), "build", "--sources", str(sources),
+                                 "--extractor", "transcript", "--transcripts", str(transcripts))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: no recorded extraction for chunk a.txt#0 ")
+        assert (store / "version").read_text(encoding="utf-8") == "0\n"
+
+    def test_check_names_a_missing_term_and_a_bad_source_text(self, tmp_path, regulatory_store):
+        good = {"subject": "<http://e/s>", "predicate": "<http://e/p>", "object": "<http://e/o>"}
+        claims = tmp_path / "claims.jsonl"
+        claims.write_text("\n".join(json.dumps(c) for c in [
+            {"subject": "<http://e/s>", "predicate": "<http://e/p>"},
+            good | {"source_text": [1]}, good | {"source_text": "s"}]) + "\n", encoding="utf-8")
+        code, out, err = run_cli("--store", str(regulatory_store), "--json",
+                                 "check", "--claims", str(claims))
+        assert code == 0
+        diagnostics = ["line 1: missing 'object'", "line 2: 'source_text' must be a string or null"]
+        assert err == "".join(f"{d}\n" for d in diagnostics)
+        payload = json.loads(out)
+        assert payload["diagnostics"] == diagnostics
+        assert [v["claim"]["source_text"] for v in payload["verdicts"]] == ["s"]
+
 
 class TestCommitPath:
     """What one `build` writes, all of it through `save_commit`."""
@@ -613,6 +654,27 @@ class TestCommitPath:
         trusted, _ = parse_turtle((store / "trusted.ttl").read_text(encoding="utf-8"))
         assert trusted.triple_set() == rebuild_trusted(store).triple_set()
         assert len(load_store(store).store.trusted) == 1
+
+    def test_schema_blank_nodes_are_skolemized(self, tmp_path):
+        # The store's files cannot keep a blank node's label, so the builder
+        # names each one by its source: every invariant holds after each commit.
+        from ontomem.rdf_core import Iri
+        store, sources = self._store_and_docs(tmp_path, {})
+        for version, (name, label, predicate) in enumerate(
+                [("one.ttl", "x", "p"), ("two.ttl", "y", "q")], start=1):
+            schema = tmp_path / name
+            schema.write_text(f"@prefix ex: <http://ex.org/> .\n_:{label} ex:{predicate} ex:a .\n",
+                              encoding="utf-8")
+            assert self._build(store, sources, "--schema", str(schema))["version"] == version
+            written = (store / "trusted.ttl").read_text(encoding="utf-8")
+            assert parse_turtle(written)[0].triple_set() == rebuild_trusted(store).triple_set()
+            reloaded = load_store(store).store
+            assert len(reloaded.trusted) == version
+            [triple] = reloaded.trusted.match(None, Iri(f"http://ex.org/{predicate}"))
+            assert [p.source_id for p in reloaded.provenance[triple]] == [name]
+            assert "_:" not in written
+        summary = self._build(store, sources, "--schema", str(schema))
+        assert (summary["accepted"], summary["version"]) == (0, 2)
 
     def test_build_logs_one_line_per_chunk_in_order(self, tmp_path):
         store, sources = self._store_and_docs(tmp_path, {

@@ -120,6 +120,17 @@ class TestDispatch:
                                          "line 2: 'conditions' must be a list of objects"]
         assert [v["status"] for v in result["verdicts"]] == ["NOT_FOUND"]
 
+    def test_fact_check_names_a_missing_term_and_a_bad_source_text(self, bus):
+        good = {"subject": "<http://e/s>", "predicate": "<http://e/p>", "object": "<http://e/o>"}
+        no_predicate = {"subject": "<http://e/s>", "object": "<http://e/o>"}
+        claims = [no_predicate, good | {"conditions": [no_predicate]}, good | {"source_text": [1]},
+                  good | {"source_text": 5}, good | {"source_text": None}, good | {"source_text": "s"}]
+        result = call(bus, "fact.check", {"claims": claims})["result"]
+        assert result["diagnostics"] == ["line 1: missing 'predicate'", "line 2: missing 'predicate'",
+                                         "line 3: 'source_text' must be a string or null",
+                                         "line 4: 'source_text' must be a string or null"]
+        assert [v["claim"]["source_text"] for v in result["verdicts"]] == [None, "s"]
+
     def test_graph_diff_negative_version_32602(self, bus):
         for params in ({"from_version": -3, "to_version": 1}, {"from_version": 1, "to_version": -1}):
             error = call(bus, "graph.diff", params)["error"]
