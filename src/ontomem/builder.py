@@ -50,14 +50,12 @@ class VersionConflictError(RuntimeError):
 class DocKind(Enum):
     TEXT = "TEXT"
     DIALOGUE = "DIALOGUE"
-    API_RECORD = "API_RECORD"
     TABLE_ROWSET = "TABLE_ROWSET"
 
 
 _KIND_ORIGIN = {
     DocKind.TEXT: Origin.SOURCE_DOCUMENT,
     DocKind.DIALOGUE: Origin.DIALOGUE,
-    DocKind.API_RECORD: Origin.TOOL_RESULT,
     DocKind.TABLE_ROWSET: Origin.SOURCE_DOCUMENT,
 }
 
@@ -352,7 +350,7 @@ class EntityRegistry:
         # iri, value): "entry", iri, None; "alias", iri, alias; "ambiguous",
         # None, alias. A flat list of the strings themselves, so a large
         # build allocates no object per addition. `store.save_commit` writes
-        # and clears it. An entity's type is a `CanonicalEntity` candidate.
+        # and clears it. An entity's type is an rdf:type candidate.
         self.unsaved: list[str | None] = []
 
     def resolve(self, mention: str) -> str | None:
@@ -415,19 +413,7 @@ def sanitize_class_name(label: str) -> str:
     return re.sub(r"[^A-Za-z0-9]", "", label) or "Thing"
 
 
-@dataclass(frozen=True)
-class CanonicalRelation:
-    subject: Iri
-    predicate: Iri
-    object: Term
-    provenance: Provenance
-
-
-@dataclass(frozen=True)
-class CanonicalEntity:
-    iri: Iri
-    type_iri: Iri
-    provenance: Provenance
+_RDF_TYPE = Iri(RDF_TYPE)
 
 
 @dataclass(frozen=True)
@@ -444,8 +430,9 @@ class QuarantinedRelation:
 
 @dataclass
 class NormalizeResult:
-    relations: list[CanonicalRelation] = field(default_factory=list)
-    entities: list[CanonicalEntity] = field(default_factory=list)
+    """Each relation and each typed entity's rdf:type as a (triple, provenance) pair."""
+    relations: list[tuple[Triple, Provenance]] = field(default_factory=list)
+    entities: list[tuple[Triple, Provenance]] = field(default_factory=list)
     quarantined: list[QuarantinedRelation] = field(default_factory=list)
 
 
@@ -486,7 +473,7 @@ def normalize(records: list[ExtractionRecord], registry: EntityRegistry,
                 registry.add_alias(iri, alias)
             if entity.type_guess:
                 type_iri = SCHEMA_NS + sanitize_class_name(entity.type_guess)
-                result.entities.append(CanonicalEntity(Iri(iri), Iri(type_iri), base_prov))
+                result.entities.append((Triple(Iri(iri), _RDF_TYPE, Iri(type_iri)), base_prov))
 
         for rel in record.relations:
             prov = Provenance(source_id=doc_id, chunk_id=str(index), extracted_at=received_at,
@@ -503,8 +490,8 @@ def normalize(records: list[ExtractionRecord], registry: EntityRegistry,
                     rel.subject_mention, rel.predicate_label, rel.object_mention,
                     "ambiguous alias", prov))
                 continue
-            result.relations.append(CanonicalRelation(
-                Iri(subject_iri), config.predicate_iri(rel.predicate_label), obj, prov))
+            result.relations.append(
+                (Triple(Iri(subject_iri), config.predicate_iri(rel.predicate_label), obj), prov))
     return result
 
 
@@ -545,12 +532,9 @@ def _skolem(term: Term, source_id: str) -> Term:
 
 
 def construct_triples(normalized: NormalizeResult) -> list[Candidate]:
-    """One triple per relation plus rdf:type triples for typed entities;
-    duplicates collapse with merged provenance lists."""
-    rdf_type = Iri(RDF_TYPE)
-    return _candidates(
-        [(Triple(rel.subject, rel.predicate, rel.object), rel.provenance) for rel in normalized.relations]
-        + [(Triple(ent.iri, rdf_type, ent.type_iri), ent.provenance) for ent in normalized.entities])
+    """One candidate per relation and typed entity; duplicates collapse with
+    merged provenance lists."""
+    return _candidates(normalized.relations + normalized.entities)
 
 
 # ---------------------------------------------------------------------------
@@ -738,7 +722,12 @@ def run_pipeline(store: OntologyStore, docs: list[SourceDocument], extractor: Ex
 
 def feedback(store: OntologyStore, claims: list[Claim]) -> OntologyDelta:
     """Answer-feedback loop: claims re-enter the pipeline as candidates with
-    ANSWER_FEEDBACK provenance. Negated claims carry the negation overlay."""
+    ANSWER_FEEDBACK provenance. Negated claims carry the negation overlay.
+    Every call shares one source id, so a blank node, which names a node only
+    within its own document, would merge across calls: it is refused."""
+    if any(isinstance(term, Blank) for claim in claims
+           for term in (claim.statement.subject, claim.statement.object)):
+        raise ValueError("feedback claims must not hold blank nodes")
     prov = Provenance(source_id="answer-feedback", origin=Origin.ANSWER_FEEDBACK)
     candidates = _candidates(
         (t, prov) for claim in claims

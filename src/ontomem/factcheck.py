@@ -44,7 +44,7 @@ class ClaimInputError(ValueError):
     pass
 
 
-class ConditionInconsistencyError(RuntimeError):
+class ConditionInconsistencyError(ValueError):
     """Claim conditions clash with the trusted graph; distinct from CONTRADICTED."""
 
     def __init__(self, conflicts: list[Conflict]):

@@ -28,16 +28,17 @@ class FusionConfigError(ValueError):
     pass
 
 
-def embed(text: str, dimension: int = DEFAULT_DIMENSION) -> tuple[float, ...]:
-    """Feature-hashing bag-of-tokens embedding; same text, same vector, always.
+def embed(text: str) -> tuple[float, ...]:
+    """Feature-hashing bag-of-tokens embedding of `DEFAULT_DIMENSION`
+    components; same text, same vector, always.
 
     Tokens are lowercased alphanumeric runs; each hashes to one component with
     a hash-derived sign. Empty text yields the zero vector.
     """
-    acc = [0.0] * dimension
+    acc = [0.0] * DEFAULT_DIMENSION
     for token in _TOKEN_RE.findall(text.lower()):
         digest = hashlib.sha256(token.encode("utf-8")).digest()
-        idx = int.from_bytes(digest[:4], "big") % dimension
+        idx = int.from_bytes(digest[:4], "big") % DEFAULT_DIMENSION
         sign = 1.0 if digest[4] % 2 == 0 else -1.0
         acc[idx] += sign
     norm = math.sqrt(sum(x * x for x in acc))
@@ -53,14 +54,13 @@ class VectorStore:
     Each embedding is kept as an array of doubles, a quarter of the memory of
     a tuple of boxed floats, holding the same values, so every score is the
     same. `add` mutates `entries`; a store that other threads may be searching
-    is extended by copying it (`VectorStore(dimension, dict(entries))`),
-    adding to the copy and publishing that."""
+    is extended by copying it (`VectorStore(dict(entries))`), adding to the
+    copy and publishing that."""
 
-    dimension: int = DEFAULT_DIMENSION
     entries: dict[str, tuple[array, str]] = field(default_factory=dict)
 
     def add(self, entry_id: str, payload: str) -> None:
-        self.entries[entry_id] = (array("d", embed(payload, self.dimension)), payload)
+        self.entries[entry_id] = (array("d", embed(payload)), payload)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -77,7 +77,7 @@ def vector_search(store: VectorStore, query: str, k: int) -> list[VectorHit]:
     """Exact top-k by cosine similarity; ties broken by entry id."""
     if k < 1:
         raise FusionConfigError("k must be >= 1")
-    qvec = embed(query, store.dimension)
+    qvec = embed(query)
     scored = [
         VectorHit(entry_id, payload, sum(x * y for x, y in zip(qvec, vec)))
         for entry_id, (vec, payload) in store.entries.items()

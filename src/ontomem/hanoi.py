@@ -310,16 +310,13 @@ class TranscriptProposer(Proposer):
 
     def __init__(self, path: str):
         self.proposer_id = f"transcript:{path}"
+        lines = []
         try:
-            if os.path.isdir(path):
-                lines = []
-                for name in sorted(os.listdir(path)):
-                    if name.endswith(".txt"):
-                        with open(os.path.join(path, name), encoding="utf-8") as fh:
-                            lines.extend(line.strip() for line in fh if line.strip())
-            else:
-                with open(path, encoding="utf-8") as fh:
-                    lines = [line.strip() for line in fh if line.strip()]
+            files = ([os.path.join(path, name) for name in sorted(os.listdir(path)) if name.endswith(".txt")]
+                     if os.path.isdir(path) else [path])
+            for file in files:
+                with open(file, encoding="utf-8") as fh:
+                    lines.extend(line.strip() for line in fh if line.strip())
         except OSError as e:
             raise TranscriptError(f"cannot read transcript {path}: {e}") from e
         if not lines:

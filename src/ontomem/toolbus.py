@@ -84,10 +84,12 @@ def svc_diff(handle: StoreHandle, v1: int, v2: int, include_inferred: bool) -> d
     """Triples added and removed from version v1 to v2. The deltas only add, so
     all that differs is what the deltas above the lower version add that it
     lacks, and with `include_inferred` what they infer beyond its closure: the
-    delta of its `close` extended by them (`Closure.extend`). A version above
-    the committed one reads as the committed one."""
+    delta of its `close` extended by them (`Closure.extend`). Each version
+    must be from 0 to the committed one."""
     if min(v1, v2) < 0:
         raise ParamError("versions must be >= 0")
+    if max(v1, v2) > handle.store.version:
+        raise ParamError(f"versions must be <= {handle.store.version}, the committed version")
     lo, hi = sorted((v1, v2))
     g_lo = graph_at_version(handle.root, lo)
     new = graph_at_version(handle.root, hi, since=lo).find()
@@ -315,6 +317,11 @@ class ToolBus:
     # -- JSON-RPC plumbing -----------------------------------------------------
 
     def dispatch_line(self, line: str) -> str | None:
+        """The response line to one request line; None for a notification or
+        a blank line."""
+        line = line.strip()
+        if not line:
+            return None
         try:
             request = json.loads(line)
         except json.JSONDecodeError:
@@ -328,29 +335,27 @@ class ToolBus:
             req_id = request.get("id") if isinstance(request, dict) else None
             return _error_response(req_id, PARSE_OR_REQUEST_ERROR, "malformed request")
         req_id = request.get("id")
-        is_notification = req_id is None
         method = request["method"]
         params = request.get("params", {})
-        if not isinstance(params, dict):
-            return None if is_notification else _error_response(
-                req_id, INVALID_PARAMS, "params must be an object")
-
         entry = _METHODS.get(method)
-        if entry is None:
-            return None if is_notification else _error_response(
-                req_id, METHOD_NOT_FOUND, f"method not found: {method}")
-        _, spec, handler = entry
-        try:
-            result = handler(self._current_handle(), _checked(params, spec))
-        except ParamError as e:
-            return None if is_notification else _error_response(req_id, INVALID_PARAMS, str(e))
-        except ConditionInconsistencyError as e:
-            return None if is_notification else _error_response(req_id, INTERNAL_ERROR, str(e))
-        except Exception as e:
-            # sanitized: class name and message only, no traceback
-            return None if is_notification else _error_response(
-                req_id, INTERNAL_ERROR, f"{type(e).__name__}: {e}")
-        return None if is_notification else {"jsonrpc": "2.0", "id": req_id, "result": result}
+        if not isinstance(params, dict):
+            response = _error_response(req_id, INVALID_PARAMS, "params must be an object")
+        elif entry is None:
+            response = _error_response(req_id, METHOD_NOT_FOUND, f"method not found: {method}")
+        else:
+            _, spec, handler = entry
+            try:
+                result = handler(self._current_handle(), _checked(params, spec))
+                response = {"jsonrpc": "2.0", "id": req_id, "result": result}
+            except ParamError as e:
+                response = _error_response(req_id, INVALID_PARAMS, str(e))
+            except ConditionInconsistencyError as e:
+                response = _error_response(req_id, INTERNAL_ERROR, str(e))
+            except Exception as e:
+                # sanitized: class name and message only, no traceback
+                response = _error_response(req_id, INTERNAL_ERROR, f"{type(e).__name__}: {e}")
+        # a notification (no id, or a null one) gets no response (JSON-RPC 2.0, section 4.1)
+        return None if req_id is None else response
 
 
 def _error_response(req_id: Any, code: int, message: str) -> dict:
@@ -367,9 +372,6 @@ def serve_stdio(handle: StoreHandle, stdin=None, stdout=None) -> None:
     stdin = stdin or sys.stdin
     stdout = stdout or sys.stdout
     for line in stdin:
-        line = line.strip()
-        if not line:
-            continue
         response = bus.dispatch_line(line)
         if response is not None:
             stdout.write(response + "\n")
@@ -389,10 +391,7 @@ def serve_tcp(handle: StoreHandle, port: int, host: str = "127.0.0.1",
                                                 f"request line exceeds {MAX_REQUEST_BYTES} bytes")
                         self.wfile.write(json.dumps(error).encode("utf-8") + b"\n")
                         return  # the rest of the line cannot be framed: end the session
-                    line = raw.decode("utf-8").strip()
-                    if not line:
-                        continue
-                    response = bus.dispatch_line(line)
+                    response = bus.dispatch_line(raw.decode("utf-8"))
                     if response is not None:
                         self.wfile.write(response.encode("utf-8") + b"\n")
                         self.wfile.flush()

@@ -42,7 +42,7 @@ from ontomem.namespaces import (
     RDFS_SUBPROPERTYOF,
     XSD_DATE,
 )
-from ontomem.rdf_core import Graph, Iri, Literal, Origin, Provenance, Triple
+from ontomem.rdf_core import Blank, Graph, Iri, Literal, Origin, Provenance, Triple
 from ontomem.reasoner import Conflict, ConflictKind, check_consistency, close, extend, materialize
 from ontomem.shacl import NodeShape, PropertyShape, validate
 from ontomem import reasoner as reasoner_module
@@ -203,15 +203,15 @@ class TestRegistryAndNormalize:
             relations=[RelationCandidate("Carol Diaz", "hired on", "2025-04-09")])
         result = normalize([rec], EntityRegistry())
         assert len(result.relations) == 1
-        assert result.relations[0].object == Literal("2025-04-09", XSD_DATE)
+        assert result.relations[0][0].object == Literal("2025-04-09", XSD_DATE)
 
     def test_normalize_provenance_origin_tracks_doc_kind(self):
         rec = self.record(
             entities=[EntityMention("A1"), EntityMention("B2")],
             relations=[RelationCandidate("A1", "links", "B2")])
         result = normalize([rec], EntityRegistry(), doc_meta={"doc1": (Origin.DIALOGUE, 42)})
-        assert result.relations[0].provenance.origin is Origin.DIALOGUE
-        assert result.relations[0].provenance.extracted_at == 42
+        assert result.relations[0][1].origin is Origin.DIALOGUE
+        assert result.relations[0][1].extracted_at == 42
 
 
 class TestConstructTriples:
@@ -622,6 +622,19 @@ class TestPipelineAndFeedback:
         assert {c.triple for c in delta.accepted} == set(overlay)
         assert all(t in store.trusted for t in overlay) and denied not in store.trusted
         assert all(store.provenance[t][0].origin is Origin.ANSWER_FEEDBACK for t in overlay)
+
+    def test_feedback_refuses_blank_nodes(self):
+        # Each call is its own document, so `_:x` of one call is not `_:x` of
+        # the next; with the one source id every call shares, they would merge.
+        store = OntologyStore()
+        run_pipeline(store, self.docs(), self.extractor())
+        before = store.trusted.content_hash()
+        is_on = Iri(PROP + "is-on")
+        for claim in (Claim(Triple(Blank("x"), is_on, Iri(INST + "pega"))),
+                      Claim(Triple(Iri(INST + "disk3"), is_on, Blank("x")), Polarity.NEGATED)):
+            with pytest.raises(ValueError, match="must not hold blank nodes"):
+                feedback(store, [claim])
+        assert store.trusted.content_hash() == before and store.version == 1
 
     def test_feedback_functional_clash_quarantined(self):
         store = OntologyStore()

@@ -90,13 +90,13 @@ class TestVectorSearch:
     def test_scores_equal_tuple_cosine_exactly(self):
         rng = random.Random(4)
         words = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta", "theta"]
-        store = VectorStore(dimension=64)
+        store = VectorStore()
         texts = {f"e{i}": " ".join(rng.choices(words, k=rng.randint(1, 8))) for i in range(40)}
         for eid, text in texts.items():
             store.add(eid, text)
         query = "beta gamma gamma theta"
         for hit in vector_search(store, query, k=40):
-            a, b = embed(query, 64), embed(texts[hit.entry_id], 64)
+            a, b = embed(query), embed(texts[hit.entry_id])
             assert hit.score == sum(x * y for x, y in zip(a, b))
 
 

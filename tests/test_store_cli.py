@@ -558,8 +558,7 @@ class TestCliBasics:
         (store / "delta-2.ttl").write_text("<http://ex.org/a> <http://ex.org/p> <http://ex.org/b> .\n",
                                            encoding="utf-8")
         code, out, err = run_cli("--store", str(store), "--json", "diff", "1", "2", *inferred)
-        assert code == 0, err
-        assert json.loads(out)["added"] == []
+        assert (code, out, err) == (2, "", "error: versions must be <= 1, the committed version\n")
         assert rebuild_trusted(store).triple_set() == load_store(store).store.trusted.triple_set()
 
     def test_diff_negative_version_exit_2(self, built_store):
