@@ -109,19 +109,10 @@ def ingest(doc: SourceDocument, max_chunk_chars: int) -> list[Chunk]:
 
 def _paragraph_spans(body: str, separator: str) -> list[tuple[int, int]]:
     """Spans covering the whole body, each ending after its separator."""
-    spans = []
-    start = 0
-    while start < len(body):
-        cut = body.find(separator, start)
-        if cut == -1:
-            spans.append((start, len(body)))
-            break
-        end = cut + len(separator)
-        while end < len(body) and body[end] == "\n":
-            end += 1
-        spans.append((start, end))
-        start = end
-    return spans
+    cuts = [0] + [m.end() for m in re.finditer(re.escape(separator) + r"\n*", body)]
+    if cuts[-1] < len(body):
+        cuts.append(len(body))
+    return list(zip(cuts, cuts[1:]))
 
 
 def _fit_spans(body: str, start: int, end: int, limit: int) -> list[tuple[int, int]]:
@@ -131,23 +122,14 @@ def _fit_spans(body: str, start: int, end: int, limit: int) -> list[tuple[int, i
     breaks = [start] + [start + m.end() for m in _SENTENCE_BREAK.finditer(body[start:end])] + [end]
     spans = []
     seg_start = start
-    i = 1
-    while i < len(breaks):
-        if breaks[i] - seg_start > limit:
-            if breaks[i - 1] == seg_start:
-                # single oversize sentence: hard split
-                hard = seg_start
-                while breaks[i] - hard > limit:
-                    spans.append((hard, hard + limit))
-                    hard += limit
-                spans.append((hard, breaks[i]))
-                seg_start = breaks[i]
-                i += 1
-            else:
-                spans.append((seg_start, breaks[i - 1]))
-                seg_start = breaks[i - 1]
-        else:
-            i += 1
+    for prev, cur in zip(breaks, breaks[1:]):
+        if cur - seg_start > limit and prev > seg_start:
+            spans.append((seg_start, prev))
+            seg_start = prev
+        if cur - seg_start > limit:
+            # single oversize sentence: hard split, the last piece ends its own chunk
+            spans.extend((s, min(s + limit, cur)) for s in range(seg_start, cur, limit))
+            seg_start = cur
     if seg_start < end:
         spans.append((seg_start, end))
     return spans

@@ -66,8 +66,11 @@ def _load_patterns(path: str | None) -> dict:
     if path:
         with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
+        if not isinstance(obj, dict):
+            raise ValueError(f"patterns file {path} must hold a JSON object")
     for table in ("relations", "entity_types", "aliases", "predicates"):
-        obj.setdefault(table, {})
+        if not isinstance(obj.setdefault(table, {}), dict):
+            raise ValueError(f"patterns table {table!r} in {path} must be a JSON object")
     return obj
 
 

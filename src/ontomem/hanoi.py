@@ -85,18 +85,10 @@ class Violation:
 
 
 def legal_moves(state: HanoiState) -> list[Move]:
-    out = []
-    for f in PEGS:
-        top_f = state.top(f)
-        if top_f is None:
-            continue
-        for t in PEGS:
-            if t == f:
-                continue
-            top_t = state.top(t)
-            if top_t is None or top_t > top_f:
-                out.append(_MOVES[f, t])
-    return out
+    tops = [state.n] * len(PEGS)  # an empty peg's top reads as n, above every disk
+    for disk in reversed(range(state.n)):
+        tops[state.peg_of[disk]] = disk
+    return [move for (f, t), move in _MOVES.items() if tops[f] < tops[t]]
 
 
 def apply_move(state: HanoiState, move: Move, index: int = 0) -> HanoiState | Violation:
@@ -360,56 +352,34 @@ class EpisodeResult:
 
 def run_episode(n: int, proposer: Proposer, max_repairs: int, seed: int,
                 move_level: bool = False) -> EpisodeResult:
-    """Propose -> verify -> (repair with violation feedback)* up to max_repairs.
+    """Propose -> execute -> (repair with violation feedback)* up to max_repairs.
 
-    Plan-level (default): each round proposes a whole plan and the verifier
-    checks it end to end. Move-level: the legal prefix of each proposal is
-    executed, so a repair round re-proposes from the reached state.
+    A plan-level (default) round restarts from the start state and succeeds
+    only where its plan ends; a move-level round continues from the state
+    the last one reached and succeeds as soon as it reaches the goal.
     """
     rng = random.Random(seed)
     start = HanoiState.initial(n, 0)
     goal = HanoiState.initial(n, 2)
-    if move_level:
-        return _run_move_level(n, proposer, max_repairs, rng, start, goal)
+    state, executed = start, 0
     feedback: list[Violation] = []
-    last_plan: list[Move] = []
     for round_index in range(max_repairs + 1):
-        last_plan = proposer.propose(n, start, goal, list(feedback), rng)
-        outcome = verify_plan(start, last_plan, goal)
-        if not isinstance(outcome, Violation):
-            return EpisodeResult(True, len(last_plan), round_index, tuple(feedback), proposer.proposer_id)
-        feedback.append(outcome)
-    failed_at = feedback[-1].move_index
-    return EpisodeResult(False, min(failed_at, len(last_plan)), max_repairs,
-                         tuple(feedback), proposer.proposer_id)
-
-
-def _run_move_level(n, proposer, max_repairs, rng, start, goal) -> EpisodeResult:
-    state = start
-    executed = 0
-    feedback: list[Violation] = []
-    repairs_used = 0
-    while True:
-        plan = proposer.propose(n, state, goal, list(feedback), rng)
-        violation: Violation | None = None
-        for move in plan:
+        if not move_level:
+            state, executed = start, 0
+        violation = None
+        for move in proposer.propose(n, state, goal, list(feedback), rng):
             outcome = apply_move(state, move, executed)
             if isinstance(outcome, Violation):
                 violation = outcome
                 break
-            state = outcome
-            executed += 1
-            if state == goal:
-                return EpisodeResult(True, executed, repairs_used, tuple(feedback),
-                                     proposer.proposer_id)
-        if violation is None:
-            violation = Violation(executed, ViolationReason.GOAL_MISS,
-                                  f"stopped at {state.peg_of}, goal is {goal.peg_of}")
-        feedback.append(violation)
-        if repairs_used >= max_repairs:
-            return EpisodeResult(False, executed, repairs_used, tuple(feedback),
-                                 proposer.proposer_id)
-        repairs_used += 1
+            state, executed = outcome, executed + 1
+            if move_level and state == goal:
+                break
+        if violation is None and state == goal:
+            return EpisodeResult(True, executed, round_index, tuple(feedback), proposer.proposer_id)
+        feedback.append(violation or Violation(executed, ViolationReason.GOAL_MISS,
+                                               f"stopped at {state.peg_of}, goal is {goal.peg_of}"))
+    return EpisodeResult(False, executed, max_repairs, tuple(feedback), proposer.proposer_id)
 
 
 def aggregate_cell(disks: int, proposer_id: str, max_repairs: int,

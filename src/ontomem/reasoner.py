@@ -449,16 +449,15 @@ def check_consistency(graph: Graph | Layer, since=None) -> list[Conflict]:
     or sys:not triple it holds. Only a disjointness or functional declaration
     in `since` is checked across the graph. This is integrity checking by
     simplification (Nicolas, 1982). A delta of a twentieth of the graph or
-    more, such as a store's first build, is checked by the full scan and then
-    filtered, which gives the same list faster.
+    more, such as a store's first build, takes the full scan's candidates,
+    which gives the same list faster.
     """
-    if since is not None and not worth_scoping(since, graph):
-        return [c for c in check_consistency(graph) if any(t in since for t in c.detail)]
+    scoped = since is not None and worth_scoping(since, graph)
     disjoint = graph.find(None, _DISJOINT, None)
     # Only the classes a disjointness names matter, so a node's other types
     # are never looked up.
     classes = {c for decl in disjoint for c in (decl.subject, decl.object)}
-    if since is None:
+    if not scoped:
         nodes = {t.subject for c in classes for t in graph.find(None, _TYPE, c)}
         stmts = {t.subject for t in graph.find(None, _NOT, None)}
     else:
@@ -479,20 +478,23 @@ def check_consistency(graph: Graph | Layer, since=None) -> list[Conflict]:
     negations = [neg for neg in (Triple(stmt, _NOT, _TRUE) for stmt in stmts) if neg in graph]
     conflicts: list[Conflict] = []
 
-    # (a) instance typed into two owl:disjointWith classes
+    # (a) instance typed into two owl:disjointWith classes; a declaration and
+    # its mirror image give one conflict, the one whose first type triple sorts first
     for decl in disjoint:
         a_cls, b_cls = decl.subject, decl.object
+        mirrored = Triple(b_cls, _DISJOINT, a_cls) in graph
         for node, classes in types_of.items():
             if a_cls in classes and b_cls in classes and a_cls != b_cls:
                 detail = (Triple(node, _TYPE, a_cls), Triple(node, _TYPE, b_cls), decl)
-                conflicts.append(Conflict(ConflictKind.DISJOINT_CLASS, node, detail))
+                if not mirrored or triple_text(detail[0]) < triple_text(detail[1]):
+                    conflicts.append(Conflict(ConflictKind.DISJOINT_CLASS, node, detail))
 
     # (b) functional property with two distinct objects on one subject
     for decl in graph.find(None, _TYPE, _FUNCTIONAL_CLS):
         prop = decl.subject
         if not isinstance(prop, Iri):
             continue
-        if since is None or decl in since:
+        if not scoped or decl in since:
             uses = graph.find(None, prop, None)
         else:
             uses = [u for subject in used.get(prop, ()) for u in graph.find(subject, prop, None)]
@@ -518,20 +520,10 @@ def check_consistency(graph: Graph | Layer, since=None) -> list[Conflict]:
                       Triple(stmt, Iri(RDF_OBJECT), o), neg)
             conflicts.append(Conflict(ConflictKind.EXPLICIT_NEGATION, s, detail))
 
-    # Deterministic report order; drop mirror-image disjoint duplicates.
+    # Deterministic report order.
     conflicts.sort(key=lambda c: (_KIND_ORDER[c.kind], term_key(c.subject),
                                   tuple(triple_text(t) for t in c.detail)))
-    deduped: dict[tuple, Conflict] = {}
-    for c in conflicts:
-        if c.kind is ConflictKind.DISJOINT_CLASS:
-            key = (c.kind.value, term_key(c.subject),
-                   frozenset(triple_text(t) for t in c.detail[:2]))
-        else:
-            key = (c.kind.value, term_key(c.subject), tuple(triple_text(t) for t in c.detail))
-        deduped.setdefault(key, c)
-    if since is None:
-        return list(deduped.values())
-    return [c for c in deduped.values() if any(t in since for t in c.detail)]
+    return [c for c in conflicts if since is None or any(t in since for t in c.detail)]
 
 
 class Closure(NamedTuple):

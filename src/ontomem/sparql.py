@@ -14,6 +14,7 @@ the test suite holds evaluation to a naive all-assignments oracle.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass, field
 from enum import Enum
@@ -421,27 +422,20 @@ def parse_query(text: str) -> Query:
 # ---------------------------------------------------------------------------
 
 
+_APPLY = {CompareOp.EQ: operator.eq, CompareOp.NE: operator.ne, CompareOp.LT: operator.lt,
+          CompareOp.LE: operator.le, CompareOp.GT: operator.gt, CompareOp.GE: operator.ge}
+
+
 def compare_terms(lhs: Term, rhs: Term, op: CompareOp) -> bool:
-    """Numeric comparison for numeric literal pairs, canonical text otherwise."""
+    """Numeric comparison for numeric literal pairs, canonical text otherwise,
+    malformed numerics included."""
     if (isinstance(lhs, Literal) and isinstance(rhs, Literal)
             and lhs.datatype in NUMERIC_DATATYPES and rhs.datatype in NUMERIC_DATATYPES):
         try:
-            a, b = float(lhs.lexical), float(rhs.lexical)
+            return _APPLY[op](float(lhs.lexical), float(rhs.lexical))
         except ValueError:
-            a, b = term_text(lhs), term_text(rhs)  # malformed numerics fall back to text
-    else:
-        a, b = term_text(lhs), term_text(rhs)
-    if op is CompareOp.EQ:
-        return a == b
-    if op is CompareOp.NE:
-        return a != b
-    if op is CompareOp.LT:
-        return a < b
-    if op is CompareOp.LE:
-        return a <= b
-    if op is CompareOp.GT:
-        return a > b
-    return a >= b
+            pass
+    return _APPLY[op](term_text(lhs), term_text(rhs))
 
 
 def _passes(filters, binding: dict[str, Term]) -> bool:

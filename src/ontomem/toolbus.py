@@ -352,8 +352,14 @@ class ToolBus:
             except ConditionInconsistencyError as e:
                 response = _error_response(req_id, INTERNAL_ERROR, str(e))
             except Exception as e:
-                # sanitized: class name and message only, no traceback
-                response = _error_response(req_id, INTERNAL_ERROR, f"{type(e).__name__}: {e}")
+                # sanitized: class name and message only, no traceback; an OSError's
+                # message can name a path on the server, so its strerror stands in
+                name = type(e).__name__
+                if isinstance(e, OSError):
+                    message = f"{name}: {e.strerror}" if e.strerror else name
+                else:
+                    message = f"{name}: {e}"
+                response = _error_response(req_id, INTERNAL_ERROR, message)
         # a notification (no id, or a null one) gets no response (JSON-RPC 2.0, section 4.1)
         return None if req_id is None else response
 
@@ -391,11 +397,17 @@ def serve_tcp(handle: StoreHandle, port: int, host: str = "127.0.0.1",
                                                 f"request line exceeds {MAX_REQUEST_BYTES} bytes")
                         self.wfile.write(json.dumps(error).encode("utf-8") + b"\n")
                         return  # the rest of the line cannot be framed: end the session
-                    response = bus.dispatch_line(raw.decode("utf-8"))
+                    try:
+                        line = raw.decode("utf-8")
+                    except UnicodeDecodeError:  # not UTF-8: malformed, as on stdio
+                        response = json.dumps(_error_response(None, PARSE_OR_REQUEST_ERROR,
+                                                              "malformed request"))
+                    else:
+                        response = bus.dispatch_line(line)
                     if response is not None:
                         self.wfile.write(response.encode("utf-8") + b"\n")
                         self.wfile.flush()
-            except (ConnectionError, UnicodeDecodeError):
+            except ConnectionError:
                 return  # transport failure ends the session, not the server
 
     class Server(socketserver.ThreadingTCPServer):

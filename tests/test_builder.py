@@ -45,7 +45,7 @@ from ontomem.namespaces import (
 from ontomem.rdf_core import Blank, Graph, Iri, Literal, Origin, Provenance, Triple
 from ontomem.reasoner import Conflict, ConflictKind, check_consistency, close, extend, materialize
 from ontomem.shacl import NodeShape, PropertyShape, validate
-from ontomem import reasoner as reasoner_module
+from ontomem import builder as builder_module, reasoner as reasoner_module
 from ontomem.turtle_io import parse_turtle
 from oracles import oracle_validate_gate
 
@@ -105,6 +105,38 @@ class TestIngest:
     def test_minimum_chunk_chars(self):
         with pytest.raises(ValueError):
             ingest(SourceDocument("d", DocKind.TEXT, "hello"), 63)
+
+    def test_greedy_packing_on_fuzzed_bodies(self):
+        rng = random.Random(2207)
+        pieces = [". ", "! ", "? ", ".\n", ". \t ", ".", " ", "\n"]
+        checked = hard_split = packed = 0
+        for _ in range(1500):
+            body = "".join(rng.choice(pieces) if rng.random() < 0.4
+                           else "w" * rng.randrange(1, rng.choice([8, 30, 120]))
+                           for _ in range(rng.randrange(1, 30)))
+            start = rng.randrange(len(body))
+            end = rng.randrange(start + 1, len(body) + 1)
+            # a sentence ends after a whitespace run that follows . ! or ?
+            breaks = [i for i in range(start + 1, end) if body[i - 1].isspace()
+                      and not body[i].isspace()
+                      and body[start:i].rstrip()[-1:] in (".", "!", "?")]
+            breaks = [start] + breaks + [end]
+            for limit in (5, 16, 64):
+                spans = builder_module._fit_spans(body, start, end, limit)
+                assert [s for s, _ in spans] == [start] + [e for _, e in spans[:-1]]
+                assert spans[-1][1] == end
+                assert all(0 < e - s <= limit for s, e in spans)
+                for s, e in spans:
+                    sentence = next((a, b) for a, b in zip(breaks, breaks[1:]) if a <= s < b)
+                    if e <= sentence[1] and sentence[1] - sentence[0] > limit:
+                        hard_split += 1  # a piece of one over-long sentence
+                        continue
+                    assert s in breaks and e in breaks
+                    if e < end:  # the next sentence would not have fit
+                        assert breaks[breaks.index(e) + 1] - s > limit
+                        packed += 1
+                checked += 1
+        assert checked == 4500 and hard_split >= 1000 and packed >= 500
 
 
 PATTERNS = {"is on": "is on", "works for": "works for"}

@@ -307,6 +307,25 @@ class TestMoveLevel:
         assert not result.success
         assert len(result.violations) == 2  # initial proposal + one repair
 
+    # A plan-level round restarts from the start state and succeeds only where
+    # its plan ends; a move-level round continues from the state reached and
+    # succeeds as soon as it reaches the goal.
+    @pytest.mark.parametrize("plans, move_level, expected", [
+        ("0->2 2->1\n1->2\n", False, (False, 0, 1, [(2, "GOAL_MISS"), (0, "EMPTY_SOURCE")])),
+        ("0->2 2->1\n1->2\n", True, (True, 1, 0, [])),
+        ("0->1\n1->2\n", False, (False, 0, 1, [(1, "GOAL_MISS"), (0, "EMPTY_SOURCE")])),
+        ("0->1\n1->2\n", True, (True, 2, 1, [(1, "GOAL_MISS")])),
+    ], ids=["through_goal_plan", "through_goal_move", "resume_plan", "resume_move"])
+    def test_levels_differ_in_where_a_round_starts_and_succeeds(self, tmp_path, plans, move_level,
+                                                                expected):
+        path = tmp_path / "plans.txt"
+        path.write_text(plans, encoding="utf-8")
+        result = run_episode(1, TranscriptProposer(str(path)), 1, seed=0, move_level=move_level)
+        assert (result.success, result.moves_executed, result.repair_rounds_used,
+                [(v.move_index, v.reason.value) for v in result.violations]) == expected
+        assert all(v.detail == "stopped at (1,), goal is (2,)" for v in result.violations
+                   if v.reason is ViolationReason.GOAL_MISS)
+
 
 class TestBenchmark:
     def test_optimal_row_always_succeeds(self):

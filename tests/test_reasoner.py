@@ -18,7 +18,7 @@ from ontomem.namespaces import (
     RDFS_SUBPROPERTYOF,
 )
 from ontomem.factcheck import negation_overlay
-from ontomem.rdf_core import Graph, Iri, Literal, Triple, single_object, triple_key
+from ontomem.rdf_core import Graph, Iri, Literal, Triple, single_object, triple_key, triple_text
 from ontomem.reasoner import (
     ConflictKind,
     DivergenceError,
@@ -132,6 +132,30 @@ class TestConsistency:
         conflicts = check_consistency(materialize(g))
         assert [c.kind for c in conflicts] == [ConflictKind.DISJOINT_CLASS]
         assert conflicts[0].subject == iri("x")
+
+    @pytest.mark.parametrize("scoping", [True, False], ids=["scoped", "full_scan"])
+    @pytest.mark.parametrize("declared", [(("B", "A"), ("A", "B")), (("A", "B"),), (("B", "A"),)],
+                             ids=["both", "a_b", "b_a"])
+    def test_mirrored_disjointness_reports_one_conflict(self, monkeypatch, declared, scoping):
+        monkeypatch.setattr(reasoner_module, "worth_scoping", lambda delta, graph: scoping)
+        types = [tr("x", RDF_TYPE, "B"), tr("x", RDF_TYPE, "A")]
+        decls = [tr(a, OWL_DISJOINTWITH, b) for a, b in declared]
+        g = Graph()
+        for t in types + decls + [tr("y", RDF_TYPE, "A")]:
+            g.insert(t)
+        (conflict,) = check_consistency(g)
+        assert conflict.kind is ConflictKind.DISJOINT_CLASS and conflict.subject == iri("x")
+        # with both declarations, the conflict whose first type triple sorts first
+        first = min(types, key=triple_text) if len(decls) == 2 else tr("x", RDF_TYPE, declared[0][0])
+        (second,) = set(types) - {first}
+        assert conflict.detail == (first, second, Triple(first.object, Iri(OWL_DISJOINTWITH),
+                                                         second.object))
+        # scoped to any one triple of its detail, the check gives that conflict alone
+        for t in conflict.detail:
+            assert check_consistency(g, since={t}) == [conflict]
+        # the mirror declaration is in no reported detail, so scoped to it alone nothing is
+        for t in set(decls) - set(conflict.detail):
+            assert check_consistency(g, since={t}) == []
 
     def test_functional_property_conflict(self):
         g = Graph()

@@ -597,6 +597,24 @@ class TestCliBasics:
         assert err.startswith("error: no recorded extraction for chunk a.txt#0 ")
         assert (store / "version").read_text(encoding="utf-8") == "0\n"
 
+    @pytest.mark.parametrize("content, message", [
+        ([1], "patterns file {path} must hold a JSON object"),
+        ({"relations": {"located in": "located in"}, "predicates": [1]},
+         "patterns table 'predicates' in {path} must be a JSON object"),
+    ], ids=["not_an_object", "table_not_an_object"])
+    def test_build_malformed_patterns_file_exit_2(self, tmp_path, content, message):
+        store = tmp_path / "s"
+        run_cli("--store", str(store), "init")
+        sources = tmp_path / "docs"
+        sources.mkdir()
+        (sources / "a.txt").write_text("Pump1 located in SiteA.", encoding="utf-8")
+        patterns = tmp_path / "patterns.json"
+        patterns.write_text(json.dumps(content), encoding="utf-8")
+        code, out, err = run_cli("--store", str(store), "build", "--sources", str(sources),
+                                 "--patterns", str(patterns))
+        assert (code, out, err) == (2, "", f"error: {message.format(path=patterns)}\n")
+        assert (store / "version").read_text(encoding="utf-8") == "0\n"
+
     def test_check_names_a_missing_term_and_a_bad_source_text(self, tmp_path, regulatory_store):
         good = {"subject": "<http://e/s>", "predicate": "<http://e/p>", "object": "<http://e/o>"}
         claims = tmp_path / "claims.jsonl"

@@ -312,6 +312,23 @@ class TestDispatch:
         response = call(bus, "graph.query", {"query": "ASK WHERE { ?s ?p ?o }"})
         assert response["error"] == {"code": INTERNAL_ERROR, "message": "RuntimeError: boom"}
 
+    def test_internal_os_error_names_no_server_path(self, built_store, tmp_path, monkeypatch):
+        root = tmp_path / "store-copy"
+        shutil.copytree(built_store, root)
+        (root / "delta-1.ttl").unlink()
+        bus = ToolBus(load_store(root))
+        error = call(bus, "graph.diff", {"from_version": 0, "to_version": 1})["error"]
+        assert error == {"code": INTERNAL_ERROR,
+                         "message": "FileNotFoundError: No such file or directory"}
+        assert not any(part in error["message"] for part in (str(root), root.name, "delta-1.ttl"))
+
+        def broken(handle, text):
+            raise OSError(f"cannot write {root}")  # no errno, so no strerror
+
+        monkeypatch.setattr(toolbus, "svc_query", broken)
+        error = call(bus, "graph.query", {"query": "ASK WHERE { ?s ?p ?o }"})["error"]
+        assert error == {"code": INTERNAL_ERROR, "message": "OSError"}
+
     @pytest.mark.parametrize("text, message", [
         ("@prefix sh: <http://www.w3.org/ns/shacl#> .\n" + EX_TTL
          + "ex:S a sh:NodeShape ; sh:targetClass ex:T ; sh:property _:p .\n"
@@ -575,6 +592,38 @@ class TestTransports:
         finally:
             holder["server"].shutdown()
         assert data.decode("utf-8").splitlines() == stdio_lines
+
+    def test_tcp_answers_a_non_utf8_line_and_reads_on(self, built_store):
+        script = b'\xff\n{"jsonrpc":"2.0","id":1,"method":"tools.list"}\n'
+        ready = threading.Event()
+        holder = {}
+
+        def on_ready(server):
+            holder["server"] = server
+            ready.set()
+
+        threading.Thread(target=serve_tcp, args=(load_store(built_store), 0),
+                         kwargs={"ready_callback": on_ready}, daemon=True).start()
+        assert ready.wait(5)
+        try:
+            with socket.create_connection(holder["server"].server_address, timeout=5) as sock:
+                sock.sendall(script)
+                sock.shutdown(socket.SHUT_WR)
+                data = b""
+                while chunk := sock.recv(4096):
+                    data += chunk
+        finally:
+            holder["server"].shutdown()
+        lines = [json.loads(line) for line in data.decode("utf-8").splitlines()]
+        assert len(lines) == 2
+        assert lines[0] == {"jsonrpc": "2.0", "id": None,
+                            "error": {"code": PARSE_OR_REQUEST_ERROR, "message": "malformed request"}}
+        assert lines[1]["id"] == 1 and lines[1]["result"]["tools"]
+        # stdio, reading bytes that are not UTF-8 as escapes, answers the same lines
+        stdout = io.StringIO()
+        stdin = io.TextIOWrapper(io.BytesIO(script), encoding="utf-8", errors="surrogateescape")
+        serve_stdio(load_store(built_store), stdin=stdin, stdout=stdout)
+        assert stdout.getvalue().splitlines() == data.decode("utf-8").splitlines()
 
     def test_tcp_oversized_line_ends_only_its_session(self, built_store):
         ready = threading.Event()
