@@ -327,7 +327,14 @@ class ToolBus:
         except json.JSONDecodeError:
             return json.dumps(_error_response(None, PARSE_OR_REQUEST_ERROR, "malformed request"))
         response = self.dispatch(request)
-        return json.dumps(response, sort_keys=True, ensure_ascii=False) if response is not None else None
+        if response is None:
+            return None
+        text = json.dumps(response, sort_keys=True, ensure_ascii=False)
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError:  # a lone surrogate, which only its escape can carry
+            return json.dumps(response, sort_keys=True)
+        return text
 
     def dispatch(self, request: Any) -> dict | None:
         if not isinstance(request, dict) or request.get("jsonrpc") != "2.0" \

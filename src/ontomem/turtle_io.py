@@ -7,16 +7,25 @@ comments. Collections `( ... )` and anonymous blanks `[ ... ]` are out.
 Every malformed input raises TurtleParseError at the line and column of the
 token at fault.
 
+A document in the form this module writes is read line by line: every line
+is empty, a `#` comment, an `@prefix p: <iri> .` directive or one
+single-spaced `S P O .` statement, which is N-Triples with prefixed names.
+Each distinct term text on it is resolved once. Every other document, and
+one in which the line reader meets an error, is read from the start by the
+token parser, which reads the line-shaped documents the same way and is the
+only source of diagnostics.
+
 Serialization is canonical: sorted prefixes, one fully-spelled triple per
 line in canonical term order, blank labels renumbered, trailing newline.
 Equal (triple set, prefix map) inputs produce byte-identical output, which is
-what makes TTL deltas diffable as text.
+what makes TTL deltas diffable as text. A call formats each distinct term
+once, however many lines name it.
 """
 
 from __future__ import annotations
 
 import re
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -61,6 +70,10 @@ class TurtleParseError(ValueError):
 # Tokenizer
 # ---------------------------------------------------------------------------
 
+_A = r"a(?![A-Za-z0-9_\-:])"
+_PN_PREFIX = r"(?:[A-Za-z_][A-Za-z0-9_.\-]*)?"
+_PNAME = rf"{_PN_PREFIX}:(?:[A-Za-z0-9_](?:[A-Za-z0-9_.\-]*[A-Za-z0-9_\-])?)?"
+
 # One alternative per token kind, tried in this order at each position. A
 # string or IRI never spans a line, so NL is the only token that ends one.
 _TOKEN_RE = re.compile(rf"""
@@ -75,11 +88,11 @@ _TOKEN_RE = re.compile(rf"""
   | (?P<SEMI>;)
   | (?P<COMMA>,)
   | (?P<BLANK>{BLANK})
-  | (?P<A>a(?![A-Za-z0-9_\-:]))
+  | (?P<A>{_A})
   | (?P<BOOL>(?:true|false)(?![A-Za-z0-9_\-:]))
   | (?P<DEC>[+-]?[0-9]*\.[0-9]+)
   | (?P<INT>[+-]?[0-9]+)
-  | (?P<PNAME>(?:[A-Za-z_][A-Za-z0-9_.\-]*)?:(?:[A-Za-z0-9_](?:[A-Za-z0-9_.\-]*[A-Za-z0-9_\-])?)?)
+  | (?P<PNAME>{_PNAME})
   | (?P<BAD>.)
 """, re.VERBOSE | re.DOTALL)
 
@@ -265,17 +278,98 @@ class _Parser:
             self.fail(str(e), tok)
 
 
+# ---------------------------------------------------------------------------
+# Line reader
+# ---------------------------------------------------------------------------
+
+# The lines canonical Turtle writes, each term spelt as the token that
+# _TOKEN_RE reads at the same place: a PNAME never starts where a BLANK
+# matches, and a LANGTAG never starts with "prefix", which the table reads
+# as PREFIX_DIR. Terms are single-spaced; any other spacing is another shape.
+_IRI_NAME = rf"{IRIREF}|(?!_:[A-Za-z0-9_]){_PNAME}"
+_NODE = rf"{_IRI_NAME}|{BLANK}"
+_STATEMENT_RE = re.compile(
+    rf"({_NODE}) ({_IRI_NAME}|{_A}) ({_NODE}|{STRING}(?:(?!@prefix){LANGTAG}|\^\^(?:{_IRI_NAME}))?) \.")
+_PREFIX_RE = re.compile(rf"@prefix ({_PN_PREFIX}): ({IRIREF}) \.")
+_STRING_RE = re.compile(STRING)
+
+
+class _LineReader(dict):
+    """Reads a document whose every line is empty, a comment, an @prefix
+    directive or one statement, in the shapes above, as _Parser would.
+
+    As a dict it maps each term text read since the last @prefix to its
+    term, resolved on first use through the checks _Parser makes and
+    interned as _Parser.terms does."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.prefixes: PrefixMap = {}
+        self.terms: dict[Term, Term] = {}
+
+    def read(self, text: str, sink: Callable[[Triple], object]) -> PrefixMap | None:
+        """The prefix map, or None at the first line of another shape and at
+        any error, for the token parser to read the whole text again."""
+        statement = _STATEMENT_RE.fullmatch
+        try:
+            for line in text.split("\n"):
+                m = statement(line)
+                if m is not None:
+                    s, p, o = m.groups()
+                    sink(Triple(self[s], self[p], self[o]))
+                elif line[:1] not in ("", "#"):
+                    m = _PREFIX_RE.fullmatch(line)
+                    if m is None:
+                        return None
+                    self.prefixes[m[1]] = m[2][1:-1]
+                    self.clear()
+        except (KeyError, StructuralError):  # an unknown prefix, a bad IRI or escape
+            return None
+        return self.prefixes
+
+    def __missing__(self, name: str) -> Term:
+        if name[0] == '"':
+            body = _STRING_RE.match(name).group()
+            lexical, suffix = unescape_literal(body[1:-1]), name[len(body):]
+            if suffix[:1] == "@":
+                term: Term = Literal(lexical, RDF_LANGSTRING, suffix[1:])
+            else:
+                term = Literal(lexical, self.iri(suffix[2:]).value if suffix else XSD_STRING)
+        elif name == "a":
+            term = Iri(RDF_TYPE)
+        elif name[:2] == "_:" and len(name) > 2:
+            term = Blank(name[2:])
+        else:
+            term = self.iri(name)
+        term = self[name] = self.terms.setdefault(term, term)
+        return term
+
+    def iri(self, name: str) -> Iri:
+        if name[0] == "<":
+            return Iri(name[1:-1])
+        label, _, local = name.partition(":")
+        return Iri(self.prefixes[label] + local)
+
+
 def parse_turtle(text: str) -> tuple[Graph, PrefixMap]:
     """Parse a Turtle-subset document; raises TurtleParseError at the first error."""
     graph = Graph()
-    return graph, _Parser(_tokenize(text), graph.insert).parse()
+    prefixes = _LineReader().read(text, graph.insert)
+    if prefixes is None:
+        graph = Graph()
+        prefixes = _Parser(_tokenize(text), graph.insert).parse()
+    return graph, prefixes
 
 
 def parse_triples(text: str) -> tuple[list[Triple], PrefixMap]:
     """`parse_turtle` without the graph: the document's triples in text
     order, repeats kept, for a reader that needs no index."""
     triples: list[Triple] = []
-    return triples, _Parser(_tokenize(text), triples.append).parse()
+    prefixes = _LineReader().read(text, triples.append)
+    if prefixes is None:
+        triples = []
+        prefixes = _Parser(_tokenize(text), triples.append).parse()
+    return triples, prefixes
 
 
 # ---------------------------------------------------------------------------
@@ -299,14 +393,31 @@ def serialize_turtle(graph: Graph, prefixes: PrefixMap) -> str:
 
     if triples and lines:
         lines.append("")
-    lines += [triple_line(t, prefixes) for t in sorted(triples, key=triple_key)]
+    lines += _triple_lines(sorted(triples, key=triple_key), prefixes)
     return "\n".join(lines) + "\n" if lines else ""
 
 
 def triple_line(t: Triple, prefixes: PrefixMap) -> str:
     """One triple as a line of canonical Turtle, without its newline."""
-    return (f"{_format(t.subject, prefixes)} {_format(t.predicate, prefixes, predicate=True)} "
-            f"{_format(t.object, prefixes)} .")
+    return _triple_lines([t], prefixes)[0]
+
+
+def _triple_lines(triples: Iterable[Triple], prefixes: PrefixMap) -> list[str]:
+    nodes, predicates = _Formats(prefixes), _Formats(prefixes, predicate=True)
+    return [f"{nodes[t.subject]} {predicates[t.predicate]} {nodes[t.object]} ." for t in triples]
+
+
+class _Formats(dict):
+    """The text of each term met in one position, `_format`ted on first use:
+    a term named on many lines is formatted once."""
+
+    def __init__(self, prefixes: PrefixMap, predicate: bool = False) -> None:
+        super().__init__()
+        self.prefixes, self.predicate = prefixes, predicate
+
+    def __missing__(self, term: Term) -> str:
+        text = self[term] = _format(term, self.prefixes, self.predicate)
+        return text
 
 
 def _format(term: Term, prefixes: PrefixMap, predicate: bool = False) -> str:

@@ -625,6 +625,44 @@ class TestTransports:
         serve_stdio(load_store(built_store), stdin=stdin, stdout=stdout)
         assert stdout.getvalue().splitlines() == data.decode("utf-8").splitlines()
 
+    SURROGATE_SCRIPT = ('{"jsonrpc":"2.0","id":1,"method":"\\ud800"}\n'
+                        '{"jsonrpc":"2.0","id":2,"method":"tools.list"}\n')
+
+    def _assert_surrogate_answered(self, lines: list[str]) -> None:
+        assert len(lines) == 2
+        # the lone surrogate travels escaped; every other character stays as it was
+        assert '"message": "method not found: \\ud800"' in lines[0]
+        assert json.loads(lines[0])["error"]["code"] == METHOD_NOT_FOUND
+        assert json.loads(lines[1])["id"] == 2 and json.loads(lines[1])["result"]["tools"]
+
+    def test_stdio_answers_a_lone_surrogate_and_reads_on(self, built_store):
+        out = io.BytesIO()
+        stdout = io.TextIOWrapper(out, encoding="utf-8", write_through=True)  # strict, as a UTF-8 stdout
+        serve_stdio(load_store(built_store), stdin=io.StringIO(self.SURROGATE_SCRIPT), stdout=stdout)
+        self._assert_surrogate_answered(out.getvalue().decode("utf-8").splitlines())
+
+    def test_tcp_answers_a_lone_surrogate_and_reads_on(self, built_store):
+        ready = threading.Event()
+        holder = {}
+
+        def on_ready(server):
+            holder["server"] = server
+            ready.set()
+
+        threading.Thread(target=serve_tcp, args=(load_store(built_store), 0),
+                         kwargs={"ready_callback": on_ready}, daemon=True).start()
+        assert ready.wait(5)
+        try:
+            with socket.create_connection(holder["server"].server_address, timeout=5) as sock:
+                sock.sendall(self.SURROGATE_SCRIPT.encode("utf-8"))
+                sock.shutdown(socket.SHUT_WR)
+                data = b""
+                while chunk := sock.recv(4096):
+                    data += chunk
+        finally:
+            holder["server"].shutdown()
+        self._assert_surrogate_answered(data.decode("utf-8").splitlines())
+
     def test_tcp_oversized_line_ends_only_its_session(self, built_store):
         ready = threading.Event()
         holder = {}

@@ -5,9 +5,19 @@ from pathlib import Path
 
 import pytest
 
-from ontomem.namespaces import RDF_TYPE, XSD_DECIMAL, XSD_INTEGER
-from ontomem.rdf_core import Graph, Iri, Literal, Triple, isomorphic
-from ontomem.turtle_io import TurtleParseError, _tokenize, parse_turtle, serialize_turtle
+from ontomem import turtle_io
+from ontomem.namespaces import RDF_LANGSTRING, RDF_TYPE, XSD_DECIMAL, XSD_INTEGER
+from ontomem.rdf_core import Blank, Graph, Iri, Literal, Triple, isomorphic
+from ontomem.store import graph_at_version, load_store, load_trusted, read_version
+from ontomem.turtle_io import (
+    TurtleParseError,
+    _LineReader,
+    _Parser,
+    _tokenize,
+    parse_triples,
+    parse_turtle,
+    serialize_turtle,
+)
 from oracles import oracle_tokenize
 
 FIXTURES = sorted(Path(__file__).parent.glob("fixtures/turtle/*.ttl"))
@@ -159,11 +169,19 @@ class TestParse:
             parse_turtle("@prefix ex: <http://ex.org/> . ex:a ex:p (ex:b ex:c) .")
 
     def test_one_object_per_distinct_term(self):
-        g, _ = parse_turtle('@prefix ex: <http://ex.org/> .\n'
-                            'ex:a a ex:C ; ex:p ex:b , "x" .\n'
-                            '<http://ex.org/b> a ex:C ; ex:p ex:a , "x" .\n')
-        objects = {id(term) for t in g.triple_set() for term in (t.subject, t.predicate, t.object)}
-        assert len(objects) == len(g.terms()) == 6
+        abbreviated = ('@prefix ex: <http://ex.org/> .\n'
+                       'ex:a a ex:C ; ex:p ex:b , "x" .\n'
+                       '<http://ex.org/b> a ex:C ; ex:p ex:a , "x" .\n')
+        # canonical lines, which the line reader reads, spelling ex:b two ways
+        canonical = ('@prefix ex: <http://ex.org/> .\n\n'
+                     'ex:a ex:p ex:b .\nex:a ex:p "x" .\nex:a a ex:C .\n'
+                     '<http://ex.org/b> ex:p ex:a .\nex:b ex:p "x" .\n'
+                     'ex:b <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> ex:C .\n')
+        assert _LineReader().read(canonical, [].append) is not None
+        for doc in (abbreviated, canonical):
+            g, _ = parse_turtle(doc)
+            objects = {id(term) for t in g.triple_set() for term in (t.subject, t.predicate, t.object)}
+            assert len(objects) == len(g.terms()) == 6
 
     def test_anonymous_blank_rejected(self):
         with pytest.raises(TurtleParseError):
@@ -323,3 +341,153 @@ def test_token_table_matches_character_loop():
                           "2: backslash before newline", "3: EOF after trailing comment"}, tally
     assert tally["identical"] > 0.95 * len(inputs), tally
     assert time.perf_counter() - started < 10
+
+
+# ---------------------------------------------------------------------------
+# The line reader against the token parser behind it
+# ---------------------------------------------------------------------------
+
+# Each either reads alike on both paths or fails alike; the comment says which
+# path the public parsers take.
+_LINE_CASES = {
+    "langtag read as @prefix": (EX + 'ex:a ex:label "x"@prefixfr .\n', "token"),
+    "U+2028 in a literal": (EX + 'ex:a ex:label "one\u2028two" .\n', "line"),
+    "prefix redeclared": (EX + "ex:a ex:p ex:b .\n@prefix ex: <http://other.org/> .\n"
+                          "ex:a ex:p ex:b .\n", "line"),
+    "bad IRI as subject": (EX + "<a b> ex:p ex:o .\n", "token"),
+    "bad IRI as predicate": (EX + "ex:s <a b> ex:o .\n", "token"),
+    "bad IRI as object": (EX + "ex:s ex:p <a b> .\n", "token"),
+    "bad IRI as datatype": (EX + 'ex:s ex:p "x"^^<a b> .\n', "token"),
+    "bad IRI through a prefix": ("@prefix ex: <http://ex.org/a b#> .\nex:s ex:p ex:o .\n", "token"),
+    "unknown prefix": ("ex:a ex:p ex:b .\n", "token"),
+    "malformed \\u": (EX + 'ex:a ex:p "\\u00" .\n', "token"),
+    "CRLF file": (EX.replace("\n", "\r\n") + "ex:a ex:p ex:b .\r\n", "token"),
+    "trailing comment": (EX + "ex:a ex:p ex:b . # c\n", "token"),
+    "blank as datatype": ('@prefix _: <http://u.org/> .\n_: _: "x"^^_:b .\n', "token"),
+    "blank as predicate": ("@prefix _: <http://u.org/> .\n_: _:p _:b .\n", "token"),
+    "'_:' is a prefixed name": ("@prefix _: <http://u.org/> .\n_: _: _:b .\n", "line"),
+    "empty prefix": ("@prefix : <http://u.org/> .\n: :p :o .\n_:a :p :.\n", "token"),
+    "canonical": (EX + '\n# version 1\n_:b0 ex:p "x"@en-US .\n_:b0 a <urn:T> .\n'
+                  'ex:a ex:p "1"^^ex:int .\n', "line"),
+}
+
+# Pieces that make or break the shapes the line reader reads.
+_LINE_PIECES = _PIECES + ["@prefixfr", "\u2028", "\r\n", "_:b", "_:", "<a b>", "<x>", "ex:",
+                          "^^ex:t", "@en-US", "@prefix e: <http://e.org/> .\n", "@prefix _: <http://u.org/> .\n",
+                          " . # c"]
+
+
+def _token_outcome(text: str):
+    """What the token parser alone reads: (triples, prefixes) or the error."""
+    triples: list[Triple] = []
+    try:
+        return "parsed", (triples, _Parser(_tokenize(text), triples.append).parse())
+    except TurtleParseError as e:
+        diag = e.diagnostics[0]
+        return "error", (diag.message, diag.line, diag.column)
+
+
+def _public_outcomes(text: str):
+    """What parse_triples and parse_turtle read, in the token outcome's form."""
+    outcomes = []
+    for parse in (parse_triples, parse_turtle):
+        try:
+            outcomes.append(("parsed", parse(text)))
+        except TurtleParseError as e:
+            diag = e.diagnostics[0]
+            outcomes.append(("error", (diag.message, diag.line, diag.column)))
+    return outcomes
+
+
+def _assert_reads_alike(text: str) -> None:
+    expected = _token_outcome(text)
+    (kind, triples), (graph_kind, graph) = _public_outcomes(text)
+    assert kind == graph_kind == expected[0], (text, expected)
+    if kind == "error":
+        assert triples == graph == expected[1], text
+    else:
+        assert triples == expected[1], text  # same order, repeats kept
+        assert graph[0].triple_set() == frozenset(expected[1][0]) and graph[1] == expected[1][1], text
+
+
+@pytest.mark.parametrize("name", sorted(_LINE_CASES))
+def test_line_reader_case(name):
+    text, path = _LINE_CASES[name]
+    _assert_reads_alike(text)
+    assert (_LineReader().read(text, [].append) is not None) == (path == "line")
+
+
+def test_line_reader_matches_token_parser():
+    docs = [path.read_text(encoding="utf-8") for path in FIXTURES]
+    canonical = [serialize_turtle(*parse_turtle(doc)) for doc in docs]
+    rng = random.Random(20261020)
+    # canonical text mutated twice as often: its mutants are what the line reader reads
+    inputs = docs + canonical + [_mutate(rng.choice(docs), rng, _LINE_PIECES) for _ in range(6_000)] \
+        + [_mutate(rng.choice(canonical), rng, _LINE_PIECES) for _ in range(12_000)]
+    line_path = 0
+    for text in inputs:
+        _assert_reads_alike(text)
+        line_path += _LineReader().read(text, [].append) is not None
+    print(f"{line_path} of {len(inputs)} inputs took the line path")
+    assert line_path > len(inputs) // 10, line_path
+
+
+# ---------------------------------------------------------------------------
+# Canonical text never reaches the token parser
+# ---------------------------------------------------------------------------
+
+_IRIS = ["http://ex.org/a", "http://ex.org/b-c", "http://ex.org/x.y", "http://ex.org/",
+         "http://other.org/ns#T", "urn:isbn:1", "urn:dt", RDF_TYPE]
+_TEXTS = ["plain", 'say "hi"', "back\\slash", "tab\tnl\ncr\r", "\u2028sep\u2029", "\u2605 \U0001F600",
+          "\\u0041", "", "@prefix"]
+_PREFIXES = {"ex": "http://ex.org/", "o": "http://other.org/ns#", "": "urn:",
+             "xsd": "http://www.w3.org/2001/XMLSchema#"}
+
+
+def _random_graph(rng: random.Random) -> Graph:
+    g = Graph()
+    for _ in range(rng.randint(0, 25)):
+        subject = rng.choice([Iri(rng.choice(_IRIS)), Blank(f"n{rng.randint(0, 3)}")])
+        lexical = rng.choice(_TEXTS)
+        obj = rng.choice([
+            Iri(rng.choice(_IRIS)),
+            Blank(f"n{rng.randint(0, 3)}"),
+            Literal(lexical),
+            Literal(lexical, RDF_LANGSTRING, rng.choice(["en", "en-US", "de-1996", "x"])),
+            Literal(lexical, rng.choice([XSD_INTEGER, "http://ex.org/dt", "urn:dt", "urn:isbn:1"])),
+        ])
+        g.insert(Triple(subject, Iri(rng.choice(_IRIS)), obj))
+    return g
+
+
+@pytest.fixture()
+def no_token_parser(monkeypatch):
+    def refuse(text):
+        raise AssertionError(f"the token parser was asked to read {text[:80]!r}")
+    monkeypatch.setattr(turtle_io, "_tokenize", refuse)
+
+
+def test_canonical_text_takes_the_line_path(no_token_parser):
+    rng = random.Random(7)
+    for _ in range(300):
+        g = _random_graph(rng)
+        text = serialize_turtle(g, _PREFIXES)
+        g2, prefixes = parse_turtle(text)
+        triples, _ = parse_triples(text)
+        assert prefixes == _PREFIXES and isomorphic(g, g2), text
+        assert frozenset(triples) == g2.triple_set() and len(triples) == len(g2)
+        assert serialize_turtle(g2, prefixes) == text
+
+
+def test_store_files_take_the_line_path(built_store, monkeypatch):
+    files = sorted(built_store.glob("*.ttl"))
+    assert {"trusted.ttl", "registry.ttl", "delta-1.ttl"} <= {path.name for path in files}
+    expected = {path: _token_outcome(path.read_text(encoding="utf-8")) for path in files}
+    trusted = load_trusted(built_store)
+    monkeypatch.setattr(turtle_io, "_tokenize", None)
+    for path in files:
+        text = path.read_text(encoding="utf-8")
+        assert parse_triples(text) == expected[path][1]
+        assert parse_turtle(text)[0].triple_set() == frozenset(expected[path][1][0])
+    assert graph_at_version(built_store, read_version(built_store)).triple_set() == trusted.triple_set()
+    assert load_store(built_store).store.trusted.triple_set() == trusted.triple_set()
