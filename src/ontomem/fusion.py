@@ -196,29 +196,25 @@ def fuse(vector_hits: list[VectorHit],
     if budget < 1:
         raise FusionConfigError("budget must be >= 1")
 
-    channels: list[tuple[str, list[str], list[Fraction]]] = []
-
-    channels.append((CHANNEL_VECTOR, [h.payload for h in vector_hits],
-                     _minmax([Fraction(h.score).limit_denominator(10**12) for h in vector_hits])))
-    channels.append((CHANNEL_GRAPH, [triple_text(t) for t, _ in graph_facts],
-                     _minmax([Fraction(1, 1 + hop) for _, hop in graph_facts])))
-    channels.append((CHANNEL_TOOL, [f"{name}: {text}" for name, text in tool_results],
-                     [Fraction(1)] * len(tool_results)))
-    channels.append((CHANNEL_USER, [triple_text(t) for t in user_memory],
-                     [Fraction(1)] * len(user_memory)))
-
-    weight_of = {
-        CHANNEL_VECTOR: Fraction(weights.vector).limit_denominator(10**9),
-        CHANNEL_GRAPH: Fraction(weights.graph).limit_denominator(10**9),
-        CHANNEL_TOOL: Fraction(weights.tool).limit_denominator(10**9),
-        CHANNEL_USER: Fraction(weights.user).limit_denominator(10**9),
-    }
-    max_weight = max(weight_of.values())
+    # (channel, texts, normalized scores, weight)
+    channels = [
+        (CHANNEL_VECTOR, [h.payload for h in vector_hits],
+         _minmax([Fraction(h.score).limit_denominator(10**12) for h in vector_hits]), weights.vector),
+        (CHANNEL_GRAPH, [triple_text(t) for t, _ in graph_facts],
+         _minmax([Fraction(1, 1 + hop) for _, hop in graph_facts]), weights.graph),
+        (CHANNEL_TOOL, [f"{name}: {text}" for name, text in tool_results],
+         [Fraction(1)] * len(tool_results), weights.tool),
+        (CHANNEL_USER, [triple_text(t) for t in user_memory],
+         [Fraction(1)] * len(user_memory), weights.user),
+    ]
 
     best: dict[str, tuple[Fraction, int, str]] = {}  # text -> (score, channel priority, channel)
-    for channel, texts, scores in channels:
+    max_weight = Fraction(0)
+    for channel, texts, scores, weight in channels:
+        weight = Fraction(weight).limit_denominator(10**9)
+        max_weight = max(max_weight, weight)
         for text, score in zip(texts, scores):
-            weighted = score * weight_of[channel]
+            weighted = score * weight
             prior = best.get(text)
             cand = (weighted, _CHANNEL_PRIORITY[channel], channel)
             if prior is None or weighted > prior[0] or (weighted == prior[0] and cand[1] < prior[1]):

@@ -1,11 +1,12 @@
 """SPARQL subset: SELECT/ASK over conjunctive patterns, filters, one-step
 transitive paths (`p+`), LIMIT.
 
-The text is read as one token list, as turtle_io reads Turtle. As in the W3C
-grammar, a name directly followed by ':' is a prefixed name even when it spells
-a keyword (`a:p`, `true:x`), and a '<' that can open an IRI reference is read
-as one. Every malformed query, a bad IRI or an invalid regex included, raises
-QueryParseError at a line and column.
+The text is read as one token list, as turtle_io's token parser reads
+Turtle. As in the W3C grammar, a name directly followed by ':' is a prefixed
+name even when it spells a keyword (`a:p`, `true:x`), and a '<' that can open
+an IRI reference is read as one. Every malformed query, a bad IRI or an
+invalid regex included, raises QueryParseError, a turtle_io.ParseError, at a
+line and column.
 
 Patterns are joined in the order written, each looked up with the positions
 that earlier patterns bound. Only the final sort fixes the order of the rows:
@@ -30,14 +31,11 @@ from .namespaces import (
 )
 from .rdf_core import (LANGTAG, STRING, Graph, Iri, Literal, StructuralError, Term, regex_error,
                        regex_matches, term_text, unescape_literal)
-from .turtle_io import ParseDiagnostic, PrefixMap
+from .turtle_io import ParseDiagnostic, ParseError, PrefixMap
 
 
-class QueryParseError(ValueError):
-    def __init__(self, diagnostics: list[ParseDiagnostic]):
-        self.diagnostics = diagnostics
-        first = diagnostics[0]
-        super().__init__(f"{first.line}:{first.column}: {first.message}")
+class QueryParseError(ParseError):
+    pass
 
 
 class EvaluationLimitError(ValueError):

@@ -48,7 +48,7 @@ from .namespaces import (
 )
 from .rdf_core import (
     Graph, Iri, Literal, Origin, Provenance, Term, Triple, term_key, triple_key, triple_text)
-from .turtle_io import PrefixMap, parse_triples, parse_turtle, serialize_turtle, triple_line
+from .turtle_io import PrefixMap, parse_triples, parse_turtle, serialize_turtle, triple_lines
 
 # The layers above the store are imported where they are used, so that a
 # process that only reads trusted.ttl (`load_trusted`) does not import them.
@@ -226,10 +226,9 @@ def save_commit(handle: StoreHandle, delta: OntologyDelta) -> Path | None:
                    "provenance": [p.to_json() for p in store.provenance[t][saved:]]})
             for t, saved in gained if len(store.provenance[t]) > saved))
         registry, items = store.registry, iter(store.registry.unsaved)
-        ends[_REGISTRY] = _append_block(handle, _REGISTRY, delta.version_id, (
-            triple_line(t, handle.registry_prefixes)
-            for addition in zip(items, items, items)
-            for t in _registry_triples(registry, *addition)))
+        ends[_REGISTRY] = _append_block(handle, _REGISTRY, delta.version_id, triple_lines(
+            (t for addition in zip(items, items, items) for t in _registry_triples(registry, *addition)),
+            handle.registry_prefixes))
 
     quarantine = root / "quarantine.jsonl"
     _append(quarantine, _committed_end(quarantine), [_json({
@@ -436,8 +435,7 @@ def graph_at_version(root: str | Path, version: int, since: int = 0) -> Graph:
     root = Path(root)
     g = Graph()
     for v in range(since + 1, min(version, read_version(root)) + 1):
-        delta_graph, _ = parse_turtle((root / f"delta-{v}.ttl").read_text(encoding="utf-8"))
-        for t in delta_graph:
+        for t in parse_triples((root / f"delta-{v}.ttl").read_text(encoding="utf-8"))[0]:
             g.insert(t)
     return g
 

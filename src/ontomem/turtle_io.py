@@ -3,23 +3,25 @@
 The accepted subset: @prefix directives, prefixed names, absolute IRIs in
 angle brackets, labeled blank nodes, string literals with ^^datatype or @lang,
 integer/decimal/boolean shorthand, `a`, `;` and `,` abbreviations, `#`
-comments. Collections `( ... )` and anonymous blanks `[ ... ]` are out.
+comments. Collections `( ... )` and anonymous blanks `[ ... ]` are out. An
+`@prefix` directly after a closing quote is that literal's language tag.
 Every malformed input raises TurtleParseError at the line and column of the
-token at fault.
+token at fault; it and sparql's QueryParseError share one ParseError body.
 
-A document in the form this module writes is read line by line: every line
-is empty, a `#` comment, an `@prefix p: <iri> .` directive or one
-single-spaced `S P O .` statement, which is N-Triples with prefixed names.
-Each distinct term text on it is resolved once. Every other document, and
-one in which the line reader meets an error, is read from the start by the
-token parser, which reads the line-shaped documents the same way and is the
-only source of diagnostics.
+`parse_triples` reads a document in the form this module writes line by
+line: every line is empty, a `#` comment, an `@prefix p: <iri> .` directive
+or one single-spaced `S P O .` statement, which is N-Triples with prefixed
+names, and each distinct term text on it is resolved once. Every other
+document, such as a hand-written one, and one in which the line reader
+meets an error, is read from the start by the token parser, which reads the
+line-shaped documents the same way and is the only source of diagnostics.
+`parse_turtle` is `parse_triples` inserted into a Graph.
 
 Serialization is canonical: sorted prefixes, one fully-spelled triple per
 line in canonical term order, blank labels renumbered, trailing newline.
 Equal (triple set, prefix map) inputs produce byte-identical output, which is
-what makes TTL deltas diffable as text. A call formats each distinct term
-once, however many lines name it.
+what makes TTL deltas diffable as text. `triple_lines` formats each distinct
+term once per call, however many lines name it.
 """
 
 from __future__ import annotations
@@ -59,11 +61,17 @@ class ParseDiagnostic:
     message: str
 
 
-class TurtleParseError(ValueError):
+class ParseError(ValueError):
+    """A malformed document, reported at the line and column of its first fault."""
+
     def __init__(self, diagnostics: list[ParseDiagnostic]):
         self.diagnostics = diagnostics
         first = diagnostics[0]
         super().__init__(f"{first.line}:{first.column}: {first.message}")
+
+
+class TurtleParseError(ParseError):
+    pass
 
 
 # ---------------------------------------------------------------------------
@@ -76,10 +84,11 @@ _PNAME = rf"{_PN_PREFIX}:(?:[A-Za-z0-9_](?:[A-Za-z0-9_.\-]*[A-Za-z0-9_\-])?)?"
 
 # One alternative per token kind, tried in this order at each position. A
 # string or IRI never spans a line, so NL is the only token that ends one.
+# Right after a closing quote, `@prefix…` is a language tag.
 _TOKEN_RE = re.compile(rf"""
     (?P<NL>\n)
   | (?P<SKIP>[ \t\r]+ | \#[^\n]*)
-  | (?P<PREFIX_DIR>@prefix)
+  | (?P<PREFIX_DIR>(?<!")@prefix)
   | (?P<LANGTAG>{LANGTAG})
   | (?P<IRIREF>{IRIREF})
   | (?P<STRING>{STRING})
@@ -152,9 +161,6 @@ class _Parser:
         self.sink = sink
         # One object per distinct term, so a graph holds each IRI string once.
         self.terms: dict[Term, Term] = {}
-        # The term of each IRIREF, PNAME and BLANK token text seen since the
-        # last @prefix, by kind: a name is resolved once, not at every use.
-        self.named: dict[str, dict[str, Term]] = {"IRIREF": {}, "PNAME": {}, "BLANK": {}}
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -190,8 +196,6 @@ class _Parser:
         iri = self.expect("IRIREF", "namespace IRI")
         self.expect("DOT", "'.'")
         self.prefixes[label] = iri.value
-        for named in self.named.values():
-            named.clear()
 
     def statement(self) -> None:
         subject = self.term("subject")
@@ -215,19 +219,6 @@ class _Parser:
 
     def term(self, position: str) -> Term:
         tok = self.take()
-        named = self.named.get(tok.kind)
-        term = named.get(tok.value) if named is not None else None
-        if term is None:
-            term = self.new_term(tok, position)
-            if named is not None:
-                named[tok.value] = term
-        if position == "subject" and isinstance(term, Literal):
-            self.fail("literal in subject position", tok)
-        if position == "predicate" and not isinstance(term, Iri):
-            self.fail("predicate must be an IRI", tok)
-        return term
-
-    def new_term(self, tok: _Token, position: str) -> Term:
         if tok.kind == "IRIREF":
             term: Term = self.iri(tok.value, tok)
         elif tok.kind == "PNAME":
@@ -248,6 +239,10 @@ class _Parser:
             term = Literal(tok.value, XSD_BOOLEAN)
         else:
             self.fail(f"expected {position} term", tok)
+        if position == "subject" and isinstance(term, Literal):
+            self.fail("literal in subject position", tok)
+        if position == "predicate" and not isinstance(term, Iri):
+            self.fail("predicate must be an IRI", tok)
         return self.terms.setdefault(term, term)
 
     def literal_tail(self, tok: _Token) -> Literal:
@@ -284,12 +279,11 @@ class _Parser:
 
 # The lines canonical Turtle writes, each term spelt as the token that
 # _TOKEN_RE reads at the same place: a PNAME never starts where a BLANK
-# matches, and a LANGTAG never starts with "prefix", which the table reads
-# as PREFIX_DIR. Terms are single-spaced; any other spacing is another shape.
+# matches. Terms are single-spaced; any other spacing is another shape.
 _IRI_NAME = rf"{IRIREF}|(?!_:[A-Za-z0-9_]){_PNAME}"
 _NODE = rf"{_IRI_NAME}|{BLANK}"
 _STATEMENT_RE = re.compile(
-    rf"({_NODE}) ({_IRI_NAME}|{_A}) ({_NODE}|{STRING}(?:(?!@prefix){LANGTAG}|\^\^(?:{_IRI_NAME}))?) \.")
+    rf"({_NODE}) ({_IRI_NAME}|{_A}) ({_NODE}|{STRING}(?:{LANGTAG}|\^\^(?:{_IRI_NAME}))?) \.")
 _PREFIX_RE = re.compile(rf"@prefix ({_PN_PREFIX}): ({IRIREF}) \.")
 _STRING_RE = re.compile(STRING)
 
@@ -351,25 +345,24 @@ class _LineReader(dict):
         return Iri(self.prefixes[label] + local)
 
 
-def parse_turtle(text: str) -> tuple[Graph, PrefixMap]:
-    """Parse a Turtle-subset document; raises TurtleParseError at the first error."""
-    graph = Graph()
-    prefixes = _LineReader().read(text, graph.insert)
-    if prefixes is None:
-        graph = Graph()
-        prefixes = _Parser(_tokenize(text), graph.insert).parse()
-    return graph, prefixes
-
-
 def parse_triples(text: str) -> tuple[list[Triple], PrefixMap]:
-    """`parse_turtle` without the graph: the document's triples in text
-    order, repeats kept, for a reader that needs no index."""
+    """A Turtle-subset document's triples in text order, repeats kept, and
+    its prefix map; raises TurtleParseError at the first error."""
     triples: list[Triple] = []
     prefixes = _LineReader().read(text, triples.append)
     if prefixes is None:
         triples = []
         prefixes = _Parser(_tokenize(text), triples.append).parse()
     return triples, prefixes
+
+
+def parse_turtle(text: str) -> tuple[Graph, PrefixMap]:
+    """`parse_triples` inserted into a Graph."""
+    triples, prefixes = parse_triples(text)
+    graph = Graph()
+    for t in triples:
+        graph.insert(t)
+    return graph, prefixes
 
 
 # ---------------------------------------------------------------------------
@@ -393,16 +386,12 @@ def serialize_turtle(graph: Graph, prefixes: PrefixMap) -> str:
 
     if triples and lines:
         lines.append("")
-    lines += _triple_lines(sorted(triples, key=triple_key), prefixes)
+    lines += triple_lines(sorted(triples, key=triple_key), prefixes)
     return "\n".join(lines) + "\n" if lines else ""
 
 
-def triple_line(t: Triple, prefixes: PrefixMap) -> str:
-    """One triple as a line of canonical Turtle, without its newline."""
-    return _triple_lines([t], prefixes)[0]
-
-
-def _triple_lines(triples: Iterable[Triple], prefixes: PrefixMap) -> list[str]:
+def triple_lines(triples: Iterable[Triple], prefixes: PrefixMap) -> list[str]:
+    """Each triple as a line of canonical Turtle, without its newline."""
     nodes, predicates = _Formats(prefixes), _Formats(prefixes, predicate=True)
     return [f"{nodes[t.subject]} {predicates[t.predicate]} {nodes[t.object]} ." for t in triples]
 

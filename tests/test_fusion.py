@@ -205,6 +205,14 @@ class TestFuse:
         two_tools = fuse([], [], [("t", "beta"), ("t", "alpha")], [], budget=10)
         assert [i.text for i in two_tools.fused] == ["t: alpha", "t: beta"]
 
+    def test_each_channel_takes_its_own_weight(self):
+        # one item per channel, each normalized to 1: its score is its weight over the largest
+        bundle = fuse([VectorHit("v", "m item", 0.5)], [(tr("a", "p", "b"), 0)], [("t", "z item")],
+                      [tr("u", "p", "w")], FusionWeights(vector=1.0, graph=2.0, tool=3.0, user=4.0),
+                      budget=10)
+        assert [(i.channel, i.score) for i in bundle.fused] == [
+            ("user", 1.0), ("tool", 0.75), ("graph", 0.5), ("vector", 0.25)]
+
     def test_scores_in_unit_interval_even_with_big_weights(self):
         facts = [(tr(f"s{i}", "p", "o"), i % 4) for i in range(8)]
         bundle = fuse([VectorHit("a", "x", 0.7)], facts, [("t", "r")], [tr("u", "p", "v")],

@@ -33,6 +33,10 @@ from ontomem.rdf_core import (
     Blank, Graph, Iri, Literal, Origin, Triple, escape_literal, triple_key, triple_text)
 from ontomem.store import init_store, load_shapes_file, load_store, registry_from_graph, save_commit
 from ontomem.turtle_io import TurtleParseError, parse_turtle
+from ontomem.builder import feedback
+from ontomem.factcheck import Claim
+from ontomem.namespaces import INST_NS, RDF_LANGSTRING
+from ontomem.store import graph_at_version
 from conftest import DATA, run_cli
 from oracles import oracle_registry_from_graph, oracle_save_commit
 
@@ -398,3 +402,33 @@ def test_parser_checks_positions_of_resolved_names_on_every_use():
     with pytest.raises(TurtleParseError) as err:
         parse_turtle("@prefix ex: <http://a/> .\n_:x ex:p ex:o .\nex:s _:x ex:o .\n")
     assert str(err.value) == "3:6: predicate must be an IRI"
+
+
+def test_language_tags_spelt_like_prefix_round_trip(tmp_path):
+    # Right after a closing quote, `@prefix…` is a language tag, not the
+    # directive: a store holding `"x"@prefixfr` loads and answers queries.
+    root = tmp_path / "s"
+    handle = init_store(root)
+    labels = [Triple(Iri(INST_NS + name), Iri(RDFS_LABEL), Literal(text, RDF_LANGSTRING, tag))
+              for name, text, tag in (("a", "x", "prefixfr"), ("b", "y", "prefix"))]
+    delta = feedback(handle.store, [Claim(t) for t in labels])
+    assert {c.triple for c in delta.accepted} == set(labels)
+    save_commit(handle, delta)
+    assert '"x"@prefixfr .\n' in (root / "trusted.ttl").read_text(encoding="utf-8")
+    loaded = load_store(root).store
+    assert loaded.trusted.triple_set() == handle.store.trusted.triple_set() == frozenset(labels)
+    code, out, _ = run_cli("--store", str(root), "--json", "query",
+                           "SELECT ?s ?o WHERE { ?s <http://www.w3.org/2000/01/rdf-schema#label> ?o }")
+    assert code == 0 and sorted(row["o"] for row in json.loads(out)["rows"]) == ['"x"@prefixfr', '"y"@prefix']
+
+
+def test_graph_at_version_is_the_union_of_its_deltas(tmp_path):
+    root = _corpus_store(tmp_path, builds=3)
+    version = load_store(root).store.version
+    assert version >= 3
+    deltas = [frozenset(parse_turtle((root / f"delta-{v}.ttl").read_text(encoding="utf-8"))[0].triple_set())
+              for v in range(1, version + 1)]
+    for since in range(version + 1):
+        for v in range(since, version + 1):
+            expected = frozenset().union(*deltas[since:v])
+            assert graph_at_version(root, v, since=since).triple_set() == expected, (since, v)

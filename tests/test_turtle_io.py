@@ -9,6 +9,9 @@ from ontomem import turtle_io
 from ontomem.namespaces import RDF_LANGSTRING, RDF_TYPE, XSD_DECIMAL, XSD_INTEGER
 from ontomem.rdf_core import Blank, Graph, Iri, Literal, Triple, isomorphic
 from ontomem.store import graph_at_version, load_store, load_trusted, read_version
+from ontomem.namespaces import DEFAULT_PREFIXES
+from ontomem.sparql import QueryParseError, parse_query
+from ontomem.turtle_io import ParseError, triple_lines
 from ontomem.turtle_io import (
     TurtleParseError,
     _LineReader,
@@ -232,7 +235,6 @@ def test_round_trip_corpus(path):
     assert serialize_turtle(g2, prefixes) == text
 
 
-
 # ---------------------------------------------------------------------------
 # The token table against the character loop it replaced (tests/oracles.py)
 # ---------------------------------------------------------------------------
@@ -293,8 +295,29 @@ def _bad_unicode_escape(body: str) -> bool:
     return False
 
 
+def _spelt_back(tokenize, swapped: str):
+    """`tokenize`'s outcome on a text whose `"@prefix` was spelt `"@prefiX`,
+    with `prefiX` spelt back."""
+    kind, value = _outcome(tokenize, swapped)
+    if kind == "tokens":
+        value = [(k, v.replace("prefiX", "prefix"), line, col) for k, v, line, col in value]
+    elif kind == "error":
+        value = (value[0].replace("prefiX", "prefix"), *value[1:])
+    return kind, value
+
+
 def _difference(text: str, old, new) -> str:
     """Which named difference separates the two outcomes; fails on any other."""
+    if '"@prefix' in text and "prefiX" not in text:
+        # The loop reads @prefix right after a closing quote as a directive; the
+        # table reads it as it reads any language tag, here @prefiX.
+        swapped = text.replace('"@prefix', '"@prefiX')
+        if _spelt_back(oracle_tokenize, swapped) != old:
+            assert _spelt_back(_tokenize, swapped) == new, (text, old, new)
+            old, new = _outcome(oracle_tokenize, swapped), _outcome(_tokenize, swapped)
+            if old != new:
+                _difference(swapped, old, new)
+            return "4: @prefix after a closing quote"
     if old[0] == "crash":
         assert new[0] == "error", (text, old, new)
         return "oracle crash"
@@ -338,7 +361,8 @@ def test_token_table_matches_character_loop():
             lines, diag = text.split("\n"), e.diagnostics[0]
             assert 1 <= diag.column <= len(lines[diag.line - 1]) + 1, (text, diag)
     assert set(tally) == {"identical", "oracle crash", "1: malformed unicode escape",
-                          "2: backslash before newline", "3: EOF after trailing comment"}, tally
+                          "2: backslash before newline", "3: EOF after trailing comment",
+                          "4: @prefix after a closing quote"}, tally
     assert tally["identical"] > 0.95 * len(inputs), tally
     assert time.perf_counter() - started < 10
 
@@ -350,7 +374,7 @@ def test_token_table_matches_character_loop():
 # Each either reads alike on both paths or fails alike; the comment says which
 # path the public parsers take.
 _LINE_CASES = {
-    "langtag read as @prefix": (EX + 'ex:a ex:label "x"@prefixfr .\n', "token"),
+    "langtag read as @prefix": (EX + 'ex:a ex:label "x"@prefixfr .\n', "line"),
     "U+2028 in a literal": (EX + 'ex:a ex:label "one\u2028two" .\n', "line"),
     "prefix redeclared": (EX + "ex:a ex:p ex:b .\n@prefix ex: <http://other.org/> .\n"
                           "ex:a ex:p ex:b .\n", "line"),
@@ -491,3 +515,39 @@ def test_store_files_take_the_line_path(built_store, monkeypatch):
         assert parse_turtle(text)[0].triple_set() == frozenset(expected[path][1][0])
     assert graph_at_version(built_store, read_version(built_store)).triple_set() == trusted.triple_set()
     assert load_store(built_store).store.trusted.triple_set() == trusted.triple_set()
+
+
+# ---------------------------------------------------------------------------
+# One formatting pass per block, one parse-error class
+# ---------------------------------------------------------------------------
+
+
+def test_triple_lines_of_a_block_equal_each_line_alone():
+    inst, schema = DEFAULT_PREFIXES["inst"], DEFAULT_PREFIXES["schema"]
+    extra = [Triple(Iri(inst + "a"), Iri(RDF_TYPE), Iri(schema + "T")),
+             Triple(Iri(inst + "a"), Iri(DEFAULT_PREFIXES["rdfs"] + "label"), Literal("x", RDF_LANGSTRING, "prefixfr")),
+             Triple(Iri(inst + "b"), Iri(schema + "type"), Iri(RDF_TYPE))]
+    rng = random.Random(11)
+    for prefixes in (DEFAULT_PREFIXES, _PREFIXES, {}):
+        for _ in range(100):
+            triples = list(_random_graph(rng)) + extra
+            rng.shuffle(triples)
+            triples += triples[:3]  # a block may name a triple twice
+            alone = [f"{turtle_io._format(t.subject, prefixes)} {turtle_io._format(t.predicate, prefixes, True)} "
+                     f"{turtle_io._format(t.object, prefixes)} ." for t in triples]
+            assert triple_lines(triples, prefixes) == alone
+
+
+def test_parse_error_is_one_class():
+    errors = []
+    for parse, text in ((parse_turtle, "ex:a ex:p ex:b ."), (parse_query, "SELECT ?x WHERE { ?x")):
+        try:
+            parse(text)
+        except ParseError as e:
+            errors.append(e)
+    assert [type(e) for e in errors] == [TurtleParseError, QueryParseError]
+    assert all(str(e) == f"{e.diagnostics[0].line}:{e.diagnostics[0].column}: {e.diagnostics[0].message}"
+               for e in errors)
+    with pytest.raises(QueryParseError):
+        with pytest.raises(TurtleParseError):
+            parse_query("SELECT ?x WHERE { ?x")
