@@ -1,7 +1,16 @@
 """In-memory RDF graph store: terms, triples, provenance records, triple indexes.
 
-The graph is the structured half of the engine's dual memory. Triples are
-immutable values held in a set plus three indexes (subject-first,
+The graph is the structured half of the engine's dual memory. Terms are
+hash-consed (Ershov, 1958; Filliâtre & Conchon, 2006): `Iri`, `Blank` and
+`Literal` return the one live object for their value, so equality is
+identity and hashing is object's, both in C. A `Triple` is a tuple of
+interned terms, which hashes and compares in C too and equals the plain
+3-tuple of the same terms. The intern tables hold terms by weak reference,
+so a term that nothing holds is freed. Term hashes are addresses, so a set
+of terms iterates in no fixed order: every output sorts by `term_key` or
+`triple_key`.
+
+Triples are held in a set plus three indexes (subject-first,
 predicate-first, object-first). A graph carries no provenance: the ontology
 store keeps the provenance records beside its trusted graph, keyed by triple.
 A `Layer` reads a shared graph plus a small graph of triples added on top.
@@ -12,8 +21,11 @@ from __future__ import annotations
 import hashlib
 import itertools
 import re
-from dataclasses import dataclass
+import threading
+import weakref
+from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
+from operator import itemgetter
 
 from .namespaces import RDF_LANGSTRING, XSD_STRING
 
@@ -35,34 +47,105 @@ class CapacityError(RuntimeError):
 _IRI_FORBIDDEN = re.compile(r'[\s<>"{}|^`\\]').search
 
 
-@dataclass(frozen=True, slots=True)
-class Iri:
-    value: str
+class _InternTable(dict):
+    """One kind's intern table: each value maps to a weak reference to the
+    one live term for it, so a term that nothing else holds is freed. Dead
+    entries are swept when the table has doubled since its last sweep (and
+    holds over 64 entries), so it stays within about twice the live terms."""
 
-    def __post_init__(self) -> None:
-        if not self.value or _IRI_FORBIDDEN(self.value):
-            raise StructuralError(
-                f"IRI must be non-empty, without whitespace or <>\"{{}}|^`\\: {self.value!r}")
+    __slots__ = ("swept_at",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.swept_at = 0  # the table's size after its last sweep
+
+    def intern(self, key, term: Term) -> Term:
+        """`term` as the live term for `key`, unless another thread made
+        one first: the lock and re-check keep one object per value."""
+        with _intern_lock:
+            live = self.get(key, _NO_REF)()
+            if live is not None:
+                return live
+            self[key] = weakref.ref(term)
+            if len(self) > 2 * self.swept_at + 64:
+                for dead in [k for k, ref in self.items() if ref() is None]:
+                    del self[dead]
+                self.swept_at = len(self)
+        return term
 
 
-@dataclass(frozen=True, slots=True)
-class Blank:
-    label: str
-
-    def __post_init__(self) -> None:
-        if not self.label:
-            raise StructuralError("blank node label must be non-empty")
+# Reentrant: a finalizer that a collection runs while it is held may make terms.
+_intern_lock = threading.RLock()
+_NO_REF = type(None)  # called, it returns None, as a dead weak reference does
+_IRIS, _BLANKS, _LITERALS = _InternTable(), _InternTable(), _InternTable()
+_set = object.__setattr__  # terms refuse assignment; a new term's slots are filled through this
 
 
-@dataclass(frozen=True, slots=True)
-class Literal:
-    lexical: str
-    datatype: str = XSD_STRING
-    language: str | None = None
+class _Term:
+    """An interned, immutable term: equal values give the identical object,
+    so equality is identity and the hash is object's, both in C."""
 
-    def __post_init__(self) -> None:
-        if self.language is not None and self.datatype != RDF_LANGSTRING:
-            raise StructuralError("language tag requires the rdf:langString datatype")
+    __slots__ = ("__weakref__",)
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):  # copy, deepcopy and pickle rebuild through the intern table
+        return type(self), tuple(getattr(self, f) for f in self._fields)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Iri(_Term):
+    __slots__ = _fields = ("value",)
+
+    def __new__(cls, value: str) -> Iri:
+        term = _IRIS.get(value, _NO_REF)()
+        if term is None:
+            if not value or _IRI_FORBIDDEN(value):
+                raise StructuralError(
+                    f"IRI must be non-empty, without whitespace or <>\"{{}}|^`\\: {value!r}")
+            term = object.__new__(cls)
+            _set(term, "value", value)
+            term = _IRIS.intern(value, term)
+        return term
+
+
+class Blank(_Term):
+    __slots__ = _fields = ("label",)
+
+    def __new__(cls, label: str) -> Blank:
+        term = _BLANKS.get(label, _NO_REF)()
+        if term is None:
+            if not label:
+                raise StructuralError("blank node label must be non-empty")
+            term = object.__new__(cls)
+            _set(term, "label", label)
+            term = _BLANKS.intern(label, term)
+        return term
+
+
+class Literal(_Term):
+    __slots__ = _fields = ("lexical", "datatype", "language")
+
+    def __new__(cls, lexical: str, datatype: str = XSD_STRING, language: str | None = None) -> Literal:
+        key = (lexical, datatype, language)
+        term = _LITERALS.get(key, _NO_REF)()
+        if term is None:
+            if language is not None and datatype != RDF_LANGSTRING:
+                raise StructuralError("language tag requires the rdf:langString datatype")
+            term = object.__new__(cls)
+            _set(term, "lexical", lexical)
+            _set(term, "datatype", datatype)
+            _set(term, "language", language)
+            term = _LITERALS.intern(key, term)
+        return term
 
 
 Term = Iri | Blank | Literal
@@ -151,6 +234,8 @@ IRIREF = r"<[^>\n]*>"
 BLANK = r"_:[A-Za-z0-9_](?:[A-Za-z0-9_.\-]*[A-Za-z0-9_\-])?"
 STRING = r'"[^"\\\n]*(?:\\[^\n][^"\\\n]*)*"'
 LANGTAG = r"@[A-Za-z]+(?:-[A-Za-z0-9]+)*"
+PN_PREFIX = r"(?:[A-Za-z_][A-Za-z0-9_.\-]*)?"
+PNAME = rf"{PN_PREFIX}:(?:[A-Za-z0-9_](?:[A-Za-z0-9_.\-]*[A-Za-z0-9_\-])?)?"
 
 _TERM_TEXT_RE = re.compile(
     rf"(?P<iri>{IRIREF})|(?P<blank>{BLANK})"
@@ -184,17 +269,28 @@ def parse_term_text(text: str) -> Term:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class Triple:
-    subject: Term
-    predicate: Term
-    object: Term
+class Triple(tuple):
+    """A (subject, predicate, object) tuple of interned terms: it hashes and
+    compares in C, and equals the plain 3-tuple of the same terms."""
 
-    def __post_init__(self) -> None:
-        if isinstance(self.subject, Literal):
+    __slots__ = ()
+
+    def __new__(cls, subject: Term, predicate: Term, object: Term) -> Triple:
+        if isinstance(subject, Literal):
             raise StructuralError("literal in subject position")
-        if not isinstance(self.predicate, Iri):
+        if not isinstance(predicate, Iri):
             raise StructuralError("predicate must be an IRI")
+        return tuple.__new__(cls, (subject, predicate, object))
+
+    def __reduce__(self):
+        return Triple, tuple(self)
+
+    def __repr__(self) -> str:
+        return f"Triple(subject={self[0]!r}, predicate={self[1]!r}, object={self[2]!r})"
+
+    subject = property(itemgetter(0))
+    predicate = property(itemgetter(1))
+    object = property(itemgetter(2))
 
 
 def triple_text(t: Triple) -> str:

@@ -425,13 +425,14 @@ _REIFICATION = {_RDF_SUBJECT, Iri(RDF_PREDICATE), Iri(RDF_OBJECT), _NOT}
 
 def worth_scoping(delta, graph: Graph | Layer) -> bool:
     """True when a consistency check scoped to `delta` costs less than one
-    scan of the whole `graph`. The scoped check pays index lookups and triple
-    hashes for each delta triple, the scan one pass over each graph triple:
-    4 to 9 us per delta triple, depending on what the delta holds, against
-    0.35 us per graph triple (deltas of the builder's corpus closure and of a
-    15,010-triple synthetic closure, 2-core VM, CPython 3.11). So scoping
-    wins below a twelfth to a twenty-fifth of the graph; the cut is a
-    twentieth."""
+    scan of the whole `graph`. The scoped check pays index lookups for each
+    delta triple, the scan one pass over each graph triple. With interned
+    terms: 4 to 8.5 us per delta triple against 0.37 to 0.70 us per graph
+    triple, a ratio of 8 to 14 (the deltas of extending the closures of
+    `bench/gen.SyntheticOntology(1, 500, 40)` and `(1, 4000, 300)`, 3,790 and
+    29,850 triples, by a twentieth or a fortieth of their asserted triples;
+    2-core VM, CPython 3.11, medians of 5). So scoping wins below an eighth to
+    a fourteenth of the graph; the cut is a twentieth."""
     return 20 * len(delta) < len(graph)
 
 

@@ -29,8 +29,8 @@ from .namespaces import (
     XSD_DECIMAL,
     XSD_INTEGER,
 )
-from .rdf_core import (LANGTAG, STRING, Graph, Iri, Literal, StructuralError, Term, regex_error,
-                       regex_matches, term_text, unescape_literal)
+from .rdf_core import (LANGTAG, PNAME, STRING, Graph, Iri, Literal, StructuralError, Term,
+                       regex_error, regex_matches, term_text, unescape_literal)
 from .turtle_io import ParseDiagnostic, ParseError, PrefixMap
 
 
@@ -144,8 +144,8 @@ class SolutionSequence:
 
 # One alternative per token kind, tried in this order at each position. No
 # token spans a line, so NL is the only one that ends a line. A sign is an OP:
-# the parser joins it to the number right after it. STRING and LANGTAG are
-# Turtle's; IRIREF is SPARQL's own, as '<' is also an operator here.
+# the parser joins it to the number right after it. STRING, LANGTAG and PNAME
+# are Turtle's; IRIREF is SPARQL's own, as '<' is also an operator here.
 _TOKEN_RE = re.compile(rf"""
     (?P<NL>\n)
   | (?P<SKIP>[^\S\n]+ | \#[^\n]*)
@@ -153,7 +153,7 @@ _TOKEN_RE = re.compile(rf"""
   | (?P<IRIREF><[^<>"{{}}|^`\\ \t\n]*>)
   | (?P<STRING>{STRING})
   | (?P<LANGTAG>{LANGTAG})
-  | (?P<PNAME>(?:[A-Za-z_][A-Za-z0-9_\-]*)?:(?:[A-Za-z0-9_](?:[A-Za-z0-9_.\-]*[A-Za-z0-9_\-])?)?)
+  | (?P<PNAME>{PNAME})
   | (?P<WORD>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<NUM>[0-9]+(?:\.[0-9]+)?)
   | (?P<OP>\^\^ | [<>!]= | .)

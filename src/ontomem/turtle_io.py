@@ -36,6 +36,8 @@ from .rdf_core import (
     BLANK,
     IRIREF,
     LANGTAG,
+    PN_PREFIX,
+    PNAME,
     STRING,
     Blank,
     Graph,
@@ -79,8 +81,6 @@ class TurtleParseError(ParseError):
 # ---------------------------------------------------------------------------
 
 _A = r"a(?![A-Za-z0-9_\-:])"
-_PN_PREFIX = r"(?:[A-Za-z_][A-Za-z0-9_.\-]*)?"
-_PNAME = rf"{_PN_PREFIX}:(?:[A-Za-z0-9_](?:[A-Za-z0-9_.\-]*[A-Za-z0-9_\-])?)?"
 
 # One alternative per token kind, tried in this order at each position. A
 # string or IRI never spans a line, so NL is the only token that ends one.
@@ -101,7 +101,7 @@ _TOKEN_RE = re.compile(rf"""
   | (?P<BOOL>(?:true|false)(?![A-Za-z0-9_\-:]))
   | (?P<DEC>[+-]?[0-9]*\.[0-9]+)
   | (?P<INT>[+-]?[0-9]+)
-  | (?P<PNAME>{_PNAME})
+  | (?P<PNAME>{PNAME})
   | (?P<BAD>.)
 """, re.VERBOSE | re.DOTALL)
 
@@ -159,8 +159,6 @@ class _Parser:
         self.pos = 0
         self.prefixes: PrefixMap = {}
         self.sink = sink
-        # One object per distinct term, so a graph holds each IRI string once.
-        self.terms: dict[Term, Term] = {}
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -243,7 +241,7 @@ class _Parser:
             self.fail("literal in subject position", tok)
         if position == "predicate" and not isinstance(term, Iri):
             self.fail("predicate must be an IRI", tok)
-        return self.terms.setdefault(term, term)
+        return term
 
     def literal_tail(self, tok: _Token) -> Literal:
         nxt = self.peek()
@@ -280,11 +278,11 @@ class _Parser:
 # The lines canonical Turtle writes, each term spelt as the token that
 # _TOKEN_RE reads at the same place: a PNAME never starts where a BLANK
 # matches. Terms are single-spaced; any other spacing is another shape.
-_IRI_NAME = rf"{IRIREF}|(?!_:[A-Za-z0-9_]){_PNAME}"
+_IRI_NAME = rf"{IRIREF}|(?!_:[A-Za-z0-9_]){PNAME}"
 _NODE = rf"{_IRI_NAME}|{BLANK}"
 _STATEMENT_RE = re.compile(
     rf"({_NODE}) ({_IRI_NAME}|{_A}) ({_NODE}|{STRING}(?:{LANGTAG}|\^\^(?:{_IRI_NAME}))?) \.")
-_PREFIX_RE = re.compile(rf"@prefix ({_PN_PREFIX}): ({IRIREF}) \.")
+_PREFIX_RE = re.compile(rf"@prefix ({PN_PREFIX}): ({IRIREF}) \.")
 _STRING_RE = re.compile(STRING)
 
 
@@ -293,13 +291,11 @@ class _LineReader(dict):
     directive or one statement, in the shapes above, as _Parser would.
 
     As a dict it maps each term text read since the last @prefix to its
-    term, resolved on first use through the checks _Parser makes and
-    interned as _Parser.terms does."""
+    term, resolved on first use through the checks _Parser makes."""
 
     def __init__(self) -> None:
         super().__init__()
         self.prefixes: PrefixMap = {}
-        self.terms: dict[Term, Term] = {}
 
     def read(self, text: str, sink: Callable[[Triple], object]) -> PrefixMap | None:
         """The prefix map, or None at the first line of another shape and at
@@ -335,7 +331,7 @@ class _LineReader(dict):
             term = Blank(name[2:])
         else:
             term = self.iri(name)
-        term = self[name] = self.terms.setdefault(term, term)
+        self[name] = term
         return term
 
     def iri(self, name: str) -> Iri:

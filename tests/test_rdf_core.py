@@ -1,9 +1,15 @@
+import copy
+import dataclasses
+import pickle
 import random
 import re
+import sys
+import threading
 
 import pytest
 
-from ontomem.namespaces import RDF_LANGSTRING, XSD_INTEGER
+from ontomem import rdf_core
+from ontomem.namespaces import RDF_LANGSTRING, XSD_INTEGER, XSD_STRING
 from ontomem.rdf_core import (
     BLANK,
     Blank,
@@ -203,6 +209,110 @@ class TestTermTextGrammar:
         assert isinstance(reference_parse_term_text(text), (Literal, Blank))
         with pytest.raises(StructuralError, match="unrecognized term text"):
             parse_term_text(text)
+
+
+# Each kind of term: its fields and a valid value, as the dataclasses that
+# terms were spelt with, and invalid arguments with the message each raised.
+_TERM_KINDS = [
+    (Iri, (("value", "x"),), [
+        (("",), "IRI must be non-empty, without whitespace or <>\"{}|^`\\: ''"),
+        (("http://ex.org/a b",), "IRI must be non-empty, without whitespace or <>\"{}|^`\\: "
+                                 "'http://ex.org/a b'"),
+        (("http://ex.org/a>b",), "IRI must be non-empty, without whitespace or <>\"{}|^`\\: "
+                                 "'http://ex.org/a>b'"),
+    ]),
+    (Blank, (("label", "x"),), [(("",), "blank node label must be non-empty")]),
+    (Literal, (("lexical", "x"), ("datatype", XSD_STRING), ("language", None)), [
+        (("x", XSD_INTEGER, "en"), "language tag requires the rdf:langString datatype"),
+        (("x", XSD_STRING, "en"), "language tag requires the rdf:langString datatype"),
+    ]),
+]
+
+
+@pytest.mark.parametrize("kind, fields, invalid", _TERM_KINDS, ids=lambda v: getattr(v, "__name__", ""))
+def test_term_contract(kind, fields, invalid):
+    names, values = [f for f, _ in fields], [v for _, v in fields]
+    term = kind(*values)
+    # equal values, spelt as other string objects, give the identical object
+    again = kind(*("".join(v) if isinstance(v, str) else v for v in values))
+    assert again is term and again == term and hash(again) == hash(term)
+    assert term == kind(*values[:1]) and all(term != other("x") for other in (Iri, Blank, Literal)
+                                             if other is not kind)
+    reference = dataclasses.make_dataclass(kind.__name__, names, frozen=True, slots=True)
+    assert repr(term) == repr(reference(*values))
+    assert [getattr(term, name) for name in names] == values
+    for name in names:
+        with pytest.raises(AttributeError, match="cannot assign to field"):
+            setattr(term, name, "y")
+        with pytest.raises(AttributeError):
+            delattr(term, name)
+    assert copy.copy(term) is term and copy.deepcopy(term) is term
+    assert pickle.loads(pickle.dumps(term)) is term
+    for args, message in invalid:
+        with pytest.raises(StructuralError) as caught:
+            kind(*args)
+        assert str(caught.value) == message
+
+
+def test_triple_is_a_tuple_of_interned_terms():
+    s, p, o = Iri("http://ex.org/s"), Iri("http://ex.org/p"), Literal("1", XSD_INTEGER)
+    triple = Triple(s, p, o)
+    assert triple == (s, p, o) and hash(triple) == hash((s, p, o)) and triple in {(s, p, o)}
+    assert (triple.subject, triple.predicate, triple.object) == (s, p, o)
+    reference = dataclasses.make_dataclass("Triple", ["subject", "predicate", "object"], frozen=True)
+    assert repr(triple) == repr(reference(s, p, o))
+    with pytest.raises(AttributeError):
+        triple.subject = o
+    for twin in (copy.copy(triple), copy.deepcopy(triple), pickle.loads(pickle.dumps(triple))):
+        assert type(twin) is Triple and twin == triple and all(a is b for a, b in zip(twin, triple))
+
+
+def _live(table) -> int:
+    return sum(ref() is not None for ref in list(table.values()))
+
+
+def test_intern_tables_stay_bounded():
+    held = [Iri(f"http://ex.org/held/{i}") for i in range(100)] + [Literal(f"held {i}") for i in range(100)]
+    live = {name: _live(getattr(rdf_core, name)) for name in ("_IRIS", "_LITERALS")}
+    for i in range(100_000):
+        Iri(f"http://ex.org/transient/{i}")
+        Literal(f"transient {i}", XSD_INTEGER)
+    for name, before in live.items():
+        table = getattr(rdf_core, name)
+        # dead entries are swept once a table doubles, so what is left is
+        # bounded by the live terms (and the one being made at the sweep),
+        # not by the terms ever made
+        assert table.swept_at <= before + 1
+        assert len(table) <= 2 * (before + 1) + 64
+        assert _live(table) <= before
+    assert all(Iri(f"http://ex.org/held/{i}") is held[i] for i in range(100))
+    assert all(Literal(f"held {i}") is held[100 + i] for i in range(100))
+
+
+def test_interning_is_thread_safe():
+    # each thread builds the same fresh values; the switch interval is cut
+    # so that the threads interleave inside the miss path
+    threads, barrier, results = 8, threading.Barrier(8), [None] * 8
+    values = [f"http://ex.org/race/{id(barrier)}/{i}" for i in range(3000)]
+
+    def build(slot):
+        barrier.wait(timeout=60)
+        results[slot] = [Iri(v) for v in values] + [Literal(v, XSD_INTEGER) for v in values] + [
+            Blank(f"race{id(barrier)}x{i}") for i in range(len(values))]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=build, args=(slot,)) for slot in range(threads)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    for terms in results[1:]:
+        assert all(a is b for a, b in zip(terms, results[0], strict=True))
 
 
 class TestTripleInvariants:

@@ -461,6 +461,8 @@ def _candidates(text: str, old, new):
         word = re.match(r"[A-Za-z_][A-Za-z0-9_]*", tok.text)
         if tok.kind == "PNAME" and word and word.group().upper() in _KEYWORDS:
             yield at, "2: keyword-named prefix"
+        if tok.kind == "PNAME" and "." in tok.text.partition(":")[0]:
+            yield at, "7: dotted prefix label"
         if at == new_at and tok.kind == "IRIREF" and message == "expected comparison operator" \
                 and [t.text.upper() for t in tokens[i - 3:i - 1]] == ["FILTER", "("] \
                 and tokens[i - 1].kind == "VAR":
@@ -501,6 +503,8 @@ _NAMED = [
      "4: feature named after a nested group"),
     ("SELECT ?s WHERE { ?s ?p ?o } LIMIT 1.4", "5: decimal after LIMIT"),
     ('SELECT ?s WHERE { ?s ?p ?o FILTER(regex(?o, "(")) }', "6: invalid regex"),
+    ("PREFIX ex.v: <http://ex.org/> SELECT ?s WHERE { ?s ex.v:p ?o }", "7: dotted prefix label"),
+    ("SELECT ?s WHERE { ?s ?p ?o .e.: }", "7: dotted prefix label"),
 ]
 
 

@@ -1,4 +1,5 @@
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -442,6 +443,36 @@ class TestCliBasics:
             first = run_cli("--store", str(built_store), *args)
             second = run_cli("--store", str(built_store), *args)
             assert first == second
+
+    def test_output_does_not_depend_on_hash_order(self, tmp_path):
+        # A term hashes by its address, so a set of terms iterates in an order
+        # that differs from run to run: stores and stdout must not show it.
+        script = ("import sys\n"
+                  "from ontomem.cli import main\n"
+                  "data = sys.argv[1]\n"
+                  "for args in (['init'],\n"
+                  "             ['build', '--sources', data + '/corpus', '--shapes', data + '/corpus_shapes.ttl',\n"
+                  "              '--schema', data + '/corpus_schema.ttl', '--patterns', data + '/corpus_patterns.json'],\n"
+                  "             ['--json', 'query', 'SELECT ?s ?p ?o WHERE { ?s ?p ?o }'],\n"
+                  "             ['check', '--claims', data + '/regulatory_claims.jsonl'],\n"
+                  "             ['diff', '0', '1', '--include-inferred']):\n"
+                  "    print('exit', main(['--store', 'store', *args]), flush=True)\n")
+        runs = []
+        for seed in ("0", "1"):
+            cwd = tmp_path / f"seed{seed}"
+            cwd.mkdir()
+            proc = subprocess.run([sys.executable, "-c", script, str(DATA)], cwd=cwd, capture_output=True,
+                                  text=True, timeout=300, env={**os.environ, "PYTHONHASHSEED": seed})
+            assert proc.returncode == 0, proc.stderr
+            files = {path.relative_to(cwd): path.read_bytes() for path in sorted(cwd.rglob("*"))
+                     if path.is_file()}
+            runs.append((proc.stdout, files))
+        (out0, files0), (out1, files1) = runs
+        assert [line for line in out0.splitlines() if line.startswith("exit")] == ["exit 0"] * 5
+        assert sorted(files0) == sorted(files1) and len(files0) > 5
+        for name in files0:
+            assert files0[name] == files1[name], name
+        assert out0 == out1
 
     def test_conflicting_corpus_lands_in_quarantine(self, tmp_path):
         store = tmp_path / "s"

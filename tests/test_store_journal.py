@@ -37,6 +37,7 @@ from ontomem.builder import feedback
 from ontomem.factcheck import Claim
 from ontomem.namespaces import INST_NS, RDF_LANGSTRING
 from ontomem.store import graph_at_version
+from ontomem.sparql import evaluate, parse_query
 from conftest import DATA, run_cli
 from oracles import oracle_registry_from_graph, oracle_save_commit
 
@@ -421,6 +422,20 @@ def test_language_tags_spelt_like_prefix_round_trip(tmp_path):
                            "SELECT ?s ?o WHERE { ?s <http://www.w3.org/2000/01/rdf-schema#label> ?o }")
     assert code == 0 and sorted(row["o"] for row in json.loads(out)["rows"]) == ['"x"@prefixfr', '"y"@prefix']
 
+
+def test_dotted_prefix_label_reads_in_turtle_and_sparql(tmp_path):
+    # PN_PREFIX allows an inner '.': a prefix that Turtle reads, SPARQL reads too.
+    graph, _ = parse_turtle("@prefix ex.v: <http://e/> .\nex.v:a ex.v:p ex.v:b .\n")
+    query = parse_query("PREFIX ex.v: <http://e/> SELECT ?s WHERE { ?s ex.v:p ?o }")
+    assert evaluate(query, graph).to_json()["rows"] == [{"s": "<http://e/a>"}]
+    root = tmp_path / "s"
+    handle = init_store(root)
+    handle.prefixes["ex.v"] = "http://e/"
+    save_commit(handle, feedback(handle.store, [Claim(t) for t in graph.find()]))
+    assert "\nex.v:a ex.v:p ex.v:b .\n" in (root / "trusted.ttl").read_text(encoding="utf-8")
+    code, out, _ = run_cli("--store", str(root), "--json", "query",
+                           "PREFIX ex.v: <http://e/> SELECT ?s ?o WHERE { ?s ex.v:p ?o }")
+    assert code == 0 and json.loads(out)["rows"] == [{"s": "<http://e/a>", "o": "<http://e/b>"}]
 
 def test_graph_at_version_is_the_union_of_its_deltas(tmp_path):
     root = _corpus_store(tmp_path, builds=3)
