@@ -234,7 +234,7 @@ IRIREF = r"<[^>\n]*>"
 BLANK = r"_:[A-Za-z0-9_](?:[A-Za-z0-9_.\-]*[A-Za-z0-9_\-])?"
 STRING = r'"[^"\\\n]*(?:\\[^\n][^"\\\n]*)*"'
 LANGTAG = r"@[A-Za-z]+(?:-[A-Za-z0-9]+)*"
-PN_PREFIX = r"(?:[A-Za-z_][A-Za-z0-9_.\-]*)?"
+PN_PREFIX = r"(?:[A-Za-z_](?:[A-Za-z0-9_.\-]*[A-Za-z0-9_\-])?)?"
 PNAME = rf"{PN_PREFIX}:(?:[A-Za-z0-9_](?:[A-Za-z0-9_.\-]*[A-Za-z0-9_\-])?)?"
 
 _TERM_TEXT_RE = re.compile(

@@ -2,14 +2,22 @@
 plus consistency checking (disjointness, functional properties, explicit
 negation overlay).
 
-The rules are one table. `materialize` closes a copy of a graph from scratch
-with a semi-naive loop: rules fire in RuleId order, round after round, each
-joining only the triples it has not yet seen. Every inferred triple records
-its firing, the index of the rule firing that first drew it, and its least
-match at that firing. A triple's firing is a minimum over its matches of the
-rule's next firing after the latest premise's, so firings are shortest-path
-labels (Knuth, "A generalization of Dijkstra's algorithm", IPL 1977), and
-adding triples can only lower them.
+The rules are one table, compiled at import into join plans: one per rule
+row and body atom to start from. A plan binds terms into fixed slots of a
+list and reads the graph's indexes directly, so no binding dict or pattern
+is built per candidate triple, and a head is type-checked only where a body
+position cannot guarantee its type (rule specialization as in Soufflé:
+Jordan, Scholz & Subotić, CAV 2016; rule plans as in RDFox: Motik et al.,
+AAAI 2014). Everything below runs the plans.
+
+`materialize` closes a copy of a graph from scratch with a semi-naive loop:
+rules fire in RuleId order, round after round, each joining only the
+triples it has not yet seen. Every inferred triple records its firing, the
+index of the rule firing that first drew it, and its least match at that
+firing. A triple's firing is a minimum over its matches of the rule's next
+firing after the latest premise's, so firings are shortest-path labels
+(Knuth, "A generalization of Dijkstra's algorithm", IPL 1977), and adding
+triples can only lower them.
 
 `extend` maintains those labels under insertion, as Dijkstra's algorithm
 would: it pops the triples whose firing dropped in firing order, starting
@@ -33,9 +41,10 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections import ChainMap
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import itemgetter
 from typing import NamedTuple
 
 from .namespaces import (
@@ -131,84 +140,204 @@ _RULES = (
 )
 
 
-def _pattern(atom, binding: dict) -> tuple:
-    """`atom` with its variables replaced by their bindings, None where unbound."""
-    return tuple(binding.get(x) if isinstance(x, str) else x for x in atom)
+def _lookup(bound: tuple):
+    """A function (indexes, env) -> the triples, of the graph whose `_indexes`
+    are passed, that hold at each position of `bound`'s (position, env slot)
+    pairs the term in that slot. It reads the indexes directly and returns a
+    new list, so the graph may grow while the list is walked."""
+    if len(bound) == 3:
+        key = itemgetter(*(slot for _, slot in bound))
+
+        def lookup(indexes, env):
+            k = key(env)
+            return [Triple(*k)] if any(k in ix[3] for ix in indexes) else []
+    elif len(bound) == 2:
+        (p1, s1), (p2, s2) = bound
+
+        def lookup(indexes, env):
+            a, b = env[s1], env[s2]
+            out = []
+            for ix in indexes:  # walk the smaller bucket, test the other position
+                x, y = ix[p1].get(a, ()), ix[p2].get(b, ())
+                out += [t for t in x if t[p2] is b] if len(x) <= len(y) else [t for t in y if t[p1] is a]
+            return out
+    elif bound:
+        ((p1, s1),) = bound
+
+        def lookup(indexes, env):
+            out = []
+            for ix in indexes:
+                out += ix[p1].get(env[s1], ())
+            return out
+    else:
+        def lookup(indexes, env):
+            return [t for ix in indexes for t in ix[3]]
+    return lookup
 
 
-def _join(body, order: list[int], graph: Graph, triples, binding: dict, chosen: tuple):
-    """Matches of `body` that extend `binding`, whose atoms order[:k] matched
-    as `chosen`: atom order[k] is drawn from `triples` and later ones from
-    `graph`. Yields the bindings and each atom's triple, in body order."""
-    k = len(body) - chosen.count(None)
-    i = order[k]
-    for t in triples:
-        bound = dict(binding)
-        for x, term in zip(body[i], (t.subject, t.predicate, t.object)):
-            if isinstance(x, str):
-                bound[x] = term
-        now = chosen[:i] + (t,) + chosen[i + 1:]
-        if k + 1 == len(body):
-            yield bound, now
-        else:
-            yield from _join(body, order, graph, graph.find(*_pattern(body[order[k + 1]], bound)), bound, now)
+class _Plan(NamedTuple):
+    """One row of `_RULES` compiled to join from one of its body atoms, then
+    from the others in body order.
+
+    A match is built in an env list: three slots per atom in join order,
+    which take the terms of the triple matched there, then the row's
+    constants. A variable's slot is the first one that binds it, so binding
+    an atom is one slice assignment, each later atom's lookup reads fixed
+    slots, and the head is an itemgetter over the env."""
+
+    rule: RuleId
+    place: int  # the rule's place in RuleId
+    row: int  # the row's place among its rule's rows
+    first: int  # the body index of the first atom
+    test: tuple  # the first atom's (s, p, o) constants, None at a variable
+    start: Callable  # the first atom's lookup, from its constants alone
+    reads: itemgetter  # the env slots the second atom's lookup reads
+    second: tuple  # the second atom's (body index, env offset, lookup)
+    rest: tuple  # the same for each atom after it, in join order
+    env: list  # the env every match starts from
+    head: itemgetter  # the conclusion's (s, p, o) from the env
+    subject_check: bool  # the head's subject comes only from object positions
+    predicate_check: bool  # the head's predicate comes from no predicate position
+    kept: tuple  # the body indexes of the atoms the Derivation records
+    premises: itemgetter  # those atoms' triples from a body-ordered match
 
 
-def _order_key(row: int, chosen: tuple[Triple, ...]) -> tuple:
+def _compile(place: int, row: int, rule: RuleId, body, head, kept, first: int) -> _Plan:
+    """The plan of one `_RULES` row that joins from body atom `first`."""
+    order = [first] + [i for i in range(len(body)) if i != first]
+    constants = dict.fromkeys(x for atom in body + (head,) for x in atom if not isinstance(x, str))
+    slots = {c: 3 * len(body) + k for k, c in enumerate(constants)}
+    bounds, steps = [], []
+    for k, i in enumerate(order):
+        bounds.append(tuple((pos, slots[x]) for pos, x in enumerate(body[i]) if x in slots))
+        steps.append((i, 3 * k, _lookup(bounds[-1])))
+        for pos, x in enumerate(body[i]):
+            slots.setdefault(x, 3 * k + pos)
+
+    def bound_at(x, positions) -> bool:
+        return not isinstance(x, str) or any(atom[pos] == x for atom in body for pos in positions)
+
+    # Every row keeps two atoms or more, so `premises` gives a tuple.
+    return _Plan(rule, place, row, first, tuple(None if isinstance(x, str) else x for x in body[first]),
+                 steps[0][2], itemgetter(*(slot for _, slot in bounds[1])), steps[1], tuple(steps[2:]),
+                 [None] * 3 * len(body) + list(constants), itemgetter(*(slots[x] for x in head)),
+                 not bound_at(head[0], (0, 1)), not bound_at(head[1], (1,)), kept, itemgetter(*kept))
+
+
+# Every rule's plans, one per (row, first atom), in row order.
+_PLANS = {rule: [_compile(place, row, rule, body, head, kept, first)
+                 for row, (_, body, head, kept) in enumerate(r for r in _RULES if r[0] is rule)
+                 for first in range(len(body))]
+          for place, rule in enumerate(RuleId)}
+
+
+def _indexes(graph: Graph | Layer) -> tuple:
+    """(by subject, by predicate, by object, triple set) of each Graph whose
+    union `graph` is: what the plans' lookups read."""
+    if isinstance(graph, Layer):
+        return _indexes(graph.base) + _indexes(graph.delta)
+    return ((graph._by_s, graph._by_p, graph._by_o, graph._triples),)
+
+
+def _fits(test: tuple, t: Triple) -> bool:
+    """Whether `t` holds the constants of a plan's first atom."""
+    s, p, o = test
+    return (s is None or t[0] is s) and (p is None or t[1] is p) and (o is None or t[2] is o)
+
+
+_ONCE = (None,)  # one pass of a loop whose match is already whole
+
+
+def _run(plan: _Plan, indexes: tuple, firsts, skip):
+    """Each match of `plan`'s body whose first atom is drawn from `firsts`,
+    triples that `_fits` the plan, and whose later atoms are drawn from the
+    graph of `indexes`, when its head is well typed and not in `skip`: the
+    head's (s, p, o) and the match's triples in body order, in a list that
+    the next match overwrites. The second atom's lookup runs once per
+    distinct value of the slots it reads."""
+    (second, at, lookup), rest = plan.second, plan.rest
+    env, chosen = plan.env.copy(), [None] * (len(rest) + 2)
+    first, reads, head = plan.first, plan.reads, plan.head
+    subject_check, predicate_check = plan.subject_check, plan.predicate_check
+    looked_up: dict = {}
+    for t in firsts:
+        env[:3] = t
+        chosen[first] = t
+        key = reads(env)
+        us = looked_up.get(key)
+        if us is None:
+            us = looked_up[key] = lookup(indexes, env)
+        for u in us:
+            env[at:at + 3] = u
+            chosen[second] = u
+            for _ in _walk(rest, indexes, env, chosen) if rest else _ONCE:
+                h = head(env)
+                if h in skip or (subject_check and type(h[0]) is Literal) \
+                        or (predicate_check and type(h[1]) is not Iri):
+                    continue
+                yield h, chosen
+
+
+def _walk(steps, indexes: tuple, env: list, chosen: list):
+    """Bind the atoms of `steps` in turn; yields once per match of them all."""
+    (i, at, lookup), rest = steps[0], steps[1:]
+    for u in lookup(indexes, env):
+        env[at:at + 3] = u
+        chosen[i] = u
+        yield from _walk(rest, indexes, env, chosen) if rest else _ONCE
+
+
+def _order_key(row: int, chosen) -> tuple:
     """Where a match of one rule stands among that rule's matches."""
     return (triple_key(chosen[0]), row) + tuple(triple_key(t) for t in chosen[1:])
 
 
-def _conclusion(head, binding: dict) -> Triple | None:
-    s, p, o = _pattern(head, binding)
-    if isinstance(s, Literal) or not isinstance(p, Iri):
-        return None
-    return Triple(s, p, o)
-
-
-def _fire(graph: Graph, rows, fresh: list[Triple]) -> dict[Triple, tuple[int, tuple[Triple, ...]]]:
-    """Conclusions of one rule that `graph` lacks, each with the row and body
-    match of its least derivation. Every match takes at least one atom from
-    `fresh`, the triples added since the rule last fired; when those are the
-    whole graph, every match is visited once."""
-    found: dict[Triple, tuple[int, tuple[Triple, ...]]] = {}
+def _fire(graph: Graph, plans: list[_Plan], fresh: list[Triple]) -> dict[tuple, list]:
+    """Conclusions of one rule that `graph` lacks, each mapped to [plan, body
+    match, order key or None] of its least derivation. Every match takes at
+    least one atom from `fresh`, the triples added since the rule last fired;
+    when those are the whole graph, every match is visited once. An order key
+    is computed only once a conclusion has a second match."""
+    found: dict[tuple, list] = {}
+    indexes = _indexes(graph)
     whole = len(fresh) == len(graph)
-    for row, (_, body, head, _) in enumerate(rows):
-        for first in range(1 if whole else len(body)):
-            s, p, o = _pattern(body[first], {})
-            matches = graph.find(s, p, o) if whole else [
-                t for t in fresh if (s is None or t.subject == s)
-                and (p is None or t.predicate == p) and (o is None or t.object == o)]
-            order = [first] + [i for i in range(len(body)) if i != first]
-            for binding, chosen in _join(body, order, graph, matches, {}, (None,) * len(body)):
-                conclusion = _conclusion(head, binding)
-                if conclusion is None or conclusion in graph:
-                    continue
-                best = found.get(conclusion)
-                if best is None or _order_key(row, chosen) < _order_key(*best):
-                    found[conclusion] = (row, chosen)
+    by_predicate: dict[Term, list[Triple]] = {}
+    if not whole:
+        for t in fresh:
+            by_predicate.setdefault(t[1], []).append(t)
+    for plan in plans:
+        if whole:
+            if plan.first:
+                continue
+            firsts = plan.start(indexes, plan.env)
+        else:
+            s, p, o = plan.test
+            firsts = fresh if p is None else by_predicate.get(p, ())
+            if s is not None or o is not None:
+                firsts = [t for t in firsts if _fits(plan.test, t)]
+        for h, chosen in _run(plan, indexes, firsts, graph._triples):
+            best = found.get(h)
+            if best is None:
+                found[h] = [plan, tuple(chosen), None]
+                continue
+            if best[2] is None:
+                best[2] = _order_key(best[0].row, best[1])
+            key = _order_key(plan.row, chosen)
+            if key < best[2]:
+                found[h] = [plan, tuple(chosen), key]
     return found
 
 
-_BY_RULE = {rule: [row for row in _RULES if row[0] is rule] for rule in RuleId}
-
-
 def _atoms_by_predicate() -> tuple[dict, list]:
-    """Every body atom a triple can stand in, with what `extend` needs to
-    re-evaluate the matches it takes part in there: (rule, its place in
-    RuleId, row within the rule, body, head, recorded atoms, the atom's
-    subject and object constants, join order). Keyed by the predicate the
-    atom fixes; the atoms that fix none are the list returned beside, and
-    are part of every entry too."""
+    """Every plan, keyed by the predicate its first atom fixes: the plans a
+    triple with that predicate can start. The plans whose first atom fixes
+    none are the list returned beside, and are part of every entry too."""
     by: dict = {}
-    for place, (rule, rows) in enumerate(_BY_RULE.items()):
-        for row, (_, body, head, kept) in enumerate(rows):
-            for i, atom in enumerate(body):
-                s, p, o = _pattern(atom, {})
-                order = [i] + [j for j in range(len(body)) if j != i]
-                by.setdefault(p, []).append((rule, place, row, body, head, kept, s, o, order))
+    for plans in _PLANS.values():
+        for plan in plans:
+            by.setdefault(plan.test[1], []).append(plan)
     anywhere = by.pop(None)
-    return {p: atoms + anywhere for p, atoms in by.items()}, anywhere
+    return {p: plans + anywhere for p, plans in by.items()}, anywhere
 
 
 _ATOMS, _ANY_ATOMS = _atoms_by_predicate()
@@ -227,20 +356,20 @@ def _saturate(graph: Graph, new, ceiling: int) -> dict[Triple, Derivation]:
     derivations: dict[Triple, Derivation] = {}
     firing = 0
     while any(upto < len(log) for upto in fired_upto.values()):
-        for rule, rows in _BY_RULE.items():
+        for rule, plans in _PLANS.items():
             firing += 1
             fresh = log[fired_upto[rule]:]
             fired_upto[rule] = len(log)
-            conclusions = _fire(graph, rows, fresh)
+            conclusions = _fire(graph, plans, fresh)
             if not conclusions:
                 continue
             if len(derivations) + len(conclusions) > ceiling:
                 raise DivergenceError(f"inferred triples exceeded ceiling {ceiling}")
-            for conclusion, (row, chosen) in conclusions.items():
+            for head, (plan, chosen, _) in conclusions.items():
+                conclusion = Triple(*head)
                 graph.insert(conclusion)
-                derivations[conclusion] = Derivation(
-                    rule, tuple(chosen[i] for i in rows[row][3]), firing)
-            log.extend(conclusions)
+                derivations[conclusion] = Derivation(rule, plan.premises(chosen), firing)
+                log.append(conclusion)
     return derivations
 
 
@@ -265,26 +394,15 @@ class Extension(Layer):
         self.derivations = ChainMap({}, derivations)
 
 
-def _bind(atom, t: Triple, binding: dict) -> bool:
-    """Unify `atom` with `t` under `binding`, which it extends."""
-    for x, term in zip(atom, (t.subject, t.predicate, t.object)):
-        if not isinstance(x, str):
-            if x != term:
-                return False
-        elif binding.setdefault(x, term) != term:
-            return False
-    return True
-
-
-def _derivation_key(derivation: Derivation, conclusion: Triple) -> tuple:
-    """The `_order_key` of the least match that `derivation` records."""
-    keys = []
-    for row, (_, body, head, kept) in enumerate(_BY_RULE[derivation.rule_id]):
-        binding: dict = {}
-        if all(_bind(body[i], t, binding) for i, t in zip(kept, derivation.premises)) \
-                and _conclusion(head, binding) == conclusion:
-            keys.append(_order_key(row, tuple(Triple(*_pattern(atom, binding)) for atom in body)))
-    return min(keys)
+def _derivation_key(derivation: Derivation, conclusion: Triple, indexes: tuple) -> tuple:
+    """The `_order_key` of the least match that `derivation` records, in the
+    graph of `indexes`: each row's plan that starts from the first recorded
+    atom is run from the first premise."""
+    first = derivation.premises[0]
+    return min(_order_key(plan.row, chosen)
+               for plan in _PLANS[derivation.rule_id] if plan.first == plan.kept[0] and _fits(plan.test, first)
+               for head, chosen in _run(plan, indexes, (first,), ())
+               if head == conclusion and plan.premises(chosen) == derivation.premises)
 
 
 def worth_extending(added, closure: Graph | Layer) -> bool:
@@ -292,10 +410,13 @@ def worth_extending(added, closure: Graph | Layer) -> bool:
     asserted triples plus `added` from scratch. Extending pays for each
     triple whose firing drops, and an added triple infers two or three more;
     closing pays for the whole closure. On random splits of
-    `bench/gen.SyntheticOntology(1, 500, 40)` (2-core VM, CPython 3.11),
-    extending took 119 ms and closing 216 ms when `added` was a twentieth of
-    the closure, 143 and 218 ms at a ninth, and 258 and 191 ms at a fifth;
-    the cut is an eighth."""
+    `bench/gen.SyntheticOntology(1, 500, 40)` (2-core VM, CPython 3.11,
+    medians of 7 splits in each of two runs, both paths of `extend`),
+    extending took 21-32 ms and closing 26 ms when `added` was a twentieth of
+    the closure, 45 and 25-26 ms at a ninth, and 90-104 and 25 ms at a fifth.
+    The cut is an eighth. It was set when both paths interpreted the rule
+    table, and extending then won up to a ninth; with compiled join plans
+    closing gained more, and the crossover is near a twentieth."""
     return 8 * len(added) < len(closure)
 
 
@@ -338,31 +459,28 @@ def extend(closure: Graph | Layer, added,
             heap.append((0, next(order), t))
     heapq.heapify(heap)
     ceiling, inferred = DEFAULT_APPLICATION_CEILING, 0
+    indexes = _indexes(result)
     while heap:
         f, _, t = heapq.heappop(heap)
         if firing_of(t) != f:  # popped before at a lower firing
             continue
-        for rule, place, row, body, head, kept, s, o, join_order in _ATOMS.get(t.predicate, _ANY_ATOMS):
-            if (s is not None and s != t.subject) or (o is not None and o != t.object):
+        for plan in _ATOMS.get(t.predicate, _ANY_ATOMS):
+            if not _fits(plan.test, t):
                 continue
-            for binding, chosen in _join(body, join_order, result, (t,), {}, (None,) * len(body)):
-                c = _conclusion(head, binding)
-                if c is None:
-                    continue
+            for head, chosen in _run(plan, indexes, (t,), ()):
                 latest = max(map(firing_of, chosen))
-                v = latest + 1 + (place - latest) % len(RuleId)  # the rule's next firing
-                if c in result:
-                    now = firing_of(c)
-                    if v > now or (v == now and _order_key(row, chosen)
-                                   >= _derivation_key(result.derivations[c], c)):
-                        continue
-                else:
+                v = latest + 1 + (plan.place - latest) % len(RuleId)  # the rule's next firing
+                now = firing_of(head) if head in result else None
+                if now is not None and (v > now or (v == now and _order_key(plan.row, chosen)
+                                                    >= _derivation_key(result.derivations[head], head, indexes))):
+                    continue
+                c = Triple(*head)
+                if now is None:
                     result.insert(c)
                     inferred += 1
                     if inferred > ceiling:
                         raise DivergenceError(f"inferred triples exceeded ceiling {ceiling}")
-                    now = None
-                changed[c] = Derivation(rule, tuple(chosen[i] for i in kept), v)
+                changed[c] = Derivation(plan.rule, plan.premises(chosen), v)
                 if v != now:
                     heapq.heappush(heap, (v, next(order), c))
     return result

@@ -18,7 +18,7 @@ from ontomem.namespaces import (
     RDFS_SUBPROPERTYOF,
 )
 from ontomem.factcheck import negation_overlay
-from ontomem.rdf_core import Graph, Iri, Literal, Triple, single_object, triple_key, triple_text
+from ontomem.rdf_core import Blank, Graph, Iri, Literal, Triple, single_object, triple_key, triple_text
 from ontomem.reasoner import (
     ConflictKind,
     DivergenceError,
@@ -546,3 +546,51 @@ def test_extend_of_an_extension_chains_its_derivations(monkeypatch, path):
         flat, flat_derivations = materialize(union, want_derivations=True)
         assert outer.triple_set() == flat.triple_set()
         assert _exact(outer.derivations) == _exact(flat_derivations)
+
+
+# ---------------------------------------------------------------------------
+# Heads that would be ill-typed are not drawn, from scratch or by insertion
+# ---------------------------------------------------------------------------
+
+
+def _ill_typed(*triples):
+    return [Triple(*(iri(x) if isinstance(x, str) else x for x in t)) for t in triples]
+
+
+_A, _LIT = Iri(RDF_TYPE), Literal("1")
+# Each case holds a match whose conclusion would have a literal subject or a
+# predicate that is not an IRI, beside a well-typed match of the same rule.
+_ILL_TYPED_HEADS = {
+    "INVERSE_OF over a literal object": _ill_typed(
+        ("p", Iri(OWL_INVERSEOF), "q"), ("x", "p", _LIT), ("x", "q", Literal("2")), ("x", "p", "y")),
+    "SYMMETRIC over a literal object": _ill_typed(
+        ("p", _A, Iri(OWL_SYMMETRIC)), ("x", "p", _LIT), ("x", "p", "y")),
+    "owl:inverseOf to a literal": _ill_typed(
+        ("p", Iri(OWL_INVERSEOF), _LIT), ("x", "p", "y"), ("p", Iri(OWL_INVERSEOF), "r")),
+    "owl:inverseOf to a blank node": _ill_typed(
+        ("p", Iri(OWL_INVERSEOF), Blank("q")), ("x", "p", "y"), ("p", Iri(OWL_INVERSEOF), "r")),
+    "owl:inverseOf from a blank node": _ill_typed(
+        (Blank("p"), Iri(OWL_INVERSEOF), "q"), ("x", "q", "y"), ("s", Iri(OWL_INVERSEOF), "q")),
+    "RANGE_TYPING of a literal": _ill_typed(
+        ("p", Iri(RDFS_RANGE), "C"), ("x", "p", _LIT), ("x", "p", "y")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ILL_TYPED_HEADS))
+def test_ill_typed_heads_are_drawn_on_neither_path(monkeypatch, case):
+    monkeypatch.setattr(reasoner_module, "worth_extending", lambda added, closure: True)
+    triples = _ILL_TYPED_HEADS[case]
+    whole = Graph()
+    for t in triples:
+        whole.insert(t)
+    closure, derivations = materialize(whole, want_derivations=True)
+    assert derivations and derivations == oracle_derivations(whole)
+    for added in triples:  # each triple in turn reaches the closure of the others by insertion
+        rest = Graph()
+        for t in triples:
+            if t != added:
+                rest.insert(t)
+        base, base_derivations = materialize(rest, want_derivations=True)
+        layer = extend(base, [added], base_derivations)
+        assert layer.triple_set() == closure.triple_set(), added
+        assert _exact(layer.derivations) == _exact(derivations), added

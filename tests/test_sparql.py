@@ -504,7 +504,7 @@ _NAMED = [
     ("SELECT ?s WHERE { ?s ?p ?o } LIMIT 1.4", "5: decimal after LIMIT"),
     ('SELECT ?s WHERE { ?s ?p ?o FILTER(regex(?o, "(")) }', "6: invalid regex"),
     ("PREFIX ex.v: <http://ex.org/> SELECT ?s WHERE { ?s ex.v:p ?o }", "7: dotted prefix label"),
-    ("SELECT ?s WHERE { ?s ?p ?o .e.: }", "7: dotted prefix label"),
+    ("SELECT ?s WHERE { ?s ?p ?o .e.v: }", "7: dotted prefix label"),
 ]
 
 

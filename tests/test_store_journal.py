@@ -32,12 +32,12 @@ from ontomem.namespaces import (
 from ontomem.rdf_core import (
     Blank, Graph, Iri, Literal, Origin, Triple, escape_literal, triple_key, triple_text)
 from ontomem.store import init_store, load_shapes_file, load_store, registry_from_graph, save_commit
-from ontomem.turtle_io import TurtleParseError, parse_turtle
+from ontomem.turtle_io import TurtleParseError, parse_turtle, serialize_turtle
 from ontomem.builder import feedback
 from ontomem.factcheck import Claim
 from ontomem.namespaces import INST_NS, RDF_LANGSTRING
 from ontomem.store import graph_at_version
-from ontomem.sparql import evaluate, parse_query
+from ontomem.sparql import QueryParseError, evaluate, parse_query
 from conftest import DATA, run_cli
 from oracles import oracle_registry_from_graph, oracle_save_commit
 
@@ -436,6 +436,18 @@ def test_dotted_prefix_label_reads_in_turtle_and_sparql(tmp_path):
     code, out, _ = run_cli("--store", str(root), "--json", "query",
                            "PREFIX ex.v: <http://e/> SELECT ?s ?o WHERE { ?s ex.v:p ?o }")
     assert code == 0 and json.loads(out)["rows"] == [{"s": "<http://e/a>", "o": "<http://e/b>"}]
+
+
+def test_prefix_label_ending_in_a_dot_is_refused_in_turtle_and_sparql():
+    # W3C Turtle and SPARQL: PN_PREFIX may hold a '.', but not as its last character.
+    document = "@prefix e.: <http://e/> .\ne.:a e.:p e.:b .\n"
+    with pytest.raises(TurtleParseError):
+        parse_turtle(document)
+    with pytest.raises(TurtleParseError):  # so the serializer can no longer write one back
+        serialize_turtle(*parse_turtle(document))
+    with pytest.raises(QueryParseError):
+        parse_query("PREFIX e.: <http://e/> ASK WHERE { e.:a e.:p ?o }")
+
 
 def test_graph_at_version_is_the_union_of_its_deltas(tmp_path):
     root = _corpus_store(tmp_path, builds=3)

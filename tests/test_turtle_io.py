@@ -244,6 +244,7 @@ _PIECES = ["\\", "\\u", "\\U", "\\u00", "\\u265 ", "\\uD800", "\\u00e9", "\\U000
            ":", "_:", "^^", "a", "0", "e", "\t", "\r", "é", "-", "+", "@en", "@prefix"]
 _LITERAL_RE = re.compile(r'"[^"\\\n]*(?:\\[^\n][^"\\\n]*)*"')
 _OPEN_LITERAL_RE = re.compile(r'"[^"\\\n]*(?:\\[^\n][^"\\\n]*)*\\\n')
+_DOT_LABEL_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.\-]*\.:")  # a prefix label ending in '.', then ':'
 
 
 def _mutate(doc: str, rng: random.Random, pieces: list[str] = _PIECES) -> str:
@@ -336,6 +337,9 @@ def _difference(text: str, old, new) -> str:
             # The oracle read a newline as one of a \u's four digits.
             assert _bad_unicode_escape(text[at + 1:].split("\n", 1)[0]), (text, old, new)
             return "1: malformed unicode escape"
+        if message.startswith("unexpected character") and _DOT_LABEL_RE.match(text, at):
+            # The loop reads a prefix label that ends in '.'; W3C Turtle and the table do not.
+            return "5: prefix label ending in '.'"
     if old[0] == new[0] == "tokens":
         last_line = text.rsplit("\n", 1)[-1]
         assert old[1][:-1] == new[1][:-1] and old[1][-1][:3] == new[1][-1][:3], (text, old, new)
@@ -362,7 +366,7 @@ def test_token_table_matches_character_loop():
             assert 1 <= diag.column <= len(lines[diag.line - 1]) + 1, (text, diag)
     assert set(tally) == {"identical", "oracle crash", "1: malformed unicode escape",
                           "2: backslash before newline", "3: EOF after trailing comment",
-                          "4: @prefix after a closing quote"}, tally
+                          "4: @prefix after a closing quote", "5: prefix label ending in '.'"}, tally
     assert tally["identical"] > 0.95 * len(inputs), tally
     assert time.perf_counter() - started < 10
 
