@@ -14,6 +14,11 @@ Triples are held in a set plus three indexes (subject-first,
 predicate-first, object-first). A graph carries no provenance: the ontology
 store keeps the provenance records beside its trusted graph, keyed by triple.
 A `Layer` reads a shared graph plus a small graph of triples added on top.
+
+The indexes have one reader, `compile_lookup`: it turns the positions a
+pattern binds into a function over `indexes`, the (by subject, by
+predicate, by object, triple set) of each graph a `Graph` or `Layer`
+unions. `Graph.find` and the reasoner's join plans run such lookups.
 """
 
 from __future__ import annotations
@@ -335,6 +340,49 @@ class Provenance:
 # ---------------------------------------------------------------------------
 
 
+def compile_lookup(bound: tuple):
+    """A function (indexes, env) -> the triples, of the graph whose `indexes`
+    are passed, that hold at each position of `bound`'s (position, env slot)
+    pairs the term in that slot. It returns a new list, so the graph may grow
+    while the list is walked, and each triple of the graph once, since the
+    graphs a Layer unions never overlap."""
+    if len(bound) == 3:
+        key = itemgetter(*(slot for _, slot in bound))
+
+        def lookup(indexes, env):
+            k = key(env)  # tested before it is made a Triple, which may refuse it
+            return [Triple(*k)] if any(k in ix[3] for ix in indexes) else []
+    elif len(bound) == 2:
+        (p1, s1), (p2, s2) = bound
+
+        def lookup(indexes, env):
+            a, b = env[s1], env[s2]
+            out = []
+            for ix in indexes:  # walk the smaller bucket, test the other position
+                x, y = ix[p1].get(a, ()), ix[p2].get(b, ())
+                out += [t for t in x if t[p2] is b] if len(x) <= len(y) else [t for t in y if t[p1] is a]
+            return out
+    elif bound:
+        ((p1, s1),) = bound
+
+        def lookup(indexes, env):
+            out = []
+            for ix in indexes:
+                out += ix[p1].get(env[s1], ())
+            return out
+    else:
+        def lookup(indexes, env):
+            out = []
+            for ix in indexes:
+                out += ix[3]
+            return out
+    return lookup
+
+
+# `Graph.find`'s lookups, by bound positions: bit 0 subject, 1 predicate, 2 object.
+_FIND = tuple(compile_lookup(tuple((pos, pos) for pos in range(3) if mask >> pos & 1)) for mask in range(8))
+
+
 class Graph:
     """Triple set with three always-coherent indexes.
 
@@ -347,6 +395,7 @@ class Graph:
         self._by_s: dict[Term, set[Triple]] = {}
         self._by_p: dict[Term, set[Triple]] = {}
         self._by_o: dict[Term, set[Triple]] = {}
+        self.indexes = ((self._by_s, self._by_p, self._by_o, self._triples),)
 
     # -- mutation ------------------------------------------------------------
 
@@ -383,10 +432,10 @@ class Graph:
         return triple in self._triples
 
     def __iter__(self):
-        return iter(sorted(self._triples, key=triple_key))
+        return iter(sorted(self.find(), key=triple_key))
 
     def triple_set(self) -> frozenset[Triple]:
-        return frozenset(self._triples)
+        return frozenset(self.find())
 
     def match(self, subject: Term | None = None, predicate: Term | None = None,
               object: Term | None = None) -> list[Triple]:
@@ -396,15 +445,8 @@ class Graph:
     def find(self, subject: Term | None = None, predicate: Term | None = None,
              object: Term | None = None) -> list[Triple]:
         """All triples matching the bound positions (None = wildcard), unordered."""
-        pools = [index.get(term, ()) for index, term in
-                 ((self._by_s, subject), (self._by_o, object), (self._by_p, predicate)) if term is not None]
-        if not pools:
-            return list(self._triples)
-        pool = min(pools, key=len)  # the most selective index fixes its own position
-        if len(pools) == 1:
-            return list(pool)
-        return [t for t in pool if (subject is None or t.subject == subject)
-                and (predicate is None or t.predicate == predicate) and (object is None or t.object == object)]
+        mask = (subject is not None) + 2 * (predicate is not None) + 4 * (object is not None)
+        return _FIND[mask](self.indexes, (subject, predicate, object))
 
     def terms(self) -> list[Term]:
         """Every distinct term appearing anywhere in the graph, sorted."""
@@ -421,6 +463,7 @@ class Graph:
         g._by_s = {k: set(v) for k, v in self._by_s.items()}
         g._by_p = {k: set(v) for k, v in self._by_p.items()}
         g._by_o = {k: set(v) for k, v in self._by_o.items()}
+        g.indexes = ((g._by_s, g._by_p, g._by_o, g._triples),)
         return g
 
     def content_hash(self) -> str:
@@ -439,12 +482,15 @@ class Layer:
     through it reaches the base.
     Reads union the base and the delta, so building a layer copies nothing:
     this is path copying as in persistent data structures (Driscoll, Sarnak,
-    Sleator & Tarjan, 1989). The base must not change while the layer lives.
+    Sleator & Tarjan, 1989). Its `indexes` are the base's followed by the
+    delta's, so `Graph`'s readers serve it unchanged: `find` lists the base's
+    matches, then the delta's. The base must not change while the layer lives.
     """
 
     def __init__(self, base: Graph | Layer) -> None:
         self.base = base
         self.delta = Graph()
+        self.indexes = base.indexes + self.delta.indexes
 
     def insert(self, triple: Triple) -> bool:
         """Add a triple to the delta; returns True when the layer lacked it."""
@@ -458,21 +504,10 @@ class Layer:
     def __contains__(self, triple: Triple) -> bool:
         return triple in self.delta or triple in self.base
 
-    def __iter__(self):
-        return iter(sorted(self.find(), key=triple_key))
-
-    def triple_set(self) -> frozenset[Triple]:
-        return self.base.triple_set() | self.delta.triple_set()
-
-    def find(self, subject: Term | None = None, predicate: Term | None = None,
-             object: Term | None = None) -> list[Triple]:
-        """All triples matching the bound positions, unordered: the base's
-        matches followed by the delta's."""
-        found = self.base.find(subject, predicate, object)
-        found.extend(self.delta.find(subject, predicate, object))
-        return found
-
+    __iter__ = Graph.__iter__
+    triple_set = Graph.triple_set
     match = Graph.match
+    find = Graph.find
     content_hash = Graph.content_hash
 
 

@@ -4,11 +4,12 @@ negation overlay).
 
 The rules are one table, compiled at import into join plans: one per rule
 row and body atom to start from. A plan binds terms into fixed slots of a
-list and reads the graph's indexes directly, so no binding dict or pattern
-is built per candidate triple, and a head is type-checked only where a body
-position cannot guarantee its type (rule specialization as in Soufflé:
-Jordan, Scholz & Subotić, CAV 2016; rule plans as in RDFox: Motik et al.,
-AAAI 2014). Everything below runs the plans.
+list and reads the graph's indexes through `rdf_core`'s lookup, compiled
+once per atom, so no binding dict or pattern is built per candidate triple,
+and a head is type-checked only where a body position cannot guarantee its
+type (rule specialization as in Soufflé: Jordan, Scholz & Subotić, CAV
+2016; rule plans as in RDFox: Motik et al., AAAI 2014). Everything below
+runs the plans.
 
 `materialize` closes a copy of a graph from scratch with a semi-naive loop:
 rules fire in RuleId order, round after round, each joining only the
@@ -71,6 +72,7 @@ from .rdf_core import (
     Literal,
     Term,
     Triple,
+    compile_lookup,
     single_object,
     term_key,
     term_text,
@@ -140,41 +142,6 @@ _RULES = (
 )
 
 
-def _lookup(bound: tuple):
-    """A function (indexes, env) -> the triples, of the graph whose `_indexes`
-    are passed, that hold at each position of `bound`'s (position, env slot)
-    pairs the term in that slot. It reads the indexes directly and returns a
-    new list, so the graph may grow while the list is walked."""
-    if len(bound) == 3:
-        key = itemgetter(*(slot for _, slot in bound))
-
-        def lookup(indexes, env):
-            k = key(env)
-            return [Triple(*k)] if any(k in ix[3] for ix in indexes) else []
-    elif len(bound) == 2:
-        (p1, s1), (p2, s2) = bound
-
-        def lookup(indexes, env):
-            a, b = env[s1], env[s2]
-            out = []
-            for ix in indexes:  # walk the smaller bucket, test the other position
-                x, y = ix[p1].get(a, ()), ix[p2].get(b, ())
-                out += [t for t in x if t[p2] is b] if len(x) <= len(y) else [t for t in y if t[p1] is a]
-            return out
-    elif bound:
-        ((p1, s1),) = bound
-
-        def lookup(indexes, env):
-            out = []
-            for ix in indexes:
-                out += ix[p1].get(env[s1], ())
-            return out
-    else:
-        def lookup(indexes, env):
-            return [t for ix in indexes for t in ix[3]]
-    return lookup
-
-
 class _Plan(NamedTuple):
     """One row of `_RULES` compiled to join from one of its body atoms, then
     from the others in body order.
@@ -210,7 +177,7 @@ def _compile(place: int, row: int, rule: RuleId, body, head, kept, first: int) -
     bounds, steps = [], []
     for k, i in enumerate(order):
         bounds.append(tuple((pos, slots[x]) for pos, x in enumerate(body[i]) if x in slots))
-        steps.append((i, 3 * k, _lookup(bounds[-1])))
+        steps.append((i, 3 * k, compile_lookup(bounds[-1])))
         for pos, x in enumerate(body[i]):
             slots.setdefault(x, 3 * k + pos)
 
@@ -229,14 +196,6 @@ _PLANS = {rule: [_compile(place, row, rule, body, head, kept, first)
                  for row, (_, body, head, kept) in enumerate(r for r in _RULES if r[0] is rule)
                  for first in range(len(body))]
           for place, rule in enumerate(RuleId)}
-
-
-def _indexes(graph: Graph | Layer) -> tuple:
-    """(by subject, by predicate, by object, triple set) of each Graph whose
-    union `graph` is: what the plans' lookups read."""
-    if isinstance(graph, Layer):
-        return _indexes(graph.base) + _indexes(graph.delta)
-    return ((graph._by_s, graph._by_p, graph._by_o, graph._triples),)
 
 
 def _fits(test: tuple, t: Triple) -> bool:
@@ -299,7 +258,8 @@ def _fire(graph: Graph, plans: list[_Plan], fresh: list[Triple]) -> dict[tuple, 
     when those are the whole graph, every match is visited once. An order key
     is computed only once a conclusion has a second match."""
     found: dict[tuple, list] = {}
-    indexes = _indexes(graph)
+    indexes = graph.indexes
+    held = indexes[0][3]  # `graph` is a Graph: its one entry's triple set
     whole = len(fresh) == len(graph)
     by_predicate: dict[Term, list[Triple]] = {}
     if not whole:
@@ -315,7 +275,7 @@ def _fire(graph: Graph, plans: list[_Plan], fresh: list[Triple]) -> dict[tuple, 
             firsts = fresh if p is None else by_predicate.get(p, ())
             if s is not None or o is not None:
                 firsts = [t for t in firsts if _fits(plan.test, t)]
-        for h, chosen in _run(plan, indexes, firsts, graph._triples):
+        for h, chosen in _run(plan, indexes, firsts, held):
             best = found.get(h)
             if best is None:
                 found[h] = [plan, tuple(chosen), None]
@@ -410,14 +370,14 @@ def worth_extending(added, closure: Graph | Layer) -> bool:
     asserted triples plus `added` from scratch. Extending pays for each
     triple whose firing drops, and an added triple infers two or three more;
     closing pays for the whole closure. On random splits of
-    `bench/gen.SyntheticOntology(1, 500, 40)` (2-core VM, CPython 3.11,
-    medians of 7 splits in each of two runs, both paths of `extend`),
-    extending took 21-32 ms and closing 26 ms when `added` was a twentieth of
-    the closure, 45 and 25-26 ms at a ninth, and 90-104 and 25 ms at a fifth.
-    The cut is an eighth. It was set when both paths interpreted the rule
-    table, and extending then won up to a ninth; with compiled join plans
-    closing gained more, and the crossover is near a twentieth."""
-    return 8 * len(added) < len(closure)
+    `bench/gen.SyntheticOntology(1, 500, 40)`, with `added` drawn from its
+    asserted triples and the rest closed (2-core VM, CPython 3.11, medians of
+    7 splits in each of three runs, both paths of `extend`): where `added` was
+    0.058 of that closure, extending took 18 ms and closing 26-31 ms; at
+    0.071, 22-24 and 27-28 ms; at 0.084, 26-27 and 27 ms; at 0.10-0.11, 30-31
+    and 26-27 ms; at 0.16, 42-46 and 27-35 ms. The cut is a twelfth, at the
+    crossover."""
+    return 12 * len(added) < len(closure)
 
 
 def extend(closure: Graph | Layer, added,
@@ -459,7 +419,7 @@ def extend(closure: Graph | Layer, added,
             heap.append((0, next(order), t))
     heapq.heapify(heap)
     ceiling, inferred = DEFAULT_APPLICATION_CEILING, 0
-    indexes = _indexes(result)
+    indexes = result.indexes
     while heap:
         f, _, t = heapq.heappop(heap)
         if firing_of(t) != f:  # popped before at a lower firing

@@ -372,7 +372,7 @@ def serialize_turtle(graph: Graph, prefixes: PrefixMap) -> str:
     """Canonical text: a pure function of (triple set, prefix map)."""
     lines = [f"@prefix {label}: <{iri}> ." for label, iri in sorted(prefixes.items())]
 
-    triples = graph.triple_set()
+    triples = graph.find()
     blanks = ({t.subject for t in triples if isinstance(t.subject, Blank)}
               | {t.object for t in triples if isinstance(t.object, Blank)})
     if blanks:

@@ -16,6 +16,7 @@ from ontomem.rdf_core import (
     CapacityError,
     Graph,
     Iri,
+    Layer,
     Literal,
     StructuralError,
     Triple,
@@ -446,3 +447,22 @@ def test_indexes_track_triple_set_through_churn():
         for index in (g._by_s, g._by_p, g._by_o):
             union = set().union(*index.values()) if index else set()
             assert union == expected
+        # find, under each set of bound positions, filters the triple set, on
+        # the graph and on a fresh two-deep Layer chain over it, which holds
+        # each triple once
+        chain = Layer(Layer(g))
+        held = set(expected)
+        for layer in (chain.base, chain):
+            for added in rng.sample(pool, 3):
+                layer.insert(added)
+                held.add(added)
+        assert chain.triple_set() == held
+        probe = rng.choice(pool)
+        for graph, triples in ((g, expected), (chain, held)):
+            for mask in range(8):
+                bound = [term if mask >> pos & 1 else None for pos, term in enumerate(probe)]
+                found = graph.find(*bound)
+                assert len(found) == len(set(found)), (mask, bound)
+                assert set(found) == {x for x in triples
+                                      if all(b is None or x[pos] == b for pos, b in enumerate(bound))}, (mask, bound)
+            assert graph.find(Literal("s0"), probe.predicate, probe.object) == []

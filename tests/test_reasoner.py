@@ -350,6 +350,17 @@ def test_only_the_reasoner_reaches_its_inference_primitives():
                 assert not primitives & {alias.name for alias in node.names}, path.name
 
 
+def test_only_rdf_core_reads_the_graph_indexes():
+    # Every other module reads them through `find` or `compile_lookup`.
+    private = {"_by_s", "_by_p", "_by_o", "_triples"}
+    src = Path(reasoner_module.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        if path.name == "rdf_core.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            assert not (isinstance(node, ast.Attribute) and node.attr in private), (path.name, node.lineno)
+
+
 # ---------------------------------------------------------------------------
 # Layered extend and the consistency check scoped to a delta
 # ---------------------------------------------------------------------------
