@@ -12,7 +12,8 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from collections.abc import Iterable
+import threading
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -633,18 +634,38 @@ class OntologyStore:
     """In-memory pipeline state: the trusted graph (committed triples only),
     each trusted triple's provenance records, the version and the entity
     registry. `commit` returns the delta that `store.save_commit` persists,
-    quarantine lines included. `unsaved` maps each trusted triple that gained
-    merged records since the last save to how many records it had before."""
+    quarantine lines included. `unsaved` maps each triple that gained records
+    since the last save to those records: all of a new triple's, or those
+    merged into a trusted one.
+
+    `read_provenance`, when given, returns every trusted triple's committed
+    records followed by its `unsaved` ones: `provenance` calls it on first
+    use, once, under the lock that `commit` holds, so a read on another
+    thread sees each commit whole or not at all. A store that never reads
+    `provenance` never pays for it; `store.load_store` passes its journal
+    reader here."""
 
     def __init__(self, config: BuilderConfig | None = None,
-                 shapes: list[NodeShape] | None = None):
+                 shapes: list[NodeShape] | None = None,
+                 read_provenance: Callable[[OntologyStore], dict[Triple, list[Provenance]]]
+                 | None = None):
         self.config = config or BuilderConfig()
         self.shapes = shapes or []
         self.trusted = Graph()
-        self.provenance: dict[Triple, list[Provenance]] = {}
-        self.unsaved: dict[Triple, int] = {}
+        self.unsaved: dict[Triple, list[Provenance]] = {}
         self.version = 0
         self.registry = EntityRegistry()
+        self._provenance: dict[Triple, list[Provenance]] | None = None if read_provenance else {}
+        self._read_provenance = read_provenance
+        self._lock = threading.Lock()
+
+    @property
+    def provenance(self) -> dict[Triple, list[Provenance]]:
+        if self._provenance is None:
+            with self._lock:
+                if self._provenance is None:
+                    self._provenance = self._read_provenance(self)
+        return self._provenance
 
     def commit(self, gate: GateResult, base_version: int,
                quarantined_relations: list[QuarantinedRelation] | None = None) -> OntologyDelta:
@@ -655,24 +676,18 @@ class OntologyStore:
             raise VersionConflictError(
                 f"commit against version {base_version}, store is at {self.version}")
 
-        new: list[Candidate] = []
-        for cand in gate.accepted:
-            if cand.triple in self.trusted:
-                records = self.provenance.setdefault(cand.triple, [])
-                self.unsaved.setdefault(cand.triple, len(records))
-                records.extend(cand.provenance)
-            else:
-                new.append(cand)
-
-        quarantined_relations = quarantined_relations or []
-        if not new:
-            return OntologyDelta(self.version, [], gate.quarantined, quarantined_relations)
-
-        self.version += 1
-        for cand in new:
-            self.trusted.insert(cand.triple)
-            self.provenance[cand.triple] = list(cand.provenance)
-        return OntologyDelta(self.version, new, gate.quarantined, quarantined_relations)
+        new = [cand for cand in gate.accepted if cand.triple not in self.trusted]
+        with self._lock:
+            loaded = self._provenance
+            for cand in gate.accepted:
+                self.unsaved.setdefault(cand.triple, []).extend(cand.provenance)
+                if loaded is not None:
+                    loaded.setdefault(cand.triple, []).extend(cand.provenance)
+            if new:
+                self.version += 1
+                for cand in new:
+                    self.trusted.insert(cand.triple)
+        return OntologyDelta(self.version, new, gate.quarantined, quarantined_relations or [])
 
 
 def graph_candidates(graph: Graph, source_id: str,

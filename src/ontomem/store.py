@@ -16,13 +16,18 @@ accepts triples opens a block in each with a version marker line
 (`{"version": N}`, and the Turtle comment `# version N`), then appends only
 what the store gained since the last save: a provenance line per new triple
 and per triple that gained records, in triple order, and a registry line per
-new label, first source, alias or ambiguous alias. Every line file is read by
-`_lines`, which drops a last line without its newline and stops a journal at
-its first marker above `version`, so a block whose commit never wrote
-`version` stays invisible; and appended to by `_append`, which first cuts the
-file back to its committed lines. Lines before any marker are committed, so
-stores written as one full rewrite per commit load unchanged. registry.ttl
-is valid Turtle but no longer in canonical order.
+new label, first source, alias or ambiguous alias. A journal's committed
+lines (`_committed`) end before its first marker above `version`, so a block
+whose commit never wrote `version` stays invisible. Every line file drops a
+last line without its newline, and is appended to by `_append`, which first
+cuts the file back to its committed lines. Lines before any marker are
+committed, so stores written as one full rewrite per commit load unchanged.
+registry.ttl is valid Turtle but no longer in canonical order.
+
+`load_store` reads registry.ttl but only finds where provenance.jsonl's
+committed lines end: a commit appends what it gained (`OntologyStore.unsaved`)
+without reading the journal back, and `store.provenance` reads the records on
+first use (`_read_provenance`), so a build never parses them.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ import re
 import threading
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import chain
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -69,9 +75,12 @@ class StoreLockError(StoreError):
 
 _PROVENANCE = "provenance.jsonl"
 _REGISTRY = "registry.ttl"
-# The line that opens a commit's block in each journal, and its pattern.
-_MARKERS = {_PROVENANCE: ('{{"version": {}}}', re.compile(rb'\{"version": (\d+)\}$')),
-            _REGISTRY: ("# version {}", re.compile(rb"# version (\d+)$"))}
+# The line that opens a commit's block in each journal: its text before and
+# after the version number.
+_MARKERS = {_PROVENANCE: ('{"version": ', "}"), _REGISTRY: ("# version ", "")}
+# The start of a logs.jsonl line as `_json` writes it, with an id that holds
+# no escape, so that its bytes are the id's own UTF-8 bytes.
+_LOG_ID = re.compile(rb'\{"id": "([^"\\]*)", "text": ')
 
 
 @dataclass
@@ -158,21 +167,19 @@ def load_store(root: str | Path) -> StoreHandle:
     from .builder import OntologyStore
     root = Path(root)
     graph, prefixes = _read_trusted(root)
-    store = OntologyStore()
-    store.version = read_version(root)
-
-    prov_by_triple, prov_end = _load_provenance(root / _PROVENANCE, store.version)
-    fallback = Provenance(source_id="trusted.ttl", origin=Origin.SOURCE_DOCUMENT)
+    version = read_version(root)
+    reg_data = _committed(root / _REGISTRY, version)
+    # `save_commit` moves these ends in place, so a first read of
+    # `store.provenance` after a save reads the saved block too
+    ends = {_PROVENANCE: len(_committed(root / _PROVENANCE, version)), _REGISTRY: len(reg_data)}
+    store = OntologyStore(read_provenance=partial(_read_provenance, root, ends))
+    store.version = version
     store.trusted = graph
-    store.provenance = {t: prov_by_triple.get(triple_text(t)) or [fallback] for t in graph.find()}
-
-    reg_data = b"".join(_lines(root / _REGISTRY, version=store.version))
     reg_triples, reg_prefixes = parse_triples(reg_data.decode("utf-8"))
     store.registry = registry_from_graph(reg_triples, INST_NS)
     merged_prefixes = dict(DEFAULT_PREFIXES)
     merged_prefixes.update(prefixes)
-    return StoreHandle(root=root, store=store, prefixes=merged_prefixes,
-                       journal_ends={_PROVENANCE: prov_end, _REGISTRY: len(reg_data)},
+    return StoreHandle(root=root, store=store, prefixes=merged_prefixes, journal_ends=ends,
                        registry_prefixes=reg_prefixes)
 
 
@@ -218,13 +225,10 @@ def save_commit(handle: StoreHandle, delta: OntologyDelta) -> Path | None:
         delta_path.write_text(serialize_turtle(delta_graph, handle.prefixes), encoding="utf-8")
         (root / "trusted.ttl").write_text(
             serialize_turtle(store.trusted, handle.prefixes), encoding="utf-8")
-        # a new triple gained all its records, a merged one those past `saved`
-        gained = sorted([(t, 0) for t in delta_graph.find()] + list(store.unsaved.items()),
-                        key=lambda item: triple_key(item[0]))
         ends[_PROVENANCE] = _append_block(handle, _PROVENANCE, delta.version_id, (
-            _json({"triple": triple_text(t),
-                   "provenance": [p.to_json() for p in store.provenance[t][saved:]]})
-            for t, saved in gained if len(store.provenance[t]) > saved))
+            _json({"triple": triple_text(t), "provenance": [p.to_json() for p in records]})
+            for t, records in sorted(store.unsaved.items(), key=lambda item: triple_key(item[0]))
+            if records))
         registry, items = store.registry, iter(store.registry.unsaved)
         ends[_REGISTRY] = _append_block(handle, _REGISTRY, delta.version_id, triple_lines(
             (t for addition in zip(items, items, items) for t in _registry_triples(registry, *addition)),
@@ -247,8 +251,7 @@ def save_commit(handle: StoreHandle, delta: OntologyDelta) -> Path | None:
 
     texts = {f"{chunk.doc_id}#{chunk.index}": chunk.text for chunk in delta.chunks}
     if texts:  # a commit that logs nothing need not read the log
-        logged, log_end = load_log_entries(root)
-        last = dict(logged)  # the last line of an id wins, as in log_memory
+        last, log_end = _logged_texts(root / "logs.jsonl", texts)
         texts = {i: text for i, text in texts.items() if last.get(i) != text}
         _append(root / "logs.jsonl", log_end,
                 (_json({"id": i, "text": text}) for i, text in texts.items()))
@@ -266,8 +269,9 @@ def _json(obj: dict) -> str:
 
 
 def _append_block(handle: StoreHandle, name: str, version: int, lines: Iterable[str]) -> int:
+    head, tail = _MARKERS[name]
     return _append(handle.root / name, handle.journal_ends[name],
-                   chain([_MARKERS[name][0].format(version)], lines))
+                   chain([f"{head}{version}{tail}"], lines))
 
 
 def _append(path: Path, end: int, lines: Iterable[str]) -> int:
@@ -295,12 +299,10 @@ def _committed_end(path: Path) -> int:
     return sum(map(len, _lines(path)))
 
 
-def _lines(path: Path, start: int = 0, version: int | None = None) -> Iterator[bytes]:
+def _lines(path: Path, start: int = 0) -> Iterator[bytes]:
     """The complete lines of a line file from byte `start`, each with its
     newline, read one at a time. A last line without its newline is still
-    being written, or was torn, and is left out. Given `version`, stop at
-    the journal's first block marker above it."""
-    marker = _MARKERS[path.name][1] if version is not None else None
+    being written, or was torn, and is left out."""
     try:
         fh = path.open("rb")
     except FileNotFoundError:
@@ -310,9 +312,29 @@ def _lines(path: Path, start: int = 0, version: int | None = None) -> Iterator[b
         for line in fh:
             if not line.endswith(b"\n"):
                 return
-            if marker and (m := marker.match(line)) and int(m.group(1)) > version:
-                return
             yield line
+
+
+def _committed(path: Path, version: int) -> bytes:
+    """A journal's committed lines: those before its first block marker
+    above `version`, which opens a block whose commit never wrote `version`,
+    less a last line without its newline. The markers are found by a byte
+    search, not by reading the lines one at a time."""
+    try:
+        data = path.read_bytes()
+    except FileNotFoundError:
+        return b""
+    head, tail = (part.encode("utf-8") for part in _MARKERS[path.name])
+    end = data.rfind(b"\n") + 1
+    at = data.find(head)
+    while 0 <= at < end:
+        line = data[at:data.index(b"\n", at)]
+        number = line[len(head):len(line) - len(tail)]
+        if (at == 0 or data[at - 1] == ord("\n")) and line.endswith(tail) \
+                and number.isdigit() and int(number) > version:
+            return data[:at]
+        at = data.find(head, at + 1)
+    return data[:end]
 
 
 def load_log_entries(root: str | Path, start: int = 0) -> tuple[list[tuple[str, str]], int]:
@@ -329,28 +351,60 @@ def load_log_entries(root: str | Path, start: int = 0) -> tuple[list[tuple[str, 
     return entries, end
 
 
-def _load_provenance(path: Path, version: int) -> tuple[dict[str, list[Provenance]], int]:
-    """Each triple's records, concatenated in journal order, read line by
-    line through `_lines`; and the length in bytes of the lines read."""
-    out: dict[str, list[Provenance]] = {}
-    records: dict[Provenance, Provenance] = {}  # one object per distinct record
+def _logged_texts(path: Path, ids: Iterable[str]) -> tuple[dict[str, str], int]:
+    """The last text that logs.jsonl holds for each of `ids`, and the end of
+    its last complete line. A line is JSON-parsed only when its id is one of
+    `ids` or it is not of the shape `_json` writes (`_LOG_ID`)."""
+    wanted = {i.encode("utf-8") for i in ids}
+    last: dict[str, str] = {}
     end = 0
-    for line in _lines(path, version=version):
+    for line in _lines(path):
         end += len(line)
-        obj = json.loads(line) if line.strip() else {}
-        if "triple" not in obj:  # a blank line or a block marker
-            continue
-        provs = out.setdefault(obj["triple"], [])
-        for p in obj["provenance"]:
-            prov = Provenance(
-                source_id=p["source_id"],
-                chunk_id=p.get("chunk_id"),
-                extracted_at=p.get("extracted_at", 0),
-                confidence=p.get("confidence", 1.0),
-                origin=Origin(p.get("origin", "SOURCE_DOCUMENT")),
-            )
-            provs.append(records.setdefault(prov, prov))
-    return out, end
+        m = _LOG_ID.match(line)
+        if (m is None or m.group(1) in wanted) and line.strip():
+            obj = json.loads(line)
+            last[obj["id"]] = obj["text"]  # the last line of an id wins, as in log_memory
+    return last, end
+
+
+def _read_provenance(root: Path, journal_ends: dict[str, int],
+                     store: OntologyStore) -> dict[Triple, list[Provenance]]:
+    """`store.provenance` of a loaded store: each trusted triple's records in
+    the committed lines of provenance.jsonl, then its unsaved ones; a triple
+    with neither gets a placeholder record that names trusted.ttl."""
+    journal = _load_provenance(root / _PROVENANCE, journal_ends[_PROVENANCE])
+    unsaved = store.unsaved
+    placeholder = Provenance(source_id="trusted.ttl", origin=Origin.SOURCE_DOCUMENT)
+    return {t: journal.get(triple_text(t), []) + unsaved.get(t, []) or [placeholder]
+            for t in store.trusted.find()}
+
+
+def _load_provenance(path: Path, end: int) -> dict[str, list[Provenance]]:
+    """Each triple's records in the first `end` bytes of provenance.jsonl,
+    concatenated in journal order and keyed by triple text, with one object
+    per distinct record. A line that is not a record raises a StoreError
+    that names it."""
+    out: dict[str, list[Provenance]] = {}
+    records: dict[Provenance, Provenance] = {}
+    data = path.read_bytes()[:end] if end else b""
+    for number, line in enumerate(data.split(b"\n")[:-1], 1):
+        try:
+            obj = json.loads(line) if line.strip() else {}
+            if "triple" not in obj:  # a blank line or a block marker
+                continue
+            provs = out.setdefault(obj["triple"], [])
+            for p in obj["provenance"]:
+                prov = Provenance(
+                    source_id=p["source_id"],
+                    chunk_id=p.get("chunk_id"),
+                    extracted_at=p.get("extracted_at", 0),
+                    confidence=p.get("confidence", 1.0),
+                    origin=Origin(p.get("origin", "SOURCE_DOCUMENT")),
+                )
+                provs.append(records.setdefault(prov, prov))
+        except (ValueError, KeyError, TypeError, AttributeError) as e:
+            raise StoreError(f"{path.name} line {number} is not a provenance record: {e}") from None
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -58,6 +58,8 @@ from ontomem.rdf_core import (
     Graph,
     Iri,
     Literal,
+    Origin,
+    Provenance,
     StructuralError,
     Term,
     Triple,
@@ -91,7 +93,8 @@ from ontomem.sparql import (
     TriplePattern,
     UnsupportedFeatureError,
 )
-from ontomem.turtle_io import ParseDiagnostic, PrefixMap, TurtleParseError, serialize_turtle
+from ontomem.turtle_io import (
+    ParseDiagnostic, PrefixMap, TurtleParseError, parse_turtle, serialize_turtle)
 
 # ---------------------------------------------------------------------------
 # SPARQL: enumerate every |terms|^|vars| assignment and filter
@@ -1171,6 +1174,28 @@ def _oracle_save_provenance(path: Path, store: OntologyStore) -> None:
         lines.append(json.dumps({"triple": triple_text(t), "provenance": records},
                                 sort_keys=True, ensure_ascii=False))
     path.write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+
+
+def oracle_load_provenance(root: Path) -> dict[Triple, list[Provenance]]:
+    """`store.provenance` as loading the whole journal eagerly builds it:
+    every line of provenance.jsonl JSON-parsed in order, up to the first
+    version marker above the committed version and without a last line
+    that lacks its newline; each trusted triple maps to its records in
+    journal order, or else to one placeholder record naming trusted.ttl."""
+    version = int((root / "version").read_text(encoding="utf-8").strip() or "0")
+    by_text: dict[str, list[Provenance]] = {}
+    for line in (root / "provenance.jsonl").read_text(encoding="utf-8").split("\n")[:-1]:
+        obj = json.loads(line) if line.strip() else {}
+        if "triple" in obj:
+            by_text.setdefault(obj["triple"], []).extend(
+                Provenance(p["source_id"], p.get("chunk_id"), p.get("extracted_at", 0),
+                           p.get("confidence", 1.0), Origin(p.get("origin", "SOURCE_DOCUMENT")))
+                for p in obj["provenance"])
+        elif obj.get("version", 0) > version:  # a block whose commit never finished
+            break
+    trusted, _ = parse_turtle((root / "trusted.ttl").read_text(encoding="utf-8"))
+    placeholder = Provenance(source_id="trusted.ttl", origin=Origin.SOURCE_DOCUMENT)
+    return {t: by_text.get(triple_text(t)) or [placeholder] for t in trusted}
 
 
 def oracle_registry_to_graph(registry: EntityRegistry) -> Graph:

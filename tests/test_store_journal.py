@@ -9,12 +9,17 @@ ignored, and stores written as one full rewrite per commit load unchanged."""
 import dataclasses
 import json
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
 
+from ontomem import store as store_module
 from ontomem.builder import (
+    Chunk,
     DocKind,
+    OntologyDelta,
     RulePatternExtractor,
     SourceDocument,
     graph_candidates,
@@ -31,7 +36,9 @@ from ontomem.namespaces import (
 )
 from ontomem.rdf_core import (
     Blank, Graph, Iri, Literal, Origin, Triple, escape_literal, triple_key, triple_text)
-from ontomem.store import init_store, load_shapes_file, load_store, registry_from_graph, save_commit
+from ontomem.store import (
+    StoreError, init_store, load_log_entries, load_shapes_file, load_store, registry_from_graph,
+    save_commit)
 from ontomem.turtle_io import TurtleParseError, parse_turtle, serialize_turtle
 from ontomem.builder import feedback
 from ontomem.factcheck import Claim
@@ -39,7 +46,7 @@ from ontomem.namespaces import INST_NS, RDF_LANGSTRING
 from ontomem.store import graph_at_version
 from ontomem.sparql import QueryParseError, evaluate, parse_query
 from conftest import DATA, run_cli
-from oracles import oracle_registry_from_graph, oracle_save_commit
+from oracles import oracle_load_provenance, oracle_registry_from_graph, oracle_save_commit
 
 PATTERNS = json.loads((DATA / "corpus_patterns.json").read_text(encoding="utf-8"))
 CORPUS = {p.name: p.read_text(encoding="utf-8") for p in sorted((DATA / "corpus").glob("*.txt"))}
@@ -353,6 +360,170 @@ def test_commit_appends_only_its_own_block(tmp_path):
     assert Triple(Iri("http://ontomem.dev/ns/inst#pump4"), Iri(RDFS_LABEL), Literal("Pump4")) \
         in graph
     assert "inst:pump4 rdfs:label \"Pump4\" ." in (root / "registry.ttl").read_text("utf-8")
+
+
+# ---------------------------------------------------------------------------
+# provenance.jsonl is read on first use, and logs.jsonl only where it must be
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_deferred_provenance_equals_the_eager_load(tmp_path, seed):
+    """Each step is one build in a new process, on three stores kept equal.
+    Whenever `store.provenance` is first read, it equals the map that the
+    eager load gives (`oracle_load_provenance`) with the build's merges
+    applied: right after load, after `commit` before `save_commit`, after
+    the save, and after a build that accepts nothing, whose merges stay
+    unsaved. The store files do not depend on when it was read."""
+    roots = {when: tmp_path / when for when in ("load", "commit", "save")}
+    for root in roots.values():
+        init_store(root)
+    seq = _Sequence(seed)
+    kinds: dict[str, int] = {}
+    for step in range(50):
+        handles = {when: _open(root) for when, root in roots.items()}
+        eager = handles["load"].store.provenance
+        assert eager == oracle_load_provenance(roots["load"]), (seed, step)
+        kind, run = seq.draw(step, handles["load"])
+        if run is None:
+            continue
+        deltas = {when: run(handle.store) for when, handle in handles.items()}
+        assert handles["commit"].store.provenance == eager, (seed, step, kind)
+        for when, handle in handles.items():
+            save_commit(handle, deltas[when])
+        assert handles["save"].store.provenance == eager, (seed, step, kind)
+        for name in ("trusted.ttl", "logs.jsonl", "quarantine.jsonl", *JOURNALS):
+            assert len({(root / name).read_bytes() for root in roots.values()}) == 1, name
+        if deltas["load"].accepted:
+            assert oracle_load_provenance(roots["load"]) == eager, (seed, step, kind)
+        elif handles["save"].store.unsaved:
+            kinds["unsaved merges"] = kinds.get("unsaved merges", 0) + 1
+        kinds[kind] = kinds.get(kind, 0) + 1
+    for kind in ("corpus", "dialogue", "said", "fresh", "clash", "repeat", "unsaved merges"):
+        assert kinds.get(kind), (kind, kinds)
+
+
+def test_marker_text_inside_a_line_is_not_a_marker(tmp_path):
+    root = _corpus_store(tmp_path, builds=1)
+    handle = _open(root)
+    name = "Pump # version 9"
+    iri = handle.store.registry.resolve_or_mint(name, "m.txt")
+    label = Triple(Iri(iri), Iri(RDFS_LABEL), Literal(name))
+    save_commit(handle, feedback(handle.store, [Claim(label)]))
+    with (root / "registry.ttl").open("a", encoding="utf-8") as fh:
+        fh.write("inst:zed rdfs:label \"Zed\" . # version 9\n")  # a comment after a statement
+    text = (root / "registry.ttl").read_text(encoding="utf-8")
+    assert f'"{name}" .' in text and text.count("# version 9") == 3  # label, alias, comment
+    loaded = load_store(root)
+    assert set(loaded.store.registry.entries) == {*handle.store.registry.entries, INST_NS + "zed"}
+    assert loaded.journal_ends == {j: (root / j).stat().st_size for j in JOURNALS}
+
+
+def _count_provenance_loads(monkeypatch) -> list:
+    calls = []
+    load = store_module._load_provenance
+
+    def counted(*args):
+        calls.append(args)
+        return load(*args)
+    monkeypatch.setattr(store_module, "_load_provenance", counted)
+    return calls
+
+
+def test_build_reads_no_provenance_and_a_session_retrieve_reads_it_once(tmp_path, monkeypatch):
+    calls = _count_provenance_loads(monkeypatch)
+    store = tmp_path / "s"
+    build = ("--store", str(store), "--json", "build", "--sources", str(DATA / "corpus"),
+             "--shapes", str(DATA / "corpus_shapes.ttl"),
+             "--schema", str(DATA / "corpus_schema.ttl"),
+             "--patterns", str(DATA / "corpus_patterns.json"))
+    assert run_cli("--store", str(store), "init")[0] == 0
+    for accepted in (True, False):  # the first build, then one on the corpus store
+        code, out, err = run_cli(*build)
+        assert code == 0, err
+        assert bool(json.loads(out)["accepted"]) is accepted
+    assert calls == []
+    code, out, err = run_cli("--store", str(store), "--json", "retrieve", "--query", "Acme",
+                             "--session", "nobody")
+    assert code == 0, err
+    assert json.loads(out)["user_memory"] == []
+    assert len(calls) == 1
+
+
+def test_provenance_is_read_once_per_handle_across_threads(tmp_path, monkeypatch):
+    root = _corpus_store(tmp_path)
+    calls = _count_provenance_loads(monkeypatch)
+    handle = load_store(root)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            maps = list(pool.map(lambda _: handle.store.provenance, range(32), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(calls) == 1 and all(m is maps[0] for m in maps)
+    assert handle.store.provenance is maps[0]  # a second read on the handle loads nothing
+    assert len(calls) == 1
+    assert maps[0] == oracle_load_provenance(root)
+
+
+def test_malformed_provenance_line_is_named_at_its_first_read(tmp_path):
+    """A build only appends to provenance.jsonl, so it commits over a bad
+    committed line; the first read of the records names the line."""
+    root = _corpus_store(tmp_path)
+    path = root / "provenance.jsonl"
+    lines = path.read_text(encoding="utf-8").split("\n")
+    lines[3] = "{not a record"
+    path.write_text("\n".join(lines), encoding="utf-8")
+    sources = tmp_path / "docs"
+    sources.mkdir()
+    (sources / "doc07.txt").write_text(CORPUS["doc07.txt"], encoding="utf-8")
+    code, out, err = run_cli("--store", str(root), "--json", "build", "--sources", str(sources),
+                             "--patterns", str(DATA / "corpus_patterns.json"))
+    assert code == 0, err
+    assert json.loads(out)["version"] == 3
+    with pytest.raises(StoreError, match=r"^provenance\.jsonl line 4 is not a provenance record"):
+        load_store(root).store.provenance
+    # `main` reports a store error with exit code 2
+    code, out, err = run_cli("--store", str(root), "--json", "retrieve", "--query", "Acme",
+                             "--session", "nobody")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: provenance.jsonl line 4 is not a provenance record: ")
+
+
+def test_chunk_dedupe_parses_only_the_lines_it_needs(tmp_path):
+    """A build logs a chunk unless the last line of its id holds its text.
+    The lines are matched by the bytes of their id; the outcome is that of
+    parsing every line, whatever the id's escapes or the line's key order."""
+    root = tmp_path / "s"
+    handle = init_store(root)
+    log = root / "logs.jsonl"
+
+    def build(*chunks: tuple[str, int, str]) -> list[str]:
+        last = dict(load_log_entries(root)[0])  # the reference: parse every line
+        expected = [json.dumps({"id": f"{d}#{i}", "text": text}, ensure_ascii=False)
+                    for d, i, text in chunks if last.get(f"{d}#{i}") != text]
+        before = log.read_bytes() if log.exists() else b""
+        save_commit(handle, OntologyDelta(handle.store.version, [], [], chunks=[
+            Chunk(d, i, (0, len(text)), text) for d, i, text in chunks]))
+        assert log.read_bytes() == before + "".join(line + "\n" for line in expected).encode()
+        return expected
+
+    quoted, accented = 'say "hi"\\now.txt', "ünïcode – doc.txt"
+    first = [(quoted, 0, 'a "quoted"\ttext'), (accented, 0, "naïve façade"),
+             ("plain.txt", 0, "a"), ("plain.txt", 1, "b")]
+    assert len(build(*first)) == 4
+    assert '"id": "say \\"hi\\"\\\\now.txt#0"' in log.read_text(encoding="utf-8")
+    assert len(build(*first)) == 0
+    with log.open("a", encoding="utf-8") as fh:
+        fh.write('{"text": "B", "id": "plain.txt#1"}\n')  # another key order
+        fh.write('{"id": "pl\\u0061in.txt#0", "text": "A"}\n')  # an escape in a plain id
+    assert build(*first) == ['{"id": "plain.txt#0", "text": "a"}',
+                             '{"id": "plain.txt#1", "text": "b"}']
+    assert build((accented, 0, "naïve façade, edited"), (quoted, 0, 'a "quoted"\ttext')) == [
+        '{"id": "ünïcode – doc.txt#0", "text": "naïve façade, edited"}']
+    assert build((accented, 0, "naïve façade")) == [
+        '{"id": "ünïcode – doc.txt#0", "text": "naïve façade"}']
 
 
 # ---------------------------------------------------------------------------
