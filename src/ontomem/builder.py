@@ -621,6 +621,11 @@ def validate_gate(candidates: list[Candidate], trusted: Graph,
 # ---------------------------------------------------------------------------
 
 
+# The record of a trusted triple that has no other: one whose commit died
+# after rewriting trusted.ttl, before `version`. A merge replaces it.
+PLACEHOLDER = Provenance(source_id="trusted.ttl", origin=Origin.SOURCE_DOCUMENT)
+
+
 @dataclass
 class OntologyDelta:
     version_id: int
@@ -639,9 +644,10 @@ class OntologyStore:
     merged into a trusted one.
 
     `read_provenance`, when given, returns every trusted triple's committed
-    records followed by its `unsaved` ones: `provenance` calls it on first
-    use, once, under the lock that `commit` holds, so a read on another
-    thread sees each commit whole or not at all. A store that never reads
+    records followed by its `unsaved` ones, or else `[PLACEHOLDER]`, which a
+    merge replaces: `provenance` calls it on first use, once, under the lock
+    that `commit` holds, so a read on another thread sees each commit whole
+    or not at all. A store that never reads
     `provenance` never pays for it; `store.load_store` passes its journal
     reader here."""
 
@@ -682,7 +688,10 @@ class OntologyStore:
             for cand in gate.accepted:
                 self.unsaved.setdefault(cand.triple, []).extend(cand.provenance)
                 if loaded is not None:
-                    loaded.setdefault(cand.triple, []).extend(cand.provenance)
+                    records = loaded.setdefault(cand.triple, [])
+                    if records and records[0] is PLACEHOLDER:
+                        records.clear()
+                    records.extend(cand.provenance)
             if new:
                 self.version += 1
                 for cand in new:

@@ -130,16 +130,20 @@ def solve_optimal(n: int, from_peg: int = 0, to_peg: int = 2) -> list[Move]:
     if n < 1:
         raise ValueError("n must be >= 1")
     plan: list[Move] = []
-
-    def rec(k: int, src: int, dst: int, via: int) -> None:
-        if k == 0:
-            return
-        rec(k - 1, src, via, dst)
-        plan.append(_MOVES[src, dst])
-        rec(k - 1, via, dst, src)
-
-    rec(n, from_peg, to_peg, 3 - from_peg - to_peg)
+    _tower(n, from_peg, to_peg, 3 - from_peg - to_peg, plan)
     return plan
+
+
+# The recursions below are module-level rather than nested: a self-recursive
+# closure is a reference cycle that would keep `plan` alive until a cyclic
+# collection.
+def _tower(k: int, src: int, dst: int, via: int, plan: list[Move]) -> None:
+    """Append the moves of a tower of disks 0..k-1 from `src` to `dst`."""
+    if k == 0:
+        return
+    _tower(k - 1, src, via, dst, plan)
+    plan.append(_MOVES[src, dst])
+    _tower(k - 1, via, dst, src, plan)
 
 
 def solve_from(start: HanoiState, goal: HanoiState) -> list[Move]:
@@ -151,21 +155,20 @@ def solve_from(start: HanoiState, goal: HanoiState) -> list[Move]:
     if goal.n != start.n or len(set(goal.peg_of)) != 1:
         raise ValueError(f"goal must be a perfect tower of {start.n} disks, got {goal.peg_of}")
     plan: list[Move] = []
-
-    def gather(k: int, dst: int) -> None:
-        """Move disks 0..k-1 from their start pegs onto `dst`."""
-        for disk in reversed(range(k)):
-            src = start.peg_of[disk]
-            if src != dst:
-                via = 3 - src - dst
-                gather(disk, via)
-                plan.append(_MOVES[src, dst])
-                if disk:
-                    plan.extend(solve_optimal(disk, via, dst))
-                return
-
-    gather(start.n, goal.peg_of[0])
+    _gather(start.peg_of, start.n, goal.peg_of[0], plan)
     return plan
+
+
+def _gather(peg_of: tuple[int, ...], k: int, dst: int, plan: list[Move]) -> None:
+    """Append the moves that bring disks 0..k-1 from `peg_of` onto `dst`."""
+    for disk in reversed(range(k)):
+        src = peg_of[disk]
+        if src != dst:
+            via = 3 - src - dst
+            _gather(peg_of, disk, via, plan)
+            plan.append(_MOVES[src, dst])
+            _tower(disk, via, dst, src, plan)
+            return
 
 
 def graph_move(graph: Graph, move: Move) -> Graph | Violation:

@@ -1,12 +1,13 @@
 """SPARQL subset: SELECT/ASK over conjunctive patterns, filters, one-step
 transitive paths (`p+`), LIMIT.
 
-The text is read as one token list, as turtle_io's token parser reads
-Turtle. As in the W3C grammar, a name directly followed by ':' is a prefixed
-name even when it spells a keyword (`a:p`, `true:x`), and a '<' that can open
-an IRI reference is read as one. Every malformed query, a bad IRI or an
-invalid regex included, raises QueryParseError, a turtle_io.ParseError, at a
-line and column.
+The text is tokenized by turtle_io's scanner with this module's token table
+and parsed through its token cursor; a string is decoded at parse time. As
+in the W3C grammar, a name directly followed by ':' is a prefixed name even
+when it spells a keyword (`a:p`, `true:x`), and a '<' that can open an IRI
+reference is read as one. Every malformed query, a bad IRI or an invalid
+regex included, raises QueryParseError, a turtle_io.ParseError, at a line
+and column.
 
 Patterns are joined in the order written, each looked up with the positions
 that earlier patterns bound. Only the final sort fixes the order of the rows:
@@ -19,7 +20,6 @@ import operator
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import NamedTuple
 
 from .namespaces import (
     NUMERIC_DATATYPES,
@@ -31,7 +31,7 @@ from .namespaces import (
 )
 from .rdf_core import (LANGTAG, PNAME, STRING, Graph, Iri, Literal, StructuralError, Term,
                        regex_error, regex_matches, term_text, unescape_literal)
-from .turtle_io import ParseDiagnostic, ParseError, PrefixMap
+from .turtle_io import ParseDiagnostic, ParseError, Token, TokenCursor, scan
 
 
 class QueryParseError(ParseError):
@@ -162,45 +162,12 @@ _TOKEN_RE = re.compile(rf"""
 _COMPARE_OPS = {op.value: op for op in CompareOp}
 
 
-class _Token(NamedTuple):
-    kind: str  # VAR IRIREF STRING LANGTAG PNAME WORD NUM OP EOF
-    text: str  # as written
-    line: int
-    col: int
+def _tokenize(text: str) -> list[Token]:
+    return scan(_TOKEN_RE, text, QueryParseError, {})
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    line, line_start = 1, 0
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "NL":
-            line, line_start = line + 1, m.end()
-        elif kind != "SKIP":
-            tokens.append(_Token(kind, m.group(), line, m.start() - line_start + 1))
-    tokens.append(_Token("EOF", "", line, len(text) - line_start + 1))
-    return tokens
-
-
-class _QueryParser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
-        self.pos = 0
-        self.prefixes: PrefixMap = {}
-
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def take(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def fail(self, message: str, tok: _Token | None = None, past: bool = False):
-        """Raise at `tok` (the next token by default), or just past it."""
-        tok = tok or self.peek()
-        col = tok.col + len(tok.text) if past else tok.col
-        raise QueryParseError([ParseDiagnostic(tok.line, col, message)])
+class _QueryParser(TokenCursor):
+    error = QueryParseError
 
     def accept(self, text: str) -> bool:
         if self.peek().text == text:
@@ -219,7 +186,7 @@ class _QueryParser:
             return True
         return False
 
-    def reject_unsupported(self, tok: _Token | None = None) -> None:
+    def reject_unsupported(self, tok: Token | None = None) -> None:
         tok = tok or self.peek()
         if tok.kind == "WORD" and tok.text.upper() in _UNSUPPORTED:
             raise UnsupportedFeatureError(tok.text.upper(), tok.line, tok.col)
@@ -299,7 +266,7 @@ class _QueryParser:
         if kind == "VAR":
             return text[1:]
         if kind == "IRIREF":
-            return self._iri(text[1:-1], tok)
+            return self.iri(text[1:-1], tok)
         if kind == "STRING" or text == '"':
             return self._literal(tok)
         if text in ("+", "-"):
@@ -313,10 +280,10 @@ class _QueryParser:
             return Literal(text.lower(), XSD_BOOLEAN)
         self.reject_unsupported(tok)
         if kind == "PNAME":
-            return self._pname(tok)
+            return self.pname(tok, past=True)
         self.fail(f"expected {position} term or variable", tok)
 
-    def _literal(self, tok: _Token) -> Literal:
+    def _literal(self, tok: Token) -> Literal:
         if tok.kind != "STRING":
             self.fail("unterminated string literal", tok)
         try:
@@ -326,25 +293,13 @@ class _QueryParser:
         if self.accept("^^"):
             dt = self.take()
             if dt.kind == "IRIREF":
-                return Literal(lexical, self._iri(dt.text[1:-1], dt).value)
+                return Literal(lexical, self.iri(dt.text[1:-1], dt).value)
             if dt.kind == "PNAME":
-                return Literal(lexical, self._pname(dt).value)
+                return Literal(lexical, self.pname(dt, past=True).value)
             self.fail("expected datatype IRI after '^^'", dt)
         if self.peek().kind == "LANGTAG":
             return Literal(lexical, RDF_LANGSTRING, self.take().text[1:])
         return Literal(lexical)
-
-    def _pname(self, tok: _Token) -> Iri:
-        label, _, local = tok.text.partition(":")
-        if label not in self.prefixes:
-            self.fail(f"unknown prefix '{label}'", tok, past=True)
-        return self._iri(self.prefixes[label] + local, tok)
-
-    def _iri(self, value: str, tok: _Token) -> Iri:
-        try:
-            return Iri(value)
-        except StructuralError as e:
-            self.fail(str(e), tok)
 
     def _filter(self) -> FilterExpr:
         self.expect("(", "expected '(' after FILTER")

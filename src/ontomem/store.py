@@ -371,11 +371,11 @@ def _read_provenance(root: Path, journal_ends: dict[str, int],
                      store: OntologyStore) -> dict[Triple, list[Provenance]]:
     """`store.provenance` of a loaded store: each trusted triple's records in
     the committed lines of provenance.jsonl, then its unsaved ones; a triple
-    with neither gets a placeholder record that names trusted.ttl."""
+    with neither gets the placeholder record that names trusted.ttl."""
+    from .builder import PLACEHOLDER
     journal = _load_provenance(root / _PROVENANCE, journal_ends[_PROVENANCE])
     unsaved = store.unsaved
-    placeholder = Provenance(source_id="trusted.ttl", origin=Origin.SOURCE_DOCUMENT)
-    return {t: journal.get(triple_text(t), []) + unsaved.get(t, []) or [placeholder]
+    return {t: journal.get(triple_text(t), []) + unsaved.get(t, []) or [PLACEHOLDER]
             for t in store.trusted.find()}
 
 

@@ -7,6 +7,9 @@ comments. Collections `( ... )` and anonymous blanks `[ ... ]` are out. An
 `@prefix` directly after a closing quote is that literal's language tag.
 Every malformed input raises TurtleParseError at the line and column of the
 token at fault; it and sparql's QueryParseError share one ParseError body.
+The token parser and sparql's query parser share one scanner (`scan`) and one
+token cursor (`TokenCursor`), each with its own token table and grammar; a
+Turtle string is decoded when it is tokenized.
 
 `parse_triples` reads a document in the form this module writes line by
 line: every line is empty, a `#` comment, an `@prefix p: <iri> .` directive
@@ -29,7 +32,7 @@ from __future__ import annotations
 import re
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, NoReturn
 
 from .namespaces import RDF_LANGSTRING, RDF_TYPE, XSD_BOOLEAN, XSD_DECIMAL, XSD_INTEGER, XSD_STRING
 from .rdf_core import (
@@ -77,7 +80,7 @@ class TurtleParseError(ParseError):
 
 
 # ---------------------------------------------------------------------------
-# Tokenizer
+# Scanner and token cursor, which sparql's query parser shares
 # ---------------------------------------------------------------------------
 
 _A = r"a(?![A-Za-z0-9_\-:])"
@@ -109,41 +112,93 @@ _TOKEN_RE = re.compile(rf"""
 _BAD_MESSAGES = {"@": "unsupported directive", "<": "unterminated IRI", '"': "unterminated literal"}
 
 
-class _Token(NamedTuple):
-    kind: str  # PREFIX_DIR IRIREF PNAME BLANK STRING LANGTAG HATHAT A BOOL INT DEC DOT SEMI COMMA EOF
-    value: str
+def _bad(char: str) -> NoReturn:
+    raise StructuralError(_BAD_MESSAGES.get(char, f"unexpected character {char!r}"))
+
+
+# Each token's value as its kind reads it: a string is decoded when it is
+# tokenized, and the other kinds lose their delimiters.
+_READERS: dict[str, Callable[[str], str]] = {
+    "BAD": _bad,
+    "STRING": lambda text: unescape_literal(text[1:-1]),
+    "IRIREF": lambda text: text[1:-1],
+    "LANGTAG": lambda text: text[1:],
+    "BLANK": lambda text: text[2:],
+}
+
+
+class Token(NamedTuple):
+    kind: str  # a group name of the token table, or EOF
+    text: str  # as its kind's reader reads it, else as written
     line: int
     col: int
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
+def scan(table: re.Pattern[str], text: str, error: type[ParseError],
+         readers: dict[str, Callable[[str], str]]) -> list[Token]:
+    """`text` as the tokens of `table`'s named alternatives, then EOF. NL
+    counts lines and SKIP is dropped; a kind in `readers` takes its reader's
+    value, and a reader's StructuralError raises `error` at the token."""
+    tokens: list[Token] = []
     line, line_start = 1, 0
-    for m in _TOKEN_RE.finditer(text):
-        kind, value = m.lastgroup, m.group()
+    for m in table.finditer(text):
+        kind = m.lastgroup
         if kind == "NL":
             line, line_start = line + 1, m.end()
-            continue
-        if kind == "SKIP":
-            continue
-        col = m.start() - line_start + 1
-        if kind == "BAD":
-            message = _BAD_MESSAGES.get(value, f"unexpected character {value!r}")
-            raise TurtleParseError([ParseDiagnostic(line, col, message)])
-        if kind == "STRING":
-            try:
-                value = unescape_literal(value[1:-1])
-            except StructuralError as e:
-                raise TurtleParseError([ParseDiagnostic(line, col, str(e))]) from None
-        elif kind == "IRIREF":
-            value = value[1:-1]
-        elif kind == "LANGTAG":
-            value = value[1:]
-        elif kind == "BLANK":
-            value = value[2:]
-        tokens.append(_Token(kind, value, line, col))
-    tokens.append(_Token("EOF", "", line, len(text) - line_start + 1))
+        elif kind != "SKIP":
+            col, value = m.start() - line_start + 1, m.group()
+            if kind in readers:
+                try:
+                    value = readers[kind](value)
+                except StructuralError as e:
+                    raise error([ParseDiagnostic(line, col, str(e))]) from None
+            tokens.append(Token(kind, value, line, col))
+    tokens.append(Token("EOF", "", line, len(text) - line_start + 1))
     return tokens
+
+
+def _tokenize(text: str) -> list[Token]:
+    return scan(_TOKEN_RE, text, TurtleParseError, _READERS)
+
+
+class TokenCursor:
+    """A parser's place in a token list, and the jobs the Turtle and SPARQL
+    parsers share: failing at a token with `error`, and reading an IRI at a
+    token, a prefixed name through `prefixes` included."""
+
+    error: type[ParseError] = ParseError
+
+    def __init__(self, tokens: list[Token]):
+        self.tokens = tokens
+        self.pos = 0
+        self.prefixes: PrefixMap = {}
+
+    def peek(self) -> Token:
+        return self.tokens[self.pos]
+
+    def take(self) -> Token:
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def fail(self, message: str, tok: Token | None = None, past: bool = False):
+        """Raise at `tok` (the next token by default), or just past it."""
+        tok = tok or self.peek()
+        col = tok.col + len(tok.text) if past else tok.col
+        raise self.error([ParseDiagnostic(tok.line, col, message)])
+
+    def iri(self, value: str, tok: Token) -> Iri:
+        try:
+            return Iri(value)
+        except StructuralError as e:
+            self.fail(str(e), tok)
+
+    def pname(self, tok: Token, past: bool = False) -> Iri:
+        """A prefixed name's IRI; an unknown prefix fails at the token or just past it."""
+        label, _, local = tok.text.partition(":")
+        if label not in self.prefixes:
+            self.fail(f"unknown prefix '{label}'", tok, past)
+        return self.iri(self.prefixes[label] + local, tok)
 
 
 # ---------------------------------------------------------------------------
@@ -151,30 +206,19 @@ def _tokenize(text: str) -> list[_Token]:
 # ---------------------------------------------------------------------------
 
 
-class _Parser:
+class _Parser(TokenCursor):
     """Reads a token list, passing each triple to `sink` as it is read."""
 
-    def __init__(self, tokens: list[_Token], sink: Callable[[Triple], object]):
-        self.tokens = tokens
-        self.pos = 0
-        self.prefixes: PrefixMap = {}
+    error = TurtleParseError
+
+    def __init__(self, tokens: list[Token], sink: Callable[[Triple], object]):
+        super().__init__(tokens)
         self.sink = sink
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def take(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def fail(self, message: str, tok: _Token):
-        raise TurtleParseError([ParseDiagnostic(tok.line, tok.col, message)])
-
-    def expect(self, kind: str, what: str) -> _Token:
+    def expect(self, kind: str, what: str) -> Token:
         tok = self.take()
         if tok.kind != kind:
-            self.fail(f"expected {what}, found {tok.value!r}" if tok.value else f"expected {what}", tok)
+            self.fail(f"expected {what}, found {tok.text!r}" if tok.text else f"expected {what}", tok)
         return tok
 
     def parse(self) -> PrefixMap:
@@ -188,12 +232,12 @@ class _Parser:
     def directive(self) -> None:
         self.take()  # @prefix
         name = self.expect("PNAME", "prefix label")
-        label, _, local = name.value.partition(":")
+        label, _, local = name.text.partition(":")
         if local:
             self.fail("prefix declaration must end with ':'", name)
         iri = self.expect("IRIREF", "namespace IRI")
         self.expect("DOT", "'.'")
-        self.prefixes[label] = iri.value
+        self.prefixes[label] = iri.text
 
     def statement(self) -> None:
         subject = self.term("subject")
@@ -218,23 +262,23 @@ class _Parser:
     def term(self, position: str) -> Term:
         tok = self.take()
         if tok.kind == "IRIREF":
-            term: Term = self.iri(tok.value, tok)
+            term: Term = self.iri(tok.text, tok)
         elif tok.kind == "PNAME":
-            term = self.resolve_pname(tok)
+            term = self.pname(tok)
         elif tok.kind == "A":
             if position != "predicate":
                 self.fail("'a' keyword only valid as predicate", tok)
             term = Iri(RDF_TYPE)
         elif tok.kind == "BLANK":
-            term = Blank(tok.value)
+            term = Blank(tok.text)
         elif tok.kind == "STRING":
             term = self.literal_tail(tok)
         elif tok.kind == "INT":
-            term = Literal(tok.value, XSD_INTEGER)
+            term = Literal(tok.text, XSD_INTEGER)
         elif tok.kind == "DEC":
-            term = Literal(tok.value, XSD_DECIMAL)
+            term = Literal(tok.text, XSD_DECIMAL)
         elif tok.kind == "BOOL":
-            term = Literal(tok.value, XSD_BOOLEAN)
+            term = Literal(tok.text, XSD_BOOLEAN)
         else:
             self.fail(f"expected {position} term", tok)
         if position == "subject" and isinstance(term, Literal):
@@ -243,32 +287,20 @@ class _Parser:
             self.fail("predicate must be an IRI", tok)
         return term
 
-    def literal_tail(self, tok: _Token) -> Literal:
+    def literal_tail(self, tok: Token) -> Literal:
         nxt = self.peek()
         if nxt.kind == "LANGTAG":
             self.take()
-            return Literal(tok.value, RDF_LANGSTRING, nxt.value)
+            return Literal(tok.text, RDF_LANGSTRING, nxt.text)
         if nxt.kind == "HATHAT":
             self.take()
             dt = self.take()
             if dt.kind == "IRIREF":
-                return Literal(tok.value, self.iri(dt.value, dt).value)
+                return Literal(tok.text, self.iri(dt.text, dt).value)
             if dt.kind == "PNAME":
-                return Literal(tok.value, self.resolve_pname(dt).value)
+                return Literal(tok.text, self.pname(dt).value)
             self.fail("expected datatype IRI after '^^'", dt)
-        return Literal(tok.value, XSD_STRING)
-
-    def resolve_pname(self, tok: _Token) -> Iri:
-        label, _, local = tok.value.partition(":")
-        if label not in self.prefixes:
-            self.fail(f"unknown prefix '{label}'", tok)
-        return self.iri(self.prefixes[label] + local, tok)
-
-    def iri(self, value: str, tok: _Token) -> Iri:
-        try:
-            return Iri(value)
-        except StructuralError as e:
-            self.fail(str(e), tok)
+        return Literal(tok.text, XSD_STRING)
 
 
 # ---------------------------------------------------------------------------

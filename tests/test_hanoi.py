@@ -1,3 +1,4 @@
+import gc
 import random
 import tracemalloc
 
@@ -171,6 +172,19 @@ class TestSolveFrom:
             finally:
                 tracemalloc.stop()
             assert peak < 2 * 2**20
+
+    def test_solvers_leave_no_cyclic_garbage(self):
+        gc.collect()
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            solve_optimal(12)
+            solve_from(HanoiState(5, (1, 0, 2, 2, 1)), HanoiState.initial(5, 0))
+            run_benchmark([10], ["corrupted:0.3"], 5, [2], 0, True)
+            assert gc.collect() == 0
+        finally:
+            if was_enabled:
+                gc.enable()
 
 
 class TestStateToGraph:

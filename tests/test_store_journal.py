@@ -403,6 +403,42 @@ def test_deferred_provenance_equals_the_eager_load(tmp_path, seed):
         assert kinds.get(kind), (kind, kinds)
 
 
+def test_a_merge_replaces_the_placeholder_however_the_records_are_read(tmp_path, monkeypatch):
+    """A triple of a commit that died before `version` has only the
+    placeholder record. A merge into it gives the same records whether
+    `store.provenance` was first read before the merge, after it, or after
+    a save and a reload: the placeholder stands only for no record."""
+    root = init_store(tmp_path / "s").root
+    dead, new = (Triple(Iri("http://ex.org/c"), Iri("http://ex.org/p"), Iri(f"http://ex.org/{o}"))
+                 for o in "de")
+    handle = load_store(root)
+    write_text = Path.write_text
+
+    def failing_write(path, *args, **kwargs):
+        if path.name == "version":
+            raise OSError("disk full")
+        return write_text(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", failing_write)
+    with pytest.raises(OSError):
+        save_commit(handle, feedback(handle.store, [Claim(dead)]))
+    monkeypatch.undo()
+
+    said = Graph()
+    for t in (dead, new):
+        said.insert(t)
+    candidates = graph_candidates(said, "chat-1", Origin.DIALOGUE)
+    early, late = load_store(root), load_store(root)
+    assert [p.source_id for p in early.store.provenance[dead]] == ["trusted.ttl"]
+    deltas = [h.store.commit(validate_gate(candidates, h.store.trusted, []), h.store.version)
+              for h in (early, late)]
+    assert [p.source_id for p in early.store.provenance[dead]] == ["chat-1"]
+    assert early.store.provenance == late.store.provenance
+    save_commit(early, deltas[0])
+    assert load_store(root).store.provenance == early.store.provenance \
+        == oracle_load_provenance(root)
+
+
 def test_marker_text_inside_a_line_is_not_a_marker(tmp_path):
     root = _corpus_store(tmp_path, builds=1)
     handle = _open(root)

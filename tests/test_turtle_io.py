@@ -130,6 +130,19 @@ class TestParse:
         assert _tokenize("ex:a ex:p ex:b . # end")[-1] == ("EOF", "", 1, 23)
         assert _tokenize("# only\n  # two")[-1] == ("EOF", "", 2, 8)
 
+    @pytest.mark.parametrize("doc, error", [
+        (EX + 'ex:a ex:p "x"^^zz:t .\n', "2:16: unknown prefix 'zz'"),
+        ("@prefix ok: <http://ok.org/> .\n@prefix ex: <http://ex.org/a b#> .\n"
+         'ok:a ok:p "x"^^ex:t .\n',
+         "3:16: IRI must be non-empty, without whitespace or <>\"{}|^`\\: 'http://ex.org/a b#t'"),
+        (EX + 'ex:a ex:p "x"^^ .\n', "2:17: expected datatype IRI after '^^'"),
+    ])
+    def test_datatype_errors_point_at_the_datatype_token(self, doc, error):
+        # the prefix lookup, IRI check and token failure that the query parser shares
+        with pytest.raises(TurtleParseError) as exc:
+            parse_turtle(doc)
+        assert str(exc.value) == error
+
     @pytest.mark.parametrize("doc, column", [
         ("<a b> ex:p ex:o .", 1),
         ("ex:s <a b> ex:o .", 6),
