@@ -621,8 +621,10 @@ def validate_gate(candidates: list[Candidate], trusted: Graph,
 # ---------------------------------------------------------------------------
 
 
-# The record of a trusted triple that has no other: one whose commit died
-# after rewriting trusted.ttl, before `version`. A merge replaces it.
+# The record of a trusted triple that has no other. Only stores written by
+# older code hold such triples: their commit rewrote trusted.ttl whole and
+# died before `version`, while a commit's block in trusted.ttl stays
+# invisible until `version` names it. A merge replaces the placeholder.
 PLACEHOLDER = Provenance(source_id="trusted.ttl", origin=Origin.SOURCE_DOCUMENT)
 
 

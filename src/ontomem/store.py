@@ -7,22 +7,37 @@ is ignored.
 
 This is the only module that knows these file formats. `init_store` creates a
 store and `save_commit` is the only code that writes to an existing one: each
-commit writes the files named by its `OntologyDelta` and the `version` file
-last. trusted.ttl always equals the union of the delta files in version
-order; the deltas are the canonical, diffable history.
+commit writes the files named by its `OntologyDelta`, then replaces the
+`version` file, its commit point. trusted.ttl's committed triples always
+equal the union of the delta files in version order; the deltas are the
+canonical, diffable history.
 
-provenance.jsonl and registry.ttl are append-only journals. A commit that
-accepts triples opens a block in each with a version marker line
-(`{"version": N}`, and the Turtle comment `# version N`), then appends only
-what the store gained since the last save: a provenance line per new triple
-and per triple that gained records, in triple order, and a registry line per
-new label, first source, alias or ambiguous alias. A journal's committed
-lines (`_committed`) end before its first marker above `version`, so a block
-whose commit never wrote `version` stays invisible. Every line file drops a
-last line without its newline, and is appended to by `_append`, which first
-cuts the file back to its committed lines. Lines before any marker are
-committed, so stores written as one full rewrite per commit load unchanged.
-registry.ttl is valid Turtle but no longer in canonical order.
+trusted.ttl, provenance.jsonl and registry.ttl are the store's three
+append-only journals. A commit that accepts triples opens a block in each
+with a version marker line (the Turtle comment `# version N`, and
+`{"version": N}`), then appends only what the store gained: the delta's
+triples in triple order, a provenance line per new triple and per triple
+that gained records since the last save, in triple order, and a registry
+line per new label, first source, alias or ambiguous alias. The Turtle
+lines use the prefixes that the file's header declares. A journal's
+committed lines (`_committed`) end before its first marker above `version`,
+so a block whose commit never wrote `version` stays invisible. Every line
+file drops a last line without its newline, and is appended to by
+`_append`, which first cuts the file back to its committed lines. Lines
+before any marker are committed, so stores written as one full rewrite per
+commit load unchanged. registry.ttl is valid Turtle but no longer in
+canonical order.
+
+Once a commit's blocks in trusted.ttl hold at least an eighth of its bytes
+(`_COMPACT_SHARE`), or the handle's prefixes are not those of its header,
+the commit compacts it, after `version`: the trusted graph, serialized
+canonically with the handle's prefixes, goes to a temporary file that
+replaces trusted.ttl, as every commit replaces `version`. So a crash or a
+concurrent reader sees the old file or the new one, both of which hold the
+committed graph; between compactions trusted.ttl is not canonical Turtle.
+An appended line names the same node after a reload because a commit holds
+no blank node: `save_commit` refuses one. No write is fsynced, so this holds
+against a process that dies, not against a power loss.
 
 `load_store` reads registry.ttl but only finds where provenance.jsonl's
 committed lines end: a commit appends what it gained (`OntologyStore.unsaved`)
@@ -53,7 +68,7 @@ from .namespaces import (
     SYS_REGISTRY,
 )
 from .rdf_core import (
-    Graph, Iri, Literal, Origin, Provenance, Term, Triple, term_key, triple_key, triple_text)
+    Blank, Graph, Iri, Literal, Origin, Provenance, Term, Triple, term_key, triple_key, triple_text)
 from .turtle_io import PrefixMap, parse_triples, parse_turtle, serialize_turtle, triple_lines
 
 # The layers above the store are imported where they are used, so that a
@@ -73,11 +88,16 @@ class StoreLockError(StoreError):
     pass
 
 
+_TRUSTED = "trusted.ttl"
 _PROVENANCE = "provenance.jsonl"
 _REGISTRY = "registry.ttl"
 # The line that opens a commit's block in each journal: its text before and
 # after the version number.
-_MARKERS = {_PROVENANCE: ('{"version": ', "}"), _REGISTRY: ("# version ", "")}
+_MARKERS = {_TRUSTED: ("# version ", ""), _PROVENANCE: ('{"version": ', "}"),
+            _REGISTRY: ("# version ", "")}
+# A commit compacts trusted.ttl once the blocks appended since its canonical
+# head hold at least this share (1/8) of its bytes.
+_COMPACT_SHARE = 8
 # The start of a logs.jsonl line as `_json` writes it, with an id that holds
 # no escape, so that its bytes are the id's own UTF-8 bytes.
 _LOG_ID = re.compile(rb'\{"id": "([^"\\]*)", "text": ')
@@ -103,10 +123,13 @@ class StoreHandle:
     root: Path
     store: OntologyStore
     prefixes: dict[str, str] = field(default_factory=lambda: dict(DEFAULT_PREFIXES))
-    # The committed byte length of each journal, and the prefixes that
-    # registry.ttl's header declares, which its appended lines use.
+    # The committed byte length of each journal; the prefixes that each Turtle
+    # journal's header declares, which its appended lines use; and the length
+    # of trusted.ttl's canonical head, before its first block.
     journal_ends: dict[str, int] = field(default_factory=dict, repr=False, compare=False)
-    registry_prefixes: dict[str, str] = field(default_factory=dict, repr=False, compare=False)
+    journal_prefixes: dict[str, PrefixMap] = field(default_factory=dict, repr=False,
+                                                   compare=False)
+    trusted_head: int = field(default=0, repr=False, compare=False)
     # (version, trusted graph, closure) and (vector store, (device, inode), offset)
     _closure: tuple | None = field(default=None, init=False, repr=False, compare=False)
     _log: tuple | None = field(default=None, init=False, repr=False, compare=False)
@@ -155,8 +178,8 @@ def init_store(root: str | Path) -> StoreHandle:
     root.mkdir(parents=True, exist_ok=True)
     if (root / "version").exists():
         raise StoreError(f"store already initialized at {root}")
-    (root / "version").write_text("0\n", encoding="utf-8")
-    (root / "trusted.ttl").write_text(serialize_turtle(Graph(), DEFAULT_PREFIXES), encoding="utf-8")
+    _replace(root / "version", "0\n")
+    (root / _TRUSTED).write_text(serialize_turtle(Graph(), DEFAULT_PREFIXES), encoding="utf-8")
     (root / "registry.ttl").write_text(serialize_turtle(Graph(), DEFAULT_PREFIXES), encoding="utf-8")
     (root / "quarantine.jsonl").write_text("", encoding="utf-8")
     (root / "provenance.jsonl").write_text("", encoding="utf-8")
@@ -166,12 +189,13 @@ def init_store(root: str | Path) -> StoreHandle:
 def load_store(root: str | Path) -> StoreHandle:
     from .builder import OntologyStore
     root = Path(root)
-    graph, prefixes = _read_trusted(root)
-    version = read_version(root)
+    version, data = _read_trusted(root)
+    graph, prefixes = parse_turtle(data.decode("utf-8"))
     reg_data = _committed(root / _REGISTRY, version)
     # `save_commit` moves these ends in place, so a first read of
     # `store.provenance` after a save reads the saved block too
-    ends = {_PROVENANCE: len(_committed(root / _PROVENANCE, version)), _REGISTRY: len(reg_data)}
+    ends = {_TRUSTED: len(data), _PROVENANCE: len(_committed(root / _PROVENANCE, version)),
+            _REGISTRY: len(reg_data)}
     store = OntologyStore(read_provenance=partial(_read_provenance, root, ends))
     store.version = version
     store.trusted = graph
@@ -179,39 +203,59 @@ def load_store(root: str | Path) -> StoreHandle:
     store.registry = registry_from_graph(reg_triples, INST_NS)
     merged_prefixes = dict(DEFAULT_PREFIXES)
     merged_prefixes.update(prefixes)
+    head = next(_markers(data, _TRUSTED), (len(data),))[0]
     return StoreHandle(root=root, store=store, prefixes=merged_prefixes, journal_ends=ends,
-                       registry_prefixes=reg_prefixes)
+                       journal_prefixes={_TRUSTED: prefixes, _REGISTRY: reg_prefixes},
+                       trusted_head=head)
 
 
 def load_trusted(root: str | Path) -> Graph:
     """The committed trusted graph, read from trusted.ttl alone: all that a
     query needs of the store."""
-    return _read_trusted(Path(root))[0]
+    return parse_turtle(_read_trusted(Path(root))[1].decode("utf-8"))[0]
 
 
-def _read_trusted(root: Path) -> tuple[Graph, PrefixMap]:
+def _read_trusted(root: Path) -> tuple[int, bytes]:
+    """The committed version and trusted.ttl's committed lines. `version` is
+    read again after trusted.ttl, and both again if it moved: a commit in
+    between may have compacted trusted.ttl to its new version."""
     if not (root / "version").exists():
         raise StoreError(f"no store at {root} (run init first)")
-    return parse_turtle((root / "trusted.ttl").read_text(encoding="utf-8"))
+    version = read_version(root)
+    while True:
+        data = _committed(root / _TRUSTED, version)
+        version, seen = read_version(root), version
+        if version == seen:
+            return version, data
 
 
 def read_version(root: str | Path) -> int:
-    """The committed version: the content of the `version` file."""
-    return int((Path(root) / "version").read_text(encoding="utf-8").strip() or "0")
+    """The committed version: the content of the `version` file, which a
+    commit replaces whole. A file that holds no decimal number raises a
+    StoreError rather than reading as version 0, over which the next commit
+    would cut every journal back to nothing."""
+    text = (Path(root) / "version").read_text(encoding="utf-8").strip()
+    if not (text.isascii() and text.isdigit()):
+        raise StoreError(f"the version file holds {text[:20]!r}, not a version number")
+    return int(text)
 
 
 def save_commit(handle: StoreHandle, delta: OntologyDelta) -> Path | None:
     """Persist a commit; the store's only writer after `init_store`.
 
-    A delta with accepted triples writes delta-N.ttl, rewrites trusted.ttl,
-    and appends a version-N block to provenance.jsonl and registry.ttl:
-    every provenance record and registry addition the store gained since the
-    last save, including those of commits that accepted nothing, the
-    provenance lines in triple order, so equal commits write equal bytes.
-    Every commit appends its quarantine lines, stamped with
-    `delta.version_id`, and the chunks whose ids logs.jsonl does not hold
-    yet. Each append first cuts its file back to its committed lines: a
-    journal's dead block, or a torn last line. `version` is written last."""
+    A delta with accepted triples writes delta-N.ttl and appends a version-N
+    block to trusted.ttl, provenance.jsonl and registry.ttl: the delta's
+    triples, and every provenance record and registry addition the store
+    gained since the last save, including those of commits that accepted
+    nothing, the triples and provenance lines in triple order, so equal
+    commits write equal bytes. Every commit appends its quarantine lines,
+    stamped with `delta.version_id`, and the chunks whose ids logs.jsonl does
+    not hold yet. Each append first cuts its file back to its committed
+    lines: a journal's dead block, or a torn last line. `version` is replaced
+    after every other write, and then trusted.ttl is compacted if its blocks
+    have grown to `_COMPACT_SHARE` or its header lacks one of the handle's
+    prefixes. A delta that holds a blank node raises a StoreError before
+    anything is written."""
     root = handle.root
     store = handle.store
 
@@ -220,11 +264,13 @@ def save_commit(handle: StoreHandle, delta: OntologyDelta) -> Path | None:
     if delta.accepted:
         delta_graph = Graph()
         for cand in delta.accepted:
+            if any(isinstance(term, Blank) for term in cand.triple):
+                raise StoreError(f"a commit cannot hold a blank node: {triple_text(cand.triple)}")
             delta_graph.insert(cand.triple)
         delta_path = root / f"delta-{delta.version_id}.ttl"
         delta_path.write_text(serialize_turtle(delta_graph, handle.prefixes), encoding="utf-8")
-        (root / "trusted.ttl").write_text(
-            serialize_turtle(store.trusted, handle.prefixes), encoding="utf-8")
+        ends[_TRUSTED] = _append_block(handle, _TRUSTED, delta.version_id, triple_lines(
+            sorted(delta_graph.find(), key=triple_key), handle.journal_prefixes[_TRUSTED]))
         ends[_PROVENANCE] = _append_block(handle, _PROVENANCE, delta.version_id, (
             _json({"triple": triple_text(t), "provenance": [p.to_json() for p in records]})
             for t, records in sorted(store.unsaved.items(), key=lambda item: triple_key(item[0]))
@@ -232,7 +278,7 @@ def save_commit(handle: StoreHandle, delta: OntologyDelta) -> Path | None:
         registry, items = store.registry, iter(store.registry.unsaved)
         ends[_REGISTRY] = _append_block(handle, _REGISTRY, delta.version_id, triple_lines(
             (t for addition in zip(items, items, items) for t in _registry_triples(registry, *addition)),
-            handle.registry_prefixes))
+            handle.journal_prefixes[_REGISTRY]))
 
     quarantine = root / "quarantine.jsonl"
     _append(quarantine, _committed_end(quarantine), [_json({
@@ -257,15 +303,31 @@ def save_commit(handle: StoreHandle, delta: OntologyDelta) -> Path | None:
                 (_json({"id": i, "text": text}) for i, text in texts.items()))
 
     if delta.accepted:  # the commit point, after every other write
-        (root / "version").write_text(f"{delta.version_id}\n", encoding="utf-8")
+        _replace(root / "version", f"{delta.version_id}\n")
         handle.journal_ends.update(ends)
         store.unsaved.clear()
         store.registry.unsaved.clear()
+        end = ends[_TRUSTED]
+        if (end - handle.trusted_head) * _COMPACT_SHARE >= end \
+                or handle.prefixes != handle.journal_prefixes[_TRUSTED]:
+            text = serialize_turtle(store.trusted, handle.prefixes)
+            _replace(root / _TRUSTED, text)
+            handle.journal_ends[_TRUSTED] = handle.trusted_head = len(text.encode("utf-8"))
+            handle.journal_prefixes[_TRUSTED] = dict(handle.prefixes)
     return delta_path
 
 
 def _json(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, ensure_ascii=False)
+
+
+def _replace(path: Path, text: str) -> None:
+    """Write `text` to a temporary file beside `path`, then rename it over
+    `path`, so that a reader or a crash sees the old file or the new one
+    whole, never an empty or torn one."""
+    temp = path.with_name(path.name + ".tmp")
+    temp.write_text(text, encoding="utf-8")
+    os.replace(temp, path)
 
 
 def _append_block(handle: StoreHandle, name: str, version: int, lines: Iterable[str]) -> int:
@@ -318,23 +380,30 @@ def _lines(path: Path, start: int = 0) -> Iterator[bytes]:
 def _committed(path: Path, version: int) -> bytes:
     """A journal's committed lines: those before its first block marker
     above `version`, which opens a block whose commit never wrote `version`,
-    less a last line without its newline. The markers are found by a byte
-    search, not by reading the lines one at a time."""
+    less a last line without its newline."""
     try:
         data = path.read_bytes()
     except FileNotFoundError:
         return b""
-    head, tail = (part.encode("utf-8") for part in _MARKERS[path.name])
+    for at, number in _markers(data, path.name):
+        if number > version:
+            return data[:at]
+    return data[:data.rfind(b"\n") + 1]
+
+
+def _markers(data: bytes, name: str) -> Iterator[tuple[int, int]]:
+    """The offset and version of each block marker line among the complete
+    lines of journal `name`, in file order, found by a byte search rather
+    than by reading the lines one at a time."""
+    head, tail = (part.encode("utf-8") for part in _MARKERS[name])
     end = data.rfind(b"\n") + 1
     at = data.find(head)
     while 0 <= at < end:
         line = data[at:data.index(b"\n", at)]
         number = line[len(head):len(line) - len(tail)]
-        if (at == 0 or data[at - 1] == ord("\n")) and line.endswith(tail) \
-                and number.isdigit() and int(number) > version:
-            return data[:at]
+        if (at == 0 or data[at - 1] == ord("\n")) and line.endswith(tail) and number.isdigit():
+            yield at, int(number)
         at = data.find(head, at + 1)
-    return data[:end]
 
 
 def load_log_entries(root: str | Path, start: int = 0) -> tuple[list[tuple[str, str]], int]:

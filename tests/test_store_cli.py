@@ -850,7 +850,7 @@ class TestCommitPath:
     def test_version_is_written_last(self, tmp_path, monkeypatch):
         store, sources = self._store_and_docs(tmp_path, {"a.txt": "Pump3 located in SiteC."})
         written = []
-        write_text, open_ = Path.write_text, Path.open
+        write_text, open_, replace = Path.write_text, Path.open, os.replace
 
         def record_write(path, *args, **kwargs):
             written.append(path.name)
@@ -861,9 +861,17 @@ class TestCommitPath:
                 written.append(path.name)
             return open_(path, mode, *args, **kwargs)
 
+        def record_replace(source, target):
+            written.append(f"{Path(source).name} -> {Path(target).name}")
+            return replace(source, target)
+
         monkeypatch.setattr(Path, "write_text", record_write)
         monkeypatch.setattr(Path, "open", record_open)
+        monkeypatch.setattr(os, "replace", record_replace)
         self._build(store, sources)
-        assert written[-1] == "version"
+        # the commit point replaces `version` whole, after every other write
+        commit = written.index("version.tmp -> version")
         assert {"delta-1.ttl", "trusted.ttl", "provenance.jsonl", "registry.ttl",
-                "quarantine.jsonl", "logs.jsonl"} <= set(written[:-1])
+                "quarantine.jsonl", "logs.jsonl", "version.tmp"} <= set(written[:commit])
+        # after it may come only the compaction of trusted.ttl
+        assert set(written[commit + 1:]) <= {"trusted.ttl.tmp", "trusted.ttl.tmp -> trusted.ttl"}

@@ -1,14 +1,17 @@
-"""provenance.jsonl and registry.ttl as append-only journals.
+"""trusted.ttl, provenance.jsonl and registry.ttl as append-only journals.
 
 Every commit sequence must load exactly as the full rewrite per commit that
 the journals replace (`oracles.oracle_save_commit`) loads: the same trusted
 graph, the same provenance lists in the same order, the same registry. A
 block whose commit never wrote `version` stays invisible, a torn last line is
-ignored, and stores written as one full rewrite per commit load unchanged."""
+ignored, and stores written as one full rewrite per commit load unchanged. A
+crash at any file operation of a commit leaves the old state or the new one."""
 
 import dataclasses
 import json
+import os
 import random
+import shutil
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -17,6 +20,7 @@ import pytest
 
 from ontomem import store as store_module
 from ontomem.builder import (
+    Candidate,
     Chunk,
     DocKind,
     OntologyDelta,
@@ -35,10 +39,10 @@ from ontomem.namespaces import (
     SYS_REGISTRY,
 )
 from ontomem.rdf_core import (
-    Blank, Graph, Iri, Literal, Origin, Triple, escape_literal, triple_key, triple_text)
+    Blank, Graph, Iri, Literal, Origin, Provenance, Triple, escape_literal, triple_key, triple_text)
 from ontomem.store import (
-    StoreError, init_store, load_log_entries, load_shapes_file, load_store, registry_from_graph,
-    save_commit)
+    StoreError, init_store, load_log_entries, load_shapes_file, load_store, load_trusted,
+    read_version, rebuild_trusted, registry_from_graph, save_commit)
 from ontomem.turtle_io import TurtleParseError, parse_turtle, serialize_turtle
 from ontomem.builder import feedback
 from ontomem.factcheck import Claim
@@ -52,7 +56,7 @@ PATTERNS = json.loads((DATA / "corpus_patterns.json").read_text(encoding="utf-8"
 CORPUS = {p.name: p.read_text(encoding="utf-8") for p in sorted((DATA / "corpus").glob("*.txt"))}
 SCHEMA, _ = parse_turtle((DATA / "corpus_schema.ttl").read_text(encoding="utf-8"))
 SHAPES = load_shapes_file(DATA / "corpus_shapes.ttl")
-JOURNALS = ("provenance.jsonl", "registry.ttl")
+JOURNALS = ("trusted.ttl", "provenance.jsonl", "registry.ttl")
 
 
 def _open(root):
@@ -244,7 +248,7 @@ def test_dead_commit_stays_invisible(tmp_path, monkeypatch):
     write_text = Path.write_text
 
     def failing_write(path, *args, **kwargs):
-        if path.name == "version":
+        if path.name == "version.tmp":  # the file that replaces `version`
             raise OSError("disk full")
         return write_text(path, *args, **kwargs)
 
@@ -254,13 +258,7 @@ def test_dead_commit_stays_invisible(tmp_path, monkeypatch):
     monkeypatch.undo()
 
     after = _loaded(root)
-    assert after["version"] == before["version"]
-    assert after["entries"] == before["entries"] and after["ambiguous"] == before["ambiguous"]
-    # trusted.ttl is rewritten before `version` (its torn window is not the
-    # journals'): its extra triples get only the placeholder record
-    assert {t: after["provenance"][t] for t in before["provenance"]} == before["provenance"]
-    for t in after["provenance"].keys() - before["provenance"].keys():
-        assert [p.source_id for p in after["provenance"][t]] == ["trusted.ttl"]
+    assert after == before
 
     # the next commit reuses the version number; the dead block stays gone
     handle = _open(root)
@@ -274,6 +272,232 @@ def test_dead_commit_stays_invisible(tmp_path, monkeypatch):
     assert not any(iri.endswith(("zed1", "zed-co")) for iri in loaded["entries"])
     for name in JOURNALS:
         assert "dead.txt" not in (root / name).read_text(encoding="utf-8")
+
+
+# ---------------------------------------------------------------------------
+# trusted.ttl as the third journal: the commit point, compaction, crash states
+# ---------------------------------------------------------------------------
+
+
+def _files(root) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in root.iterdir() if p.is_file()}
+
+
+def _label(n: int) -> Triple:
+    return Triple(Iri(f"{INST_NS}dev{n}"), Iri(RDFS_LABEL), Literal(f"Dev {n}"))
+
+
+def test_an_empty_version_file_is_refused_not_read_as_zero(tmp_path):
+    """An in-place write of `version` that died after its truncate left it
+    empty, and it loaded as version 0: the next commit then overwrote
+    delta-1.ttl and cut every journal back to nothing. A commit now replaces
+    `version` whole, and a file that holds no version number is refused."""
+    root = tmp_path / "s"
+    build = ("--store", str(root), "--json", "build", "--sources", str(DATA / "corpus"),
+             "--shapes", str(DATA / "corpus_shapes.ttl"),
+             "--schema", str(DATA / "corpus_schema.ttl"),
+             "--patterns", str(DATA / "corpus_patterns.json"))
+    assert run_cli("--store", str(root), "init")[0] == 0
+    code, out, err = run_cli(*build)
+    assert code == 0 and json.loads(out)["version"] == 1, err
+    committed = _files(root)
+    for text in ("", "\n", "1x\n", "-1\n", "\u0661\n"):  # U+0661 is an Arabic-Indic digit
+        (root / "version").write_text(text, encoding="utf-8")
+        with pytest.raises(StoreError, match=r"^the version file holds .*, not a version number$"):
+            read_version(root)
+        with pytest.raises(StoreError, match=r"^the version file holds"):
+            load_store(root)
+    (root / "version").write_text("", encoding="utf-8")
+    code, out, err = run_cli("--store", str(root), "--json", "query", "ASK WHERE { ?s ?p ?o }")
+    assert (code, out) == (2, "") and err == "error: the version file holds '', not a version number\n"
+    code, out, err = run_cli(*build)
+    assert (code, out) == (2, "")
+    assert _files(root) == {**committed, "version": b""}  # no journal was cut
+
+
+def test_a_commit_that_holds_a_blank_node_is_refused(tmp_path):
+    """An appended line names a node by its text, which a blank label does
+    not keep across a reload (the builder skolemizes them)."""
+    root = _corpus_store(tmp_path, builds=1)
+    committed = _files(root)
+    handle = _open(root)
+    blank = Triple(Blank("b1"), Iri(RDFS_LABEL), Literal("x"))
+    delta = OntologyDelta(handle.store.version + 1, [Candidate(blank, [Provenance("x.ttl")])], [])
+    with pytest.raises(StoreError, match=r"^a commit cannot hold a blank node: _:b1 "):
+        save_commit(handle, delta)
+    assert _files(root) == committed
+
+
+def test_trusted_blocks_compact_once_they_hold_an_eighth(tmp_path):
+    """A commit appends its block to trusted.ttl until the blocks hold an
+    eighth of the file; that commit replaces it with the canonical text."""
+    root = _corpus_store(tmp_path, builds=1)
+    prefixes = load_store(root).prefixes
+    head = (root / "trusted.ttl").read_bytes()
+    # the first build into an empty store compacted it already
+    assert head.decode("utf-8") == serialize_turtle(load_trusted(root), prefixes)
+    for n in range(1, 100):
+        handle = _open(root)
+        before = (root / "trusted.ttl").read_bytes()
+        save_commit(handle, feedback(handle.store, [Claim(_label(n))]))
+        after = (root / "trusted.ttl").read_bytes()
+        loaded = load_store(root)
+        assert loaded.store.trusted.triple_set() == handle.store.trusted.triple_set() \
+            == rebuild_trusted(root).triple_set()
+        assert loaded.journal_ends["trusted.ttl"] == len(after)
+        block = f'# version {handle.store.version}\ninst:dev{n} rdfs:label "Dev {n}" .\n'.encode()
+        end = len(before) + len(block)
+        if (end - len(head)) * 8 < end:
+            assert after == before + block
+            continue
+        assert after.decode("utf-8") == serialize_turtle(load_trusted(root), prefixes)
+        assert n > 2 and b"# version" not in after
+        break
+    else:
+        raise AssertionError("trusted.ttl never compacted")
+    # the next commit appends to the compacted file
+    handle = _open(root)
+    save_commit(handle, feedback(handle.store, [Claim(_label(0))]))
+    assert (root / "trusted.ttl").read_bytes().startswith(after + b"# version ")
+
+
+def test_a_load_that_a_compaction_overtakes_reads_the_store_again(tmp_path, monkeypatch):
+    """A reader reads `version`, then trusted.ttl. A commit that lands in
+    between and compacts trusted.ttl would give it the new triples under the
+    old version, so it reads `version` again, and both again if it moved."""
+    root = init_store(tmp_path / "s").root
+    writer = load_store(root)
+    writer.prefixes["ex"] = "http://ex.org/"  # not in the header: the commit compacts
+    committed, overtaken = store_module._committed, []
+
+    def commit_first(path, version):
+        if path.name == "trusted.ttl" and not overtaken:
+            overtaken.append(version)
+            save_commit(writer, feedback(writer.store, [Claim(_label(1))]))
+        return committed(path, version)
+
+    monkeypatch.setattr(store_module, "_committed", commit_first)
+    loaded = load_store(root)
+    monkeypatch.undo()
+    assert overtaken == [0] and b"# version" not in (root / "trusted.ttl").read_bytes()
+    assert _state(loaded.store) == _loaded(root) == _state(writer.store)
+
+
+class _Appending:
+    """A file opened "ab" that records its `truncate` and `write` calls."""
+
+    def __init__(self, path: Path, fh, ops: list):
+        self.path, self.fh, self.ops = path, fh, ops
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def truncate(self, size: int) -> int:
+        self.ops.append(("truncate", self.path.name, size))
+        return self.fh.truncate(size)
+
+    def write(self, data: bytes) -> int:
+        self.ops.append(("write", self.path.name, bytes(data)))
+        return self.fh.write(data)
+
+    def tell(self) -> int:
+        return self.fh.tell()
+
+
+def _recorded(monkeypatch, commit) -> list[tuple]:
+    """The file operations that `commit()` makes, as ALICE (Pillai et al.,
+    OSDI 2014) lists them: each `write_text`, `open("ab")`, `truncate`,
+    `write` and `os.replace`, with the file names and bytes."""
+    ops: list[tuple] = []
+    open_, replace = Path.open, os.replace
+
+    def record_write_text(path, text, encoding=None, errors=None, newline=None):
+        ops.append(("write_text", path.name, text.encode(encoding or "utf-8")))
+        with open_(path, "w", encoding=encoding, errors=errors, newline=newline) as fh:
+            return fh.write(text)
+
+    def record_open(path, mode="r", *args, **kwargs):
+        fh = open_(path, mode, *args, **kwargs)
+        if mode != "ab":
+            assert "r" in mode and "+" not in mode, mode  # every other write is recorded
+            return fh
+        ops.append(("open", path.name))
+        return _Appending(path, fh, ops)
+
+    def record_replace(source, target):
+        ops.append(("replace", Path(source).name, Path(target).name))
+        return replace(source, target)
+
+    monkeypatch.setattr(Path, "write_text", record_write_text)
+    monkeypatch.setattr(Path, "open", record_open)
+    monkeypatch.setattr(os, "replace", record_replace)
+    try:
+        commit()
+    finally:
+        monkeypatch.undo()
+    return ops
+
+
+def _crash_states(files: dict[str, bytes], ops: list[tuple], rng: random.Random):
+    """(label, files) for each prefix of `ops` applied to `files`, and, where
+    the prefix ends in a write, for the same prefix with that write torn at a
+    random byte."""
+    for n in range(len(ops) + 1):
+        tears = [None]
+        if n and ops[n - 1][0] in ("write_text", "write") and ops[n - 1][2]:
+            tears.append(rng.randrange(len(ops[n - 1][2])))
+        for tear in tears:
+            state = dict(files)
+            for i, (kind, name, *args) in enumerate(ops[:n]):
+                if kind == "open":
+                    state.setdefault(name, b"")
+                elif kind == "truncate":
+                    state[name] = state[name][:args[0]]
+                elif kind == "replace":
+                    state[args[0]] = state.pop(name)
+                else:  # write_text or write, torn if it is the last operation
+                    data = args[0][:tear] if tear is not None and i == n - 1 else args[0]
+                    state[name] = data if kind == "write_text" else state[name] + data
+            torn = "" if tear is None else f", torn at byte {tear}"
+            yield f"after {n} of {len(ops)} operations{torn}", state
+
+
+@pytest.mark.parametrize("case", ["appends", "compacts"])
+def test_a_crash_at_any_file_operation_of_a_commit_leaves_the_old_or_the_new_state(
+        tmp_path, monkeypatch, case):
+    root = _corpus_store(tmp_path, builds=2 if case == "appends" else 1)
+    handle = _open(root)
+    docs = {"appends": [SourceDocument("new.txt", DocKind.TEXT, "Pump4 located in SiteD.")],
+            "compacts": [SourceDocument(n, DocKind.TEXT, CORPUS[n])
+                         for n in ("doc03.txt", "doc04.txt")]}[case]
+    delta = run_pipeline(handle.store, docs, _extractor({"Pump4": "Device"}))
+    assert delta.accepted and handle.store.registry.unsaved and delta.chunks
+    old, files = _loaded(root), _files(root)
+    ops = _recorded(monkeypatch, lambda: save_commit(handle, delta))
+    new = _state(handle.store)
+    assert new != old and _loaded(root) == new
+    replaced = [op[2] for op in ops if op[0] == "replace"]
+    assert replaced == {"appends": ["version"], "compacts": ["version", "trusted.ttl"]}[case]
+
+    rng = random.Random(f"crash states: {case}")
+    crashed = tmp_path / "crashed"
+    for label, state in _crash_states(files, ops, rng):
+        shutil.rmtree(crashed, ignore_errors=True)
+        crashed.mkdir()
+        for name, data in state.items():
+            (crashed / name).write_bytes(data)
+        loaded = _loaded(crashed)
+        assert loaded in (old, new), label
+        assert rebuild_trusted(crashed).triple_set() == load_trusted(crashed).triple_set(), label
+        # the store is not wedged: the next commit lands on the state it loaded
+        after = _open(crashed)
+        next_delta = feedback(after.store, [Claim(_label(1))])
+        assert next_delta.version_id == loaded["version"] + 1, label
+        save_commit(after, next_delta)
+        assert _loaded(crashed) == _state(after.store), label
 
 
 @pytest.mark.parametrize("name", JOURNALS)
@@ -351,7 +575,8 @@ def test_commit_appends_only_its_own_block(tmp_path):
         data = (root / name).read_bytes()
         assert data.startswith(before[name])
         block = data[len(before[name]):].decode("utf-8").splitlines()
-        marker = {"provenance.jsonl": '{"version": 3}', "registry.ttl": "# version 3"}[name]
+        marker = {"trusted.ttl": "# version 3", "provenance.jsonl": '{"version": 3}',
+                  "registry.ttl": "# version 3"}[name]
         assert block[0] == marker
     block = (root / "provenance.jsonl").read_bytes()[len(before["provenance.jsonl"]):]
     assert len(block.splitlines()) == 1 + len(delta.accepted)
@@ -415,13 +640,16 @@ def test_a_merge_replaces_the_placeholder_however_the_records_are_read(tmp_path,
     write_text = Path.write_text
 
     def failing_write(path, *args, **kwargs):
-        if path.name == "version":
+        if path.name == "provenance.jsonl":
             raise OSError("disk full")
         return write_text(path, *args, **kwargs)
 
+    # the full-rewrite writer of older code left such stores when it died
+    # after trusted.ttl: `save_commit` appends to trusted.ttl, so its dead
+    # block stays invisible
     monkeypatch.setattr(Path, "write_text", failing_write)
     with pytest.raises(OSError):
-        save_commit(handle, feedback(handle.store, [Claim(dead)]))
+        oracle_save_commit(handle, feedback(handle.store, [Claim(dead)]))
     monkeypatch.undo()
 
     said = Graph()
