@@ -2,6 +2,11 @@
 search, graph neighborhood expansion, and the composite-context fusion that
 merges the four retrieval channels into one ranked bundle.
 
+A hashed bag of tokens has few nonzero components, so the vector memory keeps
+only those, with an inverted index over them, and a search reads only the
+postings of the query's own components; its scores and ranking are those of
+the dense dot product over every entry.
+
 Fusion ranks with exact rational arithmetic so that rescaling every channel
 weight by the same positive factor provably cannot reorder the result.
 """
@@ -9,17 +14,22 @@ weight by the same positive factor provably cannot reorder the result.
 from __future__ import annotations
 
 import hashlib
+import heapq
 import json
 import math
 import re
 from array import array
+from bisect import insort
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress, islice
 
 from .namespaces import DEFAULT_DIMENSION
 from .rdf_core import Graph, Term, Triple, triple_key, triple_text
 
 MAX_RADIUS = 4
+_COMPONENTS = range(DEFAULT_DIMENSION)
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
@@ -49,18 +59,51 @@ def embed(text: str) -> tuple[float, ...]:
 
 @dataclass
 class VectorStore:
-    """Exact-search vector memory: entry id -> (embedding, payload).
+    """Exact-search vector memory: entry id -> (components, values, payload).
 
-    Each embedding is kept as an array of doubles, a quarter of the memory of
-    a tuple of boxed floats, holding the same values, so every score is the
-    same. `add` mutates `entries`; a store that other threads may be searching
-    is extended by copying it (`VectorStore(dict(entries))`), adding to the
-    copy and publishing that."""
+    An embedding is kept sparse, as its nonzero components: an array of the
+    component numbers, in increasing order, and an array of their doubles,
+    the same values `embed` gives, so every score is the same as over the
+    dense vector. Beside the entries the store keeps the inverted index that
+    `vector_search` reads: `postings` maps a component to the ids of the
+    entries that have it and their values there, in the order they were
+    added; `ids` holds every entry id in order. A store built by the same
+    `add` calls equals it.
 
-    entries: dict[str, tuple[array, str]] = field(default_factory=dict)
+    `add` mutates the store, and an id added again replaces its entry. A
+    store that other threads may be searching is extended by adding to its
+    `copy()` and publishing that."""
+
+    entries: dict[str, tuple[array, array, str]] = field(default_factory=dict)
+    postings: dict[int, tuple[list[str], array]] = field(default_factory=dict)
+    ids: list[str] = field(default_factory=list)
 
     def add(self, entry_id: str, payload: str) -> None:
-        self.entries[entry_id] = (array("d", embed(payload)), payload)
+        old = self.entries.get(entry_id)
+        if old is None:
+            insort(self.ids, entry_id)
+        else:
+            for component in old[0]:
+                ids, values = self.postings[component]
+                at = ids.index(entry_id)
+                del ids[at], values[at]
+        vec = embed(payload)
+        nonzero = list(compress(_COMPONENTS, vec))
+        components, values = array("i", nonzero), array("d", [vec[c] for c in nonzero])
+        self.entries[entry_id] = (components, values, payload)
+        for component, x in zip(components, values):
+            if component not in self.postings:
+                self.postings[component] = ([], array("d"))
+            ids, posted = self.postings[component]
+            ids.append(entry_id)
+            posted.append(x)
+
+    def copy(self) -> VectorStore:
+        """A store with the same entries whose index `add` may change
+        without changing this one's; the entries themselves are shared."""
+        return VectorStore(dict(self.entries),
+                           {c: (ids[:], values[:]) for c, (ids, values) in self.postings.items()},
+                           self.ids[:])
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -73,17 +116,34 @@ class VectorHit:
     score: float
 
 
+def _rank(scored: tuple[str, float]) -> tuple[float, str]:
+    return -scored[1], scored[0]
+
+
 def vector_search(store: VectorStore, query: str, k: int) -> list[VectorHit]:
-    """Exact top-k by cosine similarity; ties broken by entry id."""
+    """Exact top-k by cosine similarity; ties broken by entry id.
+
+    Term at a time: only the postings of the query's nonzero components are
+    read. Each entry that shares one collects its products in increasing
+    component order and sums them with `sum`, so its score is bit for bit
+    the dense `sum(x * y for x, y in zip(q, v))`, whose other terms are exact
+    zeros. An entry that shares no component scores 0.0, ranks by id among
+    the entries that score 0.0 and above the negative scores, so only the k
+    least such ids are read."""
     if k < 1:
         raise FusionConfigError("k must be >= 1")
-    qvec = embed(query)
-    scored = [
-        VectorHit(entry_id, payload, sum(x * y for x, y in zip(qvec, vec)))
-        for entry_id, (vec, payload) in store.entries.items()
-    ]
-    scored.sort(key=lambda h: (-h.score, h.entry_id))
-    return scored[:k]
+    products: defaultdict[str, list[float]] = defaultdict(list)
+    for component, x in enumerate(embed(query)):
+        if x and component in store.postings:
+            ids, values = store.postings[component]
+            for entry_id, y in zip(ids, values):
+                products[entry_id].append(x * y)
+    scores = {entry_id: sum(terms) for entry_id, terms in products.items()}
+    untouched = islice((entry_id for entry_id in store.ids if entry_id not in scores), k)
+    ranked = sorted([*heapq.nsmallest(k, scores.items(), key=_rank),
+                     *((entry_id, 0.0) for entry_id in untouched)], key=_rank)
+    return [VectorHit(entry_id, store.entries[entry_id][2], score)
+            for entry_id, score in ranked[:k]]
 
 
 def graph_retrieve(graph: Graph, seeds: list[Term], radius: int) -> list[tuple[Triple, int]]:

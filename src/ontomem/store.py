@@ -69,7 +69,8 @@ from .namespaces import (
 )
 from .rdf_core import (
     Blank, Graph, Iri, Literal, Origin, Provenance, Term, Triple, term_key, triple_key, triple_text)
-from .turtle_io import PrefixMap, parse_triples, parse_turtle, serialize_turtle, triple_lines
+from .turtle_io import (
+    PrefixMap, parse_triples, parse_turtle, serialize_turtle, triple_lines, turtle_text)
 
 # The layers above the store are imported where they are used, so that a
 # process that only reads trusted.ttl (`load_trusted`) does not import them.
@@ -159,7 +160,7 @@ class StoreHandle:
             if size > offset:
                 entries, offset = load_log_entries(self.root, offset)
                 if entries:
-                    memory = VectorStore(entries=dict(memory.entries))
+                    memory = memory.copy()
                     for entry_id, payload in entries:
                         memory.add(entry_id, payload)
             self._log = (memory, now_id, offset)
@@ -262,15 +263,19 @@ def save_commit(handle: StoreHandle, delta: OntologyDelta) -> Path | None:
     delta_path: Path | None = None
     ends: dict[str, int] = {}
     if delta.accepted:
-        delta_graph = Graph()
         for cand in delta.accepted:
             if any(isinstance(term, Blank) for term in cand.triple):
                 raise StoreError(f"a commit cannot hold a blank node: {triple_text(cand.triple)}")
-            delta_graph.insert(cand.triple)
+        # sorted and formatted once for delta-N.ttl, whose lines the trusted.ttl
+        # block reuses when the two files declare the same prefixes
+        triples = sorted({cand.triple for cand in delta.accepted}, key=triple_key)
+        lines = triple_lines(triples, handle.prefixes)
         delta_path = root / f"delta-{delta.version_id}.ttl"
-        delta_path.write_text(serialize_turtle(delta_graph, handle.prefixes), encoding="utf-8")
-        ends[_TRUSTED] = _append_block(handle, _TRUSTED, delta.version_id, triple_lines(
-            sorted(delta_graph.find(), key=triple_key), handle.journal_prefixes[_TRUSTED]))
+        delta_path.write_text(turtle_text(lines, handle.prefixes), encoding="utf-8")
+        trusted_prefixes = handle.journal_prefixes[_TRUSTED]
+        if trusted_prefixes != handle.prefixes:
+            lines = triple_lines(triples, trusted_prefixes)
+        ends[_TRUSTED] = _append_block(handle, _TRUSTED, delta.version_id, lines)
         ends[_PROVENANCE] = _append_block(handle, _PROVENANCE, delta.version_id, (
             _json({"triple": triple_text(t), "provenance": [p.to_json() for p in records]})
             for t, records in sorted(store.unsaved.items(), key=lambda item: triple_key(item[0]))

@@ -402,8 +402,6 @@ _LOCAL_SAFE_RE = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_\-]*")
 
 def serialize_turtle(graph: Graph, prefixes: PrefixMap) -> str:
     """Canonical text: a pure function of (triple set, prefix map)."""
-    lines = [f"@prefix {label}: <{iri}> ." for label, iri in sorted(prefixes.items())]
-
     triples = graph.find()
     blanks = ({t.subject for t in triples if isinstance(t.subject, Blank)}
               | {t.object for t in triples if isinstance(t.object, Blank)})
@@ -411,11 +409,18 @@ def serialize_turtle(graph: Graph, prefixes: PrefixMap) -> str:
         rename = {b: Blank(f"b{i}") for i, b in enumerate(sorted(blanks, key=term_key))}
         triples = [Triple(rename.get(t.subject, t.subject), t.predicate, rename.get(t.object, t.object))
                    for t in triples]
+    return turtle_text(triple_lines(sorted(triples, key=triple_key), prefixes), prefixes)
 
-    if triples and lines:
-        lines.append("")
-    lines += triple_lines(sorted(triples, key=triple_key), prefixes)
-    return "\n".join(lines) + "\n" if lines else ""
+
+def turtle_text(lines: list[str], prefixes: PrefixMap) -> str:
+    """A Turtle document: the `@prefix` header of `prefixes`, then `lines`.
+    Given a blank-free graph's `triple_lines` in `triple_key` order, under
+    the same prefixes, it is the graph's `serialize_turtle` text."""
+    head = [f"@prefix {label}: <{iri}> ." for label, iri in sorted(prefixes.items())]
+    if head and lines:
+        head.append("")
+    head += lines
+    return "\n".join(head) + "\n" if head else ""
 
 
 def triple_lines(triples: Iterable[Triple], prefixes: PrefixMap) -> list[str]:

@@ -1,3 +1,5 @@
+import itertools
+import json
 import math
 import random
 
@@ -16,6 +18,7 @@ from ontomem.fusion import (
     vector_search,
 )
 from ontomem.rdf_core import Graph, Iri, Triple, triple_text
+from ontomem.store import init_store, load_log_entries
 from oracles import oracle_graph_retrieve
 from test_reasoner import random_ontology_graph
 
@@ -28,6 +31,27 @@ def iri(local):
 
 def tr(s, p, o):
     return Triple(iri(s), iri(p), iri(o))
+
+
+def _dense_top(texts: dict[str, str], query: str, k: int) -> list[tuple[str, str, str]]:
+    """The top k by the dense dot product of `embed`'s tuples over every
+    entry, ties by id, as (id, payload, repr(score))."""
+    q = embed(query)
+    scored = sorted(((sum(x * y for x, y in zip(q, embed(text))), entry_id)
+                     for entry_id, text in texts.items()), key=lambda pair: (-pair[0], pair[1]))
+    return [(entry_id, texts[entry_id], repr(score)) for score, entry_id in scored[:k]]
+
+
+def _opposite_tokens() -> tuple[str, str]:
+    """Two tokens that hash to one component with opposite signs, so that
+    products can be negative or cancel to exactly 0.0."""
+    first: dict[int, tuple[str, float]] = {}
+    for n in itertools.count():
+        token = f"w{n}"
+        (component, x), = [(c, x) for c, x in enumerate(embed(token)) if x]
+        if component in first and first[component][1] == -x:
+            return first[component][0], token
+        first.setdefault(component, (token, x))
 
 
 class TestEmbed:
@@ -98,6 +122,89 @@ class TestVectorSearch:
         for hit in vector_search(store, query, k=40):
             a, b = embed(query), embed(texts[hit.entry_id])
             assert hit.score == sum(x * y for x, y in zip(a, b))
+
+    def test_inverted_index_equals_dense_brute_force(self):
+        """Hits, payloads and score reprs equal a ranking of every entry by
+        the dense dot product, over seeded corpora whose postings are long."""
+        plus, minus = _opposite_tokens()
+        words = [plus, minus, "alpha", "beta", "gamma", "delta", "epsilon"]
+        cases = {"negative": 0, "cancelled": 0, "untouched ties": 0}
+        for seed in range(12):
+            rng = random.Random(seed)
+            store, texts = VectorStore(), {}
+            for n in rng.sample(range(1000), rng.randint(1, 40)):  # ids out of id order
+                texts[f"d{n}"] = " ".join(rng.choices(words, k=rng.randint(0, 4)))
+                store.add(f"d{n}", texts[f"d{n}"])
+            for entry_id in rng.sample(sorted(texts), len(texts) // 4):  # added again
+                texts[entry_id] = " ".join(rng.choices(words, k=rng.randint(1, 3)))
+                store.add(entry_id, texts[entry_id])
+            queries = ["", "omega psi"] + [" ".join(rng.choices(words, k=rng.randint(1, 3)))
+                                           for _ in range(10)]
+            for query in queries:
+                for k in (1, 5, len(texts), len(texts) + 3):
+                    got = [(h.entry_id, h.payload, repr(h.score))
+                           for h in vector_search(store, query, k)]
+                    assert got == _dense_top(texts, query, k), (seed, query, k)
+                q = embed(query)
+                untouched = 0
+                for text in texts.values():
+                    v = embed(text)
+                    score = sum(x * y for x, y in zip(q, v))
+                    if any(x and y for x, y in zip(q, v)):
+                        cases["negative"] += score < 0
+                        cases["cancelled"] += score == 0.0
+                    else:
+                        untouched += 1
+                cases["untouched ties"] += untouched >= 2
+            hits = vector_search(store, "", 5)
+            assert [(h.entry_id, repr(h.score)) for h in hits] == \
+                [(entry_id, "0.0") for entry_id in sorted(texts)[:5]]
+        assert all(cases.values()), cases
+
+    def test_log_memory_grows_to_the_store_built_from_scratch(self, tmp_path):
+        """Each grown `log_memory()` equals a store built over the whole log;
+        a store once published never changes; a chunk logged again with new
+        text scores by its last line only."""
+        root = tmp_path / "s"
+        handle = init_store(root)
+        rng = random.Random(3)
+        words = ["pump", "valve", "plant", "north", "south", "acme", "press", "site"]
+        lines = [(f"doc{n // 4}.txt#{n % 4}", " ".join(rng.choices(words, k=rng.randint(1, 6))))
+                 for n in range(24)]
+        old_text, new_text = "pump valve", "turbine spins"
+        lines[3] = ("doc0.txt#3", old_text)
+        lines.append(("doc0.txt#3", new_text))  # logged again, sharing no token
+        text = "".join(json.dumps({"id": i, "text": t}) + "\n" for i, t in lines)
+        cuts = [0, len(text) // 3, len(text) // 3 + 7, 2 * len(text) // 3, len(text)]
+        published = []
+        for start, end in zip(cuts, cuts[1:]):  # a cut may tear a line
+            with (root / "logs.jsonl").open("a", encoding="utf-8") as fh:
+                fh.write(text[start:end])
+            memory = handle.log_memory()
+            entries, _ = load_log_entries(root)
+            scratch = VectorStore()
+            for entry_id, payload in entries:
+                scratch.add(entry_id, payload)
+            assert memory == scratch
+            texts = dict(entries)
+            assert {i: e[2] for i, e in memory.entries.items()} == texts
+            for components, values, payload in memory.entries.values():
+                vec = embed(payload)
+                assert list(components) == [c for c, x in enumerate(vec) if x]
+                assert list(values) == [x for x in vec if x]
+            for query in texts.values():
+                for k in (1, 5):
+                    got = vector_search(memory, query, k)
+                    assert got == vector_search(scratch, query, k)
+                    assert [(h.entry_id, h.payload, repr(h.score)) for h in got] == \
+                        _dense_top(texts, query, k)
+            published.append((memory, scratch))
+        assert len(published[-1][0]) == 24
+        for memory, scratch in published:
+            assert memory == scratch
+        hits = vector_search(published[-1][0], old_text, 24)
+        assert [(h.payload, h.score) for h in hits if h.entry_id == "doc0.txt#3"] == [(new_text, 0.0)]
+        assert published[1][0].entries["doc0.txt#3"][2] == old_text
 
 
 class TestGraphRetrieve:

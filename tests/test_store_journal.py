@@ -43,7 +43,7 @@ from ontomem.rdf_core import (
 from ontomem.store import (
     StoreError, init_store, load_log_entries, load_shapes_file, load_store, load_trusted,
     read_version, rebuild_trusted, registry_from_graph, save_commit)
-from ontomem.turtle_io import TurtleParseError, parse_turtle, serialize_turtle
+from ontomem.turtle_io import TurtleParseError, parse_turtle, serialize_turtle, triple_lines
 from ontomem.builder import feedback
 from ontomem.factcheck import Claim
 from ontomem.namespaces import INST_NS, RDF_LANGSTRING
@@ -359,6 +359,56 @@ def test_trusted_blocks_compact_once_they_hold_an_eighth(tmp_path):
     handle = _open(root)
     save_commit(handle, feedback(handle.store, [Claim(_label(0))]))
     assert (root / "trusted.ttl").read_bytes().startswith(after + b"# version ")
+
+
+def test_a_commit_formats_its_delta_once(tmp_path, monkeypatch):
+    """delta-N.ttl is the delta's `serialize_turtle` text and the trusted.ttl
+    block its lines in triple order under trusted.ttl's header prefixes. When
+    the handle's prefixes are those, the block reuses delta-N.ttl's lines;
+    otherwise it formats the delta, already sorted, once more."""
+    root = _corpus_store(tmp_path, builds=1)
+    formatted: list[list[Triple]] = []
+    blocks: list[bytes] = []
+
+    def counted(triples, prefixes):
+        triples = list(triples)
+        formatted.append(triples)
+        return triple_lines(triples, prefixes)
+
+    def replace(path, text):
+        if path.name == "version":  # the block is appended, and not compacted yet
+            blocks.append((root / "trusted.ttl").read_bytes())
+        replaced(path, text)
+
+    replaced = store_module._replace
+    monkeypatch.setattr(store_module, "triple_lines", counted)
+    monkeypatch.setattr(store_module, "_replace", replace)
+    for n, extra_prefix in enumerate((False, True)):
+        handle = _open(root)
+        header = dict(handle.journal_prefixes["trusted.ttl"])
+        if extra_prefix:
+            handle.prefixes["ex"] = "http://ex.org/"
+        claims = [Claim(_label(n)), Claim(Triple(Iri(f"http://ex.org/a{n}"), Iri(RDFS_LABEL),
+                                                 Literal(f"A {n}")))]
+        delta = feedback(handle.store, claims)
+        assert len(delta.accepted) == 2
+        before = (root / "trusted.ttl").read_bytes()
+        formatted.clear()
+        path = save_commit(handle, delta)
+        triples = sorted((c.triple for c in delta.accepted), key=triple_key)
+        graph = Graph()
+        for t in triples:
+            graph.insert(t)
+        assert path.read_text(encoding="utf-8") == serialize_turtle(graph, handle.prefixes)
+        block = blocks[-1][len(before):].decode("utf-8")
+        assert block == f"# version {delta.version_id}\n" + "".join(
+            line + "\n" for line in triple_lines(triples, header))
+        assert f"<http://ex.org/a{n}>" in block
+        assert (f"ex:a{n} " in path.read_text(encoding="utf-8")) is extra_prefix
+        assert formatted.count(triples) == 1 + extra_prefix
+        assert (root / "trusted.ttl").read_bytes() == (
+            serialize_turtle(load_trusted(root), handle.prefixes).encode("utf-8")
+            if extra_prefix else blocks[-1])
 
 
 def test_a_load_that_a_compaction_overtakes_reads_the_store_again(tmp_path, monkeypatch):
