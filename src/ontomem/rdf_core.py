@@ -15,10 +15,14 @@ predicate-first, object-first). A graph carries no provenance: the ontology
 store keeps the provenance records beside its trusted graph, keyed by triple.
 A `Layer` reads a shared graph plus a small graph of triples added on top.
 
-The indexes have one reader, `compile_lookup`: it turns the positions a
+The indexes are read here alone. `compile_lookup` turns the positions a
 pattern binds into a function over `indexes`, the (by subject, by
 predicate, by object, triple set) of each graph a `Graph` or `Layer`
-unions. `Graph.find` and the reasoner's join plans run such lookups.
+unions, and `bucket_size` counts what such a lookup can return.
+`Graph.find` runs these lookups, and so do the join plans: `join_slots`
+lays out a join over atoms in env slots, and `walk` runs its steps depth
+first. The reasoner compiles each rule body into such steps once, and
+SPARQL each basic graph pattern when the query runs.
 """
 
 from __future__ import annotations
@@ -377,6 +381,55 @@ def compile_lookup(bound: tuple):
                 out += ix[3]
             return out
     return lookup
+
+
+def bucket_size(indexes, bound: tuple) -> int:
+    """The size of the smallest index bucket, in the graph whose `indexes`
+    are passed, under `bound`'s (position, term) pairs: at most what the
+    lookup that binds those positions returns. With no pair, the number of
+    triples."""
+    if not bound:
+        return sum(len(ix[3]) for ix in indexes)
+    return min(sum(len(ix[pos].get(term, ())) for ix in indexes) for pos, term in bound)
+
+
+def join_slots(atoms, constants=()) -> tuple[dict, list[tuple], list]:
+    """The slot plan of a join over `atoms`, (s, p, o) patterns of terms and
+    variables (str), taken in the order given.
+
+    A match is built in an env list: three slots per atom, which take the
+    terms of the triple matched there, then one slot per constant, those of
+    `constants` first. A variable's slot is the first one that binds it, so
+    binding an atom is one slice assignment and each later atom's lookup
+    reads fixed slots. A variable repeated within one atom binds at its
+    first position there; the caller tests the others. Returns each
+    variable's and constant's slot, each atom's (position, slot) pairs for
+    `compile_lookup` (its constants and the variables earlier atoms bind),
+    and the env every match starts from."""
+    constants = dict.fromkeys(itertools.chain(constants, (
+        x for atom in atoms for x in atom if not isinstance(x, str))))
+    slots = {c: 3 * len(atoms) + k for k, c in enumerate(constants)}
+    bounds = []
+    for k, atom in enumerate(atoms):
+        bounds.append(tuple((pos, slots[x]) for pos, x in enumerate(atom) if x in slots))
+        for pos, x in enumerate(atom):
+            slots.setdefault(x, 3 * k + pos)
+    return slots, bounds, [None] * 3 * len(atoms) + list(constants)
+
+
+ONCE = (None,)  # one pass of a loop whose match is already whole
+
+
+def walk(steps, indexes: tuple, env: list, chosen: list):
+    """Bind the atoms of `steps`, each an (atom index, env offset, lookup),
+    in turn: every triple a step's lookup returns fills the step's three env
+    slots and `chosen` at its atom index. Yields once per match of them
+    all, depth first, so a caller may stop at the first."""
+    (i, at, lookup), rest = steps[0], steps[1:]
+    for u in lookup(indexes, env):
+        env[at:at + 3] = u
+        chosen[i] = u
+        yield from walk(rest, indexes, env, chosen) if rest else ONCE
 
 
 # `Graph.find`'s lookups, by bound positions: bit 0 subject, 1 predicate, 2 object.

@@ -3,13 +3,16 @@ plus consistency checking (disjointness, functional properties, explicit
 negation overlay).
 
 The rules are one table, compiled at import into join plans: one per rule
-row and body atom to start from. A plan binds terms into fixed slots of a
-list and reads the graph's indexes through `rdf_core`'s lookup, compiled
-once per atom, so no binding dict or pattern is built per candidate triple,
-and a head is type-checked only where a body position cannot guarantee its
-type (rule specialization as in Soufflé: Jordan, Scholz & Subotić, CAV
-2016; rule plans as in RDFox: Motik et al., AAAI 2014). Everything below
-runs the plans.
+row and body atom to start from. The join itself is `rdf_core`'s, which
+SPARQL shares: `join_slots` binds terms into fixed slots of a list,
+`compile_lookup` reads the graph's indexes once per atom, and `walk` runs
+the atoms, so no binding dict or pattern is built per candidate triple.
+What is the reasoner's own is the rest of a plan: the first atom's
+per-key memo in `_run`, the conclusions it skips, and a head type check
+only where a body position cannot guarantee its type (rule
+specialization as in Soufflé: Jordan, Scholz & Subotić, CAV 2016; rule
+plans as in RDFox: Motik et al., AAAI 2014). Everything below runs the
+plans.
 
 `materialize` closes a copy of a graph from scratch with a semi-naive loop:
 rules fire in RuleId order, round after round, each joining only the
@@ -70,14 +73,17 @@ from .rdf_core import (
     Iri,
     Layer,
     Literal,
+    ONCE,
     Term,
     Triple,
     compile_lookup,
+    join_slots,
     single_object,
     term_key,
     term_text,
     triple_key,
     triple_text,
+    walk,
 )
 
 
@@ -146,11 +152,9 @@ class _Plan(NamedTuple):
     """One row of `_RULES` compiled to join from one of its body atoms, then
     from the others in body order.
 
-    A match is built in an env list: three slots per atom in join order,
-    which take the terms of the triple matched there, then the row's
-    constants. A variable's slot is the first one that binds it, so binding
-    an atom is one slice assignment, each later atom's lookup reads fixed
-    slots, and the head is an itemgetter over the env."""
+    A match is built in the env list that `join_slots` lays out for the
+    atoms in join order, with the row's constants after them, so the head
+    is an itemgetter over the env."""
 
     rule: RuleId
     place: int  # the rule's place in RuleId
@@ -172,14 +176,9 @@ class _Plan(NamedTuple):
 def _compile(place: int, row: int, rule: RuleId, body, head, kept, first: int) -> _Plan:
     """The plan of one `_RULES` row that joins from body atom `first`."""
     order = [first] + [i for i in range(len(body)) if i != first]
-    constants = dict.fromkeys(x for atom in body + (head,) for x in atom if not isinstance(x, str))
-    slots = {c: 3 * len(body) + k for k, c in enumerate(constants)}
-    bounds, steps = [], []
-    for k, i in enumerate(order):
-        bounds.append(tuple((pos, slots[x]) for pos, x in enumerate(body[i]) if x in slots))
-        steps.append((i, 3 * k, compile_lookup(bounds[-1])))
-        for pos, x in enumerate(body[i]):
-            slots.setdefault(x, 3 * k + pos)
+    slots, bounds, env = join_slots([body[i] for i in order],
+                                    [x for atom in body + (head,) for x in atom if not isinstance(x, str)])
+    steps = [(i, 3 * k, compile_lookup(bound)) for k, (i, bound) in enumerate(zip(order, bounds))]
 
     def bound_at(x, positions) -> bool:
         return not isinstance(x, str) or any(atom[pos] == x for atom in body for pos in positions)
@@ -187,7 +186,7 @@ def _compile(place: int, row: int, rule: RuleId, body, head, kept, first: int) -
     # Every row keeps two atoms or more, so `premises` gives a tuple.
     return _Plan(rule, place, row, first, tuple(None if isinstance(x, str) else x for x in body[first]),
                  steps[0][2], itemgetter(*(slot for _, slot in bounds[1])), steps[1], tuple(steps[2:]),
-                 [None] * 3 * len(body) + list(constants), itemgetter(*(slots[x] for x in head)),
+                 env, itemgetter(*(slots[x] for x in head)),
                  not bound_at(head[0], (0, 1)), not bound_at(head[1], (1,)), kept, itemgetter(*kept))
 
 
@@ -202,9 +201,6 @@ def _fits(test: tuple, t: Triple) -> bool:
     """Whether `t` holds the constants of a plan's first atom."""
     s, p, o = test
     return (s is None or t[0] is s) and (p is None or t[1] is p) and (o is None or t[2] is o)
-
-
-_ONCE = (None,)  # one pass of a loop whose match is already whole
 
 
 def _run(plan: _Plan, indexes: tuple, firsts, skip):
@@ -229,21 +225,12 @@ def _run(plan: _Plan, indexes: tuple, firsts, skip):
         for u in us:
             env[at:at + 3] = u
             chosen[second] = u
-            for _ in _walk(rest, indexes, env, chosen) if rest else _ONCE:
+            for _ in walk(rest, indexes, env, chosen) if rest else ONCE:
                 h = head(env)
                 if h in skip or (subject_check and type(h[0]) is Literal) \
                         or (predicate_check and type(h[1]) is not Iri):
                     continue
                 yield h, chosen
-
-
-def _walk(steps, indexes: tuple, env: list, chosen: list):
-    """Bind the atoms of `steps` in turn; yields once per match of them all."""
-    (i, at, lookup), rest = steps[0], steps[1:]
-    for u in lookup(indexes, env):
-        env[at:at + 3] = u
-        chosen[i] = u
-        yield from _walk(rest, indexes, env, chosen) if rest else _ONCE
 
 
 def _order_key(row: int, chosen) -> tuple:

@@ -6,12 +6,14 @@ from pathlib import Path
 
 import pytest
 
+import ontomem.sparql as sparql_module
 from ontomem.rdf_core import Blank, Graph, Iri, Literal, Triple, escape_literal, term_text
 from ontomem.namespaces import XSD_INTEGER
 from ontomem.sparql import (
     _UNSUPPORTED,
     Comparison,
     CompareOp,
+    EvaluationLimitError,
     IsIriTest,
     PathPlus,
     Query,
@@ -210,6 +212,18 @@ class TestEvaluate:
         full = parse_query("PREFIX ex: <http://ex.org/> SELECT ?s WHERE { ?s ex:p ex:o }")
         capped = parse_query("PREFIX ex: <http://ex.org/> SELECT ?s WHERE { ?s ex:p ex:o } LIMIT 4")
         assert evaluate(capped, g).bindings == evaluate(full, g).bindings[:4]
+        # LIMIT keeps a prefix of the full sort: the same rows and texts.
+        rng = random.Random(9)
+        for _ in range(40):
+            g = random_graph(rng, 60)
+            q = random_query(rng, g)
+            if q.form is QueryForm.ASK:
+                continue
+            full = evaluate(Query(q.form, q.projection, q.patterns, q.filters), g)
+            for limit in (1, 2, 7, 10_000):
+                capped = evaluate(Query(q.form, q.projection, q.patterns, q.filters, limit), g)
+                assert capped.bindings == full.bindings[:limit]
+                assert capped.to_json()["rows"] == full.to_json()["rows"][:limit]
 
     def test_monotonicity_filter_free(self):
         rng = random.Random(2)
@@ -346,9 +360,129 @@ def test_evaluation_ceiling_stops_runaway_joins(monkeypatch):
     monkeypatch.setattr(sparql_module, "DEFAULT_SOLUTION_CEILING", 10_000)
     with pytest.raises(EvaluationLimitError):
         evaluate(q, g)
+    # The ceiling counts the candidates a step looks up, before its checks:
+    # a cross product whose pushed-down filter, or whose repeated variable,
+    # rejects every row still trips it.
+    for body in ('?x ex:p ?y . ?z ex:p ?w FILTER(regex(?w, "^none$"))', "?x ex:p ?y . ?z ex:p ?z"):
+        rejected = parse_query(f"PREFIX ex: <http://ex.org/> SELECT ?x WHERE {{ {body} }}")
+        with pytest.raises(EvaluationLimitError):
+            evaluate(rejected, g)
     # generous ceiling leaves results unchanged
     small = parse_query("PREFIX ex: <http://ex.org/> SELECT ?x WHERE { ?x ex:p ?y }")
     assert len(evaluate(small, g).bindings) == 900
+
+
+# ---------------------------------------------------------------------------
+# Join order: the plan against the order written
+# ---------------------------------------------------------------------------
+
+
+def _written_order(patterns, indexes):
+    return list(range(len(patterns)))
+
+
+def _answer(query: Query, graph: Graph):
+    result = evaluate(query, graph)
+    return result.boolean if query.form is QueryForm.ASK else (result.bindings, result.to_json())
+
+
+def _repeats_inside_a_pattern(query: Query) -> bool:
+    return any(len(p.variables()) < sum(isinstance(x, str) for x in (p.subject, p.predicate, p.object))
+               for p in query.patterns)
+
+
+def _filter_across_steps(query: Query) -> bool:
+    """A filter over two variables that no one pattern binds both of."""
+    return any(isinstance(f, Comparison) and isinstance(f.rhs, str)
+               and not any({f.variable, f.rhs} <= p.variables() for p in query.patterns)
+               for f in query.filters)
+
+
+def test_planned_order_answers_as_the_written_order(monkeypatch):
+    rng = random.Random(31)
+    cases = []
+    for _ in range(300):
+        g = random_graph(rng, 60)
+        cases.append((random_query(rng, g), g))
+    # Directed: a variable repeated inside one pattern, and a filter over
+    # variables that two different steps bind.
+    g = random_graph(random.Random(3), 60)
+    for s in range(4):
+        g.insert(tr(f"o{s}", "p0", f"o{s}"))
+    directed = [
+        Query(QueryForm.SELECT, ("a", "b"),
+              (TriplePattern("a", iri("p0"), "a"), TriplePattern("a", "b", "c"))),
+        Query(QueryForm.SELECT, ("a",), (TriplePattern("a", "b", "a"),)),
+        Query(QueryForm.SELECT, ("a", "b"),
+              (TriplePattern("a", iri("p1"), "b"), TriplePattern("b", "c", "b")),
+              (Comparison("a", CompareOp.NE, "c"),)),
+    ]
+    for query in directed:
+        assert_oracle_match(query, g)
+    cases += [(query, g) for query in directed]
+    for _ in range(30):
+        g = random_graph(rng, 60)
+        form = rng.choice(list(QueryForm))
+        cases.append((Query(form, ("a", "d") if form is QueryForm.SELECT else (),
+                            (TriplePattern("a", iri("p0"), "b"), TriplePattern("c", iri("p1"), "d")),
+                            (Comparison("b", rng.choice(list(CompareOp)), "d"),)), g))
+    assert sum(map(_repeats_inside_a_pattern, (q for q, _ in cases))) >= 10
+    assert sum(map(_filter_across_steps, (q for q, _ in cases))) >= 30
+    planned = [_answer(q, g) for q, g in cases]
+    monkeypatch.setattr(sparql_module, "_plan", _written_order)
+    assert [_answer(q, g) for q, g in cases] == planned
+
+
+def _membership_graph() -> Graph:
+    """People with a few properties each, and three of them members of one
+    organisation: the shape of `?p ?x ?o . ?p prop:memberOf <org>`."""
+    rng = random.Random(5)
+    g = Graph()
+    for s in range(12):
+        for x in range(4):
+            for o in range(12):
+                if rng.random() < 0.6:
+                    g.insert(tr(f"p{s}", f"x{x}", f"o{o}"))
+    for s in (1, 5, 9):
+        g.insert(tr(f"p{s}", "memberOf", "org"))
+    return g
+
+
+def test_join_order_shows_in_the_ceiling_not_the_clock(monkeypatch):
+    g = _membership_graph()
+    monkeypatch.setattr(sparql_module, "DEFAULT_SOLUTION_CEILING", 300)
+    assert len(g) > 300
+    orders = [parse_query(f"PREFIX ex: <{EX}> SELECT ?p ?x ?o WHERE {{ {body} }}")
+              for body in ("?p ?x ?o . ?p ex:memberOf ex:org", "?p ex:memberOf ex:org . ?p ?x ?o")]
+    expected = naive_evaluate(orders[0], g)
+    assert len(expected) > 3
+    for query in orders:
+        assert evaluate(query, g).bindings == expected
+    # Joined as written, the first order passes every triple of the graph at its first step.
+    with monkeypatch.context() as m:
+        m.setattr(sparql_module, "_plan", _written_order)
+        with pytest.raises(EvaluationLimitError):
+            evaluate(orders[0], g)
+        assert evaluate(orders[1], g).bindings == expected
+    # A cross product larger than the ceiling: its SELECT trips the ceiling,
+    # and its ASK answers at the first solution.
+    body = "{ ?a ex:x0 ?b . ?c ex:x1 ?d }"
+    with pytest.raises(EvaluationLimitError):
+        evaluate(parse_query(f"PREFIX ex: <{EX}> SELECT ?a ?b ?c ?d WHERE {body}"), g)
+    assert evaluate(parse_query(f"PREFIX ex: <{EX}> ASK WHERE {body}"), g).boolean is True
+
+
+def test_path_steps_with_bound_ends():
+    g = Graph()
+    for a, b in (("a", "b"), ("b", "c"), ("c", "a"), ("c", "d"), ("e", "d")):
+        g.insert(tr(a, "sub", b))
+        g.insert(tr(a, "kind", "k" + b))
+    for body in ("?x ex:sub+ ?y", "?x ex:sub+ ex:d", "ex:a ex:sub+ ?y", "?x ex:sub+ ?x",
+                 "?x ex:kind ex:kd . ?x ex:sub+ ?y", "?x ex:sub+ ?y . ?y ex:kind ex:ka",
+                 "?x ex:kind ?k . ?y ex:kind ?k . ?x ex:sub+ ?y"):
+        projection = " ".join(sorted(set(re.findall(r"\?[a-z]", body))))
+        query = parse_query(f"PREFIX ex: <{EX}> SELECT {projection} WHERE {{ {body} }}")
+        assert evaluate(query, g).bindings == naive_evaluate(query, g), body
 
 
 # ---------------------------------------------------------------------------
