@@ -4,7 +4,8 @@ bench hanoi, serve.
 Each command imports the layers it uses inside its own function, so a process
 pays only for the command it runs. `query` imports `store`, `turtle_io`,
 `rdf_core` and `sparql`, and of the store reads only `version` and
-`trusted.ttl`; its output equals the bus's `graph.query`.
+`trusted.ttl`; its output equals the bus's `graph.query`. It imports no
+`dataclasses` and no `hashlib`.
 
 Exit codes: 0 success, 1 domain-negative outcome (nonconforming validation,
 CONTRADICTED verdict, inconsistent logic check), 2 usage or I/O error.

@@ -27,14 +27,13 @@ SPARQL each basic graph pattern when the query runs.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import re
 import threading
 import weakref
-from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
 from operator import itemgetter
+from typing import NamedTuple
 
 from .namespaces import RDF_LANGSTRING, XSD_STRING
 
@@ -45,6 +44,10 @@ class StructuralError(ValueError):
 
 class CapacityError(RuntimeError):
     """A test-scale guard was exceeded."""
+
+
+class FrozenInstanceError(AttributeError):
+    """An assignment to, or deletion of, a field of an immutable term."""
 
 
 # ---------------------------------------------------------------------------
@@ -317,17 +320,29 @@ class Origin(Enum):
     TOOL_RESULT = "TOOL_RESULT"
 
 
-@dataclass(frozen=True, slots=True)
-class Provenance:
+class _ProvenanceFields(NamedTuple):
     source_id: str
     chunk_id: str | None = None
     extracted_at: int = 0
     confidence: float = 1.0
     origin: Origin = Origin.SOURCE_DOCUMENT
 
-    def __post_init__(self) -> None:
+
+class Provenance(_ProvenanceFields):
+    """Where a triple came from: a tuple of its fields, which refuses a
+    confidence outside [0, 1]."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> Provenance:
+        self = super().__new__(cls, *args, **kwargs)
         if not 0.0 <= self.confidence <= 1.0:
             raise StructuralError(f"confidence out of [0,1]: {self.confidence}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> Provenance:  # so that `_replace` checks too
+        return cls(*iterable)
 
     def to_json(self) -> dict:
         return {
@@ -520,6 +535,7 @@ class Graph:
         return g
 
     def content_hash(self) -> str:
+        import hashlib  # here, so that a process that never hashes a graph does not import it
         h = hashlib.sha256()
         for t in self:
             h.update(triple_text(t).encode("utf-8"))

@@ -22,8 +22,8 @@ from __future__ import annotations
 import itertools
 import operator
 import re
-from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from .namespaces import (
     NUMERIC_DATATYPES,
@@ -67,14 +67,12 @@ class QueryForm(Enum):
     ASK = "ASK"
 
 
-@dataclass(frozen=True)
-class PathPlus:
+class PathPlus(NamedTuple):
     """One-or-more-step transitive closure of a single predicate."""
     iri: Iri
 
 
-@dataclass(frozen=True)
-class TriplePattern:
+class TriplePattern(NamedTuple):
     subject: Term | str       # Term or variable name (without '?')
     predicate: Term | str | PathPlus
     object: Term | str
@@ -96,20 +94,17 @@ class CompareOp(Enum):
     GE = ">="
 
 
-@dataclass(frozen=True)
-class Comparison:
+class Comparison(NamedTuple):
     variable: str
     op: CompareOp
     rhs: Term | str  # Term or variable name
 
 
-@dataclass(frozen=True)
-class IsIriTest:
+class IsIriTest(NamedTuple):
     variable: str
 
 
-@dataclass(frozen=True)
-class RegexMatch:
+class RegexMatch(NamedTuple):
     variable: str
     pattern: str
 
@@ -117,8 +112,7 @@ class RegexMatch:
 FilterExpr = Comparison | IsIriTest | RegexMatch
 
 
-@dataclass(frozen=True)
-class Query:
+class Query(NamedTuple):
     form: QueryForm
     projection: tuple[str, ...]
     patterns: tuple[TriplePattern, ...]
@@ -127,11 +121,10 @@ class Query:
     prefixes: tuple[tuple[str, str], ...] = ()
 
 
-@dataclass
-class SolutionSequence:
+class SolutionSequence(NamedTuple):
     form: QueryForm
-    variables: tuple[str, ...] = ()
-    bindings: list[dict[str, Term]] = field(default_factory=list)
+    variables: tuple[str, ...]
+    bindings: list[dict[str, Term]]
     boolean: bool | None = None
 
     def to_json(self):
@@ -535,7 +528,7 @@ def evaluate(query: Query, graph: Graph) -> SolutionSequence:
     matches = walk(steps, indexes, env, [None] * len(steps)) if steps else ONCE
 
     if query.form is QueryForm.ASK:
-        return SolutionSequence(QueryForm.ASK, boolean=any(True for _ in matches))
+        return SolutionSequence(QueryForm.ASK, (), [], any(True for _ in matches))
 
     variables = sorted(v for v in slots if isinstance(v, str))
     row = _getter([slots[v] for v in variables])

@@ -19,7 +19,8 @@ with a version marker line (the Turtle comment `# version N`, and
 triples in triple order, a provenance line per new triple and per triple
 that gained records since the last save, in triple order, and a registry
 line per new label, first source, alias or ambiguous alias. The Turtle
-lines use the prefixes that the file's header declares. A journal's
+lines use the prefixes that the file's header declares, and a provenance
+record leaves out each field that holds its default value. A journal's
 committed lines (`_committed`) end before its first marker above `version`,
 so a block whose commit never wrote `version` stays invisible. Every line
 file drops a last line without its newline, and is appended to by
@@ -52,7 +53,6 @@ import os
 import re
 import threading
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain
 from pathlib import Path
@@ -104,7 +104,6 @@ _COMPACT_SHARE = 8
 _LOG_ID = re.compile(rb'\{"id": "([^"\\]*)", "text": ')
 
 
-@dataclass
 class StoreHandle:
     """An open store: its root, the in-memory state read from its files, and
     a snapshot of state derived from them, each part computed on first use
@@ -119,23 +118,35 @@ class StoreHandle:
       was replaced.
 
     Neither is ever mutated once published, so threads share them without
-    locks; the lock only keeps two threads from computing the same part."""
+    locks; the lock only keeps two threads from computing the same part.
+    A handle shows, and compares by, its root, store and prefixes."""
 
-    root: Path
-    store: OntologyStore
-    prefixes: dict[str, str] = field(default_factory=lambda: dict(DEFAULT_PREFIXES))
-    # The committed byte length of each journal; the prefixes that each Turtle
-    # journal's header declares, which its appended lines use; and the length
-    # of trusted.ttl's canonical head, before its first block.
-    journal_ends: dict[str, int] = field(default_factory=dict, repr=False, compare=False)
-    journal_prefixes: dict[str, PrefixMap] = field(default_factory=dict, repr=False,
-                                                   compare=False)
-    trusted_head: int = field(default=0, repr=False, compare=False)
-    # (version, trusted graph, closure) and (vector store, (device, inode), offset)
-    _closure: tuple | None = field(default=None, init=False, repr=False, compare=False)
-    _log: tuple | None = field(default=None, init=False, repr=False, compare=False)
-    _lock: threading.Lock = field(default_factory=threading.Lock, init=False, repr=False,
-                                  compare=False)
+    def __init__(self, root: Path, store: OntologyStore, prefixes: dict[str, str] | None = None,
+                 journal_ends: dict[str, int] | None = None,
+                 journal_prefixes: dict[str, PrefixMap] | None = None, trusted_head: int = 0):
+        self.root = root
+        self.store = store
+        self.prefixes = dict(DEFAULT_PREFIXES) if prefixes is None else prefixes
+        # The committed byte length of each journal; the prefixes that each Turtle
+        # journal's header declares, which its appended lines use; and the length
+        # of trusted.ttl's canonical head, before its first block.
+        self.journal_ends = {} if journal_ends is None else journal_ends
+        self.journal_prefixes = {} if journal_prefixes is None else journal_prefixes
+        self.trusted_head = trusted_head
+        # (version, trusted graph, closure) and (vector store, (device, inode), offset)
+        self._closure: tuple | None = None
+        self._log: tuple | None = None
+        self._lock = threading.Lock()
+
+    def __repr__(self) -> str:
+        return f"StoreHandle(root={self.root!r}, store={self.store!r}, prefixes={self.prefixes!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.root, self.store, self.prefixes) == (other.root, other.store, other.prefixes)
+
+    __hash__ = None  # it compares by fields that change, so it has no hash
 
     def closure(self) -> Closure:
         from .reasoner import close
@@ -234,9 +245,19 @@ def read_version(root: str | Path) -> int:
     """The committed version: the content of the `version` file, which a
     commit replaces whole. A file that holds no decimal number raises a
     StoreError rather than reading as version 0, over which the next commit
-    would cut every journal back to nothing."""
-    text = (Path(root) / "version").read_text(encoding="utf-8").strip()
+    would cut every journal back to nothing. The bus reads it on every
+    request, so it takes one `os.read`, not a text-mode file; it reads and
+    refuses what `Path.read_text` would."""
+    fd = os.open(os.path.join(root, "version"), os.O_RDONLY)
+    try:
+        data = os.read(fd, 64)
+        if len(data) == 64:  # longer than any version number: the rest goes in the error
+            data += b"".join(iter(partial(os.read, fd, 1 << 16), b""))
+    finally:
+        os.close(fd)
+    text = data.decode("utf-8").strip()
     if not (text.isascii() and text.isdigit()):
+        text = text.replace("\r\n", "\n").replace("\r", "\n")  # as a text-mode read gives it
         raise StoreError(f"the version file holds {text[:20]!r}, not a version number")
     return int(text)
 
@@ -277,7 +298,7 @@ def save_commit(handle: StoreHandle, delta: OntologyDelta) -> Path | None:
             lines = triple_lines(triples, trusted_prefixes)
         ends[_TRUSTED] = _append_block(handle, _TRUSTED, delta.version_id, lines)
         ends[_PROVENANCE] = _append_block(handle, _PROVENANCE, delta.version_id, (
-            _json({"triple": triple_text(t), "provenance": [p.to_json() for p in records]})
+            _json({"triple": triple_text(t), "provenance": [_journal_record(p) for p in records]})
             for t, records in sorted(store.unsaved.items(), key=lambda item: triple_key(item[0]))
             if records))
         registry, items = store.registry, iter(store.registry.unsaved)
@@ -324,6 +345,17 @@ def save_commit(handle: StoreHandle, delta: OntologyDelta) -> Path | None:
 
 def _json(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, ensure_ascii=False)
+
+
+def _journal_record(p: Provenance) -> dict:
+    """A provenance.jsonl record: `p.to_json()` without the fields that hold
+    their default value, which `_load_provenance` reads back as that value."""
+    record = p.to_json()
+    for name, default in Provenance._field_defaults.items():
+        value = getattr(p, name)
+        if type(value) is type(default) and value == default:
+            del record[name]
+    return record
 
 
 def _replace(path: Path, text: str) -> None:

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import re
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass
 from typing import NamedTuple, NoReturn
 
 from .namespaces import RDF_LANGSTRING, RDF_TYPE, XSD_BOOLEAN, XSD_DECIMAL, XSD_INTEGER, XSD_STRING
@@ -59,8 +58,7 @@ from .rdf_core import (
 PrefixMap = dict[str, str]
 
 
-@dataclass(frozen=True)
-class ParseDiagnostic:
+class ParseDiagnostic(NamedTuple):
     line: int
     column: int
     message: str

@@ -18,6 +18,8 @@ from ontomem.rdf_core import (
     Iri,
     Layer,
     Literal,
+    Origin,
+    Provenance,
     StructuralError,
     Triple,
     isomorphic,
@@ -26,7 +28,9 @@ from ontomem.rdf_core import (
     triple_key,
     unescape_literal,
 )
-from ontomem.turtle_io import parse_turtle, serialize_turtle
+from ontomem.sparql import (
+    CompareOp, Comparison, IsIriTest, PathPlus, Query, QueryForm, RegexMatch, SolutionSequence, TriplePattern)
+from ontomem.turtle_io import ParseDiagnostic, parse_turtle, serialize_turtle
 
 
 def t(s, p, o):
@@ -266,6 +270,76 @@ def test_triple_is_a_tuple_of_interned_terms():
         triple.subject = o
     for twin in (copy.copy(triple), copy.deepcopy(triple), pickle.loads(pickle.dumps(triple))):
         assert type(twin) is Triple and twin == triple and all(a is b for a, b in zip(twin, triple))
+
+
+_P = Iri("http://ex.org/p")
+_PATTERN = TriplePattern("s", _P, Literal("3", XSD_INTEGER))
+# Each immutable value type: the field values of one instance, and the
+# defaults its fields had as a dataclass.
+_VALUE_TYPES = [
+    (Provenance, ("doc.txt", "3", 5, 0.5, Origin.DIALOGUE),
+     {"chunk_id": None, "extracted_at": 0, "confidence": 1.0, "origin": Origin.SOURCE_DOCUMENT}),
+    (ParseDiagnostic, (2, 7, "expected object term"), {}),
+    (PathPlus, (_P,), {}),
+    (TriplePattern, tuple(_PATTERN), {}),
+    (Comparison, ("x", CompareOp.LT, Literal("3", XSD_INTEGER)), {}),
+    (IsIriTest, ("x",), {}),
+    (RegexMatch, ("x", "^a+$"), {}),
+    (Query, (QueryForm.SELECT, ("s",), (_PATTERN, TriplePattern("s", PathPlus(_P), "o")),
+             (IsIriTest("s"), RegexMatch("o", "a")), 5, (("ex", "http://ex.org/"),)),
+     {"filters": (), "limit": None, "prefixes": ()}),
+    (SolutionSequence, (QueryForm.SELECT, ("s",), [{"s": _P}], None), {"boolean": None}),
+]
+
+
+@pytest.mark.parametrize("kind, values, defaults", _VALUE_TYPES, ids=lambda v: getattr(v, "__name__", ""))
+def test_value_type_contract(kind, values, defaults):
+    """The value types are tuples of their fields, which show, compare and
+    hash as the frozen dataclasses they were, and refuse assignment."""
+    names = kind._fields
+    spec = [(n, object, dataclasses.field(default=defaults[n])) if n in defaults else n for n in names]
+    reference = dataclasses.make_dataclass(kind.__name__, spec, frozen=True)
+    value, twin = kind(*values), kind(**dict(zip(names, values)))
+    assert repr(value) == repr(reference(*values)) and [getattr(value, n) for n in names] == list(values)
+    required = values[:len(names) - len(defaults)]
+    assert repr(kind(*required)) == repr(reference(*required))
+    assert value == twin and not value != twin
+    # unlike a dataclass's, a value equals the plain tuple of its fields
+    assert value == tuple(values)
+    for at, name in enumerate(names):
+        other = kind(*values[:at], 0.75 if isinstance(values[at], float) else "other", *values[at + 1:])
+        assert value != other and not value == other
+        with pytest.raises(AttributeError):
+            setattr(value, name, "other")
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    with pytest.raises(AttributeError):
+        value.extra = 1
+    if kind is SolutionSequence:  # its rows are a list, so it is not hashable, as the dataclass was not
+        with pytest.raises(TypeError):
+            hash(value)
+    else:
+        assert hash(value) == hash(twin) == hash(reference(*values))
+        assert copy.copy(value) == value and pickle.loads(pickle.dumps(value)) == value
+
+
+def test_provenance_refuses_confidence_outside_unit_interval():
+    for confidence in (-0.1, 1.000001, 2, float("nan"), float("inf")):
+        with pytest.raises(StructuralError) as caught:
+            Provenance("doc.txt", confidence=confidence)
+        assert str(caught.value) == f"confidence out of [0,1]: {confidence}"
+        with pytest.raises(StructuralError):
+            Provenance("doc.txt", None, 0, confidence)
+    record = Provenance("doc.txt", confidence=0.25)
+    # every way to build a record runs the check
+    for remake in (lambda: record._replace(confidence=1.5), lambda: Provenance._make(("d", None, 0, -1.0)),
+                   lambda: Provenance(*record[:3], 7.0)):
+        with pytest.raises(StructuralError):
+            remake()
+    assert [Provenance("d", confidence=c).confidence for c in (0, 0.0, 1, 1.0)] == [0, 0.0, 1, 1.0]
+    assert record._replace(confidence=0.5) == Provenance("doc.txt", confidence=0.5)
+    assert copy.deepcopy(record) == record and pickle.loads(pickle.dumps(record)) == record
+    assert type(pickle.loads(pickle.dumps(record))) is Provenance
 
 
 def _live(table) -> int:

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import shutil
@@ -241,6 +242,28 @@ class TestCliBasics:
         unused = {f"ontomem.{m}" for m in
                   ("builder", "toolbus", "hanoi", "factcheck", "fusion", "reasoner", "shacl")}
         assert unused.isdisjoint(modules), sorted(unused & set(modules))
+
+    def test_cold_query_imports_no_dataclasses_or_hashlib(self, built_store):
+        """A cold `--json query` imports, beyond a bare interpreter's modules,
+        none of `dataclasses`, the `inspect` chain it pulls in, or `hashlib`,
+        and only the layers that the query runs."""
+        def modules(*argv: str) -> set[str]:
+            script = "import sys\n" + "".join(argv) + "print(sorted(sys.modules))\n"
+            proc = subprocess.run([sys.executable, "-c", script, str(built_store)],
+                                  capture_output=True, text=True, timeout=60)
+            assert proc.returncode == 0, proc.stderr
+            return set(ast.literal_eval(proc.stdout.rstrip("\n").rpartition("\n")[2]))
+
+        bare = modules()
+        query = modules("from ontomem.cli import main\n",
+                        "assert main(['--store', sys.argv[1], '--json', 'query', "
+                        "'SELECT ?s WHERE { ?s ?p ?o } LIMIT 1']) == 0\n")
+        added = query - bare
+        assert {"ontomem.sparql", "ontomem.store"} <= added
+        assert not {"dataclasses", "inspect", "hashlib"} & added, sorted(added)
+        layers = {"ontomem"} | {f"ontomem.{m}" for m in
+                                ("cli", "store", "turtle_io", "rdf_core", "sparql", "namespaces")}
+        assert {m for m in added if m.split(".")[0] == "ontomem"} <= layers, sorted(added)
 
     def test_query_reads_only_version_and_trusted(self, built_store, monkeypatch):
         read = []

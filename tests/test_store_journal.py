@@ -42,11 +42,11 @@ from ontomem.rdf_core import (
     Blank, Graph, Iri, Literal, Origin, Provenance, Triple, escape_literal, triple_key, triple_text)
 from ontomem.store import (
     StoreError, init_store, load_log_entries, load_shapes_file, load_store, load_trusted,
-    read_version, rebuild_trusted, registry_from_graph, save_commit)
+    StoreHandle, read_version, rebuild_trusted, registry_from_graph, save_commit)
 from ontomem.turtle_io import TurtleParseError, parse_turtle, serialize_turtle, triple_lines
 from ontomem.builder import feedback
 from ontomem.factcheck import Claim
-from ontomem.namespaces import INST_NS, RDF_LANGSTRING
+from ontomem.namespaces import DEFAULT_PREFIXES, INST_NS, RDF_LANGSTRING
 from ontomem.store import graph_at_version
 from ontomem.sparql import QueryParseError, evaluate, parse_query
 from conftest import DATA, run_cli
@@ -285,6 +285,65 @@ def _files(root) -> dict[str, bytes]:
 
 def _label(n: int) -> Triple:
     return Triple(Iri(f"{INST_NS}dev{n}"), Iri(RDFS_LABEL), Literal(f"Dev {n}"))
+
+
+def _read_version_as_text(root) -> int:
+    """The version that a text-mode read of the file gives: the reference
+    for `read_version`."""
+    text = (Path(root) / "version").read_text(encoding="utf-8").strip()
+    if not (text.isascii() and text.isdigit()):
+        raise StoreError(f"the version file holds {text[:20]!r}, not a version number")
+    return int(text)
+
+
+def _outcome(read, root):
+    try:
+        return read(root)
+    except (StoreError, UnicodeDecodeError) as e:
+        return type(e), str(e)
+
+
+@pytest.mark.parametrize("content", [
+    b"", b"\n", b"1x\n", b"-1\n", b"+1\n", b"1 2\n", b"1.0\n", "\u0661\n".encode(), b"\xef\xbb\xbf1\n",
+    b"1\r2\n", b"1\r\n2\n", b"\x00", b"\xff", b"7\xe2\x82", b"x" * 100 + b"\r\n", b"9" * 70 + b"\xff",
+    b"5" * 63 + b"\xc3\xa9",
+])
+def test_read_version_refuses_what_a_text_read_refuses(tmp_path, content):
+    """`read_version` takes one `os.read`: each content it refuses, it refuses
+    with the error and the message that a text-mode read of the file gives."""
+    (tmp_path / "version").write_bytes(content)
+    want = _outcome(_read_version_as_text, tmp_path)
+    assert isinstance(want, tuple) and _outcome(read_version, tmp_path) == want
+    assert _outcome(read_version, str(tmp_path)) == want
+
+
+@pytest.mark.parametrize("content", [b"0", b"0\n", b"42\n", b"  7 \r\n", b"\t12\t", b"0" * 80 + b"9\n",
+                                     b"1" * 64, b"\n" * 70 + b"3"])
+def test_read_version_reads_what_a_text_read_reads(tmp_path, content):
+    (tmp_path / "version").write_bytes(content)
+    assert read_version(tmp_path) == read_version(str(tmp_path)) == _read_version_as_text(tmp_path)
+
+
+def test_store_handle_shows_and_compares_as_its_dataclass(tmp_path):
+    """A handle shows its root, store and prefixes, compares by them alone,
+    is not hashable, and takes assignment, as the dataclass it was did."""
+    def shown(name, **options):
+        return (name, object, dataclasses.field(repr=False, compare=False, **options))
+    reference = dataclasses.make_dataclass("StoreHandle", [
+        "root", "store", "prefixes", shown("journal_ends", default_factory=dict),
+        shown("journal_prefixes", default_factory=dict), shown("trusted_head", default=0)])
+    handle = init_store(tmp_path / "s")
+    assert repr(handle) == repr(reference(handle.root, handle.store, handle.prefixes))
+    bare = StoreHandle(handle.root, handle.store)
+    assert bare.prefixes == DEFAULT_PREFIXES and bare.prefixes is not DEFAULT_PREFIXES
+    assert (bare.journal_ends, bare.journal_prefixes, bare.trusted_head) == ({}, {}, 0)
+    assert bare == handle and not bare != handle and handle != "a handle"
+    assert StoreHandle(handle.root, handle.store, {}) != handle
+    assert StoreHandle(handle.root, load_store(handle.root).store, handle.prefixes) != handle
+    with pytest.raises(TypeError):
+        hash(handle)
+    handle.trusted_head = 9
+    assert handle.trusted_head == 9 and handle == bare
 
 
 def test_an_empty_version_file_is_refused_not_read_as_zero(tmp_path):
@@ -566,6 +625,31 @@ def test_torn_last_line_is_ignored(tmp_path, name):
     save_commit(handle, run_pipeline(handle.store, docs, _extractor()))
     assert _loaded(root) == _state(handle.store)
     assert last[:len(last) // 2] + "{" not in (root / name).read_text(encoding="utf-8")
+
+
+def test_provenance_lines_leave_out_default_fields(tmp_path):
+    """A provenance.jsonl record holds only the fields that differ from their
+    default, in value or in type, and a missing field reads back as its
+    default: every record loads as the one committed."""
+    root = tmp_path / "s"
+    handle = init_store(root)
+    records = [Provenance("a.txt"), Provenance("b.txt", "4", 17, 0.5, Origin.DIALOGUE),
+               Provenance("c.txt", "", confidence=1), Provenance("d.txt", origin=Origin.TOOL_RESULT)]
+    candidates = [Candidate(_label(n), [record]) for n, record in enumerate(records)]
+    delta = handle.store.commit(validate_gate(candidates, handle.store.trusted, []), 0)
+    assert len(delta.accepted) == len(records)
+    save_commit(handle, delta)
+    lines = (root / "provenance.jsonl").read_text(encoding="utf-8").splitlines()
+    assert lines == ['{"version": 1}'] + [
+        f'{{"provenance": [{body}], "triple": {json.dumps(triple_text(_label(n)))}}}'
+        for n, body in enumerate(['{"source_id": "a.txt"}',
+                                  '{"chunk_id": "4", "confidence": 0.5, "extracted_at": 17, '
+                                  '"origin": "DIALOGUE", "source_id": "b.txt"}',
+                                  '{"chunk_id": "", "confidence": 1, "source_id": "c.txt"}',
+                                  '{"origin": "TOOL_RESULT", "source_id": "d.txt"}'])]
+    loaded = load_store(root).store.provenance
+    assert [repr(loaded[_label(n)]) for n in range(len(records))] == [repr([r]) for r in records]
+    assert oracle_load_provenance(root) == loaded
 
 
 def test_provenance_blocks_are_in_triple_order(tmp_path):
