@@ -16,11 +16,15 @@ trusted.ttl, provenance.jsonl and registry.ttl are the store's three
 append-only journals. A commit that accepts triples opens a block in each
 with a version marker line (the Turtle comment `# version N`, and
 `{"version": N}`), then appends only what the store gained: the delta's
-triples in triple order, a provenance line per new triple and per triple
-that gained records since the last save, in triple order, and a registry
-line per new label, first source, alias or ambiguous alias. The Turtle
-lines use the prefixes that the file's header declares, and a provenance
-record leaves out each field that holds its default value. A journal's
+triples in triple order, the provenance records of each new triple and of
+each triple that gained records since the last save, and a registry line
+per new label, first source, alias or ambiguous alias. The Turtle lines use
+the prefixes that the file's header declares. A provenance block gives its
+prefixes, then each distinct record once, as `{"record": id, ...}` without
+the fields that hold their default value, then one `[id, ..., "s p o ."]`
+line per triple, in triple order: the triple in its prefixed Turtle form
+and its records by id. Ids are local to their block, so a commit never
+reads the journal back. Every line is one JSON value. A journal's
 committed lines (`_committed`) end before its first marker above `version`,
 so a block whose commit never wrote `version` stays invisible. Every line
 file drops a last line without its newline, and is appended to by
@@ -43,7 +47,9 @@ against a process that dies, not against a power loss.
 `load_store` reads registry.ttl but only finds where provenance.jsonl's
 committed lines end: a commit appends what it gained (`OntologyStore.unsaved`)
 without reading the journal back, and `store.provenance` reads the records on
-first use (`_read_provenance`), so a build never parses them.
+first use (`_read_provenance`), so a build never parses them. The reader
+also takes the lines that full rewrites and older blocks wrote, each a
+triple's N-Triples text beside its records whole (`_load_provenance`).
 """
 
 from __future__ import annotations
@@ -70,7 +76,8 @@ from .namespaces import (
 from .rdf_core import (
     Blank, Graph, Iri, Literal, Origin, Provenance, Term, Triple, term_key, triple_key, triple_text)
 from .turtle_io import (
-    PrefixMap, parse_triples, parse_turtle, serialize_turtle, triple_lines, turtle_text)
+    PrefixMap, TurtleParseError, parse_triples, parse_turtle, serialize_turtle, triple_lines,
+    turtle_text)
 
 # The layers above the store are imported where they are used, so that a
 # process that only reads trusted.ttl (`load_trusted`) does not import them.
@@ -270,7 +277,9 @@ def save_commit(handle: StoreHandle, delta: OntologyDelta) -> Path | None:
     triples, and every provenance record and registry addition the store
     gained since the last save, including those of commits that accepted
     nothing, the triples and provenance lines in triple order, so equal
-    commits write equal bytes. Every commit appends its quarantine lines,
+    commits write equal bytes. The provenance block writes each distinct
+    record once and refers to it by its id in the block
+    (`_provenance_lines`). Every commit appends its quarantine lines,
     stamped with `delta.version_id`, and the chunks whose ids logs.jsonl does
     not hold yet. Each append first cuts its file back to its committed
     lines: a journal's dead block, or a torn last line. `version` is replaced
@@ -293,14 +302,13 @@ def save_commit(handle: StoreHandle, delta: OntologyDelta) -> Path | None:
         lines = triple_lines(triples, handle.prefixes)
         delta_path = root / f"delta-{delta.version_id}.ttl"
         delta_path.write_text(turtle_text(lines, handle.prefixes), encoding="utf-8")
+        formatted = dict(zip(triples, lines))  # which the provenance block reuses too
         trusted_prefixes = handle.journal_prefixes[_TRUSTED]
         if trusted_prefixes != handle.prefixes:
             lines = triple_lines(triples, trusted_prefixes)
         ends[_TRUSTED] = _append_block(handle, _TRUSTED, delta.version_id, lines)
-        ends[_PROVENANCE] = _append_block(handle, _PROVENANCE, delta.version_id, (
-            _json({"triple": triple_text(t), "provenance": [_journal_record(p) for p in records]})
-            for t, records in sorted(store.unsaved.items(), key=lambda item: triple_key(item[0]))
-            if records))
+        ends[_PROVENANCE] = _append_block(handle, _PROVENANCE, delta.version_id, _provenance_lines(
+            store.unsaved, handle.prefixes, formatted))
         registry, items = store.registry, iter(store.registry.unsaved)
         ends[_REGISTRY] = _append_block(handle, _REGISTRY, delta.version_id, triple_lines(
             (t for addition in zip(items, items, items) for t in _registry_triples(registry, *addition)),
@@ -356,6 +364,34 @@ def _journal_record(p: Provenance) -> dict:
         if type(value) is type(default) and value == default:
             del record[name]
     return record
+
+
+def _provenance_lines(unsaved: dict[Triple, list[Provenance]], prefixes: PrefixMap,
+                      formatted: dict[Triple, str]) -> Iterator[str]:
+    """A provenance.jsonl block's lines after its marker: `prefixes`, one
+    `{"record": id, ...}` line per distinct record, keyed by its JSON text and
+    numbered from 0 in order of first use, then one `[id, ..., "s p o ."]`
+    line per triple that gained records, in triple order, its records by id
+    and the triple as `triple_lines` writes it under `prefixes`. `formatted`
+    holds the lines of the triples formatted so already, the delta's; the
+    others are formatted here."""
+    items = sorted(((t, records) for t, records in unsaved.items() if records),
+                   key=lambda item: triple_key(item[0]))
+    ids: dict[str, int] = {}  # each distinct record's JSON text, and its id
+    known: dict[int, int] = {}  # the id of each record object met; `unsaved` keeps them alive
+    record_lines: list[str] = []
+    for _, records in items:
+        for p in records:
+            if id(p) not in known:
+                text = _json(_journal_record(p))
+                i = known[id(p)] = ids.setdefault(text, len(ids))
+                if i == len(record_lines):  # its first use
+                    record_lines.append(f'{{"record": {i}, {text[1:]}')
+    rest = [t for t, _ in items if t not in formatted]
+    formatted.update(zip(rest, triple_lines(rest, prefixes)))
+    return chain([_json({"prefixes": prefixes})], record_lines, (
+        json.dumps([*(known[id(p)] for p in records), formatted[t]], ensure_ascii=False)
+        for t, records in items))
 
 
 def _replace(path: Path, text: str) -> None:
@@ -481,35 +517,115 @@ def _read_provenance(root: Path, journal_ends: dict[str, int],
     from .builder import PLACEHOLDER
     journal = _load_provenance(root / _PROVENANCE, journal_ends[_PROVENANCE])
     unsaved = store.unsaved
-    return {t: journal.get(triple_text(t), []) + unsaved.get(t, []) or [PLACEHOLDER]
+    return {t: journal.get(t, []) + unsaved.get(t, []) or [PLACEHOLDER]
             for t in store.trusted.find()}
 
 
-def _load_provenance(path: Path, end: int) -> dict[str, list[Provenance]]:
+def _load_provenance(path: Path, end: int) -> dict[Triple, list[Provenance]]:
     """Each triple's records in the first `end` bytes of provenance.jsonl,
-    concatenated in journal order and keyed by triple text, with one object
-    per distinct record. A line that is not a record raises a StoreError
-    that names it."""
-    out: dict[str, list[Provenance]] = {}
-    records: dict[Provenance, Provenance] = {}
-    data = path.read_bytes()[:end] if end else b""
-    for number, line in enumerate(data.split(b"\n")[:-1], 1):
+    its committed lines, concatenated in journal order. Two line formats
+    load, in one file too:
+
+    - a `save_commit` block: its marker, its `{"prefixes": ...}`, its
+      `{"record": id, ...}` lines, and triple lines `[id, ..., "s p o ."]`
+      whose ids name records of the same block;
+    - `{"triple": "<s> <p> <o> .", "provenance": [record, ...]}`, the lines
+      of stores written as one full rewrite per commit and of older blocks.
+
+    The triple texts of a run of lines under the same prefixes are read by
+    one `parse_triples` call. A record is one object wherever it occurs,
+    told apart by its fields and the types of its numbers, so each loads as
+    it was written. A line that is not a record raises a StoreError that
+    names it."""
+    out: dict[Triple, list[Provenance]] = {}
+    if not end:
+        return out
+    with path.open("rb") as fh:
+        data = fh.read(end)
+    decode = json.JSONDecoder().raw_decode  # json.loads without its per-call overhead
+    distinct: dict[tuple, Provenance] = {}
+    block: dict[int, Provenance] = {}  # the records of the current block, by id
+    prefixes: PrefixMap = {}  # those of the current block
+    pending: list[tuple[int, list[Provenance], str]] = []  # triple lines read under `prefixes`
+
+    def bad(number: int, why: Exception | str) -> StoreError:
+        return StoreError(f"{path.name} line {number} is not a provenance record: {why}")
+
+    def record(p: dict) -> Provenance:
+        prov = Provenance(p["source_id"], p.get("chunk_id"), p.get("extracted_at", 0),
+                          p.get("confidence", 1.0), Origin(p.get("origin", "SOURCE_DOCUMENT")))
+        return distinct.setdefault((prov, type(prov.extracted_at), type(prov.confidence)), prov)
+
+    def shifts(text) -> bool:
+        """Whether `text`, read among others, could shift the triples after
+        it: it is no string, reads as no triple, or spans lines."""
+        return not isinstance(text, str) or text[:1] in " \t\r#@" or "\n" in text
+
+    def flush() -> None:
+        texts = [text for *_, text in pending]
         try:
-            obj = json.loads(line) if line.strip() else {}
-            if "triple" not in obj:  # a blank line or a block marker
+            triples = parse_triples(turtle_text(texts, prefixes))[0]
+        except (ValueError, TypeError):
+            triples = []
+        if len(triples) != len(texts) or any(map(shifts, texts)):
+            triples = []  # read each text alone, to name the first that is not one triple
+            for number, _, text in pending:
+                if shifts(text):
+                    raise bad(number, f"{text!r} is not a triple")
+                try:
+                    one = parse_triples(turtle_text([text], prefixes))[0]
+                except TurtleParseError as e:  # its position is in the text read, not the file
+                    raise bad(number, f"{text!r}: {e.diagnostics[0].message}") from None
+                if len(one) != 1:
+                    raise bad(number, f"{text!r} holds {len(one)} triples")
+                triples += one
+        for t, (_, records, _) in zip(triples, pending):
+            known = out.get(t)
+            if known is None:
+                out[t] = records
+            else:
+                known += records
+        pending.clear()
+
+    try:
+        lines = data.decode("utf-8").split("\n")[:-1]
+    except UnicodeDecodeError as e:
+        raise bad(data.count(b"\n", 0, e.start) + 1, e) from None
+    for number, line in enumerate(lines, 1):
+        try:
+            line = line.strip(" \t\r")  # JSON's whitespace
+            if not line:
                 continue
-            provs = out.setdefault(obj["triple"], [])
-            for p in obj["provenance"]:
-                prov = Provenance(
-                    source_id=p["source_id"],
-                    chunk_id=p.get("chunk_id"),
-                    extracted_at=p.get("extracted_at", 0),
-                    confidence=p.get("confidence", 1.0),
-                    origin=Origin(p.get("origin", "SOURCE_DOCUMENT")),
-                )
-                provs.append(records.setdefault(prov, prov))
+            obj, at = decode(line)
+            if at < len(line):
+                json.loads(line)  # which raises its error for the data after the value
+            if type(obj) is list:
+                *ids, text = obj
+                if not ids:
+                    raise ValueError("a triple line names no record")
+                try:
+                    records = [block[i] for i in ids]
+                except KeyError as e:
+                    raise ValueError(f"its block has no record {e.args[0]!r}") from None
+                pending.append((number, records, text))
+            elif type(obj) is not dict:
+                raise ValueError("neither a JSON object nor an array")
+            elif "triple" in obj:
+                pending.append((number, [record(p) for p in obj["provenance"]], obj["triple"]))
+            elif "record" in obj:
+                block[obj.pop("record")] = record(obj)
+            elif "prefixes" in obj:  # once a block, so a run ends at its marker
+                flush()
+                if parse_triples(turtle_text([], obj["prefixes"]))[1] != obj["prefixes"]:
+                    raise ValueError("its prefixes do not read back as themselves")
+                prefixes = obj["prefixes"]
+            elif "version" in obj:  # a block marker
+                flush()
+                block, prefixes = {}, {}
         except (ValueError, KeyError, TypeError, AttributeError) as e:
-            raise StoreError(f"{path.name} line {number} is not a provenance record: {e}") from None
+            flush()  # an earlier bad triple line is named first
+            raise bad(number, e) from None
+    flush()
     return out
 
 

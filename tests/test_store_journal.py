@@ -39,11 +39,12 @@ from ontomem.namespaces import (
     SYS_REGISTRY,
 )
 from ontomem.rdf_core import (
-    Blank, Graph, Iri, Literal, Origin, Provenance, Triple, escape_literal, triple_key, triple_text)
+    Blank, Graph, Iri, Literal, Origin, Provenance, Triple, escape_literal, triple_key)
 from ontomem.store import (
     StoreError, init_store, load_log_entries, load_shapes_file, load_store, load_trusted,
     StoreHandle, read_version, rebuild_trusted, registry_from_graph, save_commit)
-from ontomem.turtle_io import TurtleParseError, parse_turtle, serialize_turtle, triple_lines
+from ontomem.turtle_io import (
+    TurtleParseError, parse_triples, parse_turtle, serialize_turtle, triple_lines, turtle_text)
 from ontomem.builder import feedback
 from ontomem.factcheck import Claim
 from ontomem.namespaces import DEFAULT_PREFIXES, INST_NS, RDF_LANGSTRING
@@ -223,16 +224,16 @@ def test_journal_loads_as_the_full_rewrite(tmp_path, seed):
     assert any(e.first_seen for e in registry.entries.values())
 
 
-def _corpus_store(tmp_path, builds=2):
-    """A store with a few journal commits, and its loaded state."""
-    root = tmp_path / "s"
+def _corpus_store(tmp_path, builds=2, writer=save_commit, name="s"):
+    """A store with a few commits, each in a new process, written by `writer`."""
+    root = tmp_path / name
     init_store(root)
     for names, extra in [(["doc01.txt", "doc02.txt"], graph_candidates(SCHEMA, "corpus_schema.ttl")),
                          (["doc03.txt", "doc04.txt"], []),
                          (["doc05.txt", "doc06.txt"], [])][:builds]:
         handle = _open(root)
         docs = [SourceDocument(n, DocKind.TEXT, CORPUS[n]) for n in names]
-        save_commit(handle, run_pipeline(handle.store, docs, _extractor(), extra))
+        writer(handle, run_pipeline(handle.store, docs, _extractor(), extra))
     return root
 
 
@@ -630,38 +631,52 @@ def test_torn_last_line_is_ignored(tmp_path, name):
 def test_provenance_lines_leave_out_default_fields(tmp_path):
     """A provenance.jsonl record holds only the fields that differ from their
     default, in value or in type, and a missing field reads back as its
-    default: every record loads as the one committed."""
-    root = tmp_path / "s"
-    handle = init_store(root)
+    default: every record loads as the one committed. A block writes each
+    record once, keyed by its JSON text: the two c.txt records compare equal
+    but are written, and load, each as it was committed."""
     records = [Provenance("a.txt"), Provenance("b.txt", "4", 17, 0.5, Origin.DIALOGUE),
-               Provenance("c.txt", "", confidence=1), Provenance("d.txt", origin=Origin.TOOL_RESULT)]
-    candidates = [Candidate(_label(n), [record]) for n, record in enumerate(records)]
-    delta = handle.store.commit(validate_gate(candidates, handle.store.trusted, []), 0)
-    assert len(delta.accepted) == len(records)
-    save_commit(handle, delta)
+               Provenance("c.txt", "", confidence=1), Provenance("d.txt", origin=Origin.TOOL_RESULT),
+               Provenance("c.txt", "", confidence=1.0)]
+    assert records[2] == records[4] and repr(records[2]) != repr(records[4])
+    candidates = [Candidate(_label(n), [record, records[0]]) for n, record in enumerate(records)]
+    roots = {}
+    for name, writer in (("s", save_commit), ("twin", oracle_save_commit)):
+        roots[name] = root = tmp_path / name
+        handle = init_store(root)
+        delta = handle.store.commit(validate_gate(candidates, handle.store.trusted, []), 0)
+        assert len(delta.accepted) == len(records)
+        writer(handle, delta)
+    root = roots["s"]
     lines = (root / "provenance.jsonl").read_text(encoding="utf-8").splitlines()
-    assert lines == ['{"version": 1}'] + [
-        f'{{"provenance": [{body}], "triple": {json.dumps(triple_text(_label(n)))}}}'
-        for n, body in enumerate(['{"source_id": "a.txt"}',
-                                  '{"chunk_id": "4", "confidence": 0.5, "extracted_at": 17, '
-                                  '"origin": "DIALOGUE", "source_id": "b.txt"}',
-                                  '{"chunk_id": "", "confidence": 1, "source_id": "c.txt"}',
-                                  '{"origin": "TOOL_RESULT", "source_id": "d.txt"}'])]
+    assert lines == [
+        '{"version": 1}', json.dumps({"prefixes": handle.prefixes}, sort_keys=True),
+        '{"record": 0, "source_id": "a.txt"}',
+        '{"record": 1, "chunk_id": "4", "confidence": 0.5, "extracted_at": 17, '
+        '"origin": "DIALOGUE", "source_id": "b.txt"}',
+        '{"record": 2, "chunk_id": "", "confidence": 1, "source_id": "c.txt"}',
+        '{"record": 3, "origin": "TOOL_RESULT", "source_id": "d.txt"}',
+        '{"record": 4, "chunk_id": "", "source_id": "c.txt"}',
+    ] + [json.dumps([n, 0, f'inst:dev{n} rdfs:label "Dev {n}" .']) for n in range(len(records))]
     loaded = load_store(root).store.provenance
-    assert [repr(loaded[_label(n)]) for n in range(len(records))] == [repr([r]) for r in records]
-    assert oracle_load_provenance(root) == loaded
+    assert [repr(loaded[_label(n)]) for n in range(len(records))] \
+        == [repr([r, records[0]]) for r in records]
+    assert oracle_load_provenance(roots["twin"]) == loaded
 
 
 def test_provenance_blocks_are_in_triple_order(tmp_path):
     """So two processes that make the same commits write the same bytes."""
     root = _corpus_store(tmp_path, builds=3)
-    by_text = {triple_text(t): t for t in load_store(root).store.trusted}
+    trusted = load_store(root).store.trusted
     blocks: list[list[Triple]] = []
     for line in (root / "provenance.jsonl").read_text(encoding="utf-8").splitlines():
         obj = json.loads(line)
-        if "triple" in obj:
-            blocks[-1].append(by_text[obj["triple"]])
-        else:
+        if isinstance(obj, list):  # a triple line, under its block's prefixes
+            (t,), _ = parse_triples(turtle_text([obj[-1]], prefixes))
+            assert t in trusted
+            blocks[-1].append(t)
+        elif "prefixes" in obj:
+            prefixes = obj["prefixes"]
+        elif "version" in obj:
             blocks.append([])
     assert len(blocks) == 3 and all(len(block) > 1 for block in blocks)
     for block in blocks:
@@ -712,8 +727,13 @@ def test_commit_appends_only_its_own_block(tmp_path):
         marker = {"trusted.ttl": "# version 3", "provenance.jsonl": '{"version": 3}',
                   "registry.ttl": "# version 3"}[name]
         assert block[0] == marker
-    block = (root / "provenance.jsonl").read_bytes()[len(before["provenance.jsonl"]):]
-    assert len(block.splitlines()) == 1 + len(delta.accepted)
+    block = [json.loads(line) for line in
+             (root / "provenance.jsonl").read_bytes()[len(before["provenance.jsonl"]):].splitlines()]
+    records = [obj for obj in block if isinstance(obj, dict) and "record" in obj]
+    assert block[1] == {"prefixes": handle.prefixes}
+    assert block[2:2 + len(records)] == records
+    assert [r["record"] for r in records] == list(range(len(records)))
+    assert len(block) == 2 + len(records) + len(delta.accepted)
     # registry.ttl stays one Turtle document with the prefixes of its header
     graph, _ = parse_turtle((root / "registry.ttl").read_text(encoding="utf-8"))
     assert Triple(Iri("http://ontomem.dev/ns/inst#pump4"), Iri(RDFS_LABEL), Literal("Pump4")) \
@@ -730,11 +750,12 @@ def test_commit_appends_only_its_own_block(tmp_path):
 def test_deferred_provenance_equals_the_eager_load(tmp_path, seed):
     """Each step is one build in a new process, on three stores kept equal.
     Whenever `store.provenance` is first read, it equals the map that the
-    eager load gives (`oracle_load_provenance`) with the build's merges
-    applied: right after load, after `commit` before `save_commit`, after
-    the save, and after a build that accepts nothing, whose merges stay
-    unsaved. The store files do not depend on when it was read."""
-    roots = {when: tmp_path / when for when in ("load", "commit", "save")}
+    eager load (`oracle_load_provenance`) gives of a twin store, written by
+    the full rewrite, with the build's merges applied: right after load,
+    after `commit` before `save_commit`, after the save, and after a build
+    that accepts nothing, whose merges stay unsaved. The store files do not
+    depend on when it was read."""
+    roots = {when: tmp_path / when for when in ("load", "commit", "save", "twin")}
     for root in roots.values():
         init_store(root)
     seq = _Sequence(seed)
@@ -742,19 +763,20 @@ def test_deferred_provenance_equals_the_eager_load(tmp_path, seed):
     for step in range(50):
         handles = {when: _open(root) for when, root in roots.items()}
         eager = handles["load"].store.provenance
-        assert eager == oracle_load_provenance(roots["load"]), (seed, step)
+        assert eager == oracle_load_provenance(roots["twin"]), (seed, step)
         kind, run = seq.draw(step, handles["load"])
         if run is None:
             continue
         deltas = {when: run(handle.store) for when, handle in handles.items()}
         assert handles["commit"].store.provenance == eager, (seed, step, kind)
         for when, handle in handles.items():
-            save_commit(handle, deltas[when])
+            (oracle_save_commit if when == "twin" else save_commit)(handle, deltas[when])
         assert handles["save"].store.provenance == eager, (seed, step, kind)
         for name in ("trusted.ttl", "logs.jsonl", "quarantine.jsonl", *JOURNALS):
-            assert len({(root / name).read_bytes() for root in roots.values()}) == 1, name
+            assert len({(roots[when] / name).read_bytes()
+                        for when in ("load", "commit", "save")}) == 1, name
         if deltas["load"].accepted:
-            assert oracle_load_provenance(roots["load"]) == eager, (seed, step, kind)
+            assert oracle_load_provenance(roots["twin"]) == eager, (seed, step, kind)
         elif handles["save"].store.unsaved:
             kinds["unsaved merges"] = kinds.get("unsaved merges", 0) + 1
         kinds[kind] = kinds.get(kind, 0) + 1
@@ -796,9 +818,8 @@ def test_a_merge_replaces_the_placeholder_however_the_records_are_read(tmp_path,
               for h in (early, late)]
     assert [p.source_id for p in early.store.provenance[dead]] == ["chat-1"]
     assert early.store.provenance == late.store.provenance
-    save_commit(early, deltas[0])
-    assert load_store(root).store.provenance == early.store.provenance \
-        == oracle_load_provenance(root)
+    save_commit(early, deltas[0])  # the store now holds both line formats
+    assert load_store(root).store.provenance == early.store.provenance
 
 
 def test_marker_text_inside_a_line_is_not_a_marker(tmp_path):
@@ -850,6 +871,7 @@ def test_build_reads_no_provenance_and_a_session_retrieve_reads_it_once(tmp_path
 
 def test_provenance_is_read_once_per_handle_across_threads(tmp_path, monkeypatch):
     root = _corpus_store(tmp_path)
+    twin = _corpus_store(tmp_path, writer=oracle_save_commit, name="twin")
     calls = _count_provenance_loads(monkeypatch)
     handle = load_store(root)
     interval = sys.getswitchinterval()
@@ -862,7 +884,7 @@ def test_provenance_is_read_once_per_handle_across_threads(tmp_path, monkeypatch
     assert len(calls) == 1 and all(m is maps[0] for m in maps)
     assert handle.store.provenance is maps[0]  # a second read on the handle loads nothing
     assert len(calls) == 1
-    assert maps[0] == oracle_load_provenance(root)
+    assert maps[0] == oracle_load_provenance(twin)
 
 
 def test_malformed_provenance_line_is_named_at_its_first_read(tmp_path):
@@ -887,6 +909,83 @@ def test_malformed_provenance_line_is_named_at_its_first_read(tmp_path):
                              "--session", "nobody")
     assert (code, out) == (2, "")
     assert err.startswith("error: provenance.jsonl line 4 is not a provenance record: ")
+
+
+@pytest.mark.parametrize("fault", ["an id without its record", "a record without source_id",
+                                   "an undeclared prefix", "a triple line without an id"])
+def test_a_malformed_record_or_triple_line_is_named(tmp_path, fault):
+    """Each malformed line of a block is reported by its number, by
+    `store.provenance` and by the CLI, which exits 2 without naming a path."""
+    root = _corpus_store(tmp_path)
+    path = root / "provenance.jsonl"
+    lines = path.read_text(encoding="utf-8").split("\n")
+    objs = [json.loads(line) if line else None for line in lines]
+    last = max(n for n, obj in enumerate(objs) if obj == {"version": 2})
+    block = list(enumerate(objs[last:], last))
+    records = [n for n, obj in block if isinstance(obj, dict) and "record" in obj]
+    triples = [n for n, obj in block if isinstance(obj, list) and obj[-1][0] != "<"]
+    number = records[0] if fault == "a record without source_id" else triples[0]
+    obj = objs[number]
+    if fault == "an id without its record":
+        obj[0] = len(records)  # the block's ids run below it, the first block's do not
+        assert any(isinstance(o, dict) and o.get("record") == obj[0] for o in objs[:last])
+    elif fault == "a record without source_id":
+        del obj["source_id"]
+    elif fault == "an undeclared prefix":
+        obj[-1] = "nope" + obj[-1][obj[-1].index(":"):]
+    else:
+        obj = obj[-1:]
+    lines[number] = json.dumps(obj, ensure_ascii=False)
+    path.write_text("\n".join(lines), encoding="utf-8")
+    message = f"provenance.jsonl line {number + 1} is not a provenance record: "
+    with pytest.raises(StoreError, match="^" + message.replace(".", r"\.")):
+        load_store(root).store.provenance
+    code, out, err = run_cli("--store", str(root), "--json", "retrieve", "--query", "Acme",
+                             "--session", "nobody")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: " + message) and str(tmp_path) not in err, err
+
+
+FIXTURE_STORE = Path(__file__).parent / "fixtures" / "journal_store"
+
+
+def test_a_store_in_the_whole_record_format_loads_and_takes_a_new_block(tmp_path):
+    """`fixtures/journal_store` was written by the journal writer that gave
+    each triple line its records whole and its triple in N-Triples form. It
+    holds three blocks of records without their default fields, lines that
+    merge records into already trusted triples, the block of a commit that
+    died before `version`, and a torn last line. It loads as the eager oracle
+    reads it; a commit then appends a block of records by reference, and the
+    store loads as the writing handle holds it."""
+    root = tmp_path / "s"
+    shutil.copytree(FIXTURE_STORE, root)
+    text = (root / "provenance.jsonl").read_text(encoding="utf-8")
+    assert read_version(root) == 3 and '{"version": 4}\n' in text and not text.endswith("\n")
+    assert '"prefixes"' not in text and '"record"' not in text
+    loaded = load_store(root).store.provenance
+    assert loaded == oracle_load_provenance(root)
+    prop = "http://ontomem.dev/ns/prop#"
+    located = Triple(Iri(INST_NS + "pump1"), Iri(prop + "locatedIn"), Iri(INST_NS + "site-a"))
+    assert [p.source_id for p in loaded[located]] == ["doc01.txt", "chat-2"]
+    label = Triple(Iri(INST_NS + "pump1"), Iri(RDFS_LABEL),
+                   Literal('Pump "one"\n', RDF_LANGSTRING, "en"))
+    other = Triple(Iri(INST_NS + "pump3"), Iri(prop + "locatedIn"), Iri(INST_NS + "site-a"))
+    # equal records written with confidence 1 and 1.0 each load as written
+    assert loaded[label][0] == loaded[other][1] and loaded[label][0] is not loaded[other][1]
+    assert repr(loaded[label][0]) != repr(loaded[other][1])
+
+    handle = load_store(root)
+    new = Triple(Iri(INST_NS + "pump6"), Iri(prop + "locatedIn"), Iri(INST_NS + "site-a"))
+    candidates = [Candidate(located, [Provenance("chat-9", origin=Origin.DIALOGUE)]),
+                  Candidate(new, [Provenance("doc09.txt", "doc09.txt#0", 5, 0.7)])]
+    delta = handle.store.commit(validate_gate(candidates, handle.store.trusted, []), 3)
+    assert [c.triple for c in delta.accepted] == [new]
+    save_commit(handle, delta)
+    block = (root / "provenance.jsonl").read_text(encoding="utf-8").split('{"version": 4}\n')[1]
+    assert block.startswith('{"prefixes": ') and "pump5" not in block and "torn" not in block
+    assert _loaded(root) == _state(handle.store)
+    assert [p.source_id for p in load_store(root).store.provenance[located]] \
+        == ["doc01.txt", "chat-2", "chat-9"]
 
 
 def test_chunk_dedupe_parses_only_the_lines_it_needs(tmp_path):
